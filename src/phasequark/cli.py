@@ -27,7 +27,10 @@ __all__ = ["main", "build_parser"]
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -5,35 +5,54 @@ Hamiltonians obtained from the canonical pairings, their antiparticle
 partners from charge conjugation, and the composite single-quark and
 quark-antiquark sums whose square is a scalar (the mass-squared law).
 
-Kinds and closed forms (A_k, B_k, B from phasequark.clifford):
+Every Hamiltonian is H = c . BASIS for one real 8-vector of coefficients
+c = (s, a1..a3, b1..b3, beta) on BASIS = {1, A1..A3, B1..B3, B}, the
+identity and the seven generators of phasequark.clifford, which are
+orthonormal under <X, Y> = tr(X^+ Y)/8 and mutually anticommuting.  One
+table row per kind holds the spec fields it accepts, diagonal masks Phi
+and Psi and a mass factor mu, and every kind reads
 
-    Dirac     A.(p - e*Avec) + B m + e*A0
-    ColorR    A1(p1 - e*A1v) + B2 x2 + B3 x3 + B m + e*A0
-    ColorY    B1 x1 + A2(p2 - e*A2v) + B3 x3 + B m + e*A0
-    ColorB    B1 x1 + B2 x2 + A3(p3 - e*A3v) + B m + e*A0
-    AntiR     A1 p1 - B2 x2 - B3 x3 + B m
-    AntiY     -B1 x1 + A2 p2 - B3 x3 + B m
-    AntiB     -B1 x1 - B2 x2 + A3 p3 + B m
-    QuarkSum  A.p + 2 B.x + 3 B m          (ColorR + ColorY + ColorB)
-    QQbar     A.P + 2 B.dx + 6 B m         (P = p + pbar, dx = x - xbar)
-    Custom    A.a + B.b + beta B + scalar
+    c = (scalar + e*A0, a + Phi(p + pbar - e*Avec), b + Psi(x - xbar), beta + mu*m)
 
-Charge conjugation is the substitution chain i -> -i, p -> -p, H -> -H
-followed by conjugation with C = build_C("s2"); on the colored kinds it
-lands exactly on the Anti forms, and on the HamiltonianSpec fields it is
-the sign flip of e and x.  Rotations are passive (frame) rotations: coordinates map as
-v' = R v and operators as A'_k = R_kl A_l, B'_k = R_kl B_l.
+with (e, A0, Avec) the optional EM field; the fields a kind does not
+accept stay zero, so Custom passes (scalar, a, b, beta) through unchanged.
+With e_c the unit vector of the color axis (R, Y, B = 1, 2, 3):
+
+    kind      Phi  Psi        mu  closed form
+    Dirac     1    0          1   A.(p - e*Avec) + B m + e*A0
+    ColorR    e1   1 - e1     1   A1(p1 - e*A1v) + B2 x2 + B3 x3 + B m + e*A0
+    ColorY    e2   1 - e2     1   B1 x1 + A2(p2 - e*A2v) + B3 x3 + B m + e*A0
+    ColorB    e3   1 - e3     1   B1 x1 + B2 x2 + A3(p3 - e*A3v) + B m + e*A0
+    AntiR     e1   -(1 - e1)  1   A1 p1 - B2 x2 - B3 x3 + B m
+    AntiY     e2   -(1 - e2)  1   -B1 x1 + A2 p2 - B3 x3 + B m
+    AntiB     e3   -(1 - e3)  1   -B1 x1 - B2 x2 + A3 p3 + B m
+    QuarkSum  1    2          3   A.p + 2 B.x + 3 B m    (ColorR + ColorY + ColorB)
+    QQbar     1    2          6   A.P + 2 B.dx + 6 B m   (P = p + pbar, dx = x - xbar)
+    Custom    0    0          0   A.a + B.b + beta B + scalar
+
+Every entry of a BASIS matrix is in {0, +-1, +-i} and no entry of H
+collects more than two real terms and one imaginary term, so c . BASIS
+is exact whatever the order of summation.  Charge conjugation is the
+substitution chain i -> -i, p -> -p, H -> -H followed by conjugation
+with C = build_C("s2"); on the colored kinds it lands exactly on the
+Anti forms, and on the HamiltonianSpec fields it is the sign flip of e
+and x.  Rotations are passive (frame) rotations: coordinates map as
+v' = R v and operators as A'_k = R_kl A_l, B'_k = R_kl B_l, so a rotated
+Hamiltonian is the table at the rotated coordinates with its a- and
+b-blocks pulled back by R^T.  Reflection (conjugation by B) multiplies c
+by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clifford import build_A, build_B, build_Bk, build_C
+from .clifford import build_C, clifford_generators
 
 __all__ = [
     "EMField",
@@ -52,36 +71,61 @@ __all__ = [
     "square_and_spectrum",
 ]
 
-KINDS = (
-    "Dirac",
-    "ColorR",
-    "ColorY",
-    "ColorB",
-    "AntiR",
-    "AntiY",
-    "AntiB",
-    "QuarkSum",
-    "QQbar",
-    "Custom",
-)
+
+class _Row(NamedTuple):
+    fields: tuple[str, ...]  # the spec fields the kind accepts
+    phi: np.ndarray          # diagonal of Phi
+    psi: np.ndarray          # diagonal of Psi
+    mu: float
+
+
+_E = np.eye(3)
+_ONE, _ZERO = np.ones(3), np.zeros(3)
+_TABLE: dict[str, _Row] = {
+    "Dirac": _Row(("m", "p", "em"), _ONE, _ZERO, 1.0),
+    **{f"Color{c}": _Row(("m", "p", "x", "em"), _E[i], 1.0 - _E[i], 1.0)
+       for i, c in enumerate("RYB")},
+    **{f"Anti{c}": _Row(("m", "p", "x"), _E[i], _E[i] - 1.0, 1.0)
+       for i, c in enumerate("RYB")},
+    "QuarkSum": _Row(("m", "p", "x"), _ONE, 2.0 * _ONE, 3.0),
+    "QQbar": _Row(("m", "p", "x", "pbar", "xbar"), _ONE, 2.0 * _ONE, 6.0),
+    "Custom": _Row(("a", "b", "beta", "scalar"), _ZERO, _ZERO, 0.0),
+}
+KINDS = tuple(_TABLE)
 
 _COLOR_AXIS = {"R": 0, "Y": 1, "B": 2}
-_EM_KINDS = ("Dirac", "ColorR", "ColorY", "ColorB")
+_EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 
-_A = [build_A(k) for k in (1, 2, 3)]
-_BK = [build_Bk(k) for k in (1, 2, 3)]
-_B = build_B()
-_I8 = np.eye(8, dtype=complex)
+# rows: 1, A1..A3, B1..B3, B, each a flattened 8x8 matrix
+BASIS = np.stack([np.eye(8, dtype=complex)] + [g for _, g in clifford_generators()]).reshape(8, 64)
+BASIS.flags.writeable = False
+REFLECT_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, 1])
+_A = BASIS.reshape(8, 8, 8)[1:4]
+_BK = BASIS.reshape(8, 8, 8)[4:7]
+_PLAIN = (float, int, np.float64)  # number types that need no further check
+
+
+def _real(value, name: str, index: int | None = None) -> float:
+    """value as a finite float; bool, str, None and the like are errors."""
+    if type(value) in _PLAIN or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    ):
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    label = name if index is None else f"{name}[{index}]"
+    raise ValueError(f"{label} must be a finite number, got {value!r}")
 
 
 def _vec3(value, name: str) -> tuple[float, float, float]:
     try:
-        t = tuple(float(v) for v in value)
-    except TypeError as exc:
-        raise ValueError(f"{name} must be a 3-vector") from exc
-    if len(t) != 3 or not all(math.isfinite(v) for v in t):
-        raise ValueError(f"{name} must be 3 finite numbers, got {value!r}")
-    return t  # type: ignore[return-value]
+        x, y, z = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a 3-vector, got {value!r}") from None
+    return _real(x, name, 0), _real(y, name, 1), _real(z, name, 2)
 
 
 @dataclass(frozen=True)
@@ -92,24 +136,27 @@ class EMField:
 
     def __post_init__(self) -> None:
         for name in ("e", "A0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"em.{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), f"em.{name}"))
         object.__setattr__(self, "Avec", _vec3(self.Avec, "em.Avec"))
 
     def to_dict(self) -> dict:
         return {"e": self.e, "A0": self.A0, "Avec": list(self.Avec)}
 
 
+_NO_FIELD = EMField()
+_EM_FIELDS = tuple(f.name for f in fields(EMField))
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Declarative description of one Hamiltonian.
 
-    QQbar accepts either the quark/antiquark variables (p, x, pbar, xbar)
-    or the total/relative shorthand (P, dx); the shorthand is stored as
-    p = P, x = dx with zero antiquark variables, which builds the same
-    matrix.  Custom carries explicit coefficients a.A + b.B_k + beta*B +
-    scalar*1.
+    Only the fields of the kind's table row may differ from their zero
+    defaults.  QQbar accepts either the quark/antiquark variables (p, x,
+    pbar, xbar) or the total/relative shorthand (P, dx); the shorthand is
+    stored as p = P, x = dx with zero antiquark variables, which builds the
+    same matrix.  Custom carries explicit coefficients a.A + b.B_k + beta*B
+    + scalar*1.
     """
 
     kind: str
@@ -127,15 +174,18 @@ class HamiltonianSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if not (math.isfinite(self.m) and self.m >= 0.0):
+        for name in ("m", "beta", "scalar"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.m < 0.0:
             raise ValueError(f"m must be finite and >= 0, got {self.m!r}")
         for name in ("p", "x", "pbar", "xbar", "a", "b"):
             object.__setattr__(self, name, _vec3(getattr(self, name), name))
-        for name in ("beta", "scalar"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.em is not None and self.kind not in _EM_KINDS:
-            raise ValueError(f"em coupling is only supported for kinds {_EM_KINDS}")
+        if self.em is not None and not isinstance(self.em, EMField):
+            raise ValueError(f"em must be an EMField, got {self.em!r}")
+        accepted = _TABLE[self.kind].fields
+        for f in fields(self)[1:]:
+            if f.name not in accepted and getattr(self, f.name) != f.default:
+                raise ValueError(f"field {f.name!r} is not valid for kind {self.kind}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "HamiltonianSpec":
@@ -145,95 +195,60 @@ class HamiltonianSpec:
         kind = data.pop("kind", None)
         if kind not in KINDS:
             raise ValueError(f"spec.kind must be one of {KINDS}, got {kind!r}")
-        kwargs: dict = {"kind": kind}
+        accepted = _TABLE[kind].fields
         if "P" in data or "dx" in data:
-            if kind != "QQbar":
+            if "pbar" not in accepted:
                 raise ValueError("P/dx shorthand is only valid for kind QQbar")
-            if "p" in data or "x" in data or "pbar" in data or "xbar" in data:
+            if data.keys() & {"p", "x", "pbar", "xbar"}:
                 raise ValueError("give either (P, dx) or (p, x, pbar, xbar), not both")
-            kwargs["p"] = data.pop("P", (0.0, 0.0, 0.0))
-            kwargs["x"] = data.pop("dx", (0.0, 0.0, 0.0))
-        allowed = {
-            "Dirac": {"m", "p", "em"},
-            "ColorR": {"m", "p", "x", "em"},
-            "ColorY": {"m", "p", "x", "em"},
-            "ColorB": {"m", "p", "x", "em"},
-            "AntiR": {"m", "p", "x"},
-            "AntiY": {"m", "p", "x"},
-            "AntiB": {"m", "p", "x"},
-            "QuarkSum": {"m", "p", "x"},
-            "QQbar": {"m", "p", "x", "pbar", "xbar"},
-            "Custom": {"a", "b", "beta", "scalar"},
-        }[kind]
-        for key, value in data.items():
-            if key not in allowed:
+            data["p"] = _vec3(data.pop("P", (0.0, 0.0, 0.0)), "P")
+            data["x"] = _vec3(data.pop("dx", (0.0, 0.0, 0.0)), "dx")
+        for key in data:
+            if key not in accepted:
                 raise ValueError(f"field {key!r} is not valid for kind {kind}")
-            if key == "em":
-                if not isinstance(value, dict):
-                    raise ValueError("em must be an object with e, A0, Avec")
-                kwargs["em"] = EMField(**value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        if "em" in data:
+            em = data["em"]
+            if not isinstance(em, dict):
+                raise ValueError("em must be an object with e, A0, Avec")
+            for key in em:
+                if key not in _EM_FIELDS:
+                    raise ValueError(f"field 'em.{key}' is not valid; expected e, A0, Avec")
+            data["em"] = EMField(**em)
+        return cls(kind=kind, **data)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.kind == "Custom":
-            out.update(a=list(self.a), b=list(self.b), beta=self.beta, scalar=self.scalar)
-            return out
-        out["m"] = self.m
-        out["p"] = list(self.p)
-        if self.kind != "Dirac":
-            out["x"] = list(self.x)
-        if self.kind == "QQbar":
-            out["pbar"] = list(self.pbar)
-            out["xbar"] = list(self.xbar)
-        if self.em is not None:
-            out["em"] = self.em.to_dict()
+        for name in _TABLE[self.kind].fields:
+            value = getattr(self, name)
+            if isinstance(value, EMField):
+                out[name] = value.to_dict()
+            elif value is not None:
+                out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-def _em(spec: HamiltonianSpec) -> tuple[float, float, tuple[float, float, float]]:
-    if spec.em is None:
-        return 0.0, 0.0, (0.0, 0.0, 0.0)
-    return spec.em.e, spec.em.A0, spec.em.Avec
+def _coefficients(spec: HamiltonianSpec, rot: np.ndarray | None = None) -> np.ndarray:
+    """The spec's 8-vector c from its table row, at coordinates rotated by rot."""
+    row, em = _TABLE[spec.kind], spec.em or _NO_FIELD
+    p, x, pbar, xbar, avec = (
+        np.asarray(v) if rot is None else rot @ v
+        for v in (spec.p, spec.x, spec.pbar, spec.xbar, em.Avec)
+    )
+    c = np.empty(8)
+    c[0] = spec.scalar + em.e * em.A0
+    c[1:4] = spec.a + row.phi * (p + pbar - em.e * avec)
+    c[4:7] = spec.b + row.psi * (x - xbar)
+    c[7] = spec.beta + row.mu * spec.m
+    return c
 
 
-def _colored(axis: int, sign: float, p, x, m, e, a0, avec,
-             a_ops=None, b_ops=None) -> np.ndarray:
-    """sign=+1 colored quark form, sign=-1 its antiparticle form."""
-    a_ops = _A if a_ops is None else a_ops
-    b_ops = _BK if b_ops is None else b_ops
-    h = a_ops[axis] * (p[axis] - e * avec[axis])
-    for k in range(3):
-        if k != axis:
-            h = h + sign * b_ops[k] * x[k]
-    return h + _B * m + (e * a0) * _I8
+def _matrix(c: np.ndarray) -> np.ndarray:
+    return (c @ BASIS).reshape(8, 8)
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
-    """Assemble the 8x8 matrix for a spec; Hermitian for real inputs."""
-    e, a0, avec = _em(spec)
-    k = spec.kind
-    if k == "Dirac":
-        h = sum(_A[i] * (spec.p[i] - e * avec[i]) for i in range(3))
-        return h + _B * spec.m + (e * a0) * _I8
-    if k.startswith("Color"):
-        return _colored(_COLOR_AXIS[k[-1]], +1.0, spec.p, spec.x, spec.m, e, a0, avec)
-    if k.startswith("Anti"):
-        return _colored(_COLOR_AXIS[k[-1]], -1.0, spec.p, spec.x, spec.m, 0.0, 0.0, avec)
-    if k == "QuarkSum":
-        h = sum(_A[i] * spec.p[i] + 2.0 * _BK[i] * spec.x[i] for i in range(3))
-        return h + 3.0 * spec.m * _B
-    if k == "QQbar":
-        ptot = [spec.p[i] + spec.pbar[i] for i in range(3)]
-        dx = [spec.x[i] - spec.xbar[i] for i in range(3)]
-        h = sum(_A[i] * ptot[i] + 2.0 * _BK[i] * dx[i] for i in range(3))
-        return h + 6.0 * spec.m * _B
-    if k == "Custom":
-        h = sum(_A[i] * spec.a[i] + _BK[i] * spec.b[i] for i in range(3))
-        return h + spec.beta * _B + spec.scalar * _I8
-    raise AssertionError(k)
+    """Assemble the 8x8 matrix c . BASIS of a spec; Hermitian for real inputs."""
+    return _matrix(_coefficients(spec))
 
 
 def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
@@ -304,36 +319,19 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
                        angle: float) -> np.ndarray:
     """Rebuild the Hamiltonian with primed operators and primed coordinates.
 
-    Scalar contractions A.p and B.x are form invariant, so QuarkSum, QQbar
-    and Dirac return the unrotated matrix up to roundoff for any rotation;
-    the colored kinds are only invariant under rotations about their own
-    color axis, and mix pairwise otherwise.
+    The table is evaluated at R p, R x, R pbar, R xbar and R Avec, which
+    gives the coefficients on the primed operators; R^T carries the a- and
+    b-blocks back to A_k and B_k.  Scalar contractions A.p and B.x are form
+    invariant, so QuarkSum, QQbar and Dirac return the unrotated matrix up
+    to roundoff for any rotation; the colored kinds are only invariant
+    under rotations about their own color axis, and mix pairwise otherwise.
     """
     if spec.kind == "Custom":
         raise ValueError("rotate_hamiltonian does not apply to Custom specs")
     rot = rotation_matrix(axis, angle)
-    a_ops, b_ops = rotated_operators(rot)
-    e, a0, avec = _em(spec)
-    p, x = rot @ np.array(spec.p), rot @ np.array(spec.x)
-    avec_r = rot @ np.array(avec)
-    k = spec.kind
-    if k == "Dirac":
-        h = sum(a_ops[i] * (p[i] - e * avec_r[i]) for i in range(3))
-        return h + _B * spec.m + (e * a0) * _I8
-    if k.startswith("Color") or k.startswith("Anti"):
-        sign = +1.0 if k.startswith("Color") else -1.0
-        ee, aa0 = (e, a0) if k.startswith("Color") else (0.0, 0.0)
-        return _colored(_COLOR_AXIS[k[-1]], sign, p, x, spec.m, ee, aa0, avec_r,
-                        a_ops=a_ops, b_ops=b_ops)
-    if k == "QuarkSum":
-        h = sum(a_ops[i] * p[i] + 2.0 * b_ops[i] * x[i] for i in range(3))
-        return h + 3.0 * spec.m * _B
-    if k == "QQbar":
-        ptot = rot @ (np.array(spec.p) + np.array(spec.pbar))
-        dx = rot @ (np.array(spec.x) - np.array(spec.xbar))
-        h = sum(a_ops[i] * ptot[i] + 2.0 * b_ops[i] * dx[i] for i in range(3))
-        return h + 6.0 * spec.m * _B
-    raise AssertionError(k)
+    c = _coefficients(spec, rot)
+    c[1:4], c[4:7] = rot.T @ c[1:4], rot.T @ c[4:7]
+    return _matrix(c)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +379,10 @@ def coefficient_pattern(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, 
     linear in (p, x) through fixed projectors: Phi = e_c e_c^T and
     Psi = +-(I - e_c e_c^T).
     """
-    k = spec.kind
-    if not (k.startswith("Color") or k.startswith("Anti")) or spec.em is not None:
+    if not spec.kind.startswith(("Color", "Anti")) or spec.em is not None:
         raise ValueError("coefficient_pattern applies to free colored/anti kinds")
-    axis = _COLOR_AXIS[k[-1]]
-    phi = np.zeros((3, 3))
-    phi[axis, axis] = 1.0
-    psi = (np.eye(3) - phi) * (+1.0 if k.startswith("Color") else -1.0)
-    return phi, psi, spec.m
+    row = _TABLE[spec.kind]
+    return np.diag(row.phi), np.diag(row.psi), spec.m
 
 
 @dataclass(frozen=True)
@@ -465,8 +459,8 @@ def antiparticle_distinctness_check(
 
     A frame transformation acts on the coefficient maps by conjugation,
     Phi -> R^T Phi R and Psi -> R^T Psi R, while the coordinate values ride
-    along as p -> R p, x -> R x; reflection (conjugation by B together with
-    p -> -p, x -> -x) acts trivially on such bilinear patterns.  The
+    along as p -> R p, x -> R x; reflection is conjugation by B (the sign
+    mask REFLECT_SIGNS on c) together with p -> -p, x -> -x.  The
     distance between two Hamiltonians is the Euclidean norm of the
     difference of their 7 coefficients (A1..A3, B1..B3, B), which equals
     the operator distance in the normalized trace inner product
@@ -483,43 +477,42 @@ def antiparticle_distinctness_check(
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     axis = _COLOR_AXIS[color]
-    pv = np.array(_vec3(p, "p"))
-    xv = np.array(_vec3(x, "x"))
-
-    quark = HamiltonianSpec(kind=f"Color{color}", m=m)
-    anti = HamiltonianSpec(kind=f"Anti{color}", m=m)
-    phi_q, psi_q, _ = coefficient_pattern(quark)
-    phi_a, psi_a, _ = coefficient_pattern(anti)
-    target_a = phi_q @ pv
-    target_b = psi_q @ xv
+    anti = HamiltonianSpec(kind=f"Anti{color}", m=m, p=p, x=x)
+    target = _coefficients(HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x))
 
     rots = _quaternion_rotations(n_samples, seed)
     # row `axis` of each rotation determines the conjugated projectors
     u = rots[:, axis, :]
-    a_rot = u * (u @ pv)[:, None]                      # R^T Phi_a R p
-    b_rot = -xv[None, :] + u * (u @ xv)[:, None]       # R^T Psi_a R x
-    d = np.sqrt(
-        ((a_rot - target_a[None, :]) ** 2).sum(axis=1)
-        + ((b_rot - target_b[None, :]) ** 2).sum(axis=1)
-    )
-    # reflection: both coefficient triplets and both coordinates change
-    # sign, so the transformed pattern is unchanged and distances repeat
-    d_reflected = d
+
+    def distances(pv: np.ndarray, xv: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Distance to target of signs * (rotated Anti pattern at (p, x)).
+
+        The s and B coefficients (0 and m) agree on both sides and both
+        keep their sign, so only the a- and b-blocks contribute.
+        """
+        a = signs[1:4] * (u * (u @ pv)[:, None]) - target[1:4]               # R^T Phi_a R p
+        b = signs[4:7] * (-xv[None, :] + u * (u @ xv)[:, None]) - target[4:7]  # R^T Psi_a R x
+        return np.sqrt((a ** 2).sum(axis=1) + (b ** 2).sum(axis=1))
+
+    pv, xv = np.array(anti.p), np.array(anti.x)
+    d = distances(pv, xv, np.ones(8))
+    d_reflected = distances(-pv, -xv, REFLECT_SIGNS)
 
     xnorm = float(np.linalg.norm(xv))
-    margin = 0.0 if xnorm == 0.0 else float((psi_q @ xv) @ (psi_q @ xv)) / xnorm
+    target_b = target[4:7]
+    margin = 0.0 if xnorm == 0.0 else float(target_b @ target_b) / xnorm
     return DistinctnessReport(
         color=color,
-        p=tuple(pv),
-        x=tuple(xv),
-        m=float(m),
+        p=anti.p,
+        x=anti.x,
+        m=anti.m,
         n_samples=int(n_samples),
         seed=int(seed),
         min_distance=float(d.min()),
         min_distance_with_reflection=float(d_reflected.min()),
         margin=margin,
         degenerate=(margin == 0.0),
-        reflected_b_coefficients=tuple(float(v) for v in (psi_a @ xv)),
+        reflected_b_coefficients=tuple(float(v) for v in _coefficients(anti)[4:7]),
         target_b_coefficients=tuple(float(v) for v in target_b),
     )
 

@@ -408,8 +408,7 @@ def derive_pairing_from_rotation(color: str, tol: float = 1e-12) -> DerivedPairi
     The quarter turn exp(+/-pi/2 * Hc) exchanges two momentum/position
     planes; an ordinary rotation about the same axis c then aligns signs
     with the printed pairing.  The search tries both quarter-turn signs and
-    ordinary angles over multiples of pi/2, falling back to a fine scan of
-    [0, 2pi) if no exact hit appears (it does: angle pi/2 for every color).
+    ordinary angles over multiples of pi/2; angle pi/2 hits for every color.
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
@@ -418,11 +417,9 @@ def derive_pairing_from_rotation(color: str, tol: float = 1e-12) -> DerivedPairi
     target = pairing(color).matrix()
 
     best: tuple[float, float, float, np.ndarray] | None = None
-    coarse = [k * math.pi / 2 for k in range(4)]
-    fine = [k * 1e-3 * 2 * math.pi for k in range(1000)]
     for h_angle in (math.pi / 2, -math.pi / 2):
         quarter = exp_generator(h, h_angle)
-        for j_angle in coarse + fine:
+        for j_angle in (k * math.pi / 2 for k in range(4)):
             m = exp_generator(j, j_angle) @ quarter
             r = float(np.abs(m - target).max())
             if best is None or r < best[0]:

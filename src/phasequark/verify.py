@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, clifford, phase_space
 from .hamiltonian import (
+    BASIS,
     EMField,
     HamiltonianSpec,
     antiparticle_distinctness_check,
@@ -89,9 +90,7 @@ _R6 = phase_space.build_R().matrix
 _J6 = phase_space.symplectic_form()
 _I6 = np.eye(6)
 
-_GAMMA = [clifford.build_A(k) for k in (1, 2, 3)] + [
-    clifford.build_Bk(k) for k in (1, 2, 3)
-] + [clifford.build_B()]
+_GAMMA = list(BASIS.reshape(8, 8, 8)[1:])
 _GAMMA_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
 _I8 = np.eye(8)
 
@@ -428,7 +427,7 @@ def _check_dirac_em(rng, samples):
 
 
 def _check_distinctness(rng, samples):
-    n = int(samples) if samples else 10000
+    n = 10000 if samples is None else int(samples)
     worst = 0.0
     details = {}
     for index, color in enumerate("RYB"):
@@ -633,6 +632,8 @@ def run_suite(
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     checks: list[CheckResult] = []
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:

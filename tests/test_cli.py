@@ -67,6 +67,41 @@ def test_invalid_spec_fields_is_input_error(tmp_path):
     assert "m must be" in json.loads(result.stdout)["error"]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "ColorR", "m": "1"},
+        {"kind": "Dirac", "m": True},
+        {"kind": "Custom", "beta": "x"},
+        {"kind": "Dirac", "em": {"charge": 1.0}},
+    ],
+)
+def test_wrong_typed_spec_is_json_input_error(tmp_path, spec):
+    bad = tmp_path / "bad_type.json"
+    bad.write_text(json.dumps(spec))
+    result = run_cli("conjugate", str(bad))
+    assert result.returncode == 2
+    error = json.loads(result.stdout)["error"]
+    assert "must be" in error or "is not valid" in error
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_non_positive_samples(samples):
+    result = run_cli("verify", "--suite", "su3", "--samples", samples)
+    assert result.returncode == 2
+    assert "samples must be >= 1" in json.loads(result.stdout)["error"]
+
+
+def test_unwritable_out_path_is_json_input_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    result = run_cli("export", "A1", "--out", str(target))
+    assert result.returncode == 2
+    assert "cannot write" in json.loads(result.stdout)["error"]
+    assert "Traceback" not in result.stderr
+    assert not target.exists()
+
+
 def test_unknown_export_label_is_input_error():
     result = run_cli("export", "Q7")
     assert result.returncode == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, strategies as st
 
 from phasequark import clifford as cf
 from phasequark.hamiltonian import (
+    BASIS,
+    KINDS,
+    REFLECT_SIGNS,
     EMField,
     HamiltonianSpec,
     antiparticle_distinctness_check,
@@ -14,6 +18,7 @@ from phasequark.hamiltonian import (
     conjugate_hamiltonian,
     coefficient_pattern,
     rotate_hamiltonian,
+    rotated_operators,
     rotation_matrix,
     square_and_spectrum,
 )
@@ -25,6 +30,55 @@ B = cf.build_B()
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
 mass = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 8)
+unit_axis = (
+    vec3.filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
+)
+
+
+@st.composite
+def specs(draw, kinds=KINDS, number=dyadic):
+    """A spec of one of kinds with every field of its kind drawn, EM optional."""
+    vec = st.tuples(number, number, number)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "Custom":
+        return HamiltonianSpec(kind=kind, a=draw(vec), b=draw(vec),
+                               beta=draw(number), scalar=draw(number))
+    fields = {"kind": kind, "m": abs(draw(number)), "p": draw(vec)}
+    if kind != "Dirac":
+        fields["x"] = draw(vec)
+    if kind == "QQbar":
+        fields.update(pbar=draw(vec), xbar=draw(vec))
+    if kind in ("Dirac", "ColorR", "ColorY", "ColorB"):
+        fields["em"] = draw(st.none() | st.builds(EMField, number, number, vec))
+    return HamiltonianSpec(**fields)
+
+
+def closed_form(spec, rot=None):
+    """The module docstring's closed form, term by term; with rot, built
+    from the primed operators at rotated coordinates."""
+    a_ops, b_ops = (A, BK) if rot is None else rotated_operators(rot)
+    turn = np.asarray if rot is None else (lambda v: rot @ np.asarray(v))
+    p, x, pbar, xbar = (turn(v) for v in (spec.p, spec.x, spec.pbar, spec.xbar))
+    em = spec.em or EMField()
+    e, a0, avec = em.e, em.A0, turn(em.Avec)
+    one, m, kind = np.eye(8), spec.m, spec.kind
+    if kind == "Dirac":
+        return sum(a_ops[i] * (p[i] - e * avec[i]) for i in range(3)) + B * m + e * a0 * one
+    if kind[:-1] in ("Color", "Anti"):
+        c = "RYB".index(kind[-1])
+        sign = 1.0 if kind.startswith("Color") else -1.0
+        position = sum(b_ops[k] * x[k] for k in range(3) if k != c)
+        return a_ops[c] * (p[c] - e * avec[c]) + sign * position + B * m + e * a0 * one
+    if kind == "QuarkSum":
+        return sum(a_ops[i] * p[i] + 2 * b_ops[i] * x[i] for i in range(3)) + 3 * m * B
+    if kind == "QQbar":
+        return sum(
+            a_ops[i] * (p[i] + pbar[i]) + 2 * b_ops[i] * (x[i] - xbar[i]) for i in range(3)
+        ) + 6 * m * B
+    assert kind == "Custom"
+    return sum(A[i] * spec.a[i] + BK[i] * spec.b[i] for i in range(3)) + spec.beta * B + spec.scalar * one
 
 
 def test_color_r_example():
@@ -81,6 +135,17 @@ def test_real_specs_build_hermitian_matrices(p, x, m, kind):
     assert np.array_equal(h, h.conj().T)
 
 
+@given(specs())
+def test_build_matches_docstring_closed_form_exactly(spec):
+    # dyadic inputs keep every sum exact, so the two routes agree bit for bit
+    assert np.array_equal(build_hamiltonian(spec), closed_form(spec))
+
+
+def test_reflect_signs_match_conjugation_by_b():
+    for sign, g in zip(REFLECT_SIGNS, BASIS.reshape(8, 8, 8)):
+        assert np.array_equal(cf.reflect(g), sign * g)
+
+
 def test_custom_kind():
     spec = HamiltonianSpec(kind="Custom", a=(1, 0, 0), b=(0, 2, 0), beta=3, scalar=4)
     assert np.array_equal(
@@ -110,6 +175,52 @@ def test_from_dict_rejects_bad_values():
         HamiltonianSpec.from_dict({"kind": "Dirac", "m": float("inf")})
     with pytest.raises(ValueError):
         HamiltonianSpec.from_dict({"kind": "Dirac", "p": [1, 2]})
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        ({"kind": "Dirac", "m": "1"}, "m"),
+        ({"kind": "Dirac", "m": True}, "m"),
+        ({"kind": "ColorR", "m": None}, "m"),
+        ({"kind": "Custom", "beta": "x"}, "beta"),
+        ({"kind": "Custom", "scalar": False}, "scalar"),
+        ({"kind": "ColorR", "p": ["1", "0", "0"]}, "p[0]"),
+        ({"kind": "QQbar", "xbar": [0, 0, True]}, "xbar[2]"),
+        ({"kind": "QQbar", "P": [0, 0, True]}, "P[2]"),
+        ({"kind": "QQbar", "dx": "abc"}, "dx[0]"),
+        ({"kind": "AntiY", "x": "123"}, "x[0]"),
+        ({"kind": "Dirac", "m": 10 ** 400}, "m"),
+        ({"kind": "Dirac", "em": {"e": "2"}}, "em.e"),
+        ({"kind": "ColorB", "em": {"A0": None}}, "em.A0"),
+        ({"kind": "Dirac", "em": {"Avec": [0, True, 0]}}, "em.Avec[1]"),
+        ({"kind": "Dirac", "em": {"charge": 1.0}}, "em.charge"),
+    ],
+)
+def test_from_dict_rejects_wrong_typed_numbers(spec, field):
+    with pytest.raises(ValueError, match=re.escape(field) + " must be|'" + re.escape(field)):
+        HamiltonianSpec.from_dict(spec)
+
+
+def test_numpy_real_scalars_are_accepted():
+    spec = HamiltonianSpec(
+        kind="ColorR", m=np.float64(1.5), p=np.array([1.0, 0.0, 0.0]),
+        x=(np.int64(0), np.float32(2.0), 3), em=EMField(e=np.float64(0.5)),
+    )
+    assert spec.m == 1.5 and type(spec.m) is float
+    assert spec.x == (0.0, 2.0, 3.0) and all(type(v) is float for v in spec.x)
+    assert type(spec.em.e) is float
+
+
+def test_constructor_rejects_fields_outside_the_kind():
+    with pytest.raises(ValueError, match="'pbar' is not valid for kind ColorR"):
+        HamiltonianSpec(kind="ColorR", pbar=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="'em' is not valid for kind AntiR"):
+        HamiltonianSpec(kind="AntiR", em=EMField(e=1.0))
+    with pytest.raises(ValueError, match="'beta' is not valid for kind QuarkSum"):
+        HamiltonianSpec(kind="QuarkSum", beta=1.0)
+    with pytest.raises(ValueError, match="'m' is not valid for kind Custom"):
+        HamiltonianSpec(kind="Custom", m=1.0)
 
 
 def test_qqbar_shorthand_and_exclusivity():
@@ -210,6 +321,14 @@ def test_quark_sum_rotation_invariance(p, x, m, pick):
     spec = HamiltonianSpec(kind="QuarkSum", p=p, x=x, m=m)
     h = build_hamiltonian(spec)
     assert np.abs(h - rotate_hamiltonian(spec, tuple(axis), phi)).max() <= 1e-12
+
+
+@given(specs(kinds=KINDS[:-1], number=finite), unit_axis,
+       st.floats(min_value=-math.pi, max_value=math.pi))
+def test_rotation_matches_operator_route(spec, axis, phi):
+    rot = rotation_matrix(axis, phi)
+    expected = closed_form(spec, rot)
+    assert np.abs(rotate_hamiltonian(spec, axis, phi) - expected).max() <= 1e-12
 
 
 def test_rotate_rejects_custom():
