@@ -13,10 +13,18 @@ Conventions fixed here and used everywhere else in the package:
   i.e. +1 in row m column n, -1 in row n column m.
 * Symplectic form J = [[0, I3], [-I3, 0]] in (p, x) block order.  A linear
   map M preserves Poisson brackets iff M^T J M = J.
-* exp_generator(g, theta) = expm(theta * g.matrix).  With this sign the
+* exp_generator(g, theta) = exp(theta * g.matrix).  With this sign the
   U(1) generator R gives exp(+pi/2 * R): (p, x) -> (-x, p), the momentum
   position interchange whose square is the full reflection -1.  The inverse
   quarter turn exp(-pi/2 * R) realizes (p, x) -> (x, -p).
+* The exponential is the closed form for a real antisymmetric g (Gallier &
+  Xu, "Computing exponentials of skew-symmetric matrices and logarithms of
+  orthogonal matrices", 2002): with S = -g g = V diag(w^2) V^T,
+  exp(theta g) = V cos(theta w) V^T + g V (sin(theta w) / w) V^T, where
+  g V = 0 at w = 0.  Whole quarter turns are taken out of
+  theta w exactly before cos and sin are evaluated, so every plane-sum
+  generator (diagonal S) gives an exact signed permutation at float
+  multiples of pi/2.
 
 The eight SU(3) generators F1..F8 close as [Fi, Fk] = 2 f_ikj Fj with
 totally antisymmetric structure constants
@@ -30,13 +38,13 @@ and the U(1) generator R = R1 + R2 + R3 commutes with all of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "COORD_NAMES",
@@ -261,12 +269,86 @@ def verify_su3_table(tol: float = 1e-12) -> tuple[bool, float, list[dict]]:
     return worst <= tol, worst, rows
 
 
+_HALF_PI = math.pi / 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _frequency_terms(key: bytes) -> tuple[tuple[float, ...], np.ndarray]:
+    """Spectral split of a 6x6 antisymmetric matrix given by its float64 bytes.
+
+    S = -g g is symmetric and positive semidefinite; eigh(S) = (w^2, V).
+    For each distinct frequency w, with P_w the projector onto its
+    eigenvectors, the rows 2k and 2k + 1 of the returned (read-only)
+    stack are P_w and g P_w flattened, so exp(theta g) = sum over w of
+    cos(theta w) P_w + (sin(theta w) / w) g P_w, and P_0 alone at w = 0.
+    """
+    g = np.frombuffer(key).reshape(6, 6)
+    if not np.array_equal(g, -g.T):
+        raise ValueError("exp_generator needs an antisymmetric 6x6 matrix")
+    w2, v = np.linalg.eigh(-(g @ g))
+    # eigh gives w^2 only to ~eps * max(w^2), so closer eigenvalues are one
+    # frequency: their eigenspace is g-invariant, and turning it by unequal
+    # angles would break orthogonality at large theta.  A cluster at the
+    # noise floor is w = 0, where g P_0 = 0 (g vanishes on the kernel of S).
+    tol = 64.0 * np.finfo(float).eps * max(w2[-1], 0.0)
+    starts = list(np.flatnonzero(np.diff(w2, prepend=-np.inf) > tol))
+    freqs, rows = [], []
+    for lo, hi in zip(starts, starts[1:] + [6]):
+        w = math.sqrt(w2[hi - 1]) if w2[hi - 1] > tol else 0.0
+        proj = v[:, lo:hi] @ v[:, lo:hi].T
+        freqs.append(w)
+        rows += [proj, g @ proj]
+    stack = np.array(rows).reshape(len(rows), 36)
+    stack.flags.writeable = False
+    return tuple(freqs), stack
+
+
+def _cos_sin(theta: float, w: float) -> tuple[float, float]:
+    """cos and sin of theta * w, whole quarter turns taken out exactly.
+
+    math.remainder is exact, and so is subtracting |k| <= 2 quarter turns
+    from its result, so only the leftover angle is rounded.  At a float
+    multiple of pi/2 with w = 1 that leftover is 0 and the result is
+    exactly (0 or +-1, 0 or +-1).
+    """
+    quarter = _HALF_PI / w
+    r = math.remainder(theta, 4.0 * quarter)
+    k = round(r / quarter)
+    rest = (r - k * quarter) * w
+    c, s = math.cos(rest), math.sin(rest)
+    for _ in range(k % 4):
+        c, s = -s, c
+    return c, s
+
+
 def exp_generator(g: Generator6 | np.ndarray, theta: float) -> np.ndarray:
-    """Group element exp(theta * g) via scaling-and-squaring expm."""
+    """Group element exp(theta * g) in closed form.
+
+    With S = -g g = V diag(w^2) V^T (g antisymmetric, so S >= 0),
+
+        exp(theta g) = V cos(theta w) V^T + g V (sin(theta w) / w) V^T,
+
+    where the w = 0 term is V V^T alone, since g V = 0 there (Gallier & Xu
+    2002).  The decomposition is computed once per generator matrix.  Before
+    cos and sin, theta w is reduced by whole quarter turns exactly, and the
+    result is turned back by them with swaps and negations, so plane-sum
+    generators give exact signed permutations at float multiples of pi/2.
+    The result stays orthogonal, to rounding, at every finite angle.
+    """
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
     m = g.matrix if isinstance(g, Generator6) else np.asarray(g, dtype=float)
-    return expm(theta * m)
+    if m.shape != (6, 6):
+        raise ValueError(f"exp_generator needs a 6x6 matrix, got {m.shape}")
+    freqs, stack = _frequency_terms(np.ascontiguousarray(m).tobytes())
+    coeffs = []
+    for w in freqs:
+        if w == 0.0:
+            coeffs += (1.0, 0.0)
+        else:
+            c, s = _cos_sin(theta, w)
+            coeffs += (c, s / w)
+    return (np.array(coeffs) @ stack).reshape(6, 6)
 
 
 def symplectic_form() -> np.ndarray:

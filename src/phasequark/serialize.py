@@ -4,7 +4,8 @@ Conventions: complex numbers serialize as two-element [re, im] arrays;
 real matrices serialize as plain numbers (integers where the value is
 integral, so signed permutation and Clifford matrices stay readable);
 JSON reports are emitted with sorted keys, two-space indentation and a
-trailing newline so identical inputs give byte-identical files.
+trailing newline so identical inputs give byte-identical files, and never
+contain NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ def to_jsonable(obj):
 
 
 def dump_json(obj, stream: IO[str] | None = None) -> str:
-    """Render obj deterministically; optionally also write it to stream."""
-    text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Render obj deterministically as strict JSON; optionally also write it to stream.
+
+    A NaN or infinite number raises ValueError: JSON has no such values.
+    """
+    text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if stream is not None:
         stream.write(text)
     return text

@@ -634,6 +634,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     checks: list[CheckResult] = []
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:

@@ -1,13 +1,30 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from phasequark.cli import main
+
 HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
+
+
+def strict_json(text):
+    """Parse text as JSON, failing on NaN and Infinity."""
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run_in_process(capsys, *args):
+    """Run cli.main in this process; return (exit code, stdout)."""
+    code = main(list(args))
+    return code, capsys.readouterr().out
 
 
 def run_cli(*args, **kwargs):
@@ -86,11 +103,20 @@ def test_wrong_typed_spec_is_json_input_error(tmp_path, spec):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_verify_rejects_non_positive_samples(samples):
-    result = run_cli("verify", "--suite", "su3", "--samples", samples)
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        pytest.param("--samples", "0", "samples must be >= 1", id="0"),
+        pytest.param("--samples", "-3", "samples must be >= 1", id="-3"),
+        pytest.param("--tol", "nan", "tol must be", id="tol-nan"),
+        pytest.param("--tol", "inf", "tol must be", id="tol-inf"),
+        pytest.param("--tol", "-1", "tol must be", id="tol-negative"),
+    ],
+)
+def test_verify_rejects_non_positive_samples(flag, value, message):
+    result = run_cli("verify", "--suite", "su3", flag, value)
     assert result.returncode == 2
-    assert "samples must be >= 1" in json.loads(result.stdout)["error"]
+    assert message in strict_json(result.stdout)["error"]
 
 
 def test_unwritable_out_path_is_json_input_error(tmp_path):
@@ -168,6 +194,27 @@ def test_transform_generator_examples():
     quarter = run_cli("transform", "--generator", "R", "--angle",
                       "1.5707963267948966", "--input", "1,0,0,0,0,0")
     assert json.loads(quarter.stdout)["output"] == [0, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("label", ["F1", "F8"])
+@pytest.mark.parametrize("angle", ["1e20", "1e300"])
+def test_transform_at_huge_angle_keeps_the_norm(capsys, label, angle):
+    code, out = run_in_process(capsys, "transform", "--generator", label,
+                               "--angle", angle, "--input", "1,2,3,4,5,6")
+    assert code == 0
+    payload = strict_json(out)
+    norm_in = math.sqrt(sum(v * v for v in payload["input"]))
+    norm_out = math.sqrt(sum(v * v for v in payload["output"]))
+    assert abs(norm_out - norm_in) <= 1e-12 * norm_in
+
+
+def test_spectrum_of_extreme_spec_is_strict_json(capsys, tmp_path):
+    spec = tmp_path / "extreme.json"
+    spec.write_text(json.dumps({"kind": "Dirac", "m": 1e308, "p": [1e308, 0, 0]}))
+    code, out = run_in_process(capsys, "spectrum", str(spec))
+    assert code in (0, 2)
+    payload = strict_json(out)
+    assert code == 0 or "error" in payload
 
 
 def test_spectrum_rest_frame_values():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phasequark import phase_space as ps
+from phasequark.serialize import resolve_generator6
 
 SQRT3 = math.sqrt(3.0)
 
@@ -138,14 +139,91 @@ def test_exp_generator_rejects_non_finite_angle():
         ps.exp_generator(ps.build_F(1), float("nan"))
 
 
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.floats(min_value=-3.1, max_value=3.1, allow_nan=False),
+# Every label resolve_generator6 accepts.
+GENERATOR_LABELS = (
+    [f"F{i}" for i in range(1, 9)]
+    + ["R", "R1", "R2", "R3", "H1", "H2", "H3", "J1", "J2", "J3"]
+    + [f"G({m},{n})" for m in range(1, 7) for n in range(1, 7) if m != n]
 )
-def test_exponentials_are_orthogonal_and_symplectic(i, theta):
-    m = ps.exp_generator(ps.build_F(i), theta)
+# Sums of disjoint planes with unit weights: S = -g @ g is diagonal.
+PLANE_SUM_LABELS = [label for label in GENERATOR_LABELS if label != "F8"]
+
+
+@given(
+    st.sampled_from([f"F{i}" for i in range(1, 9)]
+                    + ["R", "H1", "H2", "H3", "J1", "J2", "J3"]),
+    st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
+)
+def test_exponentials_are_orthogonal_and_symplectic(label, theta):
+    m = ps.exp_generator(resolve_generator6(label), theta)
     assert ps.is_orthogonal(m)
     assert ps.is_symplectic(m)
+
+
+@given(
+    st.sampled_from([label for label in GENERATOR_LABELS if label[0] in "GR" and label != "R"]),
+    st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
+)
+def test_single_plane_exponential_matches_rodrigues(label, theta):
+    g = resolve_generator6(label).matrix
+    rodrigues = np.eye(6) + math.sin(theta) * g + (1.0 - math.cos(theta)) * (g @ g)
+    assert np.abs(ps.exp_generator(g, theta) - rodrigues).max() <= 1e-13
+
+
+@pytest.mark.parametrize("label", PLANE_SUM_LABELS)
+def test_quarter_turns_of_plane_sums_are_exact_signed_permutations(label):
+    g = resolve_generator6(label)
+    quarter = ps.exp_generator(g, math.pi / 2)
+    power = np.eye(6)
+    for k in range(9):
+        m = ps.exp_generator(g, k * math.pi / 2)
+        assert set(np.unique(m).tolist()) <= {0.0, 1.0, -1.0}, k
+        assert np.array_equal(m, power), k
+        assert np.array_equal(ps.exp_generator(g, -k * math.pi / 2), power.T), k
+        power = quarter @ power
+
+
+@pytest.mark.parametrize("label", ["F1", "F8", "R", "J2"])
+@pytest.mark.parametrize("theta", [1e20, -1e300, 1.7e308])
+def test_exponential_stays_orthogonal_at_huge_angles(label, theta):
+    m = ps.exp_generator(resolve_generator6(label), theta)
+    assert np.isfinite(m).all()
+    assert ps.is_orthogonal(m)
+    assert ps.is_symplectic(m)
+
+
+@given(
+    st.sampled_from(["F1", "F8", "R", "G(2,6)"]),
+    st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exponential_commutes_with_change_of_basis(label, theta, seed):
+    # A rotated generator has a non-diagonal S with degenerate eigenvalues.
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(6, 6)))
+    g = resolve_generator6(label).matrix
+    rotated = q @ g @ q.T
+    rotated = (rotated - rotated.T) / 2.0
+    expected = q @ ps.exp_generator(g, theta) @ q.T
+    assert np.abs(ps.exp_generator(rotated, theta) - expected).max() <= 1e-12
+    for huge in (1e8, -1e300):
+        assert ps.is_orthogonal(ps.exp_generator(rotated, huge))
+
+
+def test_exp_generator_rejects_non_antisymmetric_matrix():
+    with pytest.raises(ValueError, match="antisymmetric"):
+        ps.exp_generator(np.eye(6), 0.5)
+    with pytest.raises(ValueError, match="6x6"):
+        ps.exp_generator(np.zeros((4, 4)), 0.5)
+
+
+def test_exponential_matches_expm_oracle():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    for label in GENERATOR_LABELS:
+        g = resolve_generator6(label).matrix
+        for theta in rng.uniform(-7.0, 7.0, size=25):
+            diff = np.abs(ps.exp_generator(g, theta) - linalg.expm(theta * g)).max()
+            assert diff <= 1e-12, (label, theta)
 
 
 def test_F2_generates_simultaneous_axis3_rotation():
