@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
 from .phase_space import PhaseVector, apply_pairing, exp_generator, pairing, pairing_tags
@@ -144,10 +146,25 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite(value) -> bool:
+    """True when every number in a report value (None, or nested lists) is finite."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return value is None or math.isfinite(value)
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec_file)
-    report = square_and_spectrum(build_hamiltonian(spec))
-    _emit(dump_json({"spec": spec.to_dict(), "spectrum": report.to_dict()}), args.out)
+    # An overflow is reported below by the field it reaches, not as NumPy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = square_and_spectrum(build_hamiltonian(spec)).to_dict()
+    for field, value in report.items():
+        if not _finite(value):
+            raise ValueError(
+                f"spectrum of the {spec.kind} spec is not finite: "
+                f"{field!r} overflows float64"
+            )
+    _emit(dump_json({"spec": spec.to_dict(), "spectrum": report}), args.out)
     return 0
 
 

@@ -23,6 +23,11 @@ matrix, so C^2 = -1 and C^-1 = -C.  Only tau = s2 satisfies all of
     C B C^-1 = -B,  C conj(A_k) C^-1 = A_k,  C conj(B_k) C^-1 = B_k;
 
 tau = s0, s1, s3 each break the B_k rule for at least one k.
+
+KRON3_STACK holds all 64 tensors kron3(s_i, s_j, s_k) as one read-only
+(64, 8, 8) array, entry 16 i + 4 j + k, built from PAULI by one einsum at
+import.  A linear combination of tensors is then a single matmul of its
+coefficients against the selected entries flattened to rows of 64.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 __all__ = [
     "OperatorMatrix",
     "PAULI",
+    "KRON3_STACK",
     "kron3",
     "build_A",
     "build_B",
@@ -57,6 +63,12 @@ PAULI: tuple[np.ndarray, ...] = (
 )
 
 _TAU_NAMES = ("s0", "s1", "s2", "s3")
+
+# KRON3_STACK[16 i + 4 j + k][(a c e), (b d f)] = s_i[a, b] s_j[c, d] s_k[e, f]
+KRON3_STACK: np.ndarray = np.einsum(
+    "iab,jcd,kef->ijkacebdf", PAULI, PAULI, PAULI
+).reshape(64, 8, 8)
+KRON3_STACK.flags.writeable = False
 
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> OperatorMatrix:

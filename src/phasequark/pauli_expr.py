@@ -3,10 +3,26 @@
 An expression is a linear combination of basis elements ``si#sj#sk``
 (i, j, k in 0..3, meaning kron(sigma_i, sigma_j, sigma_k)) whose
 coefficients are polynomials in a fixed set of real symbols with Gaussian
-rational (exact complex) coefficients.  Multiplication uses the Pauli
-product sigma_a sigma_b = delta_ab + i eps_abc sigma_c factor by factor,
-so products, commutators and anticommutators are exact — no floating
-point is involved until :meth:`PauliExpr.to_matrix`.
+rational (exact complex) coefficients.  Products, commutators and
+anticommutators are exact — no floating point is involved until
+:meth:`PauliExpr.to_matrix`.
+
+Representation: each tensor is keyed by its index 16 i + 4 j + k, whose
+order is that of the (i, j, k) triples.  With the two-bit codes I = 0,
+X = 1, Y = 2, Z = 3 a single-factor product is sigma_a sigma_b =
+i^e(a, b) sigma_(a xor b), the (x|z) bit form of Aaronson & Gottesman,
+"Improved simulation of stabilizer circuits" (arXiv:quant-ph/0406196).
+Factor by factor, the product of two tensors is then
+
+    T_a T_b = i^n T_c,   c = a xor b,   n = sum of the three e's mod 4:
+
+the index of the product is the XOR of the indices, and ``_PHASE[a][b] = n``
+tabulates the phase exponent of all 64 x 64 pairs, built once with NumPy
+from the 4 x 4 single-factor table.  Multiplying two expressions costs one
+XOR and one table lookup per tensor pair and one coefficient product per
+monomial pair; the factor i^n is a swap and/or negation of (re, im).
+:meth:`PauliExpr.to_matrix` sums each tensor's monomials to one number and
+contracts those numbers against ``clifford.KRON3_STACK`` in one matmul.
 
 Grammar (whitespace insensitive)::
 
@@ -41,7 +57,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .clifford import kron3_by_index
+from .clifford import KRON3_STACK
 
 __all__ = [
     "ExactComplex",
@@ -106,6 +122,13 @@ class ExactComplex:
         return ExactComplex(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
+        # Most coefficients are real: skip the products with a zero part.
+        if not self.im:
+            if not other.im:
+                return ExactComplex(self.re * other.re)
+            return ExactComplex(self.re * other.re, self.re * other.im)
+        if not other.im:
+            return ExactComplex(self.re * other.re, self.im * other.re)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -115,7 +138,7 @@ class ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -135,24 +158,49 @@ class ExactComplex:
 
 
 _ONE = ExactComplex(Fraction(1))
-_MINUS_ONE = ExactComplex(Fraction(-1))
 _I = ExactComplex.unit_i()
 _MINUS_I = ExactComplex(Fraction(0), Fraction(-1))
 
-# sigma_a sigma_b = phase * sigma_c, tabulated for a, b in 0..3
-_EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): 3, (3, 2): 1, (1, 3): 2}
+
+def _times_i_power(z: ExactComplex, n: int) -> ExactComplex:
+    """z * i**n for n in 0..3, by a swap and/or negation of (re, im)."""
+    if n == 0:
+        return z
+    if n == 1:
+        return ExactComplex(-z.im, z.re)
+    if n == 2:
+        return ExactComplex(-z.re, -z.im)
+    return ExactComplex(z.im, -z.re)
 
 
-def _pauli_mul(a: int, b: int) -> tuple[ExactComplex, int]:
-    if a == 0:
-        return _ONE, b
-    if b == 0:
-        return _ONE, a
-    if a == b:
-        return _ONE, 0
-    c = _EPS[(a, b)]
-    phase = _I if (a, b) in ((1, 2), (2, 3), (3, 1)) else _MINUS_I
-    return phase, c
+# ---------------------------------------------------------------------------
+# Tensor basis: index 16 i + 4 j + k and the phase-tracked product table
+# ---------------------------------------------------------------------------
+
+Basis = tuple[int, int, int]
+
+# sigma_a sigma_b = i**_PHASE1[a][b] * sigma_(a xor b), for a, b in 0..3
+_PHASE1 = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
+
+
+def _phase_table() -> list[list[int]]:
+    """_PHASE[a][b] = n with T_a T_b = i**n T_(a xor b), for a, b in 0..63.
+
+    Nested lists of Python ints, so a lookup costs no NumPy scalar indexing.
+    """
+    index = np.arange(64)
+    digits = np.stack([index >> 4, (index >> 2) & 3, index & 3])  # (3, 64): i, j, k
+    return (_PHASE1[digits[:, :, None], digits[:, None, :]].sum(axis=0) % 4).tolist()
+
+
+_PHASE = _phase_table()
+# Row n is KRON3_STACK[n] flattened, so a weighted sum of tensors is one matmul.
+_FLAT_STACK = KRON3_STACK.reshape(64, 64)
+_LABELS = tuple("s%d#s%d#s%d" % (n >> 4, (n >> 2) & 3, n & 3) for n in range(64))
+
+
+def _basis_index(i: int, j: int, k: int) -> int:
+    return 16 * int(i) + 4 * int(j) + int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +221,10 @@ def _poly_add_into(target: Poly, mono: Monomial, coeff: ExactComplex) -> None:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     powers: dict[str, int] = {}
     for name, k in (*a, *b):
         powers[name] = powers.get(name, 0) + k
@@ -183,8 +235,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 # Expressions
 # ---------------------------------------------------------------------------
 
-Basis = tuple[int, int, int]
-_IDENTITY: Basis = (0, 0, 0)
 ScalarLike = Union[int, Fraction, ExactComplex]
 
 
@@ -207,12 +257,19 @@ class PauliExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Basis, Mapping[Monomial, ExactComplex]] | None = None):
-        clean: dict[Basis, Poly] = {}
+        clean: dict[int, Poly] = {}
         for basis, poly in (terms or {}).items():
             kept = {m: c for m, c in poly.items() if not c.is_zero()}
             if kept:
-                clean[basis] = kept
+                clean[_basis_index(*basis)] = kept
         self._terms = clean
+
+    @classmethod
+    def _from_index(cls, terms: dict[int, Poly]) -> "PauliExpr":
+        """Wrap index-keyed polynomials that hold no zero coefficient."""
+        expr = cls.__new__(cls)
+        expr._terms = {b: p for b, p in terms.items() if p}
+        return expr
 
     # -- constructors -------------------------------------------------
 
@@ -225,57 +282,58 @@ class PauliExpr:
         for idx in (i, j, k):
             if idx not in (0, 1, 2, 3):
                 raise ValueError(f"tensor indices must be 0..3, got {(i, j, k)}")
-        return cls({(i, j, k): {(): _ONE}})
+        return cls._from_index({_basis_index(i, j, k): {(): _ONE}})
 
     @classmethod
     def from_symbol(cls, name: str) -> "PauliExpr":
         if name not in SYMBOLS:
             raise ValueError(f"unknown symbol {name!r}; known symbols: {SYMBOLS}")
-        return cls({_IDENTITY: {((name, 1),): _ONE}})
+        return cls._from_index({0: {((name, 1),): _ONE}})
 
     @classmethod
     def from_scalar(cls, value: ScalarLike) -> "PauliExpr":
-        return cls({_IDENTITY: {(): _as_exact(value)}})
+        return cls({(0, 0, 0): {(): _as_exact(value)}})
 
     # -- algebra ------------------------------------------------------
 
-    def _combine(self, other: "PauliExpr", sign: ExactComplex) -> "PauliExpr":
+    def _combine(self, other: "PauliExpr", negate: bool) -> "PauliExpr":
         terms = {b: dict(p) for b, p in self._terms.items()}
         for basis, poly in other._terms.items():
             target = terms.setdefault(basis, {})
             for mono, coeff in poly.items():
-                _poly_add_into(target, mono, sign * coeff)
-        return PauliExpr(terms)
+                _poly_add_into(target, mono, -coeff if negate else coeff)
+        return PauliExpr._from_index(terms)
 
     def __add__(self, other: "PauliExpr") -> "PauliExpr":
-        return self._combine(other, _ONE)
+        return self._combine(other, False)
 
     def __sub__(self, other: "PauliExpr") -> "PauliExpr":
-        return self._combine(other, _MINUS_ONE)
+        return self._combine(other, True)
 
     def __neg__(self) -> "PauliExpr":
-        return PauliExpr({b: {m: -c for m, c in p.items()} for b, p in self._terms.items()})
+        return PauliExpr._from_index(
+            {b: {m: -c for m, c in p.items()} for b, p in self._terms.items()}
+        )
 
     def __mul__(self, other: "PauliExpr | ScalarLike") -> "PauliExpr":
         if not isinstance(other, PauliExpr):
             scalar = _as_exact(other)
-            return PauliExpr(
+            if scalar.is_zero():
+                return PauliExpr()
+            return PauliExpr._from_index(
                 {b: {m: c * scalar for m, c in p.items()} for b, p in self._terms.items()}
             )
-        out: dict[Basis, Poly] = {}
-        for (a1, a2, a3), poly_a in self._terms.items():
-            for (b1, b2, b3), poly_b in other._terms.items():
-                phase = _ONE
-                basis = []
-                for a, b in ((a1, b1), (a2, b2), (a3, b3)):
-                    ph, c = _pauli_mul(a, b)
-                    phase = phase * ph
-                    basis.append(c)
-                target = out.setdefault(tuple(basis), {})
+        out: dict[int, Poly] = {}
+        for a, poly_a in self._terms.items():
+            row = _PHASE[a]
+            for b, poly_b in other._terms.items():
+                n = row[b]
+                target = out.setdefault(a ^ b, {})
                 for mono_a, ca in poly_a.items():
                     for mono_b, cb in poly_b.items():
-                        _poly_add_into(target, _mono_mul(mono_a, mono_b), phase * ca * cb)
-        return PauliExpr(out)
+                        _poly_add_into(target, _mono_mul(mono_a, mono_b),
+                                       _times_i_power(ca * cb, n))
+        return PauliExpr._from_index(out)
 
     __rmul__ = __mul__
 
@@ -305,7 +363,7 @@ class PauliExpr:
 
     # -- rendering and evaluation --------------------------------------
 
-    def _flat(self) -> Iterator[tuple[Basis, Monomial, ExactComplex]]:
+    def _flat(self) -> Iterator[tuple[int, Monomial, ExactComplex]]:
         for basis in sorted(self._terms):
             poly = self._terms[basis]
             for mono in sorted(poly):
@@ -324,10 +382,10 @@ class PauliExpr:
                 pieces.append(str(coeff))
             for name, power in mono:
                 pieces.extend([name] * power)
-            if basis != _IDENTITY or not pieces:
-                pieces.append("s%d#s%d#s%d" % basis)
-            if basis == _IDENTITY and not mono and pieces == ["s0#s0#s0"]:
-                pieces = ["1"]
+            if basis:
+                pieces.append(_LABELS[basis])
+            elif not pieces:
+                pieces.append("1")
             text = "*".join(pieces)
             if not parts:
                 parts.append(("-" if negative else "") + text)
@@ -348,14 +406,19 @@ class PauliExpr:
         missing = sorted(self.free_symbols - values.keys())
         if missing:
             raise ValueError(f"no value given for symbol(s): {', '.join(missing)}")
-        out = np.zeros((8, 8), dtype=complex)
-        for basis, mono, coeff in self._flat():
-            val = complex(coeff)
-            for name, power in mono:
-                val *= complex(values[name]) ** power
-            if val != 0:
-                out += val * kron3_by_index(*basis)
-        return out
+        index: list[int] = []
+        weights: list[complex] = []
+        for basis, poly in self._terms.items():
+            total = 0j
+            for mono, coeff in poly.items():
+                val = complex(coeff)
+                for name, power in mono:
+                    val *= complex(values[name]) ** power
+                total += val
+            if total != 0:
+                index.append(basis)
+                weights.append(total)
+        return (np.array(weights, dtype=complex) @ _FLAT_STACK[index]).reshape(8, 8)
 
 
 def anticommutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:

@@ -217,6 +217,16 @@ def test_spectrum_of_extreme_spec_is_strict_json(capsys, tmp_path):
     assert code == 0 or "error" in payload
 
 
+def test_non_finite_spectrum_names_kind_and_field(tmp_path):
+    spec = tmp_path / "extreme.json"
+    spec.write_text(json.dumps({"kind": "Dirac", "m": 1e308, "p": [1e308, 0, 0]}))
+    result = run_cli("spectrum", str(spec))
+    assert result.returncode == 2
+    assert result.stderr == ""
+    error = strict_json(result.stdout)["error"]
+    assert "Dirac" in error and "'degeneracies'" in error
+
+
 def test_spectrum_rest_frame_values():
     result = run_cli("spectrum", str(DATA / "qqbar_rest.json"))
     payload = json.loads(result.stdout)

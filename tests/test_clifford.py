@@ -39,6 +39,16 @@ def test_kron3_by_index_matches_kron3(ijk):
     )
 
 
+def test_kron3_stack_holds_every_tensor_read_only():
+    assert cf.KRON3_STACK.shape == (64, 8, 8)
+    assert not cf.KRON3_STACK.flags.writeable
+    for n in range(64):
+        i, j, k = n >> 4, (n >> 2) & 3, n & 3
+        assert np.array_equal(
+            cf.KRON3_STACK[n], cf.kron3(cf.PAULI[i], cf.PAULI[j], cf.PAULI[k])
+        ), (i, j, k)
+
+
 def test_generator_definitions():
     s = cf.PAULI
     assert np.array_equal(GAMMAS["A1"], cf.kron3(s[1], s[1], s[0]))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,13 +19,15 @@ from phasequark.pauli_expr import (
     parse,
 )
 
+HERE = Path(__file__).parent
 CORPUS = [
     line
-    for line in (Path(__file__).parent / "data" / "expr_corpus.txt")
+    for line in (HERE / "data" / "expr_corpus.txt")
     .read_text()
     .splitlines()
     if line.strip()
 ]
+TRIPLES = list(itertools.product(range(4), repeat=3))
 
 
 # -- exact scalars ----------------------------------------------------------
@@ -165,7 +168,23 @@ def test_corpus_round_trips():
         assert str(again) == printed, text
 
 
+def test_corpus_canonical_forms_match_golden():
+    """str(e) and str(e * e) of every corpus line, tab-separated, byte for byte."""
+    got = "".join(f"{parse(text)}\t{parse(text) * parse(text)}\n" for text in CORPUS)
+    assert got == (HERE / "golden" / "expr_corpus_canonical.txt").read_text()
+
+
 # -- evaluation -------------------------------------------------------------
+
+
+def test_product_table_matches_matrix_products():
+    """All 64 x 64 unit tensor products against kron3 matrix products."""
+    for a in TRIPLES:
+        left = PauliExpr.from_basis(*a)
+        for b in TRIPLES:
+            got = (left * PauliExpr.from_basis(*b)).to_matrix()
+            want = cf.kron3_by_index(*a) @ cf.kron3_by_index(*b)
+            assert np.array_equal(got, want), (a, b)
 
 
 def test_to_matrix_matches_hamiltonian_builder():
@@ -231,6 +250,37 @@ def test_symbolic_numeric_homomorphism(a, b, seed):
     lhs = (a * b).to_matrix(bindings)
     rhs = a.to_matrix(bindings) @ b.to_matrix(bindings)
     assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+_DECIMALS = st.sampled_from(["1", "2", "0.5", "0.25", "1.125", "3.75"])
+
+
+@st.composite
+def literal_terms(draw):
+    """(text, coefficient, symbols, tensor triple) of one literal term."""
+    re_text, im_text = draw(_DECIMALS), draw(_DECIMALS)
+    text, coeff = draw(st.sampled_from([
+        (re_text, float(re_text)),
+        (f"{im_text}i", 1j * float(im_text)),
+        (f"({re_text}-{im_text}i)", complex(float(re_text), -float(im_text))),
+    ]))
+    symbols = draw(st.lists(st.sampled_from(SYMBOLS), max_size=3))
+    ijk = draw(st.sampled_from(TRIPLES))
+    return "*".join([text, *symbols, "s%d#s%d#s%d" % ijk]), coeff, symbols, ijk
+
+
+@given(st.lists(literal_terms(), min_size=1, max_size=16),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_to_matrix_matches_literal_kron3_sum(terms, seed):
+    rng = np.random.default_rng(seed)
+    bindings = {name: float(v) for name, v in zip(SYMBOLS, rng.uniform(-2, 2, size=12))}
+    want = np.zeros((8, 8), dtype=complex)
+    for _, coeff, symbols, (i, j, k) in terms:
+        for name in symbols:
+            coeff *= bindings[name]
+        want += coeff * cf.kron3(cf.PAULI[i], cf.PAULI[j], cf.PAULI[k])
+    got = parse(" + ".join(text for text, *_ in terms)).to_matrix(bindings)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
 
 @given(expressions(), expressions(), expressions())
