@@ -32,15 +32,23 @@ With e_c the unit vector of the color axis (R, Y, B = 1, 2, 3):
 
 Every entry of a BASIS matrix is in {0, +-1, +-i} and no entry of H
 collects more than two real terms and one imaginary term, so c . BASIS
-is exact whatever the order of summation.  Charge conjugation is the
-substitution chain i -> -i, p -> -p, H -> -H followed by conjugation
-with C = build_C("s2"); on the colored kinds it lands exactly on the
-Anti forms, and on the HamiltonianSpec fields it is the sign flip of e
-and x.  Rotations are passive (frame) rotations: coordinates map as
-v' = R v and operators as A'_k = R_kl A_l, B'_k = R_kl B_l, so a rotated
-Hamiltonian is the table at the rotated coordinates with its a- and
-b-blocks pulled back by R^T.  Reflection (conjugation by B) multiplies c
-by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
+is exact whatever the order of summation.
+
+coefficients() evaluates the table over a leading sample axis: stacked
+m (N,) and p, x, pbar, xbar (N, 3), with an optional EM field and an
+optional (N, 3, 3) rotation, give c of shape (N, 8), and matrices()
+turns that into the (N, 8, 8) stack c @ BASIS.  build_hamiltonian,
+rotate_hamiltonian and the literal colored sum behind build_composite
+are its one-sample case.
+
+Charge conjugation is the substitution chain i -> -i, p -> -p, H -> -H
+followed by conjugation with C = build_C("s2"); on the colored kinds it
+lands exactly on the Anti forms, and on the HamiltonianSpec fields it is
+the sign flip of e and x.  Rotations are passive (frame) rotations:
+coordinates map as v' = R v and operators as A'_k = R_kl A_l,
+B'_k = R_kl B_l, so a rotated Hamiltonian is the table at the rotated
+coordinates with its a- and b-blocks pulled back by R^T.  Reflection
+(conjugation by B) multiplies c by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ __all__ = [
     "SpectrumReport",
     "DistinctnessReport",
     "KINDS",
+    "coefficients",
+    "matrices",
+    "colored_sum",
     "build_hamiltonian",
     "build_composite",
     "rotation_matrix",
@@ -227,28 +238,87 @@ class HamiltonianSpec:
         return out
 
 
-def _coefficients(spec: HamiltonianSpec, rot: np.ndarray | None = None) -> np.ndarray:
-    """The spec's 8-vector c from its table row, at coordinates rotated by rot."""
-    row, em = _TABLE[spec.kind], spec.em or _NO_FIELD
-    p, x, pbar, xbar, avec = (
-        np.asarray(v) if rot is None else rot @ v
-        for v in (spec.p, spec.x, spec.pbar, spec.xbar, em.Avec)
-    )
-    c = np.empty(8)
-    c[0] = spec.scalar + em.e * em.A0
-    c[1:4] = spec.a + row.phi * (p + pbar - em.e * avec)
-    c[4:7] = spec.b + row.psi * (x - xbar)
-    c[7] = spec.beta + row.mu * spec.m
+_FIELDS = tuple(f.name for f in fields(HamiltonianSpec))[1:]  # m, p, x, ..., scalar
+
+
+def coefficients(
+    kind: str,
+    *,
+    m=None, p=None, x=None, pbar=None, xbar=None, em: EMField | None = None,
+    a=None, b=None, beta=None, scalar=None, rot=None,
+) -> np.ndarray:
+    """Coefficient rows c of one kind over a leading sample axis.
+
+    Scalars m, beta, scalar as arrays of shape (N,) and vectors p, x, pbar,
+    xbar, a, b of shape (N, 3) give c of shape (N, 8); numbers and
+    3-vectors give one row of shape (8,), and the two broadcast together.
+    Only the fields of the kind's table row may be given; the others are
+    zero.  em is one field shared by every row.  rot, of shape (N, 3, 3) or
+    (3, 3), evaluates the table at the rotated coordinates and pulls the a-
+    and b-blocks back by R^T, as rotate_hamiltonian describes.  Inputs are
+    not validated beyond that: HamiltonianSpec is the checked entry point.
+    """
+    if kind not in _TABLE:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    row = _TABLE[kind]
+    for name, value in zip(_FIELDS, (m, p, x, pbar, xbar, em, a, b, beta, scalar)):
+        if value is not None and name not in row.fields:
+            raise ValueError(f"field {name!r} is not valid for kind {kind}")
+    em = em or _NO_FIELD
+    p, x, pbar, xbar, avec = [
+        _ZERO if v is None else np.asarray(v) for v in (p, x, pbar, xbar, em.Avec)
+    ]
+    if rot is not None:
+        if kind == "Custom":
+            raise ValueError("rotations do not apply to Custom coefficients")
+        rot = np.asarray(rot)
+        p, x, pbar, xbar, avec = [(rot @ v[..., None])[..., 0] for v in (p, x, pbar, xbar, avec)]
+    s = (0.0 if scalar is None else scalar) + em.e * em.A0
+    av = (0.0 if a is None else np.asarray(a)) + row.phi * (p + pbar - em.e * avec)
+    bv = (0.0 if b is None else np.asarray(b)) + row.psi * (x - xbar)
+    mass = (0.0 if beta is None else beta) + row.mu * (0.0 if m is None else m)
+    c = np.empty(np.broadcast(s, mass, av[..., 0], bv[..., 0]).shape + (8,))
+    c[..., 0], c[..., 1:4], c[..., 4:7], c[..., 7] = s, av, bv, mass
+    if rot is not None:
+        back = rot.swapaxes(-1, -2)
+        c[..., 1:4] = (back @ c[..., 1:4, None])[..., 0]
+        c[..., 4:7] = (back @ c[..., 4:7, None])[..., 0]
     return c
 
 
-def _matrix(c: np.ndarray) -> np.ndarray:
-    return (c @ BASIS).reshape(8, 8)
+def matrices(c: np.ndarray) -> np.ndarray:
+    """c . BASIS: coefficient rows of shape (..., 8) to matrices (..., 8, 8)."""
+    c = np.asarray(c)
+    return (c @ BASIS).reshape(c.shape[:-1] + (8, 8))
+
+
+def colored_sum(kind: str, *, m, p, x, pbar=None, xbar=None) -> np.ndarray:
+    """The literal colored sum of a composite, over a leading sample axis.
+
+    Adds the matrices ColorR + ColorY + ColorB at (p, x, m) and, for QQbar,
+    after each color its Anti partner at (pbar, xbar, m), in that order.
+    Arguments broadcast as in coefficients.
+    """
+    if kind not in ("QuarkSum", "QQbar"):
+        raise ValueError(f"composite kind must be QuarkSum or QQbar, got {kind!r}")
+    total = 0.0
+    for color in "RYB":
+        total = total + matrices(coefficients(f"Color{color}", m=m, p=p, x=x))
+        if kind == "QQbar":
+            total = total + matrices(coefficients(f"Anti{color}", m=m, p=pbar, x=xbar))
+    return total
+
+
+def _spec_coefficients(spec: HamiltonianSpec, rot: np.ndarray | None = None) -> np.ndarray:
+    """The spec's 8-vector c, at coordinates rotated by rot."""
+    return coefficients(
+        spec.kind, rot=rot, **{name: getattr(spec, name) for name in _TABLE[spec.kind].fields}
+    )
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Assemble the 8x8 matrix c . BASIS of a spec; Hermitian for real inputs."""
-    return _matrix(_coefficients(spec))
+    return matrices(_spec_coefficients(spec))
 
 
 def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
@@ -264,16 +334,7 @@ def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
     if kind not in ("QuarkSum", "QQbar"):
         raise ValueError(f"composite kind must be QuarkSum or QQbar, got {kind!r}")
     spec = HamiltonianSpec.from_dict({"kind": kind, **dict(inputs)})
-    total = np.zeros((8, 8), dtype=complex)
-    for color in "RYB":
-        total = total + build_hamiltonian(
-            HamiltonianSpec(kind=f"Color{color}", m=spec.m, p=spec.p, x=spec.x)
-        )
-        if kind == "QQbar":
-            total = total + build_hamiltonian(
-                HamiltonianSpec(kind=f"Anti{color}", m=spec.m, p=spec.pbar, x=spec.xbar)
-            )
-    return total
+    return colored_sum(kind, m=spec.m, p=spec.p, x=spec.x, pbar=spec.pbar, xbar=spec.xbar)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +389,7 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
     """
     if spec.kind == "Custom":
         raise ValueError("rotate_hamiltonian does not apply to Custom specs")
-    rot = rotation_matrix(axis, angle)
-    c = _coefficients(spec, rot)
-    c[1:4], c[4:7] = rot.T @ c[1:4], rot.T @ c[4:7]
-    return _matrix(c)
+    return matrices(_spec_coefficients(spec, rotation_matrix(axis, angle)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +489,21 @@ class DistinctnessReport:
         }
 
 
-def _quaternion_rotations(n: int, seed: int) -> np.ndarray:
-    """n rotation matrices from uniformly sampled unit quaternions."""
-    rng = np.random.default_rng(seed)
+_ROTATION_BLOCK = 16384  # rotations drawn per block; one block covers the default 10000
+
+
+def _quaternion_row(rng: np.random.Generator, n: int, axis: int) -> np.ndarray:
+    """Row `axis` of n rotation matrices from uniformly sampled unit quaternions."""
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     w, xq, yq, zq = q.T
-    return np.stack(
-        [
-            np.stack([1 - 2 * (yq * yq + zq * zq), 2 * (xq * yq - zq * w), 2 * (xq * zq + yq * w)], axis=1),
-            np.stack([2 * (xq * yq + zq * w), 1 - 2 * (xq * xq + zq * zq), 2 * (yq * zq - xq * w)], axis=1),
-            np.stack([2 * (xq * zq - yq * w), 2 * (yq * zq + xq * w), 1 - 2 * (xq * xq + yq * yq)], axis=1),
-        ],
-        axis=1,
-    )
+    if axis == 0:
+        row = (1 - 2 * (yq * yq + zq * zq), 2 * (xq * yq - zq * w), 2 * (xq * zq + yq * w))
+    elif axis == 1:
+        row = (2 * (xq * yq + zq * w), 1 - 2 * (xq * xq + zq * zq), 2 * (yq * zq - xq * w))
+    else:
+        row = (2 * (xq * zq - yq * w), 2 * (yq * zq + xq * w), 1 - 2 * (xq * xq + yq * yq))
+    return np.stack(row, axis=1)
 
 
 def antiparticle_distinctness_check(
@@ -478,25 +537,29 @@ def antiparticle_distinctness_check(
         raise ValueError("n_samples must be positive")
     axis = _COLOR_AXIS[color]
     anti = HamiltonianSpec(kind=f"Anti{color}", m=m, p=p, x=x)
-    target = _coefficients(HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x))
+    target = _spec_coefficients(HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x))
 
-    rots = _quaternion_rotations(n_samples, seed)
-    # row `axis` of each rotation determines the conjugated projectors
-    u = rots[:, axis, :]
-
-    def distances(pv: np.ndarray, xv: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    def distances(u: np.ndarray, pv: np.ndarray, xv: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """Distance to target of signs * (rotated Anti pattern at (p, x)).
 
-        The s and B coefficients (0 and m) agree on both sides and both
-        keep their sign, so only the a- and b-blocks contribute.
+        Row `axis` of each rotation, u, determines the conjugated
+        projectors.  The s and B coefficients (0 and m) agree on both
+        sides and both keep their sign, so only the a- and b-blocks
+        contribute.
         """
         a = signs[1:4] * (u * (u @ pv)[:, None]) - target[1:4]               # R^T Phi_a R p
         b = signs[4:7] * (-xv[None, :] + u * (u @ xv)[:, None]) - target[4:7]  # R^T Psi_a R x
         return np.sqrt((a ** 2).sum(axis=1) + (b ** 2).sum(axis=1))
 
     pv, xv = np.array(anti.p), np.array(anti.x)
-    d = distances(pv, xv, np.ones(8))
-    d_reflected = distances(-pv, -xv, REFLECT_SIGNS)
+    # the blocks continue one normal stream, so they draw the rotations of
+    # a single n_samples draw in a fixed amount of memory
+    rng = np.random.default_rng(seed)
+    d_min = d_reflected_min = math.inf
+    for start in range(0, n_samples, _ROTATION_BLOCK):
+        u = _quaternion_row(rng, min(_ROTATION_BLOCK, n_samples - start), axis)
+        d_min = min(d_min, float(distances(u, pv, xv, np.ones(8)).min()))
+        d_reflected_min = min(d_reflected_min, float(distances(u, -pv, -xv, REFLECT_SIGNS).min()))
 
     xnorm = float(np.linalg.norm(xv))
     target_b = target[4:7]
@@ -508,11 +571,11 @@ def antiparticle_distinctness_check(
         m=anti.m,
         n_samples=int(n_samples),
         seed=int(seed),
-        min_distance=float(d.min()),
-        min_distance_with_reflection=float(d_reflected.min()),
+        min_distance=d_min,
+        min_distance_with_reflection=d_reflected_min,
         margin=margin,
         degenerate=(margin == 0.0),
-        reflected_b_coefficients=tuple(float(v) for v in _coefficients(anti)[4:7]),
+        reflected_b_coefficients=tuple(float(v) for v in _spec_coefficients(anti)[4:7]),
         target_b_coefficients=tuple(float(v) for v in target_b),
     )
 

@@ -8,6 +8,13 @@ every default tolerance, which is also how tolerance plumbing is tested
 checks into failures).  All randomness is drawn from numpy Generators
 seeded with (seed, stable-check-id), so reports are byte-identical for a
 fixed seed.
+
+The composite and rotation checks build their whole sample stack with one
+hamiltonian.coefficients call and compare it in one batched product.  A
+check that draws only uniforms takes them as one (N, 13) block, which a
+Generator fills with the same floats as N per-sample draws; where normal
+or integer draws interleave, the draws stay one sample at a time and only
+the build and the compare are batched.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from .hamiltonian import (
     EMField,
     HamiltonianSpec,
     antiparticle_distinctness_check,
-    build_composite,
     build_hamiltonian,
+    coefficients,
+    colored_sum,
     conjugate_hamiltonian,
+    matrices,
     rotate_hamiltonian,
     rotated_operators,
     rotation_matrix,
@@ -95,15 +104,36 @@ _GAMMA_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
 _I8 = np.eye(8)
 
 
+def _random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+    """(m, p, x, pbar, xbar) of n samples, stacked, from one block of uniforms.
+
+    Each sample takes 13 uniforms: -2 + 4u are the floats rng.uniform(-2, 2)
+    gives for p, x, pbar, xbar and 2u those of rng.uniform(0, 2) for m.  The
+    generator fills the block row by row, so one block of n draws the same
+    floats as n draws of one sample.
+    """
+    u = rng.random((n, 13))
+    vals = -2.0 + 4.0 * u[:, :12]
+    return 2.0 * u[:, 12], vals[:, 0:3], vals[:, 3:6], vals[:, 6:9], vals[:, 9:12]
+
+
+def _worst_scalar_residual(h: np.ndarray, lam: np.ndarray) -> float:
+    """Largest |H^2 - lam 1| / max(1, |lam|) over a stack of matrices."""
+    resid = np.abs(h @ h - lam[:, None, None] * _I8).max(axis=(1, 2))
+    return float((resid / np.maximum(1.0, np.abs(lam))).max())
+
+
+def _sq3(v: np.ndarray) -> np.ndarray:
+    """|v|^2 of each row, summed in component order."""
+    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+
+
 def _random_spec(rng: np.random.Generator, kind: str) -> HamiltonianSpec:
-    vals = rng.uniform(-2.0, 2.0, size=12)
-    m = float(rng.uniform(0.0, 2.0))
-    fields: dict = {"kind": kind, "m": m, "p": vals[0:3].tolist()}
+    """A Dirac or colored spec at one sample of _random_inputs."""
+    m, p, x, _, _ = (v[0] for v in _random_inputs(rng, 1))
+    fields: dict = {"kind": kind, "m": float(m), "p": p.tolist()}
     if kind != "Dirac":
-        fields["x"] = vals[3:6].tolist()
-    if kind == "QQbar":
-        fields["pbar"] = vals[6:9].tolist()
-        fields["xbar"] = vals[9:12].tolist()
+        fields["x"] = x.tolist()
     return HamiltonianSpec.from_dict(fields)
 
 
@@ -325,35 +355,41 @@ def _check_mixing_law(rng, samples):
 def _check_color_axis_invariance(rng, samples):
     worst = 0.0
     for color, axis in (("R", 1), ("Y", 2), ("B", 3)):
-        spec = _random_spec(rng, f"Color{color}")
-        h = build_hamiltonian(spec)
-        for phi in rng.uniform(-3.1, 3.1, size=5):
-            worst = max(worst, _maxabs(h - rotate_hamiltonian(spec, axis, float(phi))))
+        m, p, x, _, _ = _random_inputs(rng, 1)
+        phis = rng.uniform(-3.1, 3.1, size=5)
+        rots = np.stack([rotation_matrix(axis, float(phi)) for phi in phis])
+        kind, fields = f"Color{color}", {"m": m, "p": p, "x": x}
+        rotated = matrices(coefficients(kind, rot=rots, **fields))
+        worst = max(worst, _maxabs(matrices(coefficients(kind, **fields)) - rotated))
     return worst, {"pairs": "ColorR/axis1, ColorY/axis2, ColorB/axis3"}
 
 
-def _check_full_sum_invariance(rng, samples):
-    worst = 0.0
-    for _ in range(20):
-        spec = _random_spec(rng, "QuarkSum")
-        h = build_hamiltonian(spec)
+def _rotation_invariance(rng, kind: str, n: int) -> float:
+    """Largest |H - H rotated| over n random specs, each with a random rotation.
+
+    The draws interleave uniforms and normals, so they stay one sample at a
+    time; the build and the compare run on the whole stack.
+    """
+    draws, rots = [], []
+    for _ in range(n):
+        draws.append(_random_inputs(rng, 1))
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        phi = float(rng.uniform(-math.pi, math.pi))
-        worst = max(worst, _maxabs(h - rotate_hamiltonian(spec, axis, phi)))
-    return worst, {"samples": 20}
+        rots.append(rotation_matrix(axis, float(rng.uniform(-math.pi, math.pi))))
+    m, p, x, pbar, xbar = (np.concatenate(v) for v in zip(*draws))
+    fields = {"m": m, "p": p, "x": x}
+    if kind == "QQbar":
+        fields.update(pbar=pbar, xbar=xbar)
+    h = matrices(coefficients(kind, **fields))
+    return _maxabs(h - matrices(coefficients(kind, rot=np.stack(rots), **fields)))
+
+
+def _check_full_sum_invariance(rng, samples):
+    return _rotation_invariance(rng, "QuarkSum", 20), {"samples": 20}
 
 
 def _check_qqbar_invariance(rng, samples):
-    worst = 0.0
-    for _ in range(20):
-        spec = _random_spec(rng, "QQbar")
-        h = build_hamiltonian(spec)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        phi = float(rng.uniform(-math.pi, math.pi))
-        worst = max(worst, _maxabs(h - rotate_hamiltonian(spec, axis, phi)))
-    return worst, {"samples": 20}
+    return _rotation_invariance(rng, "QQbar", 20), {"samples": 20}
 
 
 # ---------------------------------------------------------------------------
@@ -456,40 +492,24 @@ def _check_distinctness(rng, samples):
 
 
 def _check_quark_sum_square(rng, samples):
-    worst = 0.0
-    for _ in range(200):
-        spec = _random_spec(rng, "QuarkSum")
-        h = build_hamiltonian(spec)
-        lam = (
-            sum(v * v for v in spec.p)
-            + 4.0 * sum(v * v for v in spec.x)
-            + 9.0 * spec.m * spec.m
-        )
-        worst = max(worst, _maxabs(h @ h - lam * _I8) / max(1.0, abs(lam)))
-    return worst, {"samples": 200}
+    m, p, x, _, _ = _random_inputs(rng, 200)
+    h = matrices(coefficients("QuarkSum", m=m, p=p, x=x))
+    lam = _sq3(p) + 4.0 * _sq3(x) + 9.0 * m * m
+    return _worst_scalar_residual(h, lam), {"samples": 200}
 
 
 def _check_qqbar_mass_law(rng, samples):
-    worst = 0.0
-    for _ in range(200):
-        spec = _random_spec(rng, "QQbar")
-        h = build_hamiltonian(spec)
-        big_p = [spec.p[i] + spec.pbar[i] for i in range(3)]
-        dx = [spec.x[i] - spec.xbar[i] for i in range(3)]
-        lam = (
-            sum(v * v for v in big_p)
-            + 4.0 * sum(v * v for v in dx)
-            + 36.0 * spec.m * spec.m
-        )
-        worst = max(worst, _maxabs(h @ h - lam * _I8) / max(1.0, abs(lam)))
-    return worst, {"samples": 200}
+    m, p, x, pbar, xbar = _random_inputs(rng, 200)
+    h = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
+    lam = _sq3(p + pbar) + 4.0 * _sq3(x - xbar) + 36.0 * m * m
+    return _worst_scalar_residual(h, lam), {"samples": 200}
 
 
 def _check_spectrum_symmetry(rng, samples):
     worst = 0.0
-    for _ in range(25):
-        spec = _random_spec(rng, "QQbar")
-        report = square_and_spectrum(build_hamiltonian(spec))
+    m, p, x, pbar, xbar = _random_inputs(rng, 25)
+    for h in matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar)):
+        report = square_and_spectrum(h)
         if report.scalar_square is None:
             worst = max(worst, 1.0)
             continue
@@ -505,31 +525,27 @@ def _check_spectrum_symmetry(rng, samples):
 
 
 def _check_sum_route_equality(rng, samples):
-    worst = 0.0
-    for _ in range(50):
-        for kind in ("QuarkSum", "QQbar"):
-            spec = _random_spec(rng, kind)
-            direct = build_hamiltonian(spec)
-            summed = build_composite(kind, spec.to_dict())
-            worst = max(worst, _maxabs(direct - summed))
+    m, p, x, pbar, xbar = _random_inputs(rng, 100)
+    # the samples alternate QuarkSum, QQbar
+    quark = {"m": m[0::2], "p": p[0::2], "x": x[0::2]}
+    qqbar = {"m": m[1::2], "p": p[1::2], "x": x[1::2], "pbar": pbar[1::2], "xbar": xbar[1::2]}
+    worst = max(
+        _maxabs(matrices(coefficients(kind, **fields)) - colored_sum(kind, **fields))
+        for kind, fields in (("QuarkSum", quark), ("QQbar", qqbar))
+    )
     return worst, {"samples": 50, "kinds": ["QuarkSum", "QQbar"]}
 
 
 def _check_translation_invariance(rng, samples):
-    worst = 0.0
+    grids, masses = [], []
     for _ in range(30):
-        grid = rng.integers(-32, 33, size=15) / 8.0  # dyadic grid keeps sums exact
-        p, x, pbar, xbar, shift = (grid[i : i + 3] for i in range(0, 15, 3))
-        m = float(rng.integers(0, 9)) / 4.0
-        base = build_hamiltonian(
-            HamiltonianSpec(kind="QQbar", m=m, p=tuple(p), x=tuple(x),
-                            pbar=tuple(pbar), xbar=tuple(xbar))
-        )
-        shifted = build_hamiltonian(
-            HamiltonianSpec(kind="QQbar", m=m, p=tuple(p), x=tuple(x + shift),
-                            pbar=tuple(pbar), xbar=tuple(xbar + shift))
-        )
-        worst = max(worst, _maxabs(base - shifted))
+        grids.append(rng.integers(-32, 33, size=15) / 8.0)  # dyadic grid keeps sums exact
+        masses.append(float(rng.integers(0, 9)) / 4.0)
+    p, x, pbar, xbar, shift = np.split(np.stack(grids), 5, axis=1)
+    m = np.array(masses)
+    base = coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar)
+    shifted = coefficients("QQbar", m=m, p=p, x=x + shift, pbar=pbar, xbar=xbar + shift)
+    worst = _maxabs(matrices(base) - matrices(shifted))
     # witness of single-quark NON-invariance: the shift must move H_q
     q = HamiltonianSpec(kind="QuarkSum", m=1.0, p=(1.0, 2.0, 3.0), x=(0.5, -1.0, 2.0))
     q_shift = HamiltonianSpec(kind="QuarkSum", m=1.0, p=(1.0, 2.0, 3.0),

@@ -169,6 +169,8 @@ def test_reports_are_byte_identical_for_same_seed():
             ("transform", "--pairing", "R", "--input", "1,2,3,4,5,6"),
         ),
         ("export_a1.json", ("export", "A1")),
+        ("verify_composite_default.json", ("verify", "--suite", "composite")),
+        ("verify_conjugation_default.json", ("verify", "--suite", "conjugation")),
     ],
 )
 def test_golden_outputs(golden, args):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from phasequark.hamiltonian import (
     antiparticle_distinctness_check,
     build_composite,
     build_hamiltonian,
-    conjugate_hamiltonian,
     coefficient_pattern,
+    coefficients,
+    colored_sum,
+    conjugate_hamiltonian,
+    matrices,
     rotate_hamiltonian,
     rotated_operators,
     rotation_matrix,
@@ -258,6 +263,72 @@ def test_composite_sum_route_matches_closed_form():
     assert np.abs(direct_qq - summed_qq).max() <= 1e-12
 
 
+@st.composite
+def spec_batches(draw):
+    """1-6 specs of one kind; the EM kinds share one optional EM field."""
+    kind = draw(st.sampled_from(KINDS))
+    em = draw(st.none() | st.builds(EMField, finite, finite, vec3))
+    rows = draw(st.lists(specs(kinds=(kind,), number=finite), min_size=1, max_size=6))
+    if kind in ("Dirac", "ColorR", "ColorY", "ColorB"):
+        rows = [dataclasses.replace(spec, em=em) for spec in rows]
+    return rows
+
+
+def stacked_fields(rows):
+    """The rows' fields as the stacked arrays coefficients() takes."""
+    names = [name for name in rows[0].to_dict() if name not in ("kind", "em")]
+    return {name: np.array([getattr(spec, name) for spec in rows]) for name in names}
+
+
+@given(spec_batches(), st.lists(st.tuples(unit_axis, st.floats(-math.pi, math.pi)),
+                                min_size=6, max_size=6))
+def test_batched_coefficients_match_single_spec_builders(rows, turns):
+    kind, em, fields = rows[0].kind, rows[0].em, stacked_fields(rows)
+    stack = matrices(coefficients(kind, em=em, **fields))
+    assert stack.shape == (len(rows), 8, 8)
+    for spec, h in zip(rows, stack):
+        assert np.array_equal(h, build_hamiltonian(spec))
+    if kind == "Custom":
+        return
+    turns = turns[: len(rows)]
+    rots = np.stack([rotation_matrix(axis, phi) for axis, phi in turns])
+    rotated = matrices(coefficients(kind, em=em, rot=rots, **fields))
+    for spec, (axis, phi), h in zip(rows, turns, rotated):
+        assert np.abs(h - rotate_hamiltonian(spec, axis, phi)).max() <= 1e-12
+
+
+@given(st.sampled_from(["QuarkSum", "QQbar"]),
+       st.lists(st.tuples(mass, vec3, vec3, vec3, vec3), min_size=1, max_size=6))
+def test_batched_colored_sum_matches_build_composite(kind, rows):
+    m, p, x, pbar, xbar = (np.array(v) for v in zip(*rows))
+    anti = kind == "QQbar"
+    stack = colored_sum(kind, m=m, p=p, x=x, **({"pbar": pbar, "xbar": xbar} if anti else {}))
+    assert stack.shape == (len(rows), 8, 8)
+    for h, (mi, pi, xi, pbi, xbi) in zip(stack, rows):
+        inputs = {"m": mi, "p": pi, "x": xi, **({"pbar": pbi, "xbar": xbi} if anti else {})}
+        assert np.array_equal(h, build_composite(kind, inputs))
+        # the literal sum of single-spec builds, in the same order
+        reference = np.zeros((8, 8), dtype=complex)
+        for color in "RYB":
+            reference = reference + build_hamiltonian(
+                HamiltonianSpec(kind=f"Color{color}", m=mi, p=pi, x=xi))
+            if anti:
+                reference = reference + build_hamiltonian(
+                    HamiltonianSpec(kind=f"Anti{color}", m=mi, p=pbi, x=xbi))
+        assert np.array_equal(h, reference)
+
+
+def test_coefficients_rejects_foreign_fields():
+    with pytest.raises(ValueError, match="unknown kind"):
+        coefficients("Gluon", m=1.0)
+    with pytest.raises(ValueError, match="'x' is not valid for kind Dirac"):
+        coefficients("Dirac", m=np.ones(2), x=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="'em' is not valid for kind QQbar"):
+        coefficients("QQbar", em=EMField(e=1.0))
+    with pytest.raises(ValueError, match="Custom"):
+        coefficients("Custom", beta=1.0, rot=np.eye(3))
+
+
 def test_composite_rejects_other_kinds():
     with pytest.raises(ValueError, match="QuarkSum or QQbar"):
         build_composite("Dirac", {"p": [1, 0, 0]})
@@ -419,6 +490,55 @@ def test_distinctness_degenerate_case():
     assert report.degenerate
     assert report.margin == 0.0
     assert report.min_distance == pytest.approx(0.0)
+
+
+def full_stack_minima(color, p, x, n, seed):
+    """(min_distance, min_distance_with_reflection) from the whole (n, 3, 3)
+    rotation stack at once: the reference for the block-wise draw of one row."""
+    q = np.random.default_rng(seed).normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    w, xq, yq, zq = q.T
+    rots = np.stack(
+        [
+            np.stack([1 - 2 * (yq * yq + zq * zq), 2 * (xq * yq - zq * w), 2 * (xq * zq + yq * w)], axis=1),
+            np.stack([2 * (xq * yq + zq * w), 1 - 2 * (xq * xq + zq * zq), 2 * (yq * zq - xq * w)], axis=1),
+            np.stack([2 * (xq * zq - yq * w), 2 * (yq * zq + xq * w), 1 - 2 * (xq * xq + yq * yq)], axis=1),
+        ],
+        axis=1,
+    )
+    axis = "RYB".index(color)
+    u = rots[:, axis, :]
+    e = np.eye(3)[axis]
+    pv, xv = np.array(p, dtype=float), np.array(x, dtype=float)
+    target_a, target_b = e * pv, (1.0 - e) * xv
+
+    def distances(pv, xv, sign):
+        a = sign * (u * (u @ pv)[:, None]) - target_a
+        b = sign * (-xv[None, :] + u * (u @ xv)[:, None]) - target_b
+        return np.sqrt((a ** 2).sum(axis=1) + (b ** 2).sum(axis=1))
+
+    return float(distances(pv, xv, np.ones(3)).min()), float(distances(-pv, -xv, -np.ones(3)).min())
+
+
+@pytest.mark.parametrize("n", [1, 10001, 25000])
+@pytest.mark.parametrize("color,p,x", [("R", (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
+                                       ("Y", (0.5, -1.5, 2.0), (1.0, 0.25, -2.0)),
+                                       ("B", (-1.0, 2.0, 0.75), (0.5, -1.0, 1.5))])
+def test_distinctness_blocks_equal_the_full_stack(color, p, x, n):
+    report = antiparticle_distinctness_check(color, p=p, x=x, m=1.0, n_samples=n, seed=5)
+    assert (report.min_distance, report.min_distance_with_reflection) == full_stack_minima(
+        color, p, x, n, seed=5)
+
+
+def test_distinctness_memory_does_not_grow_with_samples():
+    tracemalloc.start()
+    try:
+        report = antiparticle_distinctness_check("R", n_samples=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    assert report.passed
 
 
 def test_distinctness_validates_inputs():
