@@ -54,13 +54,23 @@ def _parse_vector6(text: str) -> list[float]:
     return values
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error, not last-wins."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r} in spec file")
+        out[key] = value
+    return out
+
+
 def _load_spec(path: str) -> HamiltonianSpec:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file {path!r} is not valid JSON: {exc}") from exc
     return HamiltonianSpec.from_dict(data)
@@ -81,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override every check tolerance")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--samples", type=int, default=None,
-                          help="sample count for the distinctness search")
+                          help="sample count for the distinctness search, at most 10^7")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")

@@ -244,28 +244,26 @@ def verify_su3_table(tol: float = 1e-12) -> tuple[bool, float, list[dict]]:
     norm 4) and compared against 2 f_ikj from the stored table.  Returns
     (all_ok, max_residual, rows); the residual of a pair combines the
     coefficient mismatch and the norm of any component outside the span.
+    All 28 pairs are one stack, with the per-pair order of every sum kept.
     """
-    F = [build_F(i).matrix for i in range(1, 9)]
-    sc = structure_constants()
-    rows: list[dict] = []
-    worst = 0.0
-    for i in range(1, 9):
-        for k in range(i + 1, 9):
-            c = commutator6(F[i - 1], F[k - 1])
-            coeffs = np.array([np.trace(c.T @ F[j - 1]) / 4.0 for j in range(1, 9)])
-            expected = np.array([2.0 * sc.coefficient(i, k, j) for j in range(1, 9)])
-            span = sum(coeffs[j] * F[j] for j in range(8))
-            off_span = float(np.abs(c - span).max())
-            resid = max(float(np.abs(coeffs - expected).max()), off_span)
-            worst = max(worst, resid)
-            rows.append(
-                {
-                    "pair": (i, k),
-                    "coefficients": coeffs.tolist(),
-                    "expected": expected.tolist(),
-                    "residual": resid,
-                }
-            )
+    pairs = np.array(list(itertools.combinations(range(1, 9), 2)))
+    F = np.stack([build_F(i).matrix for i in range(1, 9)])
+    fi, fk = F[pairs[:, 0] - 1], F[pairs[:, 1] - 1]
+    c = fi @ fk - fk @ fi
+    coeffs = np.trace(c.swapaxes(1, 2)[:, None] @ F, axis1=2, axis2=3) / 4.0
+    expected = 2.0 * structure_constants().table[pairs[:, 0], pairs[:, 1], 1:]
+    span = 0.0
+    for j in range(8):
+        span = span + coeffs[:, j, None, None] * F[j]
+    off_span = np.abs(c - span).max(axis=(1, 2))
+    resid = np.maximum(np.abs(coeffs - expected).max(axis=1), off_span)
+    rows = [
+        {"pair": tuple(pair), "coefficients": co, "expected": ex, "residual": r}
+        for pair, co, ex, r in zip(
+            pairs.tolist(), coeffs.tolist(), expected.tolist(), resid.tolist()
+        )
+    ]
+    worst = max(resid.tolist())
     return worst <= tol, worst, rows
 
 
@@ -321,8 +319,8 @@ def _cos_sin(theta: float, w: float) -> tuple[float, float]:
     return c, s
 
 
-def exp_generator(g: Generator6 | np.ndarray, theta: float) -> np.ndarray:
-    """Group element exp(theta * g) in closed form.
+def exp_generator(g: Generator6 | np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """Group element exp(theta * g) in closed form, or a stack over angles.
 
     With S = -g g = V diag(w^2) V^T (g antisymmetric, so S >= 0),
 
@@ -334,21 +332,28 @@ def exp_generator(g: Generator6 | np.ndarray, theta: float) -> np.ndarray:
     result is turned back by them with swaps and negations, so plane-sum
     generators give exact signed permutations at float multiples of pi/2.
     The result stays orthogonal, to rounding, at every finite angle.
+
+    A 1-D array of N angles gives the (N, 6, 6) stack of exp(theta_n g):
+    an (N, 2F) block of weights, each angle still reduced on its own, times
+    the cached split.  Each matrix equals the call at its angle.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta}")
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1 or not np.isfinite(thetas).all():
+        raise ValueError(f"angle must be finite, a number or a 1-D array, got {theta}")
     m = g.matrix if isinstance(g, Generator6) else np.asarray(g, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"exp_generator needs a 6x6 matrix, got {m.shape}")
     freqs, stack = _frequency_terms(np.ascontiguousarray(m).tobytes())
     coeffs = []
-    for w in freqs:
-        if w == 0.0:
-            coeffs += (1.0, 0.0)
-        else:
-            c, s = _cos_sin(theta, w)
-            coeffs += (c, s / w)
-    return (np.array(coeffs) @ stack).reshape(6, 6)
+    for t in thetas.reshape(-1).tolist():
+        for w in freqs:
+            if w == 0.0:
+                coeffs += (1.0, 0.0)
+            else:
+                c, s = _cos_sin(t, w)
+                coeffs += (c, s / w)
+    coeffs = np.array(coeffs).reshape(thetas.shape + (len(stack),))
+    return (coeffs @ stack).reshape(thetas.shape + (6, 6))
 
 
 def symplectic_form() -> np.ndarray:

@@ -9,17 +9,20 @@ checks into failures).  All randomness is drawn from numpy Generators
 seeded with (seed, stable-check-id), so reports are byte-identical for a
 fixed seed.
 
-The composite and rotation checks build their whole sample stack with one
-hamiltonian.coefficients call and compare it in one batched product.  A
-check that draws only uniforms takes them as one (N, 13) block, which a
-Generator fills with the same floats as N per-sample draws; where normal
-or integer draws interleave, the draws stay one sample at a time and only
-the build and the compare are batched.
+Checks work on stacks, not one matrix at a time.  The composite and
+rotation checks, the mixing law over its rotations included, build each
+sample stack with one hamiltonian.coefficients call; the su3 checks take
+one exp_generator stack over an angle axis per generator.  Each stack is
+compared in one batched product, which rounds as the per-matrix product
+does.  A check that draws only uniforms takes them as one (N, 13) block,
+which a Generator fills with the same floats as N per-sample draws; where
+normal or integer draws interleave, the draws stay one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +39,6 @@ from .hamiltonian import (
     colored_sum,
     conjugate_hamiltonian,
     matrices,
-    rotate_hamiltonian,
     rotated_operators,
     rotation_matrix,
     square_and_spectrum,
@@ -46,6 +48,7 @@ __all__ = ["CheckResult", "VerificationReport", "run_suite", "SUITES", "DEFAULT_
 
 SUITES = ("su3", "clifford", "rotation", "conjugation", "composite")
 DEFAULT_SEED = 1729
+MAX_SAMPLES = 10**7  # the distinctness search then takes about 4 s on one core
 
 
 @dataclass(frozen=True)
@@ -94,12 +97,13 @@ def _maxabs(m) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-_F = [phase_space.build_F(i).matrix for i in range(1, 9)]
+_F = np.stack([phase_space.build_F(i).matrix for i in range(1, 9)])
 _R6 = phase_space.build_R().matrix
+_F9 = np.concatenate([_F, _R6[None]])  # F1..F8, then R
 _J6 = phase_space.symplectic_form()
 _I6 = np.eye(6)
 
-_GAMMA = list(BASIS.reshape(8, 8, 8)[1:])
+_GAMMA = BASIS.reshape(8, 8, 8)[1:]
 _GAMMA_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
 _I8 = np.eye(8)
 
@@ -152,55 +156,55 @@ def _check_commutator_table(rng, samples):
 
 
 def _check_jacobi(rng, samples):
-    worst = 0.0
-    triples = rng.integers(0, 8, size=(50, 3))
-    for i, j, k in triples:
-        a, b, c = _F[i], _F[j], _F[k]
-        acc = (
-            phase_space.commutator6(phase_space.commutator6(a, b), c)
-            + phase_space.commutator6(phase_space.commutator6(b, c), a)
-            + phase_space.commutator6(phase_space.commutator6(c, a), b)
-        )
-        worst = max(worst, _maxabs(acc))
-    return worst, {"triples": 50}
+    a, b, c = _F[rng.integers(0, 8, size=(50, 3)).T]
+    comm = phase_space.commutator6
+    acc = comm(comm(a, b), c) + comm(comm(b, c), a) + comm(comm(c, a), b)
+    return _maxabs(acc), {"triples": 50}
 
 
 def _check_centrality(rng, samples):
-    worst = max(_maxabs(phase_space.commutator6(_R6, f)) for f in _F)
-    return worst, {"generators": 8}
+    return _maxabs(phase_space.commutator6(_R6, _F)), {"generators": 8}
+
+
+def _by_generator(draws: list[tuple]):
+    """Per-sample draws (generator index, value, ...) grouped by generator:
+    (generator matrix, stacked values of its samples) per distinct index."""
+    index, *values = (np.array(v) for v in zip(*draws))
+    for g in np.unique(index):
+        yield _F9[g], [v[index == g] for v in values]
 
 
 def _check_group_membership(rng, samples):
     worst = 0.0
-    count = 0
-    for g in (*_F, _R6):
-        for theta in rng.uniform(-3.1, 3.1, size=10):
-            m = phase_space.exp_generator(g, float(theta))
-            worst = max(worst, _maxabs(m.T @ m - _I6), _maxabs(m.T @ _J6 @ m - _J6))
-            if not (phase_space.is_orthogonal(m) and phase_space.is_symplectic(m)):
-                worst = max(worst, 1.0)
-            count += 1
-    return worst, {"matrices": count}
+    for g in _F9:
+        m = phase_space.exp_generator(g, rng.uniform(-3.1, 3.1, size=10))
+        mt = m.swapaxes(1, 2)
+        worst = max(worst, _maxabs(mt @ m - _I6), _maxabs(mt @ _J6 @ m - _J6))
+    # a matrix off the group by more than 1e-12 fails at any --tol below 1
+    return (max(worst, 1.0) if worst > 1e-12 else worst), {"matrices": 10 * len(_F9)}
 
 
 def _check_group_additivity(rng, samples):
+    draws = [(rng.integers(0, 8), *rng.uniform(-2.0, 2.0, size=2)) for _ in range(20)]
     worst = 0.0
-    for _ in range(20):
-        g = _F[int(rng.integers(0, 8))]
-        t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-        lhs = phase_space.exp_generator(g, float(t1)) @ phase_space.exp_generator(g, float(t2))
-        rhs = phase_space.exp_generator(g, float(t1 + t2))
-        worst = max(worst, _maxabs(lhs - rhs))
+    for g, (t1, t2) in _by_generator(draws):
+        lhs = phase_space.exp_generator(g, t1) @ phase_space.exp_generator(g, t2)
+        worst = max(worst, _maxabs(lhs - phase_space.exp_generator(g, t1 + t2)))
     return worst, {"samples": 20}
 
 
 def _check_quadratic_form(rng, samples):
+    draws = [
+        (rng.integers(0, 9), rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0, size=6))
+        for _ in range(100)
+    ]
     worst = 0.0
-    for _ in range(100):
-        g = (_F + [_R6])[int(rng.integers(0, 9))]
-        m = phase_space.exp_generator(g, float(rng.uniform(-3.0, 3.0)))
-        v = rng.uniform(-2.0, 2.0, size=6)
-        worst = max(worst, abs(float(v @ v) - float((m @ v) @ (m @ v))) / float(v @ v))
+    for g, (theta, v) in _by_generator(draws):
+        # stacked products keep the rounding of the 1-D dot products
+        v = v[:, :, None]
+        mv = phase_space.exp_generator(g, theta) @ v
+        vv = (v.swapaxes(1, 2) @ v)[:, 0, 0]
+        worst = max(worst, _maxabs((vv - (mv.swapaxes(1, 2) @ mv)[:, 0, 0]) / vv))
     return worst, {"vectors": 100}
 
 
@@ -213,11 +217,8 @@ def _check_reflection_square(rng, samples):
 
 def _check_pairing_symplectic(rng, samples):
     tags = ("Standard", "R", "Y", "B", "Even(R)")
-    worst = 0.0
-    for tag in tags:
-        m = phase_space.pairing(tag).matrix()
-        worst = max(worst, _maxabs(m.T @ _J6 @ m - _J6))
-    return worst, {"tags": list(tags)}
+    m = np.stack([phase_space.pairing(tag).matrix() for tag in tags])
+    return _maxabs(m.swapaxes(1, 2) @ _J6 @ m - _J6), {"tags": list(tags)}
 
 
 def _check_pairing_from_rotation(rng, samples):
@@ -253,37 +254,28 @@ def _check_pairing_from_diagonal(rng, samples):
 # ---------------------------------------------------------------------------
 
 
+def _anticommutation_residual(gammas: np.ndarray) -> float:
+    """Largest |{G_a, G_b} - 2 delta_ab 1| over all pairs of a (7, 8, 8) stack."""
+    target = 2.0 * np.eye(7)[:, :, None, None] * _I8
+    return _maxabs(clifford.anticommutator(gammas[:, None], gammas[None]) - target)
+
+
 def _check_anticommutation(rng, samples):
-    worst = 0.0
-    for a in range(7):
-        for b in range(7):
-            target = 2.0 * _I8 if a == b else np.zeros((8, 8))
-            worst = max(
-                worst,
-                _maxabs(clifford.anticommutator(_GAMMA[a], _GAMMA[b]) - target),
-            )
-    return worst, {"generators": list(_GAMMA_NAMES)}
+    return _anticommutation_residual(_GAMMA), {"generators": list(_GAMMA_NAMES)}
 
 
 def _check_hermitian_involution(rng, samples):
-    worst = 0.0
-    allowed = np.array([0, 1, -1, 1j, -1j], dtype=complex)
-    for g in _GAMMA:
-        worst = max(worst, _maxabs(g - g.conj().T), _maxabs(g @ g - _I8))
-        entry_ok = np.all(np.isin(g.reshape(-1), allowed))
-        if not entry_ok:
-            worst = max(worst, 1.0)
+    g = _GAMMA
+    worst = max(_maxabs(g - g.conj().swapaxes(1, 2)), _maxabs(g @ g - _I8))
+    if not np.isin(g, [0, 1, -1, 1j, -1j]).all():
+        worst = max(worst, 1.0)
     return worst, {"entry_set": "0, +-1, +-i"}
 
 
 def _check_conjugation_identities(rng, samples):
-    c = clifford.build_C("s2")
-    c_inv = -c
-    worst = _maxabs(c @ clifford.build_B() @ c_inv + clifford.build_B())
-    for k in (1, 2, 3):
-        ak, bk = clifford.build_A(k), clifford.build_Bk(k)
-        worst = max(worst, _maxabs(c @ np.conj(ak) @ c_inv - ak))
-        worst = max(worst, _maxabs(c @ np.conj(bk) @ c_inv - bk))
+    c, b = clifford.build_C("s2"), clifford.build_B()
+    ops = np.stack([build(k) for build in (clifford.build_A, clifford.build_Bk) for k in (1, 2, 3)])
+    worst = max(_maxabs(c @ b @ -c + b), _maxabs(c @ np.conj(ops) @ -c - ops))
     return worst, {"tau": "s2"}
 
 
@@ -296,18 +288,17 @@ def _check_tau_uniqueness(rng, samples):
 
 
 def _check_gamma5(rng, samples):
-    g5 = clifford.build_gamma5()
-    worst = _maxabs(g5 @ g5 - _I8)
-    worst = max(worst, _maxabs(clifford.anticommutator(g5, clifford.build_B())))
-    for k in (1, 2, 3):
-        worst = max(worst, _maxabs(clifford.anticommutator(g5, clifford.build_Bk(k))))
-        worst = max(worst, _maxabs(clifford.commutator8(g5, clifford.build_A(k))))
-    for color in "RYB":
-        gc5 = clifford.build_colored_gamma5(color)
-        worst = max(worst, _maxabs(clifford.anticommutator(gc5, clifford.build_B())))
-        worst = max(worst, _maxabs(gc5 @ gc5 - _I8))
+    g5, b = clifford.build_gamma5(), clifford.build_B()
+    a = np.stack([clifford.build_A(k) for k in (1, 2, 3)])
+    bk = np.stack([clifford.build_Bk(k) for k in (1, 2, 3)])
+    gc5 = np.stack([clifford.build_colored_gamma5(color) for color in "RYB"])
     target_r = clifford.kron3(clifford.PAULI[1], clifford.PAULI[1], clifford.PAULI[1])
-    worst = max(worst, _maxabs(clifford.build_colored_gamma5("R") - target_r))
+    worst = max(
+        _maxabs(g5 @ g5 - _I8), _maxabs(clifford.anticommutator(g5, b)),
+        _maxabs(clifford.anticommutator(g5, bk)), _maxabs(clifford.commutator8(g5, a)),
+        _maxabs(clifford.anticommutator(gc5, b)), _maxabs(gc5 @ gc5 - _I8),
+        _maxabs(gc5[0] - target_r),
+    )
     return worst, {"colored": ["R", "Y", "B"]}
 
 
@@ -315,12 +306,7 @@ def _check_random_basis_similarity(rng, samples):
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
-    worst = 0.0
-    rotated = [u @ g @ u.conj().T for g in _GAMMA]
-    for a in range(7):
-        for b in range(7):
-            target = 2.0 * _I8 if a == b else np.zeros((8, 8))
-            worst = max(worst, _maxabs(clifford.anticommutator(rotated[a], rotated[b]) - target))
+    worst = _anticommutation_residual(u @ _GAMMA @ u.conj().T)
     return worst, {"note": "anticommutation table under a random unitary change of basis"}
 
 
@@ -332,23 +318,16 @@ def _check_random_basis_similarity(rng, samples):
 def _check_mixing_law(rng, samples):
     p = rng.uniform(-2.0, 2.0, size=3)
     x = rng.uniform(-2.0, 2.0, size=3)
-    m = float(rng.uniform(0.0, 2.0))
-    spec_r = HamiltonianSpec(kind="ColorR", m=m, p=tuple(p), x=tuple(x))
-    spec_y = HamiltonianSpec(kind="ColorY", m=m, p=tuple(p), x=tuple(x))
-    h_r = build_hamiltonian(spec_r)
-    worst = 0.0
-    for phi in rng.uniform(-3.1, 3.1, size=10):
-        phi = float(phi)
-        c, s = math.cos(phi), math.sin(phi)
-        rot = rotation_matrix(3, phi)
-        a_p, b_p = rotated_operators(rot)
-        pp, xp = rot @ p, rot @ x
-        h_r_p = rotate_hamiltonian(spec_r, 3, phi)
-        h_y_p = rotate_hamiltonian(spec_y, 3, phi)
-        cross = (
-            b_p[1] * xp[0] + b_p[0] * xp[1] - a_p[1] * pp[0] - a_p[0] * pp[1]
-        )
-        worst = max(worst, _maxabs(h_r - (c * c * h_r_p + s * s * h_y_p + s * c * cross)))
+    fields = {"m": float(rng.uniform(0.0, 2.0)), "p": p, "x": x}
+    phis = rng.uniform(-3.1, 3.1, size=10).tolist()
+    c, s = (np.array([f(phi) for phi in phis])[:, None, None] for f in (math.cos, math.sin))
+    rots = np.stack([rotation_matrix(3, phi) for phi in phis])
+    h_r_p, h_y_p = (matrices(coefficients(k, rot=rots, **fields)) for k in ("ColorR", "ColorY"))
+    a_p, b_p = rotated_operators(rots)  # the operator route
+    pp, xp = ((rots @ v)[:, :, None, None] for v in (p, x))
+    cross = b_p[1] * xp[:, 0] + b_p[0] * xp[:, 1] - a_p[1] * pp[:, 0] - a_p[0] * pp[:, 1]
+    h_r = matrices(coefficients("ColorR", **fields))
+    worst = _maxabs(h_r - (c * c * h_r_p + s * s * h_y_p + s * c * cross))
     return worst, {"angles": 10}
 
 
@@ -470,11 +449,7 @@ def _check_distinctness(rng, samples):
         report = antiparticle_distinctness_check(
             color=color, n_samples=n, seed=DEFAULT_SEED + index
         )
-        gap = max(
-            0.0,
-            report.margin - report.min_distance,
-            report.margin - report.min_distance_with_reflection,
-        )
+        gap = max(0.0, report.margin - report.min_distance)
         if report.margin <= 0.0:
             gap = max(gap, 1.0)
         worst = max(worst, gap)
@@ -648,8 +623,15 @@ def run_suite(
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples is not None:
+        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+            raise ValueError(f"samples must be an integer, got {samples!r}")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     checks: list[CheckResult] = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from phasequark.cli import main
+from phasequark.verify import MAX_SAMPLES, run_suite
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -119,6 +120,55 @@ def test_verify_rejects_non_positive_samples(flag, value, message):
     assert message in strict_json(result.stdout)["error"]
 
 
+def test_verify_rejects_samples_above_the_cap(capsys):
+    code, out = run_in_process(capsys, "verify", "--suite", "conjugation",
+                               "--samples", "100000000")
+    assert code == 2
+    assert strict_json(out)["error"] == "samples must be <= 10000000, got 100000000"
+    with pytest.raises(ValueError, match="samples"):
+        run_suite("conjugation", samples=MAX_SAMPLES + 1)
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out = run_in_process(capsys, "verify", "--suite", "su3", "--seed", "-1")
+    assert code == 2
+    assert "seed must be a non-negative integer" in strict_json(out)["error"]
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "7", None])
+def test_run_suite_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_suite("clifford", seed=seed)
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, "3"])
+def test_run_suite_rejects_samples_that_are_not_an_int(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        run_suite("conjugation", samples=samples)
+
+
+def test_run_suite_accepts_large_seeds():
+    for seed in (0, 2**31 - 1, 2**64 + 5):
+        assert run_suite("clifford", seed=seed).passed
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"kind": "Dirac", "m": 1, "m": 2}', "m"),
+        ('{"kind": "Dirac", "m": 1, "em": {"e": 1, "A0": 0.5, "e": 2}}', "e"),
+    ],
+    ids=["top-level", "em"],
+)
+def test_duplicate_spec_keys_are_input_errors(capsys, tmp_path, text, key):
+    spec = tmp_path / "dup.json"
+    spec.write_text(text)
+    for command in ("spectrum", "conjugate"):
+        code, out = run_in_process(capsys, command, str(spec))
+        assert code == 2
+        assert strict_json(out)["error"] == f"duplicate key {key!r} in spec file"
+
+
 def test_unwritable_out_path_is_json_input_error(tmp_path):
     target = tmp_path / "missing" / "x.json"
     result = run_cli("export", "A1", "--out", str(target))
@@ -171,6 +221,8 @@ def test_reports_are_byte_identical_for_same_seed():
         ("export_a1.json", ("export", "A1")),
         ("verify_composite_default.json", ("verify", "--suite", "composite")),
         ("verify_conjugation_default.json", ("verify", "--suite", "conjugation")),
+        ("verify_clifford_default.json", ("verify", "--suite", "clifford")),
+        ("verify_rotation_default.json", ("verify", "--suite", "rotation")),
     ],
 )
 def test_golden_outputs(golden, args):

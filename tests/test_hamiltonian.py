@@ -476,7 +476,6 @@ def test_distinctness_generic_case():
     report = antiparticle_distinctness_check("R", n_samples=4000, seed=11)
     assert report.margin == pytest.approx(math.sqrt(2.0))
     assert report.min_distance >= report.margin - 1e-9
-    assert report.min_distance_with_reflection >= report.margin - 1e-9
     assert report.passed
     # reflection example: position coefficients come out with flipped signs
     assert report.reflected_b_coefficients == (0.0, -1.0, -1.0)
@@ -492,9 +491,9 @@ def test_distinctness_degenerate_case():
     assert report.min_distance == pytest.approx(0.0)
 
 
-def full_stack_minima(color, p, x, n, seed):
-    """(min_distance, min_distance_with_reflection) from the whole (n, 3, 3)
-    rotation stack at once: the reference for the block-wise draw of one row."""
+def full_stack_rows(color, n, seed):
+    """Row `color` of the whole (n, 3, 3) quaternion rotation stack at once:
+    the reference for the block-wise draw of one row."""
     q = np.random.default_rng(seed).normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     w, xq, yq, zq = q.T
@@ -506,28 +505,47 @@ def full_stack_minima(color, p, x, n, seed):
         ],
         axis=1,
     )
-    axis = "RYB".index(color)
-    u = rots[:, axis, :]
-    e = np.eye(3)[axis]
-    pv, xv = np.array(p, dtype=float), np.array(x, dtype=float)
-    target_a, target_b = e * pv, (1.0 - e) * xv
+    return rots[:, "RYB".index(color), :]
 
-    def distances(pv, xv, sign):
-        a = sign * (u * (u @ pv)[:, None]) - target_a
-        b = sign * (-xv[None, :] + u * (u @ xv)[:, None]) - target_b
-        return np.sqrt((a ** 2).sum(axis=1) + (b ** 2).sum(axis=1))
 
-    return float(distances(pv, xv, np.ones(3)).min()), float(distances(-pv, -xv, -np.ones(3)).min())
+def row_distances(color, u, p, x, pv, xv, signs):
+    """Distance of signs * (Anti(color) rotated by rows u, at (pv, xv)) to
+    Color(color) at (p, x), summed row-wise over the a- and b-blocks."""
+    e = np.eye(3)["RYB".index(color)]
+    target_a, target_b = e * np.asarray(p, float), (1.0 - e) * np.asarray(x, float)
+    a = signs[1:4] * (u * (u @ pv)[:, None]) - target_a
+    b = signs[4:7] * (-xv[None, :] + u * (u @ xv)[:, None]) - target_b
+    return np.sqrt((a ** 2).sum(axis=1) + (b ** 2).sum(axis=1))
+
+
+DISTINCTNESS_CASES = [("R", (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
+                      ("Y", (0.5, -1.5, 2.0), (1.0, 0.25, -2.0)),
+                      ("B", (-1.0, 2.0, 0.75), (0.5, -1.0, 1.5))]
 
 
 @pytest.mark.parametrize("n", [1, 10001, 25000])
-@pytest.mark.parametrize("color,p,x", [("R", (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
-                                       ("Y", (0.5, -1.5, 2.0), (1.0, 0.25, -2.0)),
-                                       ("B", (-1.0, 2.0, 0.75), (0.5, -1.0, 1.5))])
+@pytest.mark.parametrize("color,p,x", DISTINCTNESS_CASES)
 def test_distinctness_blocks_equal_the_full_stack(color, p, x, n):
     report = antiparticle_distinctness_check(color, p=p, x=x, m=1.0, n_samples=n, seed=5)
-    assert (report.min_distance, report.min_distance_with_reflection) == full_stack_minima(
-        color, p, x, n, seed=5)
+    pv, xv = np.array(p), np.array(x)
+    u = full_stack_rows(color, n, seed=5)
+    assert report.min_distance == float(row_distances(color, u, p, x, pv, xv, np.ones(8)).min())
+
+
+@pytest.mark.parametrize("seed", [1729, 1, 2])
+@pytest.mark.parametrize("color,p,x", DISTINCTNESS_CASES + [
+    ("R", (0.3, -1.2, 0.7), (1.1, 0.4, -0.9)),
+    ("Y", (0.3, -1.2, 0.7), (1.1, 0.4, -0.9)),
+    ("B", (0.3, -1.2, 0.7), (1.1, 0.4, -0.9)),
+])
+def test_reflected_distances_equal_rotated_distances(color, p, x, seed):
+    # reflection: sign mask REFLECT_SIGNS on c with p -> -p, x -> -x; it
+    # needs no pass of its own because it lands on the same floats
+    u = full_stack_rows(color, 5000, seed)
+    pv, xv = np.array(p), np.array(x)
+    rotated = row_distances(color, u, p, x, pv, xv, np.ones(8))
+    reflected = row_distances(color, u, p, x, -pv, -xv, REFLECT_SIGNS)
+    assert np.array_equal(rotated, reflected)
 
 
 def test_distinctness_memory_does_not_grow_with_samples():

@@ -98,6 +98,26 @@ def test_su3_table_closes():
     assert len(rows) == 28
 
 
+def test_su3_table_rows_match_a_per_pair_reference():
+    # reference: one pair at a time, each sum in the same order
+    F = [ps.build_F(i).matrix for i in range(1, 9)]
+    sc = ps.structure_constants()
+    reference = []
+    for i in range(1, 9):
+        for k in range(i + 1, 9):
+            c = F[i - 1] @ F[k - 1] - F[k - 1] @ F[i - 1]
+            coeffs = np.array([np.trace(c.T @ F[j]) / 4.0 for j in range(8)])
+            expected = np.array([2.0 * sc.coefficient(i, k, j) for j in range(1, 9)])
+            span = sum(coeffs[j] * F[j] for j in range(8))
+            resid = max(float(np.abs(coeffs - expected).max()), float(np.abs(c - span).max()))
+            reference.append({"pair": (i, k), "coefficients": coeffs.tolist(),
+                              "expected": expected.tolist(), "residual": resid})
+    ok, worst, rows = ps.verify_su3_table()
+    assert rows == reference
+    assert worst == max(row["residual"] for row in reference)
+    assert ok and not ps.verify_su3_table(tol=worst / 2)[0]
+
+
 def test_commutators_match_table_directly():
     # independent route: rebuild each bracket from the stored table and
     # compare matrices, rather than projecting onto the basis
@@ -147,6 +167,37 @@ GENERATOR_LABELS = (
 )
 # Sums of disjoint planes with unit weights: S = -g @ g is diagonal.
 PLANE_SUM_LABELS = [label for label in GENERATOR_LABELS if label != "F8"]
+
+
+DIAGONAL_NAMES = ("F3", "(F3+sqrt3*F8)/2", "(F3-sqrt3*F8)/2")
+STACK_ANGLES = np.array(
+    [k * math.pi / 2 for k in range(-8, 9)]
+    + [0.0, -0.0, 1e-300, 0.3, -2.9, 7.5, 123.456, -1e6, 1e20, -1e20, 1e300, -1e300]
+)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [resolve_generator6(label) for label in GENERATOR_LABELS]
+    + [ps.diagonal_generator(name) for name in DIAGONAL_NAMES],
+    ids=list(GENERATOR_LABELS) + list(DIAGONAL_NAMES),
+)
+def test_stacked_exponential_rows_equal_scalar_calls(generator):
+    stack = ps.exp_generator(generator, STACK_ANGLES)
+    assert stack.shape == (len(STACK_ANGLES), 6, 6)
+    for theta, m in zip(STACK_ANGLES.tolist(), stack):
+        assert np.array_equal(m, ps.exp_generator(generator, theta)), theta
+
+
+def test_stacked_exponential_edge_shapes_and_angles():
+    g = ps.build_F(4)
+    assert ps.exp_generator(g, np.array([])).shape == (0, 6, 6)
+    assert ps.exp_generator(g, [0.5]).shape == (1, 6, 6)
+    for bad in ([0.1, float("nan")], [float("inf")], np.array([1.0, -np.inf, 2.0])):
+        with pytest.raises(ValueError, match="finite"):
+            ps.exp_generator(g, bad)
+    with pytest.raises(ValueError):
+        ps.exp_generator(g, np.zeros((2, 2)))
 
 
 @given(
