@@ -1,21 +1,21 @@
 """8x8 Clifford generators for three colored Dirac structures.
 
-All matrices are triple Kronecker products of Pauli matrices.  kron3 uses
-the convention that the first factor varies slowest (it carries the 4x4
-block index), i.e. kron3(a, b, c) = kron(kron(a, b), c).
+Each named operator is a phase times one triple Kronecker product of
+Pauli matrices, and OPERATORS is its single definition: name -> (n,
+(i, j, k)) means i**n * kron3(s_i, s_j, s_k).  The builders, BASIS, the
+DSL, export and verify all read it; verify's gamma5-chirality check also
+forms gamma5 = -i A1 A2 A3 and gammaC5 = -i A_c B_u B_v (c, u, v cyclic)
+by matmul, a second route to those rows.  kron3 puts the first factor
+outermost (slowest index): kron3(a, b, c) = kron(kron(a, b), c).
 
-The generator set is
-
-    A_k = kron3(s_k, s1, s0)     k = 1..3
-    B   = kron3(s0, s3, s0)
-    B_k = kron3(s0, s2, s_k)     k = 1..3
-
-These seven matrices are Hermitian involutions and pairwise anticommute,
-a rank-7 Clifford family; every entry lies in {0, +-1, +-i}, so identities
-between their products hold exactly in complex floating point and are
-checked with exact equality.  The middle factor of B_k must be s2: with any
-other choice B_k would fail to anticommute with the A_k or with B, and the
-mixed momentum-position cross terms of squared Hamiltonians would survive.
+The seven generators A_k = kron3(s_k, s1, s0), B = kron3(s0, s3, s0) and
+B_k = kron3(s0, s2, s_k), k = 1..3, are Hermitian involutions and pairwise
+anticommute, a rank-7 Clifford family; every entry lies in {0, +-1, +-i},
+so identities between their products hold exactly in complex floating
+point and are checked with exact equality.  The middle factor of B_k must
+be s2: with any other choice B_k would fail to anticommute with the A_k or
+with B, and the mixed momentum-position cross terms of squared
+Hamiltonians would survive.
 
 Charge conjugation uses C(tau) = -i * kron3(s2, s2, tau) with tau a Pauli
 matrix, so C^2 = -1 and C^-1 = -C.  Only tau = s2 satisfies all of
@@ -38,7 +38,10 @@ __all__ = [
     "OperatorMatrix",
     "PAULI",
     "KRON3_STACK",
+    "OPERATORS",
+    "GENERATOR_NAMES",
     "kron3",
+    "named_operator",
     "build_A",
     "build_B",
     "build_Bk",
@@ -81,31 +84,52 @@ def kron3_by_index(i: int, j: int, k: int) -> OperatorMatrix:
     return kron3(PAULI[i], PAULI[j], PAULI[k])
 
 
+# name -> (n, (i, j, k)): the operator i**n * kron3(s_i, s_j, s_k)
+OPERATORS: dict[str, tuple[int, tuple[int, int, int]]] = {
+    "A1": (0, (1, 1, 0)), "A2": (0, (2, 1, 0)), "A3": (0, (3, 1, 0)),
+    "B": (0, (0, 3, 0)),
+    "B1": (0, (0, 2, 1)), "B2": (0, (0, 2, 2)), "B3": (0, (0, 2, 3)),
+    "C": (3, (2, 2, 2)),
+    "gamma5": (0, (0, 1, 0)),
+    "gammaR5": (0, (1, 1, 1)), "gammaY5": (0, (2, 1, 2)), "gammaB5": (0, (3, 1, 3)),
+}
+# the seven anticommuting involutions, in the order of hamiltonian.BASIS
+GENERATOR_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
+_I_POWER = (1, 1j, -1, -1j)
+
+
+def _tensor(n: int, i: int, j: int, k: int) -> OperatorMatrix:
+    return _I_POWER[n] * KRON3_STACK[16 * i + 4 * j + k]
+
+
+def named_operator(name: str) -> OperatorMatrix:
+    """The table's operator i**n * kron3(s_i, s_j, s_k), a new array; KeyError if unknown."""
+    n, ijk = OPERATORS[name]
+    return _tensor(n, *ijk)
+
+
 def build_A(k: int) -> OperatorMatrix:
     """Momentum-sector generator A_k = kron3(s_k, s1, s0)."""
     if k not in (1, 2, 3):
         raise ValueError(f"A index must be 1..3, got {k}")
-    return kron3(PAULI[k], PAULI[1], PAULI[0])
+    return named_operator(f"A{k}")
 
 
 def build_B() -> OperatorMatrix:
     """Mass-sector generator B = kron3(s0, s3, s0)."""
-    return kron3(PAULI[0], PAULI[3], PAULI[0])
+    return named_operator("B")
 
 
 def build_Bk(k: int) -> OperatorMatrix:
     """Position-sector generator B_k = kron3(s0, s2, s_k)."""
     if k not in (1, 2, 3):
         raise ValueError(f"B index must be 1..3, got {k}")
-    return kron3(PAULI[0], PAULI[2], PAULI[k])
+    return named_operator(f"B{k}")
 
 
 def clifford_generators() -> list[tuple[str, OperatorMatrix]]:
     """The seven mutually anticommuting involutions (A1..A3, B1..B3, B)."""
-    gens = [(f"A{k}", build_A(k)) for k in (1, 2, 3)]
-    gens += [(f"B{k}", build_Bk(k)) for k in (1, 2, 3)]
-    gens.append(("B", build_B()))
-    return gens
+    return [(name, named_operator(name)) for name in GENERATOR_NAMES]
 
 
 def anticommutator(x: np.ndarray, y: np.ndarray) -> OperatorMatrix:
@@ -128,10 +152,11 @@ def conjugate_matrix(x: np.ndarray) -> OperatorMatrix:
 
 
 def build_C(tau: str = "s2") -> OperatorMatrix:
-    """Charge conjugation matrix C = -i * kron3(s2, s2, tau)."""
+    """Charge conjugation C = -i * kron3(s2, s2, tau): the table's C, last factor tau."""
     if tau not in _TAU_NAMES:
         raise ValueError(f"tau must be one of {_TAU_NAMES}, got {tau!r}")
-    return -1j * kron3(PAULI[2], PAULI[2], PAULI[_TAU_NAMES.index(tau)])
+    n, (i, j, _) = OPERATORS["C"]
+    return _tensor(n, i, j, _TAU_NAMES.index(tau))
 
 
 def charge_conjugation_tau_scan() -> dict[str, list[int]]:
@@ -140,32 +165,26 @@ def charge_conjugation_tau_scan() -> dict[str, list[int]]:
     The B and A_k rules hold for every tau; only tau = s2 clears the B_k
     rule for all three k, which is why it is the default in build_C.
     """
+    bk = np.stack([build_Bk(k) for k in (1, 2, 3)])
     failures: dict[str, list[int]] = {}
     for tau in _TAU_NAMES:
         c = build_C(tau)
-        cinv = -c
-        bad = []
-        for k in (1, 2, 3):
-            bk = build_Bk(k)
-            if not np.array_equal(c @ np.conj(bk) @ cinv, bk):
-                bad.append(k)
-        failures[tau] = bad
+        held = (c @ np.conj(bk) @ -c == bk).all(axis=(1, 2))
+        failures[tau] = [k for k, ok in zip((1, 2, 3), held) if not ok]
     return failures
 
 
 def build_gamma5() -> OperatorMatrix:
     """Chirality matrix -i A1 A2 A3 = kron3(s0, s1, s0)."""
-    return -1j * (build_A(1) @ build_A(2) @ build_A(3))
+    return named_operator("gamma5")
 
 
 def build_colored_gamma5(color: str) -> OperatorMatrix:
-    """Colored chirality: -i A_c B_(c+1) B_(c+2), cyclic in the color axis.
+    """Colored chirality -i A_c B_(c+1) B_(c+2), cyclic in the color axis.
 
     Closed forms: R -> kron3(s1, s1, s1), Y -> kron3(s2, s1, s2),
     B -> kron3(s3, s1, s3).  Each anticommutes with the mass term B.
     """
-    order = {"R": (1, 2, 3), "Y": (2, 3, 1), "B": (3, 1, 2)}
-    if color not in order:
+    if color not in ("R", "Y", "B"):
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    c, u, v = order[color]
-    return -1j * (build_A(c) @ build_Bk(u) @ build_Bk(v))
+    return named_operator(f"gamma{color}5")

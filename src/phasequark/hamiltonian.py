@@ -107,7 +107,7 @@ KINDS = tuple(_TABLE)
 _COLOR_AXIS = {"R": 0, "Y": 1, "B": 2}
 _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 
-# rows: 1, A1..A3, B1..B3, B, each a flattened 8x8 matrix
+# rows: 1, then clifford.GENERATOR_NAMES (A1..A3, B1..B3, B), each a flattened 8x8 matrix
 BASIS = np.stack([np.eye(8, dtype=complex)] + [g for _, g in clifford_generators()]).reshape(8, 64)
 BASIS.flags.writeable = False
 REFLECT_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, 1])
@@ -225,7 +225,16 @@ class HamiltonianSpec:
                 if key not in _EM_FIELDS:
                     raise ValueError(f"field 'em.{key}' is not valid; expected e, A0, Avec")
             data["em"] = EMField(**em)
-        return cls(kind=kind, **data)
+        spec = cls(kind=kind, **data)
+        with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
+            bad = ~np.isfinite(_spec_coefficients(spec))
+            names = [name for name in data if bad.any()
+                     and np.any(coefficients(kind, **{name: getattr(spec, name)})[bad] != 0)]
+        if names:
+            given = {"p": "P", "x": "dx"} if "P" in d or "dx" in d else {}
+            raise ValueError(f"coefficients of the {kind} spec overflow float64 in "
+                             + ", ".join(repr(given.get(name, name)) for name in names))
+        return spec
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -33,12 +33,13 @@ Grammar (whitespace insensitive)::
     NUMBER  := decimal literal, e.g. 2, 0.5, .25   (parsed exactly)
     IMAG    := decimal literal directly suffixed with i, e.g. 0.5i
 
-NAME is either a named operator (A1 A2 A3 B B1 B2 B3 C gamma5) or a
-symbol (p1 p2 p3 x1 x2 x3 m e A0 A1v A2v A3v).  A bare Pauli factor such
-as ``s1`` is rejected with a hint to write the full tensor form.  There
-is no division and literals are decimal, so every reachable coefficient
-denominator is a product of twos and fives and the canonical printer can
-always render coefficients as exact decimals.
+NAME is either a named operator of clifford.OPERATORS (A1 A2 A3 B B1 B2
+B3 C gamma5 gammaR5 gammaY5 gammaB5) or a symbol (p1 p2 p3 x1 x2 x3 m e
+A0 A1v A2v A3v).  A bare Pauli factor such as ``s1`` is rejected with a
+hint to write the full tensor form.  There is no division and literals
+are decimal, so every reachable coefficient denominator is a product of
+twos and fives and the canonical printer can always render coefficients
+as exact decimals.
 
 Canonical form: terms are sorted by tensor index triple, then by
 monomial; unit coefficients and the identity tensor ``s0#s0#s0`` are
@@ -57,7 +58,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .clifford import KRON3_STACK
+from .clifford import KRON3_STACK, OPERATORS
 
 __all__ = [
     "ExactComplex",
@@ -159,7 +160,6 @@ class ExactComplex:
 
 _ONE = ExactComplex(Fraction(1))
 _I = ExactComplex.unit_i()
-_MINUS_I = ExactComplex(Fraction(0), Fraction(-1))
 
 
 def _times_i_power(z: ExactComplex, n: int) -> ExactComplex:
@@ -429,22 +429,10 @@ def commutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:
     return a * b - b * a
 
 
-def _named_operators() -> dict[str, PauliExpr]:
-    e = PauliExpr.from_basis
-    return {
-        "A1": e(1, 1, 0),
-        "A2": e(2, 1, 0),
-        "A3": e(3, 1, 0),
-        "B": e(0, 3, 0),
-        "B1": e(0, 2, 1),
-        "B2": e(0, 2, 2),
-        "B3": e(0, 2, 3),
-        "C": e(2, 2, 2) * _MINUS_I,
-        "gamma5": e(0, 1, 0),
-    }
-
-
-NAMED_OPERATORS = _named_operators()
+NAMED_OPERATORS = {
+    name: PauliExpr._from_index({_basis_index(*ijk): {(): _times_i_power(_ONE, n)}})
+    for name, (n, ijk) in OPERATORS.items()
+}
 
 
 # ---------------------------------------------------------------------------

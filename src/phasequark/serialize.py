@@ -117,36 +117,20 @@ def resolve_generator6(label: str) -> phase_space.Generator6:
     )
 
 
-_OPERATORS8 = {
-    "A1": lambda: clifford.build_A(1),
-    "A2": lambda: clifford.build_A(2),
-    "A3": lambda: clifford.build_A(3),
-    "B": clifford.build_B,
-    "B1": lambda: clifford.build_Bk(1),
-    "B2": lambda: clifford.build_Bk(2),
-    "B3": lambda: clifford.build_Bk(3),
-    "C": clifford.build_C,
-    "gamma5": clifford.build_gamma5,
-    "gammaR5": lambda: clifford.build_colored_gamma5("R"),
-    "gammaY5": lambda: clifford.build_colored_gamma5("Y"),
-    "gammaB5": lambda: clifford.build_colored_gamma5("B"),
-}
-
-
 def resolve_operator8(label: str) -> np.ndarray:
-    """Resolve an 8x8 operator label: A1..A3, B, B1..B3, C, gamma5, gammaC5."""
+    """Resolve an 8x8 operator label, a name of clifford.OPERATORS."""
     try:
-        return _OPERATORS8[label]()
+        return clifford.named_operator(label)
     except KeyError:
         raise ValueError(
             f"unknown operator label {label!r}; expected one of "
-            f"{', '.join(_OPERATORS8)}"
+            f"{', '.join(clifford.OPERATORS)}"
         ) from None
 
 
 EXPORT_LABELS = (
     "F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)  (6x6 generators); "
-    "A1..A3, B, B1..B3, C, gamma5, gammaR5, gammaY5, gammaB5  (8x8 operators); "
+    + ", ".join(clifford.OPERATORS) + "  (8x8 operators); "
     "pairing:TAG for TAG in " + ", ".join(phase_space.pairing_tags())
 )
 

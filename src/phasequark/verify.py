@@ -103,8 +103,8 @@ _F9 = np.concatenate([_F, _R6[None]])  # F1..F8, then R
 _J6 = phase_space.symplectic_form()
 _I6 = np.eye(6)
 
-_GAMMA = BASIS.reshape(8, 8, 8)[1:]
-_GAMMA_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
+_GAMMA = BASIS.reshape(8, 8, 8)[1:]  # the rows of clifford.GENERATOR_NAMES
+_A8, _BK8, _B8 = _GAMMA[0:3], _GAMMA[3:6], _GAMMA[6]
 _I8 = np.eye(8)
 
 
@@ -261,7 +261,7 @@ def _anticommutation_residual(gammas: np.ndarray) -> float:
 
 
 def _check_anticommutation(rng, samples):
-    return _anticommutation_residual(_GAMMA), {"generators": list(_GAMMA_NAMES)}
+    return _anticommutation_residual(_GAMMA), {"generators": list(clifford.GENERATOR_NAMES)}
 
 
 def _check_hermitian_involution(rng, samples):
@@ -273,9 +273,8 @@ def _check_hermitian_involution(rng, samples):
 
 
 def _check_conjugation_identities(rng, samples):
-    c, b = clifford.build_C("s2"), clifford.build_B()
-    ops = np.stack([build(k) for build in (clifford.build_A, clifford.build_Bk) for k in (1, 2, 3)])
-    worst = max(_maxabs(c @ b @ -c + b), _maxabs(c @ np.conj(ops) @ -c - ops))
+    c, ops = clifford.build_C("s2"), _GAMMA[:6]
+    worst = max(_maxabs(c @ _B8 @ -c + _B8), _maxabs(c @ np.conj(ops) @ -c - ops))
     return worst, {"tau": "s2"}
 
 
@@ -288,16 +287,15 @@ def _check_tau_uniqueness(rng, samples):
 
 
 def _check_gamma5(rng, samples):
-    g5, b = clifford.build_gamma5(), clifford.build_B()
-    a = np.stack([clifford.build_A(k) for k in (1, 2, 3)])
-    bk = np.stack([clifford.build_Bk(k) for k in (1, 2, 3)])
-    gc5 = np.stack([clifford.build_colored_gamma5(color) for color in "RYB"])
-    target_r = clifford.kron3(clifford.PAULI[1], clifford.PAULI[1], clifford.PAULI[1])
+    """The table's chiralities against -i A1 A2 A3 and -i A_c B_u B_v by matmul."""
+    c, u, v = [0, 1, 2], [1, 2, 0], [2, 0, 1]  # R, Y, B
+    products = -1j * np.stack([_A8[0] @ _A8[1] @ _A8[2], *(_A8[c] @ _BK8[u] @ _BK8[v])])
+    table = np.stack([clifford.named_operator(f"gamma{n}5") for n in ("", "R", "Y", "B")])
+    g5 = table[0]
     worst = max(
-        _maxabs(g5 @ g5 - _I8), _maxabs(clifford.anticommutator(g5, b)),
-        _maxabs(clifford.anticommutator(g5, bk)), _maxabs(clifford.commutator8(g5, a)),
-        _maxabs(clifford.anticommutator(gc5, b)), _maxabs(gc5 @ gc5 - _I8),
-        _maxabs(gc5[0] - target_r),
+        _maxabs(products - table), _maxabs(table @ table - _I8),
+        _maxabs(clifford.anticommutator(table, _B8)), _maxabs(clifford.anticommutator(g5, _BK8)),
+        _maxabs(clifford.commutator8(g5, _A8)),
     )
     return worst, {"colored": ["R", "Y", "B"]}
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasequark.cli import main
@@ -181,6 +182,23 @@ def test_unwritable_out_path_is_json_input_error(tmp_path):
 def test_unknown_export_label_is_input_error():
     result = run_cli("export", "Q7")
     assert result.returncode == 2
+    # the 8x8 labels are listed in the order of clifford.OPERATORS
+    assert ("; A1, A2, A3, B, B1, B2, B3, C, gamma5, gammaR5, gammaY5, gammaB5  (8x8 operators);"
+            in strict_json(result.stdout)["error"])
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("conjugate", {"kind": "Dirac", "m": 1, "em": {"e": 1e308, "Avec": [1e308, 0, 0]}}),
+    ("spectrum", {"kind": "Dirac", "em": {"e": 1e308, "A0": 1e308}}),
+], ids=["conjugate-e-Avec", "spectrum-e-A0"])
+def test_overflowing_coefficients_are_input_errors(tmp_path, command, spec):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    result = run_cli(command, str(path))
+    assert result.returncode == 2
+    assert result.stderr == ""
+    error = strict_json(result.stdout)["error"]
+    assert "Dirac" in error and "'em'" in error
 
 
 def test_transform_rejects_short_input():
@@ -303,6 +321,19 @@ def test_export_csv_format():
     assert set(",".join(rows).split(",")) == {"0", "1"}
     gmatrix = run_cli("export", "G(1,5)", "--format", "csv")
     assert gmatrix.stdout.splitlines()[0] == "0,0,0,0,1,0"
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "B", "B1", "B2", "B3", "C", "gamma5", "gammaR5", "gammaY5", "gammaB5",
+])
+def test_export_operator_matches_literal_matrix(capsys, literal_operators, label):
+    code, out = run_in_process(capsys, "export", label)
+    assert code == 0
+    payload = strict_json(out)
+    assert (payload["kind"], payload["shape"]) == ("operator8", [8, 8])
+    matrix = np.array([[complex(*v) if isinstance(v, list) else v for v in row]
+                       for row in payload["matrix"]])
+    assert np.array_equal(matrix, literal_operators[label])
 
 
 def test_export_pairing_matrix():

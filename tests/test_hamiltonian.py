@@ -180,6 +180,15 @@ def test_from_dict_rejects_bad_values():
         HamiltonianSpec.from_dict({"kind": "Dirac", "m": float("inf")})
     with pytest.raises(ValueError):
         HamiltonianSpec.from_dict({"kind": "Dirac", "p": [1, 2]})
+    # finite fields whose coefficients overflow
+    with pytest.raises(ValueError, match="QQbar spec overflow float64 in 'p', 'pbar'$"):
+        HamiltonianSpec.from_dict({"kind": "QQbar", "p": [1e308, 0, 0], "pbar": [1e308, 0, 0]})
+    with pytest.raises(ValueError, match="QuarkSum spec overflow float64 in 'm'$"):
+        HamiltonianSpec.from_dict({"kind": "QuarkSum", "m": 1e308})
+    with pytest.raises(ValueError, match="QQbar spec overflow float64 in 'dx'$"):
+        HamiltonianSpec.from_dict({"kind": "QQbar", "dx": [1e308, 0, 0]})
+    # finite coefficients pass, however large
+    HamiltonianSpec.from_dict({"kind": "Dirac", "m": 1e308, "p": [1e308, 0, 0]})
 
 
 @pytest.mark.parametrize(

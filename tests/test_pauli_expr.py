@@ -94,20 +94,11 @@ def test_pauli_product_phases():
     assert str(parse("i*i")) == "-1"
 
 
-def test_named_operators_match_matrix_builders():
-    builders = {
-        "A1": cf.build_A(1),
-        "A2": cf.build_A(2),
-        "A3": cf.build_A(3),
-        "B": cf.build_B(),
-        "B1": cf.build_Bk(1),
-        "B2": cf.build_Bk(2),
-        "B3": cf.build_Bk(3),
-        "C": cf.build_C(),
-        "gamma5": cf.build_gamma5(),
-    }
-    for name, matrix in builders.items():
+def test_named_operators_match_matrix_builders(literal_operators):
+    assert list(NAMED_OPERATORS) == list(literal_operators)
+    for name, matrix in literal_operators.items():
         assert np.array_equal(NAMED_OPERATORS[name].to_matrix(), matrix), name
+        assert np.array_equal(parse(name).to_matrix(), matrix), name
 
 
 def test_symbols_commute():
