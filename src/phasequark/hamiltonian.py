@@ -41,26 +41,28 @@ turns that into the (N, 8, 8) stack c @ BASIS.  build_hamiltonian,
 rotate_hamiltonian and the literal colored sum behind build_composite
 are its one-sample case.
 
-Charge conjugation is the substitution chain i -> -i, p -> -p, H -> -H
-followed by conjugation with C = build_C("s2"); on the colored kinds it
-lands exactly on the Anti forms, and on the HamiltonianSpec fields it is
-the sign flip of e and x.  Rotations are passive (frame) rotations:
-coordinates map as v' = R v and operators as A'_k = R_kl A_l,
-B'_k = R_kl B_l, so a rotated Hamiltonian is the table at the rotated
-coordinates with its a- and b-blocks pulled back by R^T.  Reflection
-(conjugation by B) multiplies c by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
+Charge conjugation is the field flip e -> -e, and x -> -x for a kind
+whose row has x; on the free colored kinds it lands exactly on the Anti
+forms.  The substitution chain p -> -p, i -> -i, H -> -H followed by
+C H C^-1 with C = build_C("s2") reaches the same matrix by a second,
+independent route, which phasequark.verify and the tests compare against
+it.  Rotations are passive (frame) rotations: coordinates map as v' = R v
+and operators as A'_k = R_kl A_l, B'_k = R_kl B_l, so a rotated
+Hamiltonian is the table at the rotated coordinates with its a- and
+b-blocks pulled back by R^T.  Reflection (conjugation by B) multiplies c
+by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clifford import build_C, clifford_generators
+from .clifford import clifford_generators
 
 __all__ = [
     "EMField",
@@ -167,7 +169,8 @@ class HamiltonianSpec:
     pbar, xbar) or the total/relative shorthand (P, dx); the shorthand is
     stored as p = P, x = dx with zero antiquark variables, which builds the
     same matrix.  Custom carries explicit coefficients a.A + b.B_k + beta*B
-    + scalar*1.
+    + scalar*1.  Every spec, however built, has finite coefficients c: a
+    spec whose finite fields overflow c is an error naming those fields.
     """
 
     kind: str
@@ -197,9 +200,17 @@ class HamiltonianSpec:
         for f in fields(self)[1:]:
             if f.name not in accepted and getattr(self, f.name) != f.default:
                 raise ValueError(f"field {f.name!r} is not valid for kind {self.kind}")
+        with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
+            bad = ~np.isfinite(_spec_coefficients(self))
+            if bad.any():  # name each field whose own part of c reaches a bad entry
+                names = [name for name in accepted
+                         if np.any(coefficients(self.kind, **{name: getattr(self, name)})[bad] != 0)]
+                raise ValueError(f"coefficients of the {self.kind} spec overflow float64 in "
+                                 + ", ".join(map(repr, names)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "HamiltonianSpec":
+        """The spec of a JSON object: the P/dx shorthand, the em object, no unknown keys."""
         if not isinstance(d, dict):
             raise ValueError("spec must be a JSON object")
         data = dict(d)
@@ -207,7 +218,8 @@ class HamiltonianSpec:
         if kind not in KINDS:
             raise ValueError(f"spec.kind must be one of {KINDS}, got {kind!r}")
         accepted = _TABLE[kind].fields
-        if "P" in data or "dx" in data:
+        shorthand = "P" in data or "dx" in data
+        if shorthand:
             if "pbar" not in accepted:
                 raise ValueError("P/dx shorthand is only valid for kind QQbar")
             if data.keys() & {"p", "x", "pbar", "xbar"}:
@@ -225,16 +237,13 @@ class HamiltonianSpec:
                 if key not in _EM_FIELDS:
                     raise ValueError(f"field 'em.{key}' is not valid; expected e, A0, Avec")
             data["em"] = EMField(**em)
-        spec = cls(kind=kind, **data)
-        with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
-            bad = ~np.isfinite(_spec_coefficients(spec))
-            names = [name for name in data if bad.any()
-                     and np.any(coefficients(kind, **{name: getattr(spec, name)})[bad] != 0)]
-        if names:
-            given = {"p": "P", "x": "dx"} if "P" in d or "dx" in d else {}
-            raise ValueError(f"coefficients of the {kind} spec overflow float64 in "
-                             + ", ".join(repr(given.get(name, name)) for name in names))
-        return spec
+        try:
+            return cls(kind=kind, **data)
+        except ValueError as exc:
+            if not shorthand:
+                raise
+            # the overflow error names the stored fields p and x, given here as P and dx
+            raise ValueError(str(exc).replace("'p'", "'P'").replace("'x'", "'dx'")) from None
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -283,7 +292,9 @@ def coefficients(
         rot = np.asarray(rot)
         p, x, pbar, xbar, avec = [(rot @ v[..., None])[..., 0] for v in (p, x, pbar, xbar, avec)]
     s = (0.0 if scalar is None else scalar) + em.e * em.A0
-    av = (0.0 if a is None else np.asarray(a)) + row.phi * (p + pbar - em.e * avec)
+    # the mask scales each term, so a component the kind does not use stays 0
+    # even where p - e*Avec would overflow there
+    av = (0.0 if a is None else np.asarray(a)) + row.phi * (p + pbar) - (row.phi * em.e) * avec
     bv = (0.0 if b is None else np.asarray(b)) + row.psi * (x - xbar)
     mass = (0.0 if beta is None else beta) + row.mu * (0.0 if m is None else m)
     c = np.empty(np.broadcast(s, mass, av[..., 0], bv[..., 0]).shape + (8,))
@@ -340,8 +351,6 @@ def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
     QuarkSum/QQbar kinds, which use the collapsed closed forms; tests
     compare the two.
     """
-    if kind not in ("QuarkSum", "QQbar"):
-        raise ValueError(f"composite kind must be QuarkSum or QQbar, got {kind!r}")
     spec = HamiltonianSpec.from_dict({"kind": kind, **dict(inputs)})
     return colored_sum(kind, m=spec.m, p=spec.p, x=spec.x, pbar=spec.pbar, xbar=spec.xbar)
 
@@ -399,8 +408,6 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
     to roundoff for any rotation; the colored kinds are only invariant
     under rotations about their own color axis, and mix pairwise otherwise.
     """
-    if spec.kind == "Custom":
-        raise ValueError("rotate_hamiltonian does not apply to Custom specs")
     return matrices(_spec_coefficients(spec, rotation_matrix(axis, angle)))
 
 
@@ -410,36 +417,22 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
 
 
 def conjugate_hamiltonian(spec: HamiltonianSpec) -> tuple[np.ndarray, HamiltonianSpec]:
-    """Charge conjugate a Dirac or colored spec.
+    """Charge conjugate a Dirac or colored spec: (matrix, conjugated_spec).
 
-    Returns (matrix, conjugated_spec).  The matrix is computed through the
-    substitution route: negate p, conjugate entries, negate the whole
-    operator, then conjugate with C.  The returned spec is the equivalent
-    sign flip of e (Dirac) or of e and x (colored kinds); building it
-    reproduces the matrix, and for the free colored kinds the matrix equals
-    the corresponding Anti kind.
+    The conjugated spec is the field flip e -> -e, and x -> -x when the
+    kind's row has x; the matrix is built from it.  For the free colored
+    kinds the matrix equals the corresponding Anti kind.  The substitution
+    chain (p -> -p, i -> -i, H -> -H, then C H C^-1) is the independent
+    route to the same matrix, kept in phasequark.verify and the tests.  A
+    flip whose coefficients overflow is a ValueError, as for any spec.
     """
     if spec.kind not in _EM_KINDS:
         raise ValueError(f"conjugate_hamiltonian supports kinds {_EM_KINDS}")
-    flipped_p = HamiltonianSpec.from_dict(
-        {**spec.to_dict(), "p": [-v for v in spec.p]}
-    )
-    h_prime = -np.conj(build_hamiltonian(flipped_p))
-    c = build_C("s2")
-    matrix = c @ h_prime @ (-c)
-
-    out = spec.to_dict()
-    if spec.em is not None:
-        out["em"] = {**spec.em.to_dict(), "e": -spec.em.e}
-    if spec.kind != "Dirac":
-        out["x"] = [-v for v in spec.x]
-    conj_spec = HamiltonianSpec.from_dict(out)
-    # the substitution route must land exactly on the closed form obtained
-    # by flipping e (Dirac) or e and x (colored); both are signed
-    # rearrangements of the same floats, so equality is exact
-    if not np.array_equal(matrix, build_hamiltonian(conj_spec)):
-        raise RuntimeError("conjugation routes disagree; convention drift")
-    return matrix, conj_spec
+    flips: dict = {} if spec.em is None else {"em": replace(spec.em, e=-spec.em.e)}
+    if "x" in _TABLE[spec.kind].fields:
+        flips["x"] = tuple(-v for v in spec.x)
+    conj = replace(spec, **flips)
+    return build_hamiltonian(conj), conj
 
 
 def coefficient_pattern(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, float]:
@@ -613,11 +606,14 @@ class SpectrumReport:
         }
 
 
-def square_and_spectrum(h: np.ndarray, scalar_tol: float = 1e-11) -> SpectrumReport:
+_SCALAR_TOL = 1e-11  # relative tolerance of a scalar square
+
+
+def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
     """Square the Hamiltonian, detect a scalar square, and diagonalize.
 
     Raises ValueError for non-Hermitian input.  scalar_square is set when
-    H^2 = lam * I within scalar_tol relative to max(1, |lam|); the
+    H^2 = lam * I within _SCALAR_TOL relative to max(1, |lam|); the
     eigenvalues then come out as +-sqrt(lam), fourfold each.
     """
     h = np.asarray(h, dtype=complex)
@@ -630,7 +626,7 @@ def square_and_spectrum(h: np.ndarray, scalar_tol: float = 1e-11) -> SpectrumRep
     sq = h @ h
     lam = float(np.real(np.trace(sq)) / 8.0)
     resid = float(np.abs(sq - lam * np.eye(8)).max())
-    scalar = lam if resid <= scalar_tol * max(1.0, abs(lam)) else None
+    scalar = lam if resid <= _SCALAR_TOL * max(1.0, abs(lam)) else None
 
     eig = np.sort(np.linalg.eigvalsh(h))
     groups: list[list[float]] = []

@@ -489,40 +489,20 @@ class DerivedPairing:
     residual: float            # max |matrix - printed pairing matrix|
 
 
-def derive_pairing_from_rotation(color: str, tol: float = 1e-12) -> DerivedPairing:
-    """Realize pairing(color) as exp(a*Jc) . exp(b*Hc) by direct search.
+def derive_pairing_from_rotation(color: str) -> DerivedPairing:
+    """Realize pairing(color) as exp(pi/2 * Jc) . exp(pi/2 * Hc).
 
-    The quarter turn exp(+/-pi/2 * Hc) exchanges two momentum/position
-    planes; an ordinary rotation about the same axis c then aligns signs
-    with the printed pairing.  The search tries both quarter-turn signs and
-    ordinary angles over multiples of pi/2; angle pi/2 hits for every color.
+    The quarter turn exp(pi/2 * Hc) exchanges two momentum/position
+    planes; the ordinary quarter turn about the same axis c then aligns the
+    signs with the printed pairing.  residual is the largest entry of the
+    difference from pairing(color), exactly 0 for every color.
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    axis = _COLOR_AXIS[color]
-    h, j = build_H(axis), build_J(axis)
-    target = pairing(color).matrix()
-
-    best: tuple[float, float, float, np.ndarray] | None = None
-    for h_angle in (math.pi / 2, -math.pi / 2):
-        quarter = exp_generator(h, h_angle)
-        for j_angle in (k * math.pi / 2 for k in range(4)):
-            m = exp_generator(j, j_angle) @ quarter
-            r = float(np.abs(m - target).max())
-            if best is None or r < best[0]:
-                best = (r, h_angle, j_angle, m)
-            if r <= tol:
-                return DerivedPairing(
-                    color=color,
-                    quarter_turn=h.label,
-                    quarter_turn_angle=h_angle,
-                    ordinary=j.label,
-                    ordinary_angle=j_angle,
-                    matrix=m,
-                    residual=r,
-                )
-    assert best is not None
-    return DerivedPairing(color, h.label, best[1], j.label, best[2], best[3], best[0])
+    h, j = build_H(_COLOR_AXIS[color]), build_J(_COLOR_AXIS[color])
+    m = exp_generator(j, _HALF_PI) @ exp_generator(h, _HALF_PI)
+    residual = float(np.abs(m - pairing(color).matrix()).max())
+    return DerivedPairing(color, h.label, _HALF_PI, j.label, _HALF_PI, m, residual)
 
 
 def diagonal_generator(name: str) -> Generator6:
@@ -538,42 +518,29 @@ def diagonal_generator(name: str) -> Generator6:
     raise ValueError(f"unknown diagonal generator {name!r}")
 
 
-def derive_pairing_from_diagonal(color: str, tol: float = 1e-12) -> DerivedPairing:
-    """Find the single diagonal generator whose quarter turn equals pairing(color).
+# the diagonal generator and angle whose quarter turn is each colored pairing
+_DIAGONAL_PAIRING = {
+    "R": ("(F3-sqrt3*F8)/2", _HALF_PI),
+    "Y": ("(F3+sqrt3*F8)/2", _HALF_PI),
+    "B": ("F3", -_HALF_PI),
+}
 
-    Scans all three Cartan-direction combinations over angle multiples of
-    pi/2.  The exact attributions found by this scan are
+
+def derive_pairing_from_diagonal(color: str) -> DerivedPairing:
+    """Realize pairing(color) as the quarter turn of one diagonal generator:
 
         R  <-  exp(+pi/2 * (F3 - sqrt3*F8)/2)
         Y  <-  exp(+pi/2 * (F3 + sqrt3*F8)/2)
         B  <-  exp(-pi/2 * F3)
 
+    residual is the largest entry of the difference from pairing(color).
     Note F3 itself reproduces the blue pairing, not the red one: exp(t*F3)
     leaves the (p3, x3) plane fixed for every t, while the red pairing
     moves x3 into a momentum slot, so no angle can work there.
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    target = pairing(color).matrix()
-    names = ("F3", "(F3+sqrt3*F8)/2", "(F3-sqrt3*F8)/2")
-    best: tuple[float, str, float, np.ndarray] | None = None
-    for name in names:
-        g = diagonal_generator(name)
-        for k in range(-2, 3):
-            angle = k * math.pi / 2
-            m = exp_generator(g, angle)
-            r = float(np.abs(m - target).max())
-            if best is None or r < best[0]:
-                best = (r, name, angle, m)
-            if r <= tol:
-                return DerivedPairing(
-                    color=color,
-                    quarter_turn=name,
-                    quarter_turn_angle=angle,
-                    ordinary="(none)",
-                    ordinary_angle=0.0,
-                    matrix=m,
-                    residual=r,
-                )
-    assert best is not None
-    return DerivedPairing(color, best[1], best[2], "(none)", 0.0, best[3], best[0])
+    name, angle = _DIAGONAL_PAIRING[color]
+    m = exp_generator(diagonal_generator(name), angle)
+    residual = float(np.abs(m - pairing(color).matrix()).max())
+    return DerivedPairing(color, name, angle, "(none)", 0.0, m, residual)

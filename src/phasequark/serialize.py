@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import IO
 
 import numpy as np
 
@@ -58,15 +57,12 @@ def to_jsonable(obj):
     return _scalar_to_jsonable(obj)
 
 
-def dump_json(obj, stream: IO[str] | None = None) -> str:
-    """Render obj deterministically as strict JSON; optionally also write it to stream.
+def dump_json(obj) -> str:
+    """Render obj deterministically as strict JSON.
 
     A NaN or infinite number raises ValueError: JSON has no such values.
     """
-    text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_number(value: float) -> str:

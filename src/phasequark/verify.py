@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,8 @@ from .hamiltonian import (
     square_and_spectrum,
 )
 
-__all__ = ["CheckResult", "VerificationReport", "run_suite", "SUITES", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "VerificationReport", "run_suite", "substitution_conjugate", "SUITES",
+           "DEFAULT_SEED"]
 
 SUITES = ("su3", "clifford", "rotation", "conjugation", "composite")
 DEFAULT_SEED = 1729
@@ -106,6 +107,7 @@ _I6 = np.eye(6)
 _GAMMA = BASIS.reshape(8, 8, 8)[1:]  # the rows of clifford.GENERATOR_NAMES
 _A8, _BK8, _B8 = _GAMMA[0:3], _GAMMA[3:6], _GAMMA[6]
 _I8 = np.eye(8)
+_C8 = clifford.build_C("s2")
 
 
 def _random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
@@ -135,10 +137,10 @@ def _sq3(v: np.ndarray) -> np.ndarray:
 def _random_spec(rng: np.random.Generator, kind: str) -> HamiltonianSpec:
     """A Dirac or colored spec at one sample of _random_inputs."""
     m, p, x, _, _ = (v[0] for v in _random_inputs(rng, 1))
-    fields: dict = {"kind": kind, "m": float(m), "p": p.tolist()}
+    fields: dict = {"m": float(m), "p": p.tolist()}
     if kind != "Dirac":
         fields["x"] = x.tolist()
-    return HamiltonianSpec.from_dict(fields)
+    return HamiltonianSpec(kind, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ def _check_hermitian_involution(rng, samples):
 
 
 def _check_conjugation_identities(rng, samples):
-    c, ops = clifford.build_C("s2"), _GAMMA[:6]
+    c, ops = _C8, _GAMMA[:6]
     worst = max(_maxabs(c @ _B8 @ -c + _B8), _maxabs(c @ np.conj(ops) @ -c - ops))
     return worst, {"tau": "s2"}
 
@@ -374,8 +376,19 @@ def _check_qqbar_invariance(rng, samples):
 # ---------------------------------------------------------------------------
 
 
+def substitution_conjugate(spec: HamiltonianSpec) -> np.ndarray:
+    """Charge conjugation by the substitution chain, the second route.
+
+    p -> -p, complex conjugation i -> -i, H -> -H, then C H C^-1 = -C H C
+    with C = build_C("s2").  Every step is a signed rearrangement of the
+    same floats, so it equals conjugate_hamiltonian's field flip exactly.
+    """
+    flipped_p = build_hamiltonian(replace(spec, p=tuple(-v for v in spec.p)))
+    return _C8 @ -np.conj(flipped_p) @ -_C8
+
+
 def _check_c_matrix(rng, samples):
-    c = clifford.build_C("s2")
+    c = _C8
     worst = max(_maxabs(c @ c + _I8), _maxabs(np.imag(c)))
     signed_perm = np.all(np.sum(np.abs(c) > 0, axis=0) == 1) and np.all(
         np.isin(np.real(c).reshape(-1), [0.0, 1.0, -1.0])
@@ -389,10 +402,10 @@ def _check_colored_closed_forms(rng, samples):
     worst = 0.0
     for color in "RYB":
         spec = _random_spec(rng, f"Color{color}")
-        matrix, conj_spec = conjugate_hamiltonian(spec)
+        matrix, _ = conjugate_hamiltonian(spec)
         anti = HamiltonianSpec(kind=f"Anti{color}", m=spec.m, p=spec.p, x=spec.x)
-        worst = max(worst, _maxabs(matrix - build_hamiltonian(anti)))
-        worst = max(worst, _maxabs(matrix - build_hamiltonian(conj_spec)))
+        worst = max(worst, _maxabs(matrix - build_hamiltonian(anti)),
+                    _maxabs(matrix - substitution_conjugate(spec)))
     return worst, {"colors": ["R", "Y", "B"]}
 
 
@@ -408,7 +421,8 @@ def _check_conjugation_involution(rng, samples):
     for spec in specs:
         once_matrix, once_spec = conjugate_hamiltonian(spec)
         twice_matrix, twice_spec = conjugate_hamiltonian(once_spec)
-        worst = max(worst, _maxabs(twice_matrix - build_hamiltonian(spec)))
+        worst = max(worst, _maxabs(twice_matrix - build_hamiltonian(spec)),
+                    _maxabs(once_matrix - substitution_conjugate(spec)))
         if twice_spec != spec:
             worst = max(worst, 1.0)
     return worst, {"specs": len(specs)}
@@ -427,15 +441,16 @@ def _check_dirac_em(rng, samples):
             p=tuple(rng.uniform(-2.0, 2.0, size=3)), em=em,
         )
         matrix, conj_spec = conjugate_hamiltonian(spec)
-        flipped = HamiltonianSpec.from_dict(
-            {**spec.to_dict(), "em": {**em.to_dict(), "e": -em.e}}
-        )
-        worst = max(worst, _maxabs(matrix - build_hamiltonian(flipped)))
+        flipped = HamiltonianSpec(kind="Dirac", m=spec.m, p=spec.p,
+                                  em=EMField(e=-em.e, A0=em.A0, Avec=em.Avec))
+        worst = max(worst, _maxabs(matrix - build_hamiltonian(flipped)),
+                    _maxabs(matrix - substitution_conjugate(spec)))
         if conj_spec != flipped:
             worst = max(worst, 1.0)
     free = HamiltonianSpec(kind="Dirac", m=1.5, p=(1.0, -2.0, 0.5))
     matrix, _ = conjugate_hamiltonian(free)
-    worst = max(worst, _maxabs(matrix - build_hamiltonian(free)))
+    worst = max(worst, _maxabs(matrix - build_hamiltonian(free)),
+                _maxabs(matrix - substitution_conjugate(free)))
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
 

@@ -187,18 +187,21 @@ def test_unknown_export_label_is_input_error():
             in strict_json(result.stdout)["error"])
 
 
-@pytest.mark.parametrize("command,spec", [
-    ("conjugate", {"kind": "Dirac", "m": 1, "em": {"e": 1e308, "Avec": [1e308, 0, 0]}}),
-    ("spectrum", {"kind": "Dirac", "em": {"e": 1e308, "A0": 1e308}}),
-], ids=["conjugate-e-Avec", "spectrum-e-A0"])
-def test_overflowing_coefficients_are_input_errors(tmp_path, command, spec):
+@pytest.mark.parametrize("command,spec,fields", [
+    ("conjugate", {"kind": "Dirac", "m": 1, "em": {"e": 1e308, "Avec": [1e308, 0, 0]}}, "'em'"),
+    ("spectrum", {"kind": "Dirac", "em": {"e": 1e308, "A0": 1e308}}, "'em'"),
+    # finite coefficients, but the conjugate's overflow
+    ("conjugate", {"kind": "Dirac", "m": 1, "p": [1e308, 0, 0],
+                   "em": {"e": 1, "Avec": [1e308, 0, 0]}}, "'p', 'em'"),
+], ids=["conjugate-e-Avec", "spectrum-e-A0", "conjugate-flip-overflows"])
+def test_overflowing_coefficients_are_input_errors(tmp_path, command, spec, fields):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(spec))
     result = run_cli(command, str(path))
     assert result.returncode == 2
     assert result.stderr == ""
-    error = strict_json(result.stdout)["error"]
-    assert "Dirac" in error and "'em'" in error
+    assert strict_json(result.stdout) == {
+        "error": f"coefficients of the Dirac spec overflow float64 in {fields}"}
 
 
 def test_transform_rejects_short_input():

@@ -27,6 +27,7 @@ from phasequark.hamiltonian import (
     rotation_matrix,
     square_and_spectrum,
 )
+from phasequark.verify import substitution_conjugate
 
 A = [cf.build_A(k) for k in (1, 2, 3)]
 BK = [cf.build_Bk(k) for k in (1, 2, 3)]
@@ -189,6 +190,19 @@ def test_from_dict_rejects_bad_values():
         HamiltonianSpec.from_dict({"kind": "QQbar", "dx": [1e308, 0, 0]})
     # finite coefficients pass, however large
     HamiltonianSpec.from_dict({"kind": "Dirac", "m": 1e308, "p": [1e308, 0, 0]})
+
+
+def test_constructor_rejects_overflowing_coefficients():
+    # the same boundary as from_dict: a directly built spec is checked too
+    with pytest.raises(ValueError, match="Dirac spec overflow float64 in 'em'$"):
+        HamiltonianSpec(kind="Dirac", em=EMField(e=1e308, A0=1e308))
+
+
+def test_components_a_kind_does_not_use_never_overflow():
+    # ColorB reads only p3 - e*A3v; p1 - e*A1v overflows, but no coefficient holds it
+    spec = HamiltonianSpec.from_dict(
+        {"kind": "ColorB", "p": [1e308, 0, 1], "em": {"e": 1, "Avec": [-1e308, 0, 0]}})
+    assert np.array_equal(build_hamiltonian(spec), closed_form(spec))
 
 
 @pytest.mark.parametrize(
@@ -462,6 +476,12 @@ def test_conjugation_is_an_involution():
     twice_matrix, twice = conjugate_hamiltonian(once)
     assert twice == spec
     assert np.array_equal(twice_matrix, build_hamiltonian(spec))
+
+
+@given(specs(kinds=("Dirac", "ColorR", "ColorY", "ColorB")))
+def test_field_flip_equals_substitution_chain(spec):
+    # dyadic inputs keep every sum exact, so the two routes agree bit for bit
+    assert np.array_equal(substitution_conjugate(spec), conjugate_hamiltonian(spec)[0])
 
 
 def test_conjugate_rejects_composite_kinds():
