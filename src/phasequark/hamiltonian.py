@@ -32,7 +32,9 @@ With e_c the unit vector of the color axis (R, Y, B = 1, 2, 3):
 
 Every entry of a BASIS matrix is in {0, +-1, +-i} and no entry of H
 collects more than two real terms and one imaginary term, so c . BASIS
-is exact whatever the order of summation.
+is exact whatever the order of summation.  The two real terms meet only
+in the diagonal s +- beta, which a spec's check covers too, so no valid
+spec builds a non-finite matrix.
 
 coefficients() evaluates the table over a leading sample axis: stacked
 m (N,) and p, x, pbar, xbar (N, 3), with an optional EM field and an
@@ -51,13 +53,18 @@ and operators as A'_k = R_kl A_l, B'_k = R_kl B_l, so a rotated
 Hamiltonian is the table at the rotated coordinates with its a- and
 b-blocks pulled back by R^T.  Reflection (conjugation by B) multiplies c
 by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
+
+Spectra are closed form: the generators anticommute and square to 1, so
+with s = c[0], r = |c[1:]| and lam = s^2 + r^2, H^2 = lam*1 + 2s(H - s*1)
+and the eigenvalues are s -+ r, fourfold each, for every kind;
+square_and_spectrum reports them, and no scalar_square where lam overflows.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -201,7 +208,9 @@ class HamiltonianSpec:
             if f.name not in accepted and getattr(self, f.name) != f.default:
                 raise ValueError(f"field {f.name!r} is not valid for kind {self.kind}")
         with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
-            bad = ~np.isfinite(_spec_coefficients(self))
+            c = _spec_coefficients(self)
+            bad = ~np.isfinite(c)
+            bad[[0, 7]] |= not np.isfinite(abs(c[0]) + abs(c[7]))  # the diagonal s +- beta
             if bad.any():  # name each field whose own part of c reaches a bad entry
                 names = [name for name in accepted
                          if np.any(coefficients(self.kind, **{name: getattr(self, name)})[bad] != 0)]
@@ -407,8 +416,13 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
     invariant, so QuarkSum, QQbar and Dirac return the unrotated matrix up
     to roundoff for any rotation; the colored kinds are only invariant
     under rotations about their own color axis, and mix pairwise otherwise.
+    Rotated coefficients that overflow are a ValueError naming the kind.
     """
-    return matrices(_spec_coefficients(spec, rotation_matrix(axis, angle)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by kind
+        c = _spec_coefficients(spec, rotation_matrix(axis, angle))
+    if not np.isfinite(c).all():  # s and beta do not rotate, so the diagonal stays finite
+        raise ValueError(f"rotated coefficients of the {spec.kind} spec overflow float64")
+    return matrices(c)
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +484,6 @@ class DistinctnessReport:
             return True
         slack = 1e-9 * max(1.0, self.margin)
         return self.min_distance > 0.0 and self.min_distance >= self.margin - slack
-
-    def to_dict(self) -> dict:
-        return {
-            "color": self.color,
-            "p": list(self.p),
-            "x": list(self.x),
-            "m": self.m,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "min_distance": self.min_distance,
-            "margin": self.margin,
-            "degenerate": self.degenerate,
-            "reflected_b_coefficients": list(self.reflected_b_coefficients),
-            "target_b_coefficients": list(self.target_b_coefficients),
-            "passed": self.passed,
-        }
 
 
 _ROTATION_BLOCK = 16384  # rotations drawn per block; one block covers the default 10000
@@ -593,7 +591,7 @@ class SpectrumReport:
     scalar_square: float | None
     scalar_residual: float
     hermiticity_residual: float
-    symmetric_about_zero: bool = field(default=False)
+    symmetric_about_zero: bool
 
     def to_dict(self) -> dict:
         return {
@@ -610,38 +608,39 @@ _SCALAR_TOL = 1e-11  # relative tolerance of a scalar square
 
 
 def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
-    """Square the Hamiltonian, detect a scalar square, and diagonalize.
+    """Closed-form square and spectrum of h = c . BASIS (see the module docstring).
 
-    Raises ValueError for non-Hermitian input.  scalar_square is set when
-    H^2 = lam * I within _SCALAR_TOL relative to max(1, |lam|); the
-    eigenvalues then come out as +-sqrt(lam), fourfold each.
+    c = Re(conj(BASIS) h)/8, and an h that c . BASIS does not rebuild within
+    1e-12 max(1, max|h|), non-Hermitian or outside the span, is a ValueError.
+    With s = c[0] and r = |c[1:]| the eigenvalues are s - r, then s + r,
+    fourfold each (one eightfold s when 2r <= 1e-9 max(1, |s + r|)), and
+    scalar_residual = 2|s| max|H - s*1| is max|H^2 - lam*1| exactly.
+    scalar_square is lam = s^2 + r^2 when that residual is within
+    _SCALAR_TOL max(1, lam), and None when lam overflows float64, though
+    the eigenvalues s -+ r are still given.  A numerical diagonalization,
+    in verify, is the independent route.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {h.shape}")
     herm = float(np.abs(h - h.conj().T).max())
-    if herm > 1e-12 * max(1.0, float(np.abs(h).max())):
-        raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+    c = (BASIS.conj() @ (h.ravel() / 8.0)).real  # divided first: no partial sum overflows
+    off = float(np.abs(h - matrices(c)).max())
+    if not off <= 1e-12 * max(1.0, float(np.abs(h).max())):  # NaN fails too
+        raise ValueError(f"matrix is not a Hermitian combination of 1, A1..A3, B1..B3, B "
+                         f"(residual {off:.3e})")
 
-    sq = h @ h
-    lam = float(np.real(np.trace(sq)) / 8.0)
-    resid = float(np.abs(sq - lam * np.eye(8)).max())
-    scalar = lam if resid <= _SCALAR_TOL * max(1.0, abs(lam)) else None
-
-    eig = np.sort(np.linalg.eigvalsh(h))
-    groups: list[list[float]] = []
-    for v in eig:
-        if groups and abs(v - groups[-1][-1]) <= 1e-9 * max(1.0, abs(v)):
-            groups[-1].append(float(v))
-        else:
-            groups.append([float(v)])
-    degs = tuple((float(np.mean(g)), len(g)) for g in groups)
-    sym = bool(np.abs(eig + eig[::-1]).max() <= 1e-10 * max(1.0, float(np.abs(eig).max())))
+    s, r = float(c[0]), math.hypot(*c[1:])
+    lo, hi = s - r, s + r
+    resid = 2.0 * abs(s) * float(np.abs(h - s * np.eye(8)).max())
+    lam = s * s + r * r
+    scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
     return SpectrumReport(
-        eigenvalues=tuple(float(v) for v in eig),
-        degeneracies=degs,
+        eigenvalues=(lo,) * 4 + (hi,) * 4,
+        # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
+        degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
         scalar_square=scalar,
         scalar_residual=resid,
         hermiticity_residual=herm,
-        symmetric_about_zero=sym,
+        symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
     )

@@ -496,7 +496,9 @@ def _check_qqbar_mass_law(rng, samples):
 def _check_spectrum_symmetry(rng, samples):
     worst = 0.0
     m, p, x, pbar, xbar = _random_inputs(rng, 25)
-    for h in matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar)):
+    stack = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
+    # eigvalsh is the second route: it checks the closed form and the +-sqrt(lambda) law
+    for h, eig in zip(stack, np.linalg.eigvalsh(stack)):
         report = square_and_spectrum(h)
         if report.scalar_square is None:
             worst = max(worst, 1.0)
@@ -505,7 +507,8 @@ def _check_spectrum_symmetry(rng, samples):
         target = np.array([-root] * 4 + [root] * 4)
         worst = max(
             worst,
-            float(np.abs(np.array(report.eigenvalues) - target).max()) / max(1.0, root),
+            float(np.abs(eig - target).max()) / max(1.0, root),
+            float(np.abs(np.array(report.eigenvalues) - eig).max()) / max(1.0, root),
         )
         if [n for _, n in report.degeneracies] != [4, 4] and root > 1e-6:
             worst = max(worst, 1.0)

@@ -283,23 +283,39 @@ def test_transform_at_huge_angle_keeps_the_norm(capsys, label, angle):
     assert abs(norm_out - norm_in) <= 1e-12 * norm_in
 
 
-def test_spectrum_of_extreme_spec_is_strict_json(capsys, tmp_path):
-    spec = tmp_path / "extreme.json"
-    spec.write_text(json.dumps({"kind": "Dirac", "m": 1e308, "p": [1e308, 0, 0]}))
-    code, out = run_in_process(capsys, "spectrum", str(spec))
-    assert code in (0, 2)
-    payload = strict_json(out)
-    assert code == 0 or "error" in payload
+# the Dirac file and the three extreme specs of the benchmark's edge probe
+EXTREME_SPECS = [
+    json.loads((DATA / "dirac_extreme.json").read_text()),
+    {"kind": "Dirac", "m": 1e308, "p": [1e308, 0.0, 0.0]},
+    {"kind": "Custom", "a": [1e308, 0.0, 0.0], "b": [0.0, 1e308, 0.0], "beta": 0.0, "scalar": 0.0},
+    {"kind": "ColorR", "m": 1e308, "p": [1e308, 0.0, 0.0], "x": [0.0, 1.0, 1.0]},
+]
+
+
+@pytest.mark.parametrize("spec", EXTREME_SPECS, ids=["dirac-1e200", "dirac", "custom", "color-r"])
+def test_spectrum_of_extreme_specs_is_closed_form(capsys, tmp_path, spec):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(spec))
+    code = main(["spectrum", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    report = strict_json(captured.out)["spectrum"]
+    # s = 0 and r = |(a, b, beta)|: the eigenvalues are -r, fourfold, then +r
+    r = math.hypot(*(v for key in ("p", "x", "a", "b") for v in spec.get(key, ())),
+                   spec.get("m", 0.0), spec.get("beta", 0.0))
+    expected = np.array([-r] * 4 + [r] * 4)
+    assert np.abs(np.array(report["eigenvalues"]) - expected).max() <= 1e-12 * r
+    assert report["scalar_square"] is None  # r^2 overflows float64
 
 
 def test_non_finite_spectrum_names_kind_and_field(tmp_path):
     spec = tmp_path / "extreme.json"
-    spec.write_text(json.dumps({"kind": "Dirac", "m": 1e308, "p": [1e308, 0, 0]}))
+    spec.write_text(json.dumps({"kind": "Custom", "scalar": 1e308, "a": [1e308, 0, 0]}))
     result = run_cli("spectrum", str(spec))
     assert result.returncode == 2
     assert result.stderr == ""
     error = strict_json(result.stdout)["error"]
-    assert "Dirac" in error and "'degeneracies'" in error
+    assert "Custom" in error and "'eigenvalues'" in error
 
 
 def test_spectrum_rest_frame_values():

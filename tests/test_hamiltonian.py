@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from phasequark import clifford as cf
 from phasequark.hamiltonian import (
@@ -196,6 +196,11 @@ def test_constructor_rejects_overflowing_coefficients():
     # the same boundary as from_dict: a directly built spec is checked too
     with pytest.raises(ValueError, match="Dirac spec overflow float64 in 'em'$"):
         HamiltonianSpec(kind="Dirac", em=EMField(e=1e308, A0=1e308))
+    # c is finite, but the diagonal entries s +- beta of H overflow
+    with pytest.raises(ValueError, match="Custom spec overflow float64 in 'beta', 'scalar'$"):
+        HamiltonianSpec(kind="Custom", scalar=1e308, beta=1e308)
+    with pytest.raises(ValueError, match="Dirac spec overflow float64 in 'm', 'em'$"):
+        HamiltonianSpec(kind="Dirac", m=1e308, em=EMField(e=-1.0, A0=1e308))
 
 
 def test_components_a_kind_does_not_use_never_overflow():
@@ -430,6 +435,13 @@ def test_rotate_rejects_custom():
         rotate_hamiltonian(HamiltonianSpec(kind="Custom"), 3, 0.5)
 
 
+def test_rotate_rejects_overflowing_coefficients():
+    # R p = (2.1e308, 0, 0) overflows, although p itself is finite
+    spec = HamiltonianSpec(kind="Dirac", p=(1.5e308, 1.5e308, 0.0))
+    with pytest.raises(ValueError, match="rotated coefficients of the Dirac spec overflow"):
+        rotate_hamiltonian(spec, 3, math.pi / 4)
+
+
 # -- conjugation ----------------------------------------------------------
 
 
@@ -628,6 +640,35 @@ def test_dirac_rest_spectrum():
 def test_spectrum_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         square_and_spectrum(np.triu(np.ones((8, 8))))
+
+
+@pytest.mark.parametrize("h", [np.diag(np.arange(8.0)), np.full((8, 8), np.nan)],
+                         ids=["outside-basis-span", "nan"])
+def test_spectrum_rejects_matrices_outside_the_basis_span(h):
+    with pytest.raises(ValueError, match="Hermitian"):
+        square_and_spectrum(h)
+
+
+def test_spectrum_flags_agree_with_eigenvalues_when_s_plus_r_overflows():
+    h = build_hamiltonian(HamiltonianSpec(kind="Custom", scalar=1e308, a=(1e308, 0.0, 0.0)))
+    report = square_and_spectrum(h)
+    assert report.eigenvalues == (0.0,) * 4 + (math.inf,) * 4
+    assert report.degeneracies == ((0.0, 4), (math.inf, 4))
+    assert not report.symmetric_about_zero
+    assert report.scalar_square is None
+
+
+@settings(max_examples=300)
+@given(specs(number=finite))
+def test_closed_form_spectrum_matches_eigvalsh(spec):
+    h = build_hamiltonian(spec)
+    report = square_and_spectrum(h)
+    eig = np.linalg.eigvalsh(h)  # ascending, as the closed form lists s - r, then s + r
+    scale = max(1.0, float(np.abs(eig).max()))  # |s| + r
+    assert np.abs(np.array(report.eigenvalues) - eig).max() <= 1e-12 * scale
+    lam = float(eig @ eig) / 8.0
+    assert abs(report.scalar_residual - np.abs(h @ h - lam * np.eye(8)).max()) <= 1e-12 * scale**2
+    assert report.hermiticity_residual == 0.0
 
 
 def test_em_breaks_spectral_symmetry_but_not_hermiticity():
