@@ -8,7 +8,7 @@ The package has five layers:
 - clifford:   the seven mutually anticommuting 8x8 involutions built from
   threefold Pauli tensor products, charge conjugation, and gamma5.
 - hamiltonian: Dirac/colored/composite Hamiltonians, rotations, charge
-  conjugation, distinctness search, spectra.
+  conjugation, exact antiparticle distinctness, spectra.
 - pauli_expr: an exact symbolic expression algebra over the same tensor
   basis with a small text grammar.
 - verify/cli: named verification suites and the command-line front end.

@@ -5,7 +5,8 @@ is deterministic JSON (or CSV for matrix export): identical invocations
 with the same --seed produce byte-identical bytes.  Exit codes: 0 when
 every check passes / the command succeeds, 1 when a verification check
 fails, 2 for usage or input errors (malformed flags, unknown labels,
-unreadable or invalid spec files).
+unreadable or invalid spec files), each reported as a JSON object
+{"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -74,8 +75,15 @@ def _load_spec(path: str) -> HamiltonianSpec:
     return HamiltonianSpec.from_dict(data)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors reach main as ValueError (exit 2, JSON)."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasequark",
         description="Exact checks and transforms for the phase-space "
         "generator algebra and its 8x8 Dirac-style Hamiltonians.",
@@ -88,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override every check tolerance")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--samples", type=int, default=None,
-                          help="sample count for the distinctness search, at most 10^7")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
@@ -121,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.suite, tol=args.tol, seed=args.seed, samples=args.samples)
+    report = run_suite(args.suite, tol=args.tol, seed=args.seed)
     _emit(dump_json(report.to_dict()), args.out)
     return 0 if report.passed else 1
 
@@ -211,8 +217,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         return _emit_error(str(exc))

@@ -57,7 +57,9 @@ by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
 Spectra are closed form: the generators anticommute and square to 1, so
 with s = c[0], r = |c[1:]| and lam = s^2 + r^2, H^2 = lam*1 + 2s(H - s*1)
 and the eigenvalues are s -+ r, fourfold each, for every kind;
-square_and_spectrum reports them, and no scalar_square where lam overflows.
+square_and_spectrum reports them, and no scalar_square or scalar_residual
+where that value overflows.  Antiparticle distinctness is exact too: its
+minimum over O(3) is the lowest eigenvalue of a 3x3 form read off the table.
 """
 
 from __future__ import annotations
@@ -464,15 +466,14 @@ def coefficient_pattern(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, 
 
 @dataclass(frozen=True)
 class DistinctnessReport:
-    """Outcome of the antiparticle distinctness search for one color."""
+    """Outcome of the antiparticle distinctness check for one color."""
 
     color: str
     p: tuple[float, float, float]
     x: tuple[float, float, float]
     m: float
-    n_samples: int
-    seed: int
     min_distance: float
+    minimizer: tuple[float, float, float]
     margin: float
     degenerate: bool
     reflected_b_coefficients: tuple[float, float, float]
@@ -486,29 +487,11 @@ class DistinctnessReport:
         return self.min_distance > 0.0 and self.min_distance >= self.margin - slack
 
 
-_ROTATION_BLOCK = 16384  # rotations drawn per block; one block covers the default 10000
-
-
-def _quaternion_row(rng: np.random.Generator, n: int, axis: int) -> tuple[np.ndarray, ...]:
-    """Row `axis` of n rotations from uniform unit quaternions, as its three
-    columns; the quaternions are normalized as np.linalg.norm over rows does."""
-    w, xq, yq, zq = rng.normal(size=(n, 4)).T
-    norm = np.sqrt(w * w + xq * xq + yq * yq + zq * zq)
-    w, xq, yq, zq = (v / norm for v in (w, xq, yq, zq))
-    if axis == 0:
-        return (1 - 2 * (yq * yq + zq * zq), 2 * (xq * yq - zq * w), 2 * (xq * zq + yq * w))
-    if axis == 1:
-        return (2 * (xq * yq + zq * w), 1 - 2 * (xq * xq + zq * zq), 2 * (yq * zq - xq * w))
-    return (2 * (xq * zq - yq * w), 2 * (yq * zq + xq * w), 1 - 2 * (xq * xq + yq * yq))
-
-
 def antiparticle_distinctness_check(
     color: str = "R",
     p: Sequence[float] = (1.0, 0.0, 0.0),
     x: Sequence[float] = (0.0, 1.0, 1.0),
     m: float = 1.0,
-    n_samples: int = 10000,
-    seed: int = 1729,
 ) -> DistinctnessReport:
     """Show no rotation or reflection carries Anti(color) onto Color(color).
 
@@ -518,50 +501,51 @@ def antiparticle_distinctness_check(
     the Euclidean norm of the difference of their 7 coefficients (A1..A3,
     B1..B3, B), which equals the operator distance in the normalized trace
     inner product <X, Y> = tr(X^+ Y)/8 because the seven generators are
-    orthonormal.
+    orthonormal.  The s and B coefficients (0 and m) agree on both sides,
+    so only the a- and b-blocks count.
 
-    Reflections need no pass of their own.  Reflection is conjugation by B
+    The minimum over all of O(3) is exact.  Each Anti mask is
+    alpha + beta e_c e_c^T, so with u = R^T e_c, the color-axis row of R,
+    the rotated block is alpha v + beta u (u.v) for v = p or x.  Against
+    the Color target t the block difference is g + beta u (u.v) with
+    g = alpha v - t, and on |u| = 1 its square is
+        |g|^2 + u^T (beta^2 v v^T + beta (v g^T + g v^T)) u.
+    Summed over both blocks, d^2 = const + u^T Q u, whose minimum over the
+    unit sphere is reached at the eigenvector u of the lowest eigenvalue
+    of the 3x3 matrix Q.  Every unit u is the color-axis row of some
+    rotation, so min_distance, the norm of the two block differences at
+    that u (a sum of squares, free of cancellation), is the minimum.
+
+    Reflections reach no other distance.  Reflection is conjugation by B
     (the sign mask REFLECT_SIGNS on c, which negates the a- and b-blocks)
     together with p -> -p, x -> -x, which negates them back: the reflected
-    distances are the rotated ones float for float.  Likewise the distance
-    depends on R only through u, its color-axis row, and Phi and Psi are
-    quadratic in u, so an improper -R reaches the same distance as R.
+    distances are the rotated ones float for float.  An improper -R has
+    the row -u, and d is even in u, so it reaches the same distance as R.
 
     For every rotation the position block satisfies
         |R^T Psi_anti R x - Psi_color x| >= |P_c x|^2 / |x|,
-    the documented margin (P_c projects off the color axis).  The check
-    samples n_samples quaternion rotations and reports the minimum sampled
-    distance next to that margin.
+    the documented margin (P_c projects off the color axis), reported
+    next to the minimum.
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
     axis = _COLOR_AXIS[color]
     anti = HamiltonianSpec(kind=f"Anti{color}", m=m, p=p, x=x)
+    row = _TABLE[anti.kind]
     target = _spec_coefficients(HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x))
-    pv, xv = np.array(anti.p), np.array(anti.x)
-    # The s and B coefficients (0 and m) agree on both sides, so only the
-    # a-block R^T Phi_a R p = u (u.p) and the b-block R^T Psi_a R x =
-    # -x + u (u.x) count.  On the columns of u, their squares are summed
-    # as (a1^2 + a2^2 + a3^2) + (b1^2 + b2^2 + b3^2), a row-wise sum's order.
-    ta, tb, xs = target[1:4].tolist(), target[4:7].tolist(), anti.x
-    rng = np.random.default_rng(seed)
-    d2_min = math.inf
-    # the blocks continue one normal stream, so they draw the rotations of
-    # a single n_samples draw in a fixed amount of memory
-    for start in range(0, n_samples, _ROTATION_BLOCK):
-        cols = _quaternion_row(rng, min(_ROTATION_BLOCK, n_samples - start), axis)
-        u = np.stack(cols, axis=1)
-        up, ux = u @ pv, u @ xv
-        a2 = b2 = 0.0
-        for col, t_a, x_k, t_b in zip(cols, ta, xs, tb):
-            a2 = a2 + (col * up - t_a) ** 2
-            b2 = b2 + (col * ux - x_k - t_b) ** 2
-        d2_min = min(d2_min, float((a2 + b2).min()))
-    d_min = math.sqrt(d2_min)
+    blocks, q = [], np.zeros((3, 3))
+    for mask, v, t in ((row.phi, anti.p, target[1:4]), (row.psi, anti.x, target[4:7])):
+        v = np.array(v)
+        alpha = mask[axis - 1]  # an off-axis entry
+        beta = mask[axis] - alpha
+        g = alpha * v - t
+        q += beta * beta * np.outer(v, v) + beta * (np.outer(v, g) + np.outer(g, v))
+        blocks.append((beta, v, g))
+    u = np.linalg.eigh(q)[1][:, 0]
+    diff = np.concatenate([g + beta * (u @ v) * u for beta, v, g in blocks])
+    d_min = math.sqrt(float(diff @ diff))
 
-    xnorm = float(np.linalg.norm(xv))
+    xnorm = float(np.linalg.norm(anti.x))
     target_b = target[4:7]
     margin = 0.0 if xnorm == 0.0 else float(target_b @ target_b) / xnorm
     return DistinctnessReport(
@@ -569,9 +553,8 @@ def antiparticle_distinctness_check(
         p=anti.p,
         x=anti.x,
         m=anti.m,
-        n_samples=int(n_samples),
-        seed=int(seed),
         min_distance=d_min,
+        minimizer=tuple(float(v) for v in u),
         margin=margin,
         degenerate=(margin == 0.0),
         reflected_b_coefficients=tuple(float(v) for v in _spec_coefficients(anti)[4:7]),
@@ -589,7 +572,7 @@ class SpectrumReport:
     eigenvalues: tuple[float, ...]
     degeneracies: tuple[tuple[float, int], ...]
     scalar_square: float | None
-    scalar_residual: float
+    scalar_residual: float | None
     hermiticity_residual: float
     symmetric_about_zero: bool
 
@@ -616,7 +599,7 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
     fourfold each (one eightfold s when 2r <= 1e-9 max(1, |s + r|)), and
     scalar_residual = 2|s| max|H - s*1| is max|H^2 - lam*1| exactly.
     scalar_square is lam = s^2 + r^2 when that residual is within
-    _SCALAR_TOL max(1, lam), and None when lam overflows float64, though
+    _SCALAR_TOL max(1, lam).  Each is None when it overflows float64, though
     the eigenvalues s -+ r are still given.  A numerical diagonalization,
     in verify, is the independent route.
     """
@@ -640,7 +623,7 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
         # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
         degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
         scalar_square=scalar,
-        scalar_residual=resid,
+        scalar_residual=resid if math.isfinite(resid) else None,
         hermiticity_residual=herm,
         symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
     )

@@ -7,7 +7,8 @@ every default tolerance, which is also how tolerance plumbing is tested
 (an unreachable tolerance such as 1e-30 must turn honest floating-point
 checks into failures).  All randomness is drawn from numpy Generators
 seeded with (seed, stable-check-id), so reports are byte-identical for a
-fixed seed.
+fixed seed.  Antiparticle distinctness draws nothing: it checks the exact
+minimum over O(3) against the distance form rebuilt from the table.
 
 Checks work on stacks, not one matrix at a time.  The composite and
 rotation checks, the mixing law over its rotations included, build each
@@ -49,7 +50,6 @@ __all__ = ["CheckResult", "VerificationReport", "run_suite", "substitution_conju
 
 SUITES = ("su3", "clifford", "rotation", "conjugation", "composite")
 DEFAULT_SEED = 1729
-MAX_SAMPLES = 10**7  # the distinctness search then takes about 4 s on one core
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _random_spec(rng: np.random.Generator, kind: str) -> HamiltonianSpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_commutator_table(rng, samples):
+def _check_commutator_table(rng):
     ok, max_residual, rows = phase_space.verify_su3_table()
     nonzero = sum(
         1 for row in rows if any(abs(c) > 1e-9 for c in row["coefficients"])
@@ -157,14 +157,14 @@ def _check_commutator_table(rng, samples):
                           "table_consistent": ok}
 
 
-def _check_jacobi(rng, samples):
+def _check_jacobi(rng):
     a, b, c = _F[rng.integers(0, 8, size=(50, 3)).T]
     comm = phase_space.commutator6
     acc = comm(comm(a, b), c) + comm(comm(b, c), a) + comm(comm(c, a), b)
     return _maxabs(acc), {"triples": 50}
 
 
-def _check_centrality(rng, samples):
+def _check_centrality(rng):
     return _maxabs(phase_space.commutator6(_R6, _F)), {"generators": 8}
 
 
@@ -176,7 +176,7 @@ def _by_generator(draws: list[tuple]):
         yield _F9[g], [v[index == g] for v in values]
 
 
-def _check_group_membership(rng, samples):
+def _check_group_membership(rng):
     worst = 0.0
     for g in _F9:
         m = phase_space.exp_generator(g, rng.uniform(-3.1, 3.1, size=10))
@@ -186,7 +186,7 @@ def _check_group_membership(rng, samples):
     return (max(worst, 1.0) if worst > 1e-12 else worst), {"matrices": 10 * len(_F9)}
 
 
-def _check_group_additivity(rng, samples):
+def _check_group_additivity(rng):
     draws = [(rng.integers(0, 8), *rng.uniform(-2.0, 2.0, size=2)) for _ in range(20)]
     worst = 0.0
     for g, (t1, t2) in _by_generator(draws):
@@ -195,7 +195,7 @@ def _check_group_additivity(rng, samples):
     return worst, {"samples": 20}
 
 
-def _check_quadratic_form(rng, samples):
+def _check_quadratic_form(rng):
     draws = [
         (rng.integers(0, 9), rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0, size=6))
         for _ in range(100)
@@ -210,20 +210,20 @@ def _check_quadratic_form(rng, samples):
     return worst, {"vectors": 100}
 
 
-def _check_reflection_square(rng, samples):
+def _check_reflection_square(rng):
     recip = phase_space.exp_generator(_R6, math.pi / 2.0)
     reflection = phase_space.exp_generator(_R6, math.pi)
     worst = max(_maxabs(recip @ recip - reflection), _maxabs(reflection + _I6))
     return worst, {"convention": "exp((pi/2) R) maps (p, x) to (-x, p)"}
 
 
-def _check_pairing_symplectic(rng, samples):
+def _check_pairing_symplectic(rng):
     tags = ("Standard", "R", "Y", "B", "Even(R)")
     m = np.stack([phase_space.pairing(tag).matrix() for tag in tags])
     return _maxabs(m.swapaxes(1, 2) @ _J6 @ m - _J6), {"tags": list(tags)}
 
 
-def _check_pairing_from_rotation(rng, samples):
+def _check_pairing_from_rotation(rng):
     worst = 0.0
     found = {}
     for color in "RYB":
@@ -238,7 +238,7 @@ def _check_pairing_from_rotation(rng, samples):
     return worst, found
 
 
-def _check_pairing_from_diagonal(rng, samples):
+def _check_pairing_from_diagonal(rng):
     worst = 0.0
     found = {}
     for color in "RYB":
@@ -262,11 +262,11 @@ def _anticommutation_residual(gammas: np.ndarray) -> float:
     return _maxabs(clifford.anticommutator(gammas[:, None], gammas[None]) - target)
 
 
-def _check_anticommutation(rng, samples):
+def _check_anticommutation(rng):
     return _anticommutation_residual(_GAMMA), {"generators": list(clifford.GENERATOR_NAMES)}
 
 
-def _check_hermitian_involution(rng, samples):
+def _check_hermitian_involution(rng):
     g = _GAMMA
     worst = max(_maxabs(g - g.conj().swapaxes(1, 2)), _maxabs(g @ g - _I8))
     if not np.isin(g, [0, 1, -1, 1j, -1j]).all():
@@ -274,13 +274,13 @@ def _check_hermitian_involution(rng, samples):
     return worst, {"entry_set": "0, +-1, +-i"}
 
 
-def _check_conjugation_identities(rng, samples):
+def _check_conjugation_identities(rng):
     c, ops = _C8, _GAMMA[:6]
     worst = max(_maxabs(c @ _B8 @ -c + _B8), _maxabs(c @ np.conj(ops) @ -c - ops))
     return worst, {"tau": "s2"}
 
 
-def _check_tau_uniqueness(rng, samples):
+def _check_tau_uniqueness(rng):
     expected = {"s0": [1, 3], "s1": [1, 2], "s2": [], "s3": [2, 3]}
     scan = clifford.charge_conjugation_tau_scan()
     failures = {tau: sorted(ks) for tau, ks in scan.items()}
@@ -288,7 +288,7 @@ def _check_tau_uniqueness(rng, samples):
     return residual, {"failing_Bk_indices": failures}
 
 
-def _check_gamma5(rng, samples):
+def _check_gamma5(rng):
     """The table's chiralities against -i A1 A2 A3 and -i A_c B_u B_v by matmul."""
     c, u, v = [0, 1, 2], [1, 2, 0], [2, 0, 1]  # R, Y, B
     products = -1j * np.stack([_A8[0] @ _A8[1] @ _A8[2], *(_A8[c] @ _BK8[u] @ _BK8[v])])
@@ -302,7 +302,7 @@ def _check_gamma5(rng, samples):
     return worst, {"colored": ["R", "Y", "B"]}
 
 
-def _check_random_basis_similarity(rng, samples):
+def _check_random_basis_similarity(rng):
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
@@ -315,7 +315,7 @@ def _check_random_basis_similarity(rng, samples):
 # ---------------------------------------------------------------------------
 
 
-def _check_mixing_law(rng, samples):
+def _check_mixing_law(rng):
     p = rng.uniform(-2.0, 2.0, size=3)
     x = rng.uniform(-2.0, 2.0, size=3)
     fields = {"m": float(rng.uniform(0.0, 2.0)), "p": p, "x": x}
@@ -331,7 +331,7 @@ def _check_mixing_law(rng, samples):
     return worst, {"angles": 10}
 
 
-def _check_color_axis_invariance(rng, samples):
+def _check_color_axis_invariance(rng):
     worst = 0.0
     for color, axis in (("R", 1), ("Y", 2), ("B", 3)):
         m, p, x, _, _ = _random_inputs(rng, 1)
@@ -363,11 +363,11 @@ def _rotation_invariance(rng, kind: str, n: int) -> float:
     return _maxabs(h - matrices(coefficients(kind, rot=np.stack(rots), **fields)))
 
 
-def _check_full_sum_invariance(rng, samples):
+def _check_full_sum_invariance(rng):
     return _rotation_invariance(rng, "QuarkSum", 20), {"samples": 20}
 
 
-def _check_qqbar_invariance(rng, samples):
+def _check_qqbar_invariance(rng):
     return _rotation_invariance(rng, "QQbar", 20), {"samples": 20}
 
 
@@ -387,7 +387,7 @@ def substitution_conjugate(spec: HamiltonianSpec) -> np.ndarray:
     return _C8 @ -np.conj(flipped_p) @ -_C8
 
 
-def _check_c_matrix(rng, samples):
+def _check_c_matrix(rng):
     c = _C8
     worst = max(_maxabs(c @ c + _I8), _maxabs(np.imag(c)))
     signed_perm = np.all(np.sum(np.abs(c) > 0, axis=0) == 1) and np.all(
@@ -398,7 +398,7 @@ def _check_c_matrix(rng, samples):
     return worst, {"square": "-identity", "real_signed_permutation": bool(signed_perm)}
 
 
-def _check_colored_closed_forms(rng, samples):
+def _check_colored_closed_forms(rng):
     worst = 0.0
     for color in "RYB":
         spec = _random_spec(rng, f"Color{color}")
@@ -409,7 +409,7 @@ def _check_colored_closed_forms(rng, samples):
     return worst, {"colors": ["R", "Y", "B"]}
 
 
-def _check_conjugation_involution(rng, samples):
+def _check_conjugation_involution(rng):
     worst = 0.0
     specs = [_random_spec(rng, k) for k in ("ColorR", "ColorY", "ColorB", "Dirac")]
     specs.append(
@@ -428,7 +428,7 @@ def _check_conjugation_involution(rng, samples):
     return worst, {"specs": len(specs)}
 
 
-def _check_dirac_em(rng, samples):
+def _check_dirac_em(rng):
     worst = 0.0
     for _ in range(5):
         em = EMField(
@@ -454,23 +454,42 @@ def _check_dirac_em(rng, samples):
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
 
-def _check_distinctness(rng, samples):
-    n = 10000 if samples is None else int(samples)
-    worst = 0.0
-    details = {}
-    for index, color in enumerate("RYB"):
-        report = antiparticle_distinctness_check(
-            color=color, n_samples=n, seed=DEFAULT_SEED + index
-        )
-        gap = max(0.0, report.margin - report.min_distance)
-        if report.margin <= 0.0:
-            gap = max(gap, 1.0)
-        worst = max(worst, gap)
-        details[color] = {
-            "min_distance": report.min_distance,
-            "margin": report.margin,
-            "samples": report.n_samples,
-        }
+_I3 = np.eye(3)
+_PI, _PJ = [0, 0, 1], [1, 2, 2]  # the pairs (i, j) of the probe rows (e_i + e_j)/sqrt(2)
+_PROBES = np.concatenate([_I3, (_I3[_PI] + _I3[_PJ]) / math.sqrt(2.0)])
+
+
+def _check_distinctness(rng):
+    """The exact minimum of antiparticle_distinctness_check, checked from the table.
+
+    d^2, the squared distance of Anti(c) in a frame to Color(c), is u^T M u in
+    the frame's color-axis row u.  One coefficients call gives d^2 at frames
+    whose row is the minimizer or one of six probes.  The minimizer must
+    attain min_distance, and M by polarization, M_ii = d^2(e_i) and M_ij =
+    d^2((e_i + e_j)/sqrt(2)) - (M_ii + M_jj)/2, must have min_distance^2 as
+    its lowest eigenvalue; both residuals join the margin gap.
+    """
+    worst, details = 0.0, {}
+    for axis, color in enumerate("RYB"):
+        report = antiparticle_distinctness_check(color)
+        u = np.array(report.minimizer)
+        # minus the Householder reflection along e_axis + r is a rotation whose
+        # color-axis row is r, for a unit r with r[axis] >= 0 (d is even in u)
+        v = np.concatenate([[u if u[axis] >= 0.0 else -u], _PROBES]) + _I3[axis]
+        frames = 2.0 * v[:, :, None] * v[:, None, :] / (v * v).sum(axis=1)[:, None, None] - _I3
+        fields = {"m": report.m, "p": report.p, "x": report.x}
+        diff = (coefficients(f"Anti{color}", rot=frames, **fields)
+                - coefficients(f"Color{color}", **fields))
+        d2 = (diff * diff).sum(axis=1)
+        form = np.diag(d2[1:4])
+        form[_PI, _PJ] = form[_PJ, _PI] = d2[4:] - (d2[1:4][_PI] + d2[1:4][_PJ]) / 2.0
+        attained = abs(math.sqrt(d2[0]) - report.min_distance)
+        minimal = (abs(np.linalg.eigvalsh(form)[0] - report.min_distance ** 2)
+                   / max(1.0, float(np.trace(form))))
+        # a zero margin proves nothing, so it fails at any tolerance below 1
+        gap = 1.0 if report.margin <= 0.0 else max(0.0, report.margin - report.min_distance)
+        worst = max(worst, gap, attained, float(minimal))
+        details[color] = {"min_distance": report.min_distance, "margin": report.margin}
     return worst, details
 
 
@@ -479,21 +498,21 @@ def _check_distinctness(rng, samples):
 # ---------------------------------------------------------------------------
 
 
-def _check_quark_sum_square(rng, samples):
+def _check_quark_sum_square(rng):
     m, p, x, _, _ = _random_inputs(rng, 200)
     h = matrices(coefficients("QuarkSum", m=m, p=p, x=x))
     lam = _sq3(p) + 4.0 * _sq3(x) + 9.0 * m * m
     return _worst_scalar_residual(h, lam), {"samples": 200}
 
 
-def _check_qqbar_mass_law(rng, samples):
+def _check_qqbar_mass_law(rng):
     m, p, x, pbar, xbar = _random_inputs(rng, 200)
     h = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
     lam = _sq3(p + pbar) + 4.0 * _sq3(x - xbar) + 36.0 * m * m
     return _worst_scalar_residual(h, lam), {"samples": 200}
 
 
-def _check_spectrum_symmetry(rng, samples):
+def _check_spectrum_symmetry(rng):
     worst = 0.0
     m, p, x, pbar, xbar = _random_inputs(rng, 25)
     stack = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
@@ -515,7 +534,7 @@ def _check_spectrum_symmetry(rng, samples):
     return worst, {"samples": 25, "pattern": "+-sqrt(lambda) with multiplicity 4"}
 
 
-def _check_sum_route_equality(rng, samples):
+def _check_sum_route_equality(rng):
     m, p, x, pbar, xbar = _random_inputs(rng, 100)
     # the samples alternate QuarkSum, QQbar
     quark = {"m": m[0::2], "p": p[0::2], "x": x[0::2]}
@@ -527,7 +546,7 @@ def _check_sum_route_equality(rng, samples):
     return worst, {"samples": 50, "kinds": ["QuarkSum", "QQbar"]}
 
 
-def _check_translation_invariance(rng, samples):
+def _check_translation_invariance(rng):
     grids, masses = [], []
     for _ in range(30):
         grids.append(rng.integers(-32, 33, size=15) / 8.0)  # dyadic grid keeps sums exact
@@ -548,7 +567,7 @@ def _check_translation_invariance(rng, samples):
                    "witness_change": witness}
 
 
-def _check_rest_frame(rng, samples):
+def _check_rest_frame(rng):
     spec = HamiltonianSpec.from_dict({"kind": "QQbar", "P": [0, 0, 0], "dx": [0, 0, 0], "m": 1})
     report = square_and_spectrum(build_hamiltonian(spec))
     worst = abs((report.scalar_square or 0.0) - 36.0)
@@ -558,7 +577,7 @@ def _check_rest_frame(rng, samples):
                    "degeneracies": [[v, n] for v, n in report.degeneracies]}
 
 
-def _check_chirality_breaking(rng, samples):
+def _check_chirality_breaking(rng):
     g5 = clifford.build_gamma5()
     x = rng.uniform(-2.0, 2.0, size=3)
     m = float(rng.uniform(0.5, 2.0))
@@ -577,10 +596,8 @@ def _check_chirality_breaking(rng, samples):
 # registry and runner
 # ---------------------------------------------------------------------------
 
-_CheckFn = Callable[[np.random.Generator, int | None], tuple[float, dict]]
-
 # (name, stable rng stream id, default tolerance, function)
-_REGISTRY: dict[str, list[tuple[str, int, float, _CheckFn]]] = {
+_REGISTRY: dict[str, list[tuple[str, int, float, Callable]]] = {
     "su3": [
         ("su3/commutator-table", 10, 1e-12, _check_commutator_table),
         ("su3/jacobi-identity", 11, 1e-12, _check_jacobi),
@@ -630,7 +647,6 @@ def run_suite(
     suite: str,
     tol: float | None = None,
     seed: int = DEFAULT_SEED,
-    samples: int | None = None,
 ) -> VerificationReport:
     """Run one named suite (or "all") and collect CheckResults."""
     if suite == "all":
@@ -639,13 +655,6 @@ def run_suite(
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
-    if samples is not None:
-        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
-            raise ValueError(f"samples must be an integer, got {samples!r}")
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        if samples > MAX_SAMPLES:
-            raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
@@ -654,7 +663,7 @@ def run_suite(
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:
             rng = np.random.default_rng([seed, stream])
-            residual, details = fn(rng, samples)
+            residual, details = fn(rng)
             tolerance = default_tol if tol is None else float(tol)
             checks.append(
                 CheckResult(

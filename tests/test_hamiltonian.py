@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,7 +513,7 @@ def test_coefficient_pattern_projectors():
 
 
 def test_distinctness_generic_case():
-    report = antiparticle_distinctness_check("R", n_samples=4000, seed=11)
+    report = antiparticle_distinctness_check("R")
     assert report.margin == pytest.approx(math.sqrt(2.0))
     assert report.min_distance >= report.margin - 1e-9
     assert report.passed
@@ -525,16 +524,14 @@ def test_distinctness_generic_case():
 
 
 def test_distinctness_degenerate_case():
-    report = antiparticle_distinctness_check("R", p=(0, 0, 0), x=(0, 0, 0), m=1.0,
-                                             n_samples=100, seed=3)
+    report = antiparticle_distinctness_check("R", p=(0, 0, 0), x=(0, 0, 0), m=1.0)
     assert report.degenerate
     assert report.margin == 0.0
     assert report.min_distance == pytest.approx(0.0)
 
 
 def full_stack_rows(color, n, seed):
-    """Row `color` of the whole (n, 3, 3) quaternion rotation stack at once:
-    the reference for the block-wise draw of one row."""
+    """Row `color` of n rotations from uniform unit quaternions."""
     q = np.random.default_rng(seed).normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     w, xq, yq, zq = q.T
@@ -564,15 +561,6 @@ DISTINCTNESS_CASES = [("R", (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
                       ("B", (-1.0, 2.0, 0.75), (0.5, -1.0, 1.5))]
 
 
-@pytest.mark.parametrize("n", [1, 10001, 25000])
-@pytest.mark.parametrize("color,p,x", DISTINCTNESS_CASES)
-def test_distinctness_blocks_equal_the_full_stack(color, p, x, n):
-    report = antiparticle_distinctness_check(color, p=p, x=x, m=1.0, n_samples=n, seed=5)
-    pv, xv = np.array(p), np.array(x)
-    u = full_stack_rows(color, n, seed=5)
-    assert report.min_distance == float(row_distances(color, u, p, x, pv, xv, np.ones(8)).min())
-
-
 @pytest.mark.parametrize("seed", [1729, 1, 2])
 @pytest.mark.parametrize("color,p,x", DISTINCTNESS_CASES + [
     ("R", (0.3, -1.2, 0.7), (1.1, 0.4, -0.9)),
@@ -589,22 +577,33 @@ def test_reflected_distances_equal_rotated_distances(color, p, x, seed):
     assert np.array_equal(rotated, reflected)
 
 
-def test_distinctness_memory_does_not_grow_with_samples():
-    tracemalloc.start()
-    try:
-        report = antiparticle_distinctness_check("R", n_samples=1_000_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20_000_000
+def test_distinctness_default_minima_are_exact():
+    # R: u = (0, 1, 1)/sqrt(2) gives sqrt(3); Y, B: 3 - sqrt(5) at a golden-ratio u
+    expected = {"R": math.sqrt(3.0), "Y": math.sqrt(3.0 - math.sqrt(5.0)),
+                "B": math.sqrt(3.0 - math.sqrt(5.0))}
+    for color, value in expected.items():
+        report = antiparticle_distinctness_check(color)
+        assert abs(report.min_distance - value) <= 1e-15
+        assert report.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(color=st.sampled_from("RYB"), p=vec3, x=vec3,
+       x_case=st.sampled_from(["free", "on the color axis", "zero"]))
+def test_distinctness_minimum_is_below_every_sampled_rotation(color, p, x, x_case):
+    axis = "RYB".index(color)
+    if x_case != "free":
+        x = tuple(v if k == axis and x_case != "zero" else 0.0 for k, v in enumerate(x))
+    report = antiparticle_distinctness_check(color, p=p, x=x)
     assert report.passed
+    pv, xv = np.array(p), np.array(x)
+    sampled = row_distances(color, full_stack_rows(color, 20000, seed=5), p, x, pv, xv, np.ones(8))
+    assert sampled.min() >= report.min_distance - 1e-12 * max(1.0, pv @ pv + xv @ xv)
 
 
 def test_distinctness_validates_inputs():
     with pytest.raises(ValueError):
         antiparticle_distinctness_check("W")
-    with pytest.raises(ValueError):
-        antiparticle_distinctness_check("R", n_samples=0)
 
 
 # -- spectra ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package imports exactly what pyproject.toml declares, and no SciPy."""
+"""The package imports exactly what pyproject.toml declares, no SciPy, and no
+numpy.random on the CLI's import path."""
 
 import ast
 import os
@@ -34,6 +35,12 @@ def test_imports_match_declared_dependencies():
     assert _third_party_imports() == declared
 
 
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
 def test_verify_runs_with_scipy_blocked():
     code = (
         "import sys\n"
@@ -41,10 +48,12 @@ def test_verify_runs_with_scipy_blocked():
         "from phasequark.cli import main\n"
         "sys.exit(main(['verify']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+    result = _run_python(code)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_cli_import_does_not_load_numpy_random():
+    result = _run_python("import sys, phasequark.cli; print('numpy.random' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
