@@ -9,26 +9,36 @@ Every Hamiltonian is H = c . BASIS for one real 8-vector of coefficients
 c = (s, a1..a3, b1..b3, beta) on BASIS = {1, A1..A3, B1..B3, B}, the
 identity and the seven generators of phasequark.clifford, which are
 orthonormal under <X, Y> = tr(X^+ Y)/8 and mutually anticommuting.  One
-table row per kind holds the spec fields it accepts, diagonal masks Phi
-and Psi and a mass factor mu, and every kind reads
+table row per kind holds the spec fields it accepts, the masks Phi and
+Psi and a mass factor mu, and every kind reads
 
     c = (scalar + e*A0, a + Phi(p + pbar - e*Avec), b + Psi(x - xbar), beta + mu*m)
 
 with (e, A0, Avec) the optional EM field; the fields a kind does not
 accept stay zero, so Custom passes (scalar, a, b, beta) through unchanged.
-With e_c the unit vector of the color axis (R, Y, B = 1, 2, 3):
+Each mask is alpha + beta e_c e_c^T, with e_c the unit vector of the
+row's color axis (R, Y, B = 1, 2, 3), and the table gives (alpha, beta):
 
-    kind      Phi  Psi        mu  closed form
-    Dirac     1    0          1   A.(p - e*Avec) + B m + e*A0
-    ColorR    e1   1 - e1     1   A1(p1 - e*A1v) + B2 x2 + B3 x3 + B m + e*A0
-    ColorY    e2   1 - e2     1   B1 x1 + A2(p2 - e*A2v) + B3 x3 + B m + e*A0
-    ColorB    e3   1 - e3     1   B1 x1 + B2 x2 + A3(p3 - e*A3v) + B m + e*A0
-    AntiR     e1   -(1 - e1)  1   A1 p1 - B2 x2 - B3 x3 + B m
-    AntiY     e2   -(1 - e2)  1   -B1 x1 + A2 p2 - B3 x3 + B m
-    AntiB     e3   -(1 - e3)  1   -B1 x1 - B2 x2 + A3 p3 + B m
-    QuarkSum  1    2          3   A.p + 2 B.x + 3 B m    (ColorR + ColorY + ColorB)
-    QQbar     1    2          6   A.P + 2 B.dx + 6 B m   (P = p + pbar, dx = x - xbar)
-    Custom    0    0          0   A.a + B.b + beta B + scalar
+    kind      Phi     Psi      mu  closed form
+    Dirac     (1, 0)  (0, 0)   1   A.(p - e*Avec) + B m + e*A0
+    ColorR    (0, 1)  (1, -1)  1   A1(p1 - e*A1v) + B2 x2 + B3 x3 + B m + e*A0
+    ColorY    (0, 1)  (1, -1)  1   B1 x1 + A2(p2 - e*A2v) + B3 x3 + B m + e*A0
+    ColorB    (0, 1)  (1, -1)  1   B1 x1 + B2 x2 + A3(p3 - e*A3v) + B m + e*A0
+    AntiR     (0, 1)  (-1, 1)  1   A1 p1 - B2 x2 - B3 x3 + B m
+    AntiY     (0, 1)  (-1, 1)  1   -B1 x1 + A2 p2 - B3 x3 + B m
+    AntiB     (0, 1)  (-1, 1)  1   -B1 x1 - B2 x2 + A3 p3 + B m
+    QuarkSum  (1, 0)  (2, 0)   3   A.p + 2 B.x + 3 B m    (ColorR + ColorY + ColorB)
+    QQbar     (1, 0)  (2, 0)   6   A.P + 2 B.dx + 6 B m   (P = p + pbar, dx = x - xbar)
+    Custom    (0, 0)  (0, 0)   0   A.a + B.b + beta B + scalar
+
+Rotations are passive (frame) rotations: coordinates map as v' = R v and
+operators as A'_k = R_kl A_l, B'_k = R_kl B_l, which conjugates each mask,
+
+    R^T (alpha + beta e_c e_c^T) R = alpha + beta u u^T,   u = R^T e_c,
+
+u being the color-axis row of R, and moves nothing else in c.  So the
+kinds with beta = 0 (Dirac, QuarkSum, QQbar) are invariant under every
+rotation, and unrotated (u = e_c) a mask is the diagonal alpha + beta e_c.
 
 Every entry of a BASIS matrix is in {0, +-1, +-i} and no entry of H
 collects more than two real terms and one imaginary term, so c . BASIS
@@ -36,23 +46,17 @@ is exact whatever the order of summation.  The two real terms meet only
 in the diagonal s +- beta, which a spec's check covers too, so no valid
 spec builds a non-finite matrix.
 
-coefficients() evaluates the table over a leading sample axis: stacked
-m (N,) and p, x, pbar, xbar (N, 3), with an optional EM field and an
-optional (N, 3, 3) rotation, give c of shape (N, 8), and matrices()
-turns that into the (N, 8, 8) stack c @ BASIS.  build_hamiltonian,
-rotate_hamiltonian and the literal colored sum behind build_composite
-are its one-sample case.
+coefficients() evaluates the table over a leading sample axis, optionally
+rotated, and matrices() turns its (N, 8) rows into the stack c @ BASIS;
+build_hamiltonian, rotate_hamiltonian and colored_sum are built on them.
 
 Charge conjugation is the field flip e -> -e, and x -> -x for a kind
 whose row has x; on the free colored kinds it lands exactly on the Anti
 forms.  The substitution chain p -> -p, i -> -i, H -> -H followed by
 C H C^-1 with C = build_C("s2") reaches the same matrix by a second,
 independent route, which phasequark.verify and the tests compare against
-it.  Rotations are passive (frame) rotations: coordinates map as v' = R v
-and operators as A'_k = R_kl A_l, B'_k = R_kl B_l, so a rotated
-Hamiltonian is the table at the rotated coordinates with its a- and
-b-blocks pulled back by R^T.  Reflection (conjugation by B) multiplies c
-by REFLECT_SIGNS = (+, -, -, -, -, -, -, +).
+it.  Reflection (conjugation by B) multiplies c by REFLECT_SIGNS =
+(+, -, -, -, -, -, -, +).
 
 Spectra are closed form: the generators anticommute and square to 1, so
 with s = c[0], r = |c[1:]| and lam = s^2 + r^2, H^2 = lam*1 + 2s(H - s*1)
@@ -95,27 +99,28 @@ __all__ = [
 
 
 class _Row(NamedTuple):
-    fields: tuple[str, ...]  # the spec fields the kind accepts
-    phi: np.ndarray          # diagonal of Phi
-    psi: np.ndarray          # diagonal of Psi
+    fields: tuple[str, ...]     # the spec fields the kind accepts
+    phi: tuple[float, float]    # (alpha, beta) of Phi = alpha*1 + beta*e_c e_c^T
+    psi: tuple[float, float]    # (alpha, beta) of Psi
     mu: float
+    axis: int = 0               # e_c = e_(axis+1); no matter where both betas are 0
 
 
-_E = np.eye(3)
-_ONE, _ZERO = np.ones(3), np.zeros(3)
 _TABLE: dict[str, _Row] = {
-    "Dirac": _Row(("m", "p", "em"), _ONE, _ZERO, 1.0),
-    **{f"Color{c}": _Row(("m", "p", "x", "em"), _E[i], 1.0 - _E[i], 1.0)
+    "Dirac": _Row(("m", "p", "em"), (1.0, 0.0), (0.0, 0.0), 1.0),
+    **{f"Color{c}": _Row(("m", "p", "x", "em"), (0.0, 1.0), (1.0, -1.0), 1.0, i)
        for i, c in enumerate("RYB")},
-    **{f"Anti{c}": _Row(("m", "p", "x"), _E[i], _E[i] - 1.0, 1.0)
+    **{f"Anti{c}": _Row(("m", "p", "x"), (0.0, 1.0), (-1.0, 1.0), 1.0, i)
        for i, c in enumerate("RYB")},
-    "QuarkSum": _Row(("m", "p", "x"), _ONE, 2.0 * _ONE, 3.0),
-    "QQbar": _Row(("m", "p", "x", "pbar", "xbar"), _ONE, 2.0 * _ONE, 6.0),
-    "Custom": _Row(("a", "b", "beta", "scalar"), _ZERO, _ZERO, 0.0),
+    "QuarkSum": _Row(("m", "p", "x"), (1.0, 0.0), (2.0, 0.0), 3.0),
+    "QQbar": _Row(("m", "p", "x", "pbar", "xbar"), (1.0, 0.0), (2.0, 0.0), 6.0),
+    "Custom": _Row(("a", "b", "beta", "scalar"), (0.0, 0.0), (0.0, 0.0), 0.0),
 }
 KINDS = tuple(_TABLE)
 
-_COLOR_AXIS = {"R": 0, "Y": 1, "B": 2}
+_ZERO = np.zeros(3)
+_DIAGONALS = {kind: tuple(alpha + beta * np.eye(3)[row.axis] for alpha, beta in (row.phi, row.psi))
+              for kind, row in _TABLE.items()}  # the unrotated Phi and Psi
 _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 
 # rows: 1, then clifford.GENERATOR_NAMES (A1..A3, B1..B3, B), each a flattened 8x8 matrix
@@ -283,9 +288,10 @@ def coefficients(
     3-vectors give one row of shape (8,), and the two broadcast together.
     Only the fields of the kind's table row may be given; the others are
     zero.  em is one field shared by every row.  rot, of shape (N, 3, 3) or
-    (3, 3), evaluates the table at the rotated coordinates and pulls the a-
-    and b-blocks back by R^T, as rotate_hamiltonian describes.  Inputs are
-    not validated beyond that: HamiltonianSpec is the checked entry point.
+    (3, 3), gives the coefficients in the rotated frame, one row per
+    rotation: the masks become alpha + beta u u^T with u the color-axis row
+    of R (module docstring).  Inputs are not validated beyond that:
+    HamiltonianSpec is the checked entry point.
     """
     if kind not in _TABLE:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -293,28 +299,42 @@ def coefficients(
     for name, value in zip(_FIELDS, (m, p, x, pbar, xbar, em, a, b, beta, scalar)):
         if value is not None and name not in row.fields:
             raise ValueError(f"field {name!r} is not valid for kind {kind}")
+    if rot is not None and kind == "Custom":
+        raise ValueError("rotations do not apply to Custom coefficients")
+    if rot is not None and np.shape(rot)[-2:] != (3, 3):
+        raise ValueError(f"rot must have shape (..., 3, 3), got {np.shape(rot)}")
     em = em or _NO_FIELD
     p, x, pbar, xbar, avec = [
         _ZERO if v is None else np.asarray(v) for v in (p, x, pbar, xbar, em.Avec)
     ]
-    if rot is not None:
-        if kind == "Custom":
-            raise ValueError("rotations do not apply to Custom coefficients")
-        rot = np.asarray(rot)
-        p, x, pbar, xbar, avec = [(rot @ v[..., None])[..., 0] for v in (p, x, pbar, xbar, avec)]
+    a = 0.0 if a is None else np.asarray(a)
+    b = 0.0 if b is None else np.asarray(b)
     s = (0.0 if scalar is None else scalar) + em.e * em.A0
-    # the mask scales each term, so a component the kind does not use stays 0
-    # even where p - e*Avec would overflow there
-    av = (0.0 if a is None else np.asarray(a)) + row.phi * (p + pbar) - (row.phi * em.e) * avec
-    bv = (0.0 if b is None else np.asarray(b)) + row.psi * (x - xbar)
     mass = (0.0 if beta is None else beta) + row.mu * (0.0 if m is None else m)
-    c = np.empty(np.broadcast(s, mass, av[..., 0], bv[..., 0]).shape + (8,))
+    lead = ()
+    if rot is None:
+        phi, psi = _DIAGONALS[kind]
+        # the mask scales each term, so a component the kind does not use stays 0
+        # even where p - e*Avec would overflow there
+        av = a + phi * (p + pbar) - (phi * em.e) * avec
+        bv = b + psi * (x - xbar)
+    else:
+        u = np.asarray(rot)[..., row.axis, :]  # R^T e_c
+        av = a + _masked(row.phi, u, p + pbar) - _masked(row.phi, u, avec, em.e)
+        bv = b + _masked(row.psi, u, x - xbar)
+        lead = (u[..., 0],)  # one row per rotation, also where no mask moves
+    c = np.empty(np.broadcast(s, mass, av[..., 0], bv[..., 0], *lead).shape + (8,))
     c[..., 0], c[..., 1:4], c[..., 4:7], c[..., 7] = s, av, bv, mass
-    if rot is not None:
-        back = rot.swapaxes(-1, -2)
-        c[..., 1:4] = (back @ c[..., 1:4, None])[..., 0]
-        c[..., 4:7] = (back @ c[..., 4:7, None])[..., 0]
     return c
+
+
+def _masked(mask: tuple[float, float], u: np.ndarray, v: np.ndarray, scale: float = 1.0):
+    """scale * (alpha + beta u u^T) v, the mask scaling each term first."""
+    alpha, beta = mask
+    out = (alpha * scale) * v
+    if beta:
+        out = out + ((beta * scale) * np.einsum("...i,...i->...", u, v))[..., None] * u
+    return out
 
 
 def matrices(c: np.ndarray) -> np.ndarray:
@@ -341,7 +361,7 @@ def colored_sum(kind: str, *, m, p, x, pbar=None, xbar=None) -> np.ndarray:
 
 
 def _spec_coefficients(spec: HamiltonianSpec, rot: np.ndarray | None = None) -> np.ndarray:
-    """The spec's 8-vector c, at coordinates rotated by rot."""
+    """The spec's 8-vector c, in the frame rotated by rot."""
     return coefficients(
         spec.kind, rot=rot, **{name: getattr(spec, name) for name in _TABLE[spec.kind].fields}
     )
@@ -353,15 +373,8 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
-    """Assemble a composite by literally summing its colored parts.
-
-    kind "QuarkSum" sums ColorR + ColorY + ColorB over a shared (p, x, m);
-    kind "QQbar" additionally adds AntiR + AntiY + AntiB evaluated at the
-    antiquark variables (pbar, xbar) with the same m.  This is an
-    independent route to the same matrices as build_hamiltonian on the
-    QuarkSum/QQbar kinds, which use the collapsed closed forms; tests
-    compare the two.
-    """
+    """colored_sum of a QuarkSum or QQbar given as a JSON-style mapping: the
+    independent route to build_hamiltonian's collapsed closed forms."""
     spec = HamiltonianSpec.from_dict({"kind": kind, **dict(inputs)})
     return colored_sum(kind, m=spec.m, p=spec.p, x=spec.x, pbar=spec.pbar, xbar=spec.xbar)
 
@@ -410,15 +423,13 @@ def rotated_operators(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
                        angle: float) -> np.ndarray:
-    """Rebuild the Hamiltonian with primed operators and primed coordinates.
+    """The Hamiltonian in the frame rotated by rotation_matrix(axis, angle).
 
-    The table is evaluated at R p, R x, R pbar, R xbar and R Avec, which
-    gives the coefficients on the primed operators; R^T carries the a- and
-    b-blocks back to A_k and B_k.  Scalar contractions A.p and B.x are form
-    invariant, so QuarkSum, QQbar and Dirac return the unrotated matrix up
-    to roundoff for any rotation; the colored kinds are only invariant
-    under rotations about their own color axis, and mix pairwise otherwise.
-    Rotated coefficients that overflow are a ValueError naming the kind.
+    Its masks are alpha + beta u u^T (module docstring), so Dirac, QuarkSum
+    and QQbar, whose betas are 0, return the unrotated matrix exactly for
+    any rotation; the colored kinds are only invariant under rotations
+    about their own color axis, and mix pairwise otherwise.  Rotated
+    coefficients that overflow are a ValueError naming the kind.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by kind
         c = _spec_coefficients(spec, rotation_matrix(axis, angle))
@@ -435,12 +446,9 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
 def conjugate_hamiltonian(spec: HamiltonianSpec) -> tuple[np.ndarray, HamiltonianSpec]:
     """Charge conjugate a Dirac or colored spec: (matrix, conjugated_spec).
 
-    The conjugated spec is the field flip e -> -e, and x -> -x when the
-    kind's row has x; the matrix is built from it.  For the free colored
-    kinds the matrix equals the corresponding Anti kind.  The substitution
-    chain (p -> -p, i -> -i, H -> -H, then C H C^-1) is the independent
-    route to the same matrix, kept in phasequark.verify and the tests.  A
-    flip whose coefficients overflow is a ValueError, as for any spec.
+    The conjugated spec is the field flip of the module docstring and the
+    matrix is built from it; for the free colored kinds it equals the Anti
+    kind.  A flip whose coefficients overflow is a ValueError, as for any spec.
     """
     if spec.kind not in _EM_KINDS:
         raise ValueError(f"conjugate_hamiltonian supports kinds {_EM_KINDS}")
@@ -456,12 +464,12 @@ def coefficient_pattern(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, 
 
     Defined for the free colored and anti kinds, where the Hamiltonian is
     linear in (p, x) through fixed projectors: Phi = e_c e_c^T and
-    Psi = +-(I - e_c e_c^T).
+    Psi = +-(I - e_c e_c^T), the diagonals alpha + beta*e_c of the row.
     """
     if not spec.kind.startswith(("Color", "Anti")) or spec.em is not None:
         raise ValueError("coefficient_pattern applies to free colored/anti kinds")
-    row = _TABLE[spec.kind]
-    return np.diag(row.phi), np.diag(row.psi), spec.m
+    phi, psi = _DIAGONALS[spec.kind]
+    return np.diag(phi), np.diag(psi), spec.m
 
 
 @dataclass(frozen=True)
@@ -476,8 +484,6 @@ class DistinctnessReport:
     minimizer: tuple[float, float, float]
     margin: float
     degenerate: bool
-    reflected_b_coefficients: tuple[float, float, float]
-    target_b_coefficients: tuple[float, float, float]
 
     @property
     def passed(self) -> bool:
@@ -495,20 +501,16 @@ def antiparticle_distinctness_check(
 ) -> DistinctnessReport:
     """Show no rotation or reflection carries Anti(color) onto Color(color).
 
-    A frame transformation acts on the coefficient maps by conjugation,
-    Phi -> R^T Phi R and Psi -> R^T Psi R, while the coordinate values ride
-    along as p -> R p, x -> R x.  The distance between two Hamiltonians is
-    the Euclidean norm of the difference of their 7 coefficients (A1..A3,
-    B1..B3, B), which equals the operator distance in the normalized trace
-    inner product <X, Y> = tr(X^+ Y)/8 because the seven generators are
-    orthonormal.  The s and B coefficients (0 and m) agree on both sides,
-    so only the a- and b-blocks count.
+    In the frame R the Anti masks are alpha + beta u u^T (module
+    docstring), so its a- or b-block is alpha v + beta u (u.v) for v = p
+    or x.  The distance between two Hamiltonians is the norm of the
+    difference of their 7 coefficients (A1..A3, B1..B3, B), the operator
+    distance in <X, Y> = tr(X^+ Y)/8 since the generators are orthonormal;
+    s and B (0 and m) agree on both sides, so only the a- and b-blocks count.
 
-    The minimum over all of O(3) is exact.  Each Anti mask is
-    alpha + beta e_c e_c^T, so with u = R^T e_c, the color-axis row of R,
-    the rotated block is alpha v + beta u (u.v) for v = p or x.  Against
-    the Color target t the block difference is g + beta u (u.v) with
-    g = alpha v - t, and on |u| = 1 its square is
+    The minimum over all of O(3) is exact.  Against the Color target t the
+    block difference is g + beta u (u.v) with g = alpha v - t, and on
+    |u| = 1 its square is
         |g|^2 + u^T (beta^2 v v^T + beta (v g^T + g v^T)) u.
     Summed over both blocks, d^2 = const + u^T Q u, whose minimum over the
     unit sphere is reached at the eigenvector u of the lowest eigenvalue
@@ -516,28 +518,21 @@ def antiparticle_distinctness_check(
     rotation, so min_distance, the norm of the two block differences at
     that u (a sum of squares, free of cancellation), is the minimum.
 
-    Reflections reach no other distance.  Reflection is conjugation by B
-    (the sign mask REFLECT_SIGNS on c, which negates the a- and b-blocks)
-    together with p -> -p, x -> -x, which negates them back: the reflected
-    distances are the rotated ones float for float.  An improper -R has
-    the row -u, and d is even in u, so it reaches the same distance as R.
-
+    Reflections reach no other distance.  Reflection, conjugation by B
+    (REFLECT_SIGNS on c), negates the a- and b-blocks and p -> -p, x -> -x
+    negates them back; an improper -R has the row -u, and d is even in u.
     For every rotation the position block satisfies
         |R^T Psi_anti R x - Psi_color x| >= |P_c x|^2 / |x|,
-    the documented margin (P_c projects off the color axis), reported
-    next to the minimum.
+    the margin reported next to the minimum (P_c projects off the color axis).
     """
-    if color not in _COLOR_AXIS:
+    if color not in ("R", "Y", "B"):
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    axis = _COLOR_AXIS[color]
     anti = HamiltonianSpec(kind=f"Anti{color}", m=m, p=p, x=x)
     row = _TABLE[anti.kind]
     target = _spec_coefficients(HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x))
     blocks, q = [], np.zeros((3, 3))
-    for mask, v, t in ((row.phi, anti.p, target[1:4]), (row.psi, anti.x, target[4:7])):
+    for (alpha, beta), v, t in ((row.phi, anti.p, target[1:4]), (row.psi, anti.x, target[4:7])):
         v = np.array(v)
-        alpha = mask[axis - 1]  # an off-axis entry
-        beta = mask[axis] - alpha
         g = alpha * v - t
         q += beta * beta * np.outer(v, v) + beta * (np.outer(v, g) + np.outer(g, v))
         blocks.append((beta, v, g))
@@ -548,18 +543,9 @@ def antiparticle_distinctness_check(
     xnorm = float(np.linalg.norm(anti.x))
     target_b = target[4:7]
     margin = 0.0 if xnorm == 0.0 else float(target_b @ target_b) / xnorm
-    return DistinctnessReport(
-        color=color,
-        p=anti.p,
-        x=anti.x,
-        m=anti.m,
-        min_distance=d_min,
-        minimizer=tuple(float(v) for v in u),
-        margin=margin,
-        degenerate=(margin == 0.0),
-        reflected_b_coefficients=tuple(float(v) for v in _spec_coefficients(anti)[4:7]),
-        target_b_coefficients=tuple(float(v) for v in target_b),
-    )
+    return DistinctnessReport(color=color, p=anti.p, x=anti.x, m=anti.m, min_distance=d_min,
+                              minimizer=tuple(float(v) for v in u), margin=margin,
+                              degenerate=(margin == 0.0))
 
 
 # ---------------------------------------------------------------------------

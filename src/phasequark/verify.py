@@ -8,16 +8,19 @@ every default tolerance, which is also how tolerance plumbing is tested
 checks into failures).  All randomness is drawn from numpy Generators
 seeded with (seed, stable-check-id), so reports are byte-identical for a
 fixed seed.  Antiparticle distinctness draws nothing: it checks the exact
-minimum over O(3) against the distance form rebuilt from the table.
+minimum over O(3) against the distance form rebuilt from matrices.
 
 Checks work on stacks, not one matrix at a time.  The composite and
-rotation checks, the mixing law over its rotations included, build each
-sample stack with one hamiltonian.coefficients call; the su3 checks take
-one exp_generator stack over an angle axis per generator.  Each stack is
-compared in one batched product, which rounds as the per-matrix product
-does.  A check that draws only uniforms takes them as one (N, 13) block,
-which a Generator fills with the same floats as N per-sample draws; where
-normal or integer draws interleave, the draws stay one sample at a time.
+rotation checks build each sample stack with one hamiltonian.coefficients
+call, and the su3 checks take one exp_generator stack over an angle axis
+per generator.  The second route of rotation is the operator route: the
+table at rotated coordinates on the primed operators, which the rotation
+checks and distinctness compare with coefficients(rot=) or the unrotated
+matrix.  Each stack is compared in one batched product, which rounds as
+the per-matrix product does.  A check that draws only uniforms takes them
+as one (N, 13) block, which a Generator fills with the same floats as N
+per-sample draws; where normal or integer draws interleave, the draws
+stay one sample at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -331,6 +335,21 @@ def _check_mixing_law(rng):
     return worst, {"angles": 10}
 
 
+def _operator_route(kind: str, rots: np.ndarray, **fields) -> np.ndarray:
+    """Hamiltonians in the frames rots by the operator route (no EM field).
+
+    The table at R p, R x, R pbar, R xbar, read on the primed operators
+    A'_k = R_kl A_l and B'_k = R_kl B_l of rotated_operators: the second
+    route of coefficients(rot=), which turns the masks instead.
+    """
+    turned = {name: (rots @ np.asarray(v)[..., None])[..., 0] if name != "m" else v
+              for name, v in fields.items()}
+    c = coefficients(kind, **turned)
+    primed = np.concatenate(rotated_operators(rots))  # A'_1..A'_3, B'_1..B'_3
+    return (c[:, 0, None, None] * _I8 + np.einsum("nk,knij->nij", c[:, 1:7], primed)
+            + c[:, 7, None, None] * _B8)
+
+
 def _check_color_axis_invariance(rng):
     worst = 0.0
     for color, axis in (("R", 1), ("Y", 2), ("B", 3)):
@@ -338,19 +357,16 @@ def _check_color_axis_invariance(rng):
         phis = rng.uniform(-3.1, 3.1, size=5)
         rots = np.stack([rotation_matrix(axis, float(phi)) for phi in phis])
         kind, fields = f"Color{color}", {"m": m, "p": p, "x": x}
-        rotated = matrices(coefficients(kind, rot=rots, **fields))
+        rotated = _operator_route(kind, rots, **fields)
         worst = max(worst, _maxabs(matrices(coefficients(kind, **fields)) - rotated))
     return worst, {"pairs": "ColorR/axis1, ColorY/axis2, ColorB/axis3"}
 
 
-def _rotation_invariance(rng, kind: str, n: int) -> float:
-    """Largest |H - H rotated| over n random specs, each with a random rotation.
-
-    The draws interleave uniforms and normals, so they stay one sample at a
-    time; the build and the compare run on the whole stack.
-    """
+def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
+    """Largest |H - H rotated| over 20 random specs, each with a random rotation;
+    the draws interleave uniforms and normals, so they stay one sample at a time."""
     draws, rots = [], []
-    for _ in range(n):
+    for _ in range(20):
         draws.append(_random_inputs(rng, 1))
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
@@ -360,15 +376,7 @@ def _rotation_invariance(rng, kind: str, n: int) -> float:
     if kind == "QQbar":
         fields.update(pbar=pbar, xbar=xbar)
     h = matrices(coefficients(kind, **fields))
-    return _maxabs(h - matrices(coefficients(kind, rot=np.stack(rots), **fields)))
-
-
-def _check_full_sum_invariance(rng):
-    return _rotation_invariance(rng, "QuarkSum", 20), {"samples": 20}
-
-
-def _check_qqbar_invariance(rng):
-    return _rotation_invariance(rng, "QQbar", 20), {"samples": 20}
+    return _maxabs(h - _operator_route(kind, np.stack(rots), **fields)), {"samples": 20}
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +468,12 @@ _PROBES = np.concatenate([_I3, (_I3[_PI] + _I3[_PJ]) / math.sqrt(2.0)])
 
 
 def _check_distinctness(rng):
-    """The exact minimum of antiparticle_distinctness_check, checked from the table.
+    """The exact minimum of antiparticle_distinctness_check, checked by matrices.
 
     d^2, the squared distance of Anti(c) in a frame to Color(c), is u^T M u in
-    the frame's color-axis row u.  One coefficients call gives d^2 at frames
-    whose row is the minimizer or one of six probes.  The minimizer must
-    attain min_distance, and M by polarization, M_ii = d^2(e_i) and M_ij =
+    the frame's color-axis row u.  The operator route gives d^2 = |dH|_F^2 / 8
+    at frames whose row is the minimizer or one of six probes.  The minimizer
+    must attain min_distance, and M by polarization, M_ii = d^2(e_i) and M_ij =
     d^2((e_i + e_j)/sqrt(2)) - (M_ii + M_jj)/2, must have min_distance^2 as
     its lowest eigenvalue; both residuals join the margin gap.
     """
@@ -478,9 +486,9 @@ def _check_distinctness(rng):
         v = np.concatenate([[u if u[axis] >= 0.0 else -u], _PROBES]) + _I3[axis]
         frames = 2.0 * v[:, :, None] * v[:, None, :] / (v * v).sum(axis=1)[:, None, None] - _I3
         fields = {"m": report.m, "p": report.p, "x": report.x}
-        diff = (coefficients(f"Anti{color}", rot=frames, **fields)
-                - coefficients(f"Color{color}", **fields))
-        d2 = (diff * diff).sum(axis=1)
+        diff = (_operator_route(f"Anti{color}", frames, **fields)
+                - matrices(coefficients(f"Color{color}", **fields)))
+        d2 = (diff.real ** 2 + diff.imag ** 2).sum(axis=(1, 2)) / 8.0
         form = np.diag(d2[1:4])
         form[_PI, _PJ] = form[_PJ, _PI] = d2[4:] - (d2[1:4][_PI] + d2[1:4][_PJ]) / 2.0
         attained = abs(math.sqrt(d2[0]) - report.min_distance)
@@ -621,8 +629,8 @@ _REGISTRY: dict[str, list[tuple[str, int, float, Callable]]] = {
     "rotation": [
         ("rotation/mixing-law-axis3", 30, 1e-12, _check_mixing_law),
         ("rotation/color-axis-invariance", 31, 1e-12, _check_color_axis_invariance),
-        ("rotation/full-sum-invariance", 32, 1e-12, _check_full_sum_invariance),
-        ("rotation/qqbar-invariance", 33, 1e-12, _check_qqbar_invariance),
+        ("rotation/full-sum-invariance", 32, 1e-12, partial(_rotation_invariance, kind="QuarkSum")),
+        ("rotation/qqbar-invariance", 33, 1e-12, partial(_rotation_invariance, kind="QQbar")),
     ],
     "conjugation": [
         ("conjugation/c-matrix-properties", 40, 1e-12, _check_c_matrix),

@@ -139,7 +139,7 @@ def test_wrong_typed_spec_is_json_input_error(tmp_path, spec):
         pytest.param("--tol", "-1", "tol must be", id="tol-negative"),
     ],
 )
-def test_verify_rejects_non_positive_samples(flag, value, message):
+def test_verify_rejects_a_bad_tolerance(flag, value, message):
     result = run_cli("verify", "--suite", "su3", flag, value)
     assert result.returncode == 2
     assert message in strict_json(result.stdout)["error"]
