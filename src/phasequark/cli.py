@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
 from .phase_space import PhaseVector, apply_pairing, exp_generator, pairing, pairing_tags
-from .serialize import dump_json, matrix_to_csv, resolve_export, resolve_generator6, to_jsonable
+from .serialize import dump_json, matrix_to_csv, resolve_export, resolve_generator6
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -82,7 +82,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or, given a subcommand's name, one with only that subparser."""
     parser = _Parser(
         prog="phasequark",
         description="Exact checks and transforms for the phase-space "
@@ -91,37 +92,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="override every check tolerance")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
+    if command in (None, "verify"):
+        p_verify = sub.add_parser("verify", help="run a named verification suite")
+        p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
+        p_verify.add_argument("--tol", type=float, default=None,
+                              help="override every check tolerance")
+        p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
-    group = p_tr.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pairing", default=None, metavar="TAG",
-                       help=f"one of {', '.join(pairing_tags())}")
-    group.add_argument("--generator", default=None, metavar="LABEL",
-                       help="F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)")
-    p_tr.add_argument("--angle", type=float, default=None,
-                      help="rotation angle for --generator")
-    p_tr.add_argument("--input", required=True,
-                      help="six comma-separated numbers p1,p2,p3,x1,x2,x3")
-    p_tr.add_argument("--out", default=None)
+    if command in (None, "transform"):
+        p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
+        group = p_tr.add_mutually_exclusive_group(required=True)
+        group.add_argument("--pairing", default=None, metavar="TAG",
+                           help=f"one of {', '.join(pairing_tags())}")
+        group.add_argument("--generator", default=None, metavar="LABEL",
+                           help="F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)")
+        p_tr.add_argument("--angle", type=float, default=None,
+                          help="rotation angle for --generator")
+        p_tr.add_argument("--input", required=True,
+                          help="six comma-separated numbers p1,p2,p3,x1,x2,x3")
+        p_tr.add_argument("--out", default=None)
 
-    p_sp = sub.add_parser("spectrum", help="eigenvalues and squared form of a spec")
-    p_sp.add_argument("spec_file", help="JSON Hamiltonian spec")
-    p_sp.add_argument("--out", default=None)
+    if command in (None, "spectrum"):
+        p_sp = sub.add_parser("spectrum", help="eigenvalues and squared form of a spec")
+        p_sp.add_argument("spec_file", help="JSON Hamiltonian spec")
+        p_sp.add_argument("--out", default=None)
 
-    p_cj = sub.add_parser("conjugate", help="charge conjugate a Dirac/colored spec")
-    p_cj.add_argument("spec_file", help="JSON Hamiltonian spec")
-    p_cj.add_argument("--out", default=None)
+    if command in (None, "conjugate"):
+        p_cj = sub.add_parser("conjugate", help="charge conjugate a Dirac/colored spec")
+        p_cj.add_argument("spec_file", help="JSON Hamiltonian spec")
+        p_cj.add_argument("--out", default=None)
 
-    p_ex = sub.add_parser("export", help="export a named matrix as JSON or CSV")
-    p_ex.add_argument("label", help="e.g. F3, R, G(1,5), A1, B2, C, gamma5, pairing:R")
-    p_ex.add_argument("--format", default="json", choices=("json", "csv"))
-    p_ex.add_argument("--out", default=None)
+    if command in (None, "export"):
+        p_ex = sub.add_parser("export", help="export a named matrix as JSON or CSV")
+        p_ex.add_argument("label", help="e.g. F3, R, G(1,5), A1, B2, C, gamma5, pairing:R")
+        p_ex.add_argument("--format", default="json", choices=("json", "csv"))
+        p_ex.add_argument("--out", default=None)
 
     return parser
 
@@ -186,7 +192,7 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
     payload = {
         "input_spec": spec.to_dict(),
         "conjugated_spec": conj_spec.to_dict(),
-        "matrix": to_jsonable(matrix),
+        "matrix": matrix,
     }
     _emit(dump_json(payload), args.out)
     return 0
@@ -201,7 +207,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             "label": args.label,
             "kind": kind,
             "shape": list(matrix.shape),
-            "matrix": to_jsonable(matrix),
+            "matrix": matrix,
         }
         _emit(dump_json(payload), args.out)
     return 0
@@ -217,8 +223,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # Only argv[0] narrows the parser, so ["-", "spectrum"] still lists every command.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         return _emit_error(str(exc))

@@ -43,13 +43,19 @@ def _scalar_to_jsonable(value):
 
 
 def to_jsonable(obj):
-    """Recursively convert values (incl. numpy) to JSON-compatible data."""
+    """Convert values (incl. numpy) to JSON-compatible data; a float or complex array in one pass."""
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "c" and not np.any(obj.imag):
-            obj = obj.real
-        return [to_jsonable(row) for row in obj.tolist()] if obj.ndim else _scalar_to_jsonable(obj[()])
+        if obj.dtype.kind not in "fc":
+            return to_jsonable(obj.tolist())
+        if obj.dtype.kind == "c":
+            obj = np.stack((obj.real, obj.imag), axis=-1) if np.any(obj.imag) else obj.real
+        a = np.asarray(obj, dtype=np.float64)
+        out = a.astype(object)
+        whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the integer rule of _scalar_to_jsonable
+        out[whole] = a[whole].astype(np.int64)
+        return out.tolist()
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from phasequark import cli
 from phasequark.cli import main
 from phasequark.verify import run_suite
 
@@ -94,6 +98,96 @@ def test_help_still_prints_usage_text(capsys):
             main(args)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: phasequark")
+
+
+# The exact error of each argv.  A parser built for the command in argv[0]
+# must not change a usage error, and any other argv keeps the full parser.
+_ALL_COMMANDS = "'verify', 'transform', 'spectrum', 'conjugate', 'export'"
+BAD_ARGV = [
+    ([], "phasequark: the following arguments are required: command"),
+    (["bogus"], f"phasequark: argument command: invalid choice: 'bogus' (choose from {_ALL_COMMANDS})"),
+    (["-", "spectrum", "x"], f"phasequark: argument command: invalid choice: '-' (choose from {_ALL_COMMANDS})"),
+    (["-1", "export", "A1"], f"phasequark: argument command: invalid choice: '-1' (choose from {_ALL_COMMANDS})"),
+    (["spectrum"], "phasequark spectrum: the following arguments are required: spec_file"),
+    (["spectrum", "a.json", "extra"], "phasequark: unrecognized arguments: extra"),
+    (["verify", "--suite", "nope"],
+     "phasequark verify: argument --suite: invalid choice: 'nope' "
+     "(choose from 'all', 'su3', 'clifford', 'rotation', 'conjugation', 'composite')"),
+    (["transform", "--pairing", "R"], "phasequark transform: the following arguments are required: --input"),
+    (["transform", "--pairing", "R", "--generator", "F1", "--input=1,2,3,4,5,6"],
+     "phasequark transform: argument --generator: not allowed with argument --pairing"),
+    (["export", "A1", "--format", "xml"],
+     "phasequark export: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (["export", "A1", "--version"], "phasequark: unrecognized arguments: --version"),
+]
+
+
+@pytest.mark.parametrize("argv,error", BAD_ARGV, ids=[" ".join(a) or "empty" for a, _ in BAD_ARGV])
+def test_bad_argv_errors_are_pinned(capsys, argv, error):
+    code, out = run_in_process(capsys, *argv)
+    assert code == 2
+    assert out == json.dumps({"error": error}, indent=2) + "\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_each_main_call_builds_its_own_parser(monkeypatch):
+    calls = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *args: calls.append(args) or full(*args))
+    for argv in (["export", "A1"], ["export", "A1"], ["bogus"]):
+        main(argv)
+    assert calls == [("export",), ("export",), (None,)]
+
+
+def _run_main(argv):
+    """(exit or SystemExit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _verify_would_pass(argv) -> bool:
+    """True when the full parser reads argv as a verify run at its default tolerance."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = cli.build_parser().parse_args(list(argv))
+    except (ValueError, SystemExit):
+        return False
+    return args.command == "verify" and args.tol is None
+
+
+_COMMAND_NAMES = ("verify", "transform", "spectrum", "conjugate", "export")
+_FRAGMENTS = _COMMAND_NAMES + (
+    "--suite", "su3", "all", "nope", "--tol", "1e-30", "nan", "--seed", "7", "-1",
+    "--pairing", "R", "Y", "--generator", "F1", "G(1,5)", "--angle", "0.5", "--angle=x",
+    "--input=1,2,3,4,5,6", "--input", "1,2", str(DATA / "color_r.json"),
+    str(DATA / "dirac_em.json"), "missing.json", "A1", "pairing:R", "nolabel",
+    "--format", "csv", "xml", "--out", str(DATA), "--bogus", "-x", "extra",
+    "-", "--", "-h", "--help", "--version",
+)
+# Most argv name a command, first or after a word or two such as "-" or "-1".
+_ARGV = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=6),
+    st.tuples(st.lists(st.sampled_from(_FRAGMENTS), max_size=2), st.sampled_from(_COMMAND_NAMES),
+              st.lists(st.sampled_from(_FRAGMENTS), max_size=4)).map(lambda t: [*t[0], t[1], *t[2]]),
+)
+
+
+@settings(max_examples=300)
+@given(argv=_ARGV)
+def test_narrowed_parser_matches_the_full_parser(argv):
+    assume(not _verify_would_pass(argv))
+    narrowed = _run_main(argv)
+    full = cli.build_parser
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_parser", lambda command=None: full())
+        assert _run_main(argv) == narrowed
+    assert narrowed[0] in (0, 1, 2)
+    assert narrowed[2] == ""
 
 
 def test_malformed_spec_file_is_input_error(tmp_path):
