@@ -49,6 +49,8 @@ spec builds a non-finite matrix.
 coefficients() evaluates the table over a leading sample axis, optionally
 rotated, and matrices() turns its (N, 8) rows into the stack c @ BASIS;
 build_hamiltonian, rotate_hamiltonian and colored_sum are built on them.
+A spec's row is computed once, by the finite check of its validation, and
+kept read-only: unrotated builds, conjugation and distinctness reuse it.
 
 Charge conjugation is the field flip e -> -e, and x -> -x for a kind
 whose row has x; on the free colored kinds it lands exactly on the Anti
@@ -127,8 +129,8 @@ _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 BASIS = np.stack([np.eye(8, dtype=complex)] + [g for _, g in clifford_generators()]).reshape(8, 64)
 BASIS.flags.writeable = False
 REFLECT_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, 1])
-_A = BASIS.reshape(8, 8, 8)[1:4]
-_BK = BASIS.reshape(8, 8, 8)[4:7]
+_A_REAL, _BK_REAL = BASIS[1:4].view(float), BASIS[4:7].view(float)  # (3, 128): re, im interleaved
+_BASIS_CONJ, _I8 = BASIS.conj(), np.eye(8)
 _PLAIN = (float, int, np.float64)  # number types that need no further check
 
 
@@ -215,14 +217,17 @@ class HamiltonianSpec:
             if f.name not in accepted and getattr(self, f.name) != f.default:
                 raise ValueError(f"field {f.name!r} is not valid for kind {self.kind}")
         with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
-            c = _spec_coefficients(self)
-            bad = ~np.isfinite(c)
-            bad[[0, 7]] |= not np.isfinite(abs(c[0]) + abs(c[7]))  # the diagonal s +- beta
-            if bad.any():  # name each field whose own part of c reaches a bad entry
+            c = coefficients(self.kind, **{name: getattr(self, name) for name in accepted})
+            row = c.tolist()  # plain floats: the test of a valid spec builds no array
+            if not (all(map(math.isfinite, row)) and math.isfinite(abs(row[0]) + abs(row[7]))):
+                bad = ~np.isfinite(c)  # name each field whose own part of c reaches a bad entry
+                bad[[0, 7]] |= not np.isfinite(abs(c[0]) + abs(c[7]))  # the diagonal s +- beta
                 names = [name for name in accepted
                          if np.any(coefficients(self.kind, **{name: getattr(self, name)})[bad] != 0)]
                 raise ValueError(f"coefficients of the {self.kind} spec overflow float64 in "
                                  + ", ".join(map(repr, names)))
+        c.flags.writeable = False
+        object.__setattr__(self, "_c", c)  # not a field: ==, hash and repr ignore it
 
     @classmethod
     def from_dict(cls, d: dict) -> "HamiltonianSpec":
@@ -361,7 +366,9 @@ def colored_sum(kind: str, *, m, p, x, pbar=None, xbar=None) -> np.ndarray:
 
 
 def _spec_coefficients(spec: HamiltonianSpec, rot: np.ndarray | None = None) -> np.ndarray:
-    """The spec's 8-vector c, in the frame rotated by rot."""
+    """The spec's 8-vector c, in the frame rotated by rot; unrotated, the stored row."""
+    if rot is None:
+        return spec._c
     return coefficients(
         spec.kind, rot=rot, **{name: getattr(spec, name) for name in _TABLE[spec.kind].fields}
     )
@@ -384,13 +391,18 @@ def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rotation_matrix(axis: int | Sequence[float], angle: float) -> np.ndarray:
+def rotation_matrix(axis: int | Sequence[float], angle: float | np.ndarray) -> np.ndarray:
     """Passive (frame) rotation: about axis 3, p'1 = c p1 + s p2.
 
-    axis is 1, 2, 3 or a unit 3-vector (a non-unit vector is an error).
-    Equals exp(-angle * cross(n)) = I cos - sin [n]x + (1 - cos) n n^T.
+    axis is 1, 2, 3 or unit 3-vectors of shape (..., 3) (a non-unit vector is
+    an error) and angle a number or an array; they broadcast to a stack
+    (..., 3, 3).  Equals exp(-angle * cross(n)) = I cos - sin [n]x + (1 - cos)
+    n n^T, cos and sin from math per angle, so each matrix of a stack equals
+    the call for its own axis and angle bit for bit.
     """
-    if not math.isfinite(angle):
+    angles = np.asarray(angle, dtype=float)
+    flat = angles.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
         raise ValueError(f"angle must be finite, got {angle!r}")
     if isinstance(axis, int):
         if axis not in (1, 2, 3):
@@ -398,27 +410,33 @@ def rotation_matrix(axis: int | Sequence[float], angle: float) -> np.ndarray:
         n = np.zeros(3)
         n[axis - 1] = 1.0
     else:
-        n = np.asarray(axis, dtype=float).reshape(-1)
-        if n.shape != (3,) or not np.all(np.isfinite(n)):
+        n = np.asarray(axis, dtype=float)
+        if n.shape[-1:] != (3,) or not np.all(np.isfinite(n)):
             raise ValueError(f"axis must be a finite 3-vector, got {axis!r}")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError(f"axis must be a unit vector, got norm {np.linalg.norm(n)!r}")
-    cross = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    c, s = math.cos(angle), math.sin(angle)
-    return c * np.eye(3) - s * cross + (1.0 - c) * np.outer(n, n)
+        norm = np.linalg.norm(n, axis=-1)
+        if np.any(np.abs(norm - 1.0) > 1e-12):
+            raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
+    x, y, z, zero = n[..., 0], n[..., 1], n[..., 2], np.zeros(n.shape[:-1])
+    cross = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], -1).reshape(n.shape[:-1] + (3, 3))
+    c, s = (np.array([f(t) for t in flat]).reshape(angles.shape + (1, 1))
+            for f in (math.cos, math.sin))
+    return c * np.eye(3) - s * cross + (1.0 - c) * (n[..., :, None] * n[..., None, :])
 
 
 def rotated_operators(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Primed operator triplets A'_k = R_kl A_l and B'_k = R_kl B_l.
 
     A rotation of shape (..., 3, 3) gives two arrays of shape (3, ..., 8, 8),
-    k first.  Each entry is one product R_kl * (0, +-1 or +-i), so the sum
-    over l is exact.
+    k first, each one matmul of the rows R_k. against the triplet read as
+    real (3, 128) arrays.  Each real and each imaginary part of an entry is
+    nonzero in at most one A_l (likewise B_l), and there it is +-1, so every
+    entry is one exact product R_kl * (+-1) plus zeros, in any summation order.
     """
     rot = np.asarray(rot, dtype=float)
     if rot.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-    return tuple(np.einsum("...kl,lij->k...ij", rot, ops) for ops in (_A, _BK))
+    rows, shape = np.moveaxis(rot, -2, 0), (3,) + rot.shape[:-2] + (8, 8)  # R_kl, k first
+    return tuple((rows @ ops).view(complex).reshape(shape) for ops in (_A_REAL, _BK_REAL))
 
 
 def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
@@ -593,7 +611,7 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {h.shape}")
     herm = float(np.abs(h - h.conj().T).max())
-    c = (BASIS.conj() @ (h.ravel() / 8.0)).real  # divided first: no partial sum overflows
+    c = (_BASIS_CONJ @ (h.ravel() / 8.0)).real  # divided first: no partial sum overflows
     off = float(np.abs(h - matrices(c)).max())
     if not off <= 1e-12 * max(1.0, float(np.abs(h).max())):  # NaN fails too
         raise ValueError(f"matrix is not a Hermitian combination of 1, A1..A3, B1..B3, B "
@@ -601,7 +619,7 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
 
     s, r = float(c[0]), math.hypot(*c[1:])
     lo, hi = s - r, s + r
-    resid = 2.0 * abs(s) * float(np.abs(h - s * np.eye(8)).max())
+    resid = 2.0 * abs(s) * float(np.abs(h - s * _I8).max())
     lam = s * s + r * r
     scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
     return SpectrumReport(

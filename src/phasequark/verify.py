@@ -12,15 +12,16 @@ minimum over O(3) against the distance form rebuilt from matrices.
 
 Checks work on stacks, not one matrix at a time.  The composite and
 rotation checks build each sample stack with one hamiltonian.coefficients
-call, and the su3 checks take one exp_generator stack over an angle axis
-per generator.  The second route of rotation is the operator route: the
-table at rotated coordinates on the primed operators, which the rotation
-checks and distinctness compare with coefficients(rot=) or the unrotated
-matrix.  Each stack is compared in one batched product, which rounds as
-the per-matrix product does.  A check that draws only uniforms takes them
-as one (N, 13) block, which a Generator fills with the same floats as N
-per-sample draws; where normal or integer draws interleave, the draws
-stay one sample at a time.
+call and each rotation stack with one rotation_matrix call, and the su3
+checks take one exp_generator stack over an angle axis per generator.  The
+second route of rotation is the operator route: the table at rotated
+coordinates on the primed operators, which the rotation checks and
+distinctness compare with coefficients(rot=) or the unrotated matrix.
+Each stack is compared in one batched product, which rounds as the
+per-matrix product does.  A check that draws only uniforms takes them as
+one block, (N, 13) or dirac-em's (5, 9), which a Generator fills with the
+same floats as N per-sample draws; where normal or integer draws
+interleave, the draws stay one sample at a time.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def _check_mixing_law(rng):
     fields = {"m": float(rng.uniform(0.0, 2.0)), "p": p, "x": x}
     phis = rng.uniform(-3.1, 3.1, size=10).tolist()
     c, s = (np.array([f(phi) for phi in phis])[:, None, None] for f in (math.cos, math.sin))
-    rots = np.stack([rotation_matrix(3, phi) for phi in phis])
+    rots = rotation_matrix(3, phis)
     h_r_p, h_y_p = (matrices(coefficients(k, rot=rots, **fields)) for k in ("ColorR", "ColorY"))
     a_p, b_p = rotated_operators(rots)  # the operator route
     pp, xp = ((rots @ v)[:, :, None, None] for v in (p, x))
@@ -355,7 +356,7 @@ def _check_color_axis_invariance(rng):
     for color, axis in (("R", 1), ("Y", 2), ("B", 3)):
         m, p, x, _, _ = _random_inputs(rng, 1)
         phis = rng.uniform(-3.1, 3.1, size=5)
-        rots = np.stack([rotation_matrix(axis, float(phi)) for phi in phis])
+        rots = rotation_matrix(axis, phis)
         kind, fields = f"Color{color}", {"m": m, "p": p, "x": x}
         rotated = _operator_route(kind, rots, **fields)
         worst = max(worst, _maxabs(matrices(coefficients(kind, **fields)) - rotated))
@@ -365,18 +366,19 @@ def _check_color_axis_invariance(rng):
 def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
     """Largest |H - H rotated| over 20 random specs, each with a random rotation;
     the draws interleave uniforms and normals, so they stay one sample at a time."""
-    draws, rots = [], []
+    draws, axes, angles = [], [], []
     for _ in range(20):
         draws.append(_random_inputs(rng, 1))
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        rots.append(rotation_matrix(axis, float(rng.uniform(-math.pi, math.pi))))
+        axes.append(axis / np.linalg.norm(axis))
+        angles.append(float(rng.uniform(-math.pi, math.pi)))
     m, p, x, pbar, xbar = (np.concatenate(v) for v in zip(*draws))
     fields = {"m": m, "p": p, "x": x}
     if kind == "QQbar":
         fields.update(pbar=pbar, xbar=xbar)
     h = matrices(coefficients(kind, **fields))
-    return _maxabs(h - _operator_route(kind, np.stack(rots), **fields)), {"samples": 20}
+    rots = rotation_matrix(np.stack(axes), angles)
+    return _maxabs(h - _operator_route(kind, rots, **fields)), {"samples": 20}
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +440,10 @@ def _check_conjugation_involution(rng):
 
 def _check_dirac_em(rng):
     worst = 0.0
-    for _ in range(5):
-        em = EMField(
-            e=float(rng.uniform(-2.0, 2.0)),
-            A0=float(rng.uniform(-2.0, 2.0)),
-            Avec=tuple(rng.uniform(-2.0, 2.0, size=3)),
-        )
-        spec = HamiltonianSpec(
-            kind="Dirac", m=float(rng.uniform(0.0, 2.0)),
-            p=tuple(rng.uniform(-2.0, 2.0, size=3)), em=em,
-        )
+    u = rng.random((5, 9))  # columns e, A0, Avec, m, p: -2 + 4u, and 2u for m
+    for row, m in zip((-2.0 + 4.0 * u).tolist(), (2.0 * u[:, 5]).tolist()):
+        em = EMField(e=row[0], A0=row[1], Avec=tuple(row[2:5]))
+        spec = HamiltonianSpec(kind="Dirac", m=m, p=tuple(row[6:9]), em=em)
         matrix, conj_spec = conjugate_hamiltonian(spec)
         flipped = HamiltonianSpec(kind="Dirac", m=spec.m, p=spec.p,
                                   em=EMField(e=-em.e, A0=em.A0, Avec=em.Avec))

@@ -275,6 +275,46 @@ def test_spec_dict_round_trip():
     assert HamiltonianSpec.from_dict(spec.to_dict()) == spec
 
 
+def spec_fields(spec):
+    """The fields of the spec's kind, as coefficients() takes them."""
+    return {name: getattr(spec, name) for name in spec.to_dict() if name != "kind"}
+
+
+@given(specs(number=finite))
+def test_stored_row_is_the_table_row(spec):
+    row = spec._c
+    assert np.array_equal(row, coefficients(spec.kind, **spec_fields(spec)))
+    assert not row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 1.0
+    # a second spec from the same fields: equal, same hash, its own equal row
+    twin = HamiltonianSpec(kind=spec.kind, **spec_fields(spec))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert twin._c is not row and np.array_equal(twin._c, row)
+
+
+def test_stored_row_is_no_field():
+    spec = HamiltonianSpec.from_dict({"kind": "QQbar", "P": [1, 2, 3], "dx": [4, 5, 6], "m": 1})
+    assert np.array_equal(spec._c, coefficients("QQbar", m=1.0, p=(1, 2, 3), x=(4, 5, 6)))
+    assert "_c" not in repr(spec) and "_c" not in spec.to_dict()
+    assert [f.name for f in dataclasses.fields(spec)] == [
+        "kind", "m", "p", "x", "pbar", "xbar", "em", "a", "b", "beta", "scalar"]
+    # a replaced spec, such as the conjugate, carries the row of its own fields
+    spec = HamiltonianSpec(kind="ColorR", m=1.0, p=(1, 2, 3), x=(4, 5, 6),
+                           em=EMField(e=0.5, A0=1.0, Avec=(0, 1, 0)))
+    for other in (conjugate_hamiltonian(spec)[1], dataclasses.replace(spec, m=2.0)):
+        assert other != spec and not np.array_equal(other._c, spec._c)
+        assert np.array_equal(other._c, coefficients(other.kind, **spec_fields(other)))
+        assert np.array_equal(build_hamiltonian(other), closed_form(other))
+
+
+def test_finite_entries_pass_even_where_their_sum_overflows():
+    # |c| sums to 4.5e308, but each entry and the diagonal s +- beta are finite
+    spec = HamiltonianSpec(kind="ColorR", p=(1.5e308, 0.0, 0.0), x=(0.0, 1.5e308, 1.5e308))
+    assert np.array_equal(build_hamiltonian(spec), closed_form(spec))
+    assert np.isfinite(build_hamiltonian(spec)).all()
+
+
 # -- composites -----------------------------------------------------------
 
 
@@ -374,6 +414,26 @@ def test_rotation_matrix_passive_convention():
     assert np.allclose(rotation_matrix((0.0, 0.0, 1.0), phi), rot, atol=1e-15)
 
 
+def test_rotation_matrix_stacks_equal_scalar_calls():
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(-math.pi, math.pi, size=(4, 5))
+    axes = rng.normal(size=(4, 5, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    for axis in (1, 2, 3, tuple(axes[0, 0])):  # one axis, many angles
+        for phis in (angles[0], angles):
+            stack = rotation_matrix(axis, phis)
+            assert stack.shape == phis.shape + (3, 3)
+            for i in np.ndindex(phis.shape):
+                # bit for bit, signs of zeros included
+                assert stack[i].tobytes() == rotation_matrix(axis, float(phis[i])).tobytes()
+    for ax, phis in ((axes[0], angles[0]), (axes, angles), (axes, 0.7)):  # an axis per matrix
+        stack = rotation_matrix(ax, phis)
+        assert stack.shape == ax.shape + (3,)
+        phis = np.broadcast_to(phis, ax.shape[:-1])
+        for i in np.ndindex(phis.shape):
+            assert stack[i].tobytes() == rotation_matrix(tuple(ax[i]), float(phis[i])).tobytes()
+
+
 def test_rotation_matrix_rejects_bad_axes():
     with pytest.raises(ValueError, match="unit"):
         rotation_matrix((1.0, 1.0, 0.0), 0.5)
@@ -381,6 +441,33 @@ def test_rotation_matrix_rejects_bad_axes():
         rotation_matrix(4, 0.5)
     with pytest.raises(ValueError, match="finite"):
         rotation_matrix(3, float("nan"))
+    # one bad member fails the whole stack
+    axes = np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [0.6, 0.8, 0.1]])
+    with pytest.raises(ValueError, match="unit"):
+        rotation_matrix(axes, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        rotation_matrix(axes[:2], [0.1, float("nan")])
+    with pytest.raises(ValueError, match="finite"):
+        rotation_matrix(3, [[0.1, 0.2], [0.3, float("inf")]])
+    with pytest.raises(ValueError, match="3-vector"):
+        rotation_matrix(np.full((2, 4), 0.5), [0.1, 0.2])
+
+
+def einsum_rotated_operators(rot):
+    """The per-entry einsum A'_k = R_kl A_l, B'_k = R_kl B_l: the reference route."""
+    ops = BASIS.reshape(8, 8, 8)
+    return tuple(np.einsum("...kl,lij->k...ij", rot, ops[s]) for s in (slice(1, 4), slice(4, 7)))
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (4, 5)])
+def test_rotated_operators_match_einsum_route(lead):
+    rng = np.random.default_rng(len(lead))
+    axes = rng.normal(size=lead + (3,))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    rots = rotation_matrix(axes, rng.uniform(-math.pi, math.pi, size=lead))
+    for primed, reference in zip(rotated_operators(rots), einsum_rotated_operators(rots)):
+        assert primed.shape == (3,) + lead + (8, 8)
+        assert np.array_equal(primed, reference)
 
 
 def test_color_hamiltonians_invariant_about_own_axis():
