@@ -99,6 +99,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                               help="override every check tolerance")
         p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p_verify.add_argument("--timings", action="store_true",
+                              help="add each check's wall time as elapsed_ms")
 
     if command in (None, "transform"):
         p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
@@ -133,7 +135,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.suite, tol=args.tol, seed=args.seed)
+    report = run_suite(args.suite, tol=args.tol, seed=args.seed, timings=args.timings)
     _emit(dump_json(report.to_dict()), args.out)
     return 0 if report.passed else 1
 

@@ -394,17 +394,20 @@ def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
 def rotation_matrix(axis: int | Sequence[float], angle: float | np.ndarray) -> np.ndarray:
     """Passive (frame) rotation: about axis 3, p'1 = c p1 + s p2.
 
-    axis is 1, 2, 3 or unit 3-vectors of shape (..., 3) (a non-unit vector is
-    an error) and angle a number or an array; they broadcast to a stack
-    (..., 3, 3).  Equals exp(-angle * cross(n)) = I cos - sin [n]x + (1 - cos)
-    n n^T, cos and sin from math per angle, so each matrix of a stack equals
-    the call for its own axis and angle bit for bit.
+    axis is an integer 1, 2, 3 (a bool is an error) or unit 3-vectors of
+    shape (..., 3) (a non-unit vector is an error) and angle a number or an
+    array; they broadcast to a stack (..., 3, 3).  Equals exp(-angle *
+    cross(n)) = I cos - sin [n]x + (1 - cos) n n^T, cos and sin from math per
+    angle, so each matrix of a stack equals the call for its own axis and
+    angle bit for bit.
     """
     angles = np.asarray(angle, dtype=float)
     flat = angles.ravel().tolist()
     if not all(map(math.isfinite, flat)):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    if isinstance(axis, int):
+    if isinstance(axis, (bool, np.bool_)):
+        raise ValueError(f"axis must be an index 1..3 or a 3-vector, not a bool: {axis!r}")
+    if isinstance(axis, numbers.Integral):
         if axis not in (1, 2, 3):
             raise ValueError(f"axis index must be 1..3, got {axis}")
         n = np.zeros(3)

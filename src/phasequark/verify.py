@@ -17,18 +17,24 @@ checks take one exp_generator stack over an angle axis per generator.  The
 second route of rotation is the operator route: the table at rotated
 coordinates on the primed operators, which the rotation checks and
 distinctness compare with coefficients(rot=) or the unrotated matrix.
-Each stack is compared in one batched product, which rounds as the
-per-matrix product does.  A check that draws only uniforms takes them as
-one block, (N, 13) or dirac-em's (5, 9), which a Generator fills with the
-same floats as N per-sample draws; where normal or integer draws
-interleave, the draws stay one sample at a time.
+The conjugation checks build each route from coefficients rows: the field
+flip at the flipped fields, the Anti closed form, and the substitution
+chain as one stacked product over the rows at p -> -p; each also calls
+conjugate_hamiltonian once and compares it with its flip row.  Each stack
+is compared in one batched product, which rounds as the per-matrix
+product does.  A check that draws only uniforms takes them as one block,
+(N, 13) or dirac-em's (5, 9), which a Generator fills with the same floats
+as N per-sample draws.  The su3 checks draw their generator indices,
+angles and vectors as one block each; only the rotation-invariance checks,
+whose uniform and normal draws interleave, draw one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -63,19 +69,23 @@ class CheckResult:
     max_residual: float
     tolerance: float
     details: dict
+    elapsed_ms: float | None = field(default=None, compare=False)  # only when asked for
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "status": "pass" if self.passed else "fail",
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
             "details": self.details,
         }
+        if self.elapsed_ms is not None:
+            out["elapsed_ms"] = self.elapsed_ms
+        return out
 
 
 @dataclass(frozen=True)
@@ -139,15 +149,6 @@ def _sq3(v: np.ndarray) -> np.ndarray:
     return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
 
 
-def _random_spec(rng: np.random.Generator, kind: str) -> HamiltonianSpec:
-    """A Dirac or colored spec at one sample of _random_inputs."""
-    m, p, x, _, _ = (v[0] for v in _random_inputs(rng, 1))
-    fields: dict = {"m": float(m), "p": p.tolist()}
-    if kind != "Dirac":
-        fields["x"] = x.tolist()
-    return HamiltonianSpec(kind, **fields)
-
-
 # ---------------------------------------------------------------------------
 # su3 suite
 # ---------------------------------------------------------------------------
@@ -173,10 +174,9 @@ def _check_centrality(rng):
     return _maxabs(phase_space.commutator6(_R6, _F)), {"generators": 8}
 
 
-def _by_generator(draws: list[tuple]):
-    """Per-sample draws (generator index, value, ...) grouped by generator:
-    (generator matrix, stacked values of its samples) per distinct index."""
-    index, *values = (np.array(v) for v in zip(*draws))
+def _by_generator(index: np.ndarray, *values: np.ndarray):
+    """Samples grouped by generator: (generator matrix, the values of its
+    samples) per distinct index, each value array indexed by sample."""
     for g in np.unique(index):
         yield _F9[g], [v[index == g] for v in values]
 
@@ -192,21 +192,21 @@ def _check_group_membership(rng):
 
 
 def _check_group_additivity(rng):
-    draws = [(rng.integers(0, 8), *rng.uniform(-2.0, 2.0, size=2)) for _ in range(20)]
+    index = rng.integers(0, 8, size=20)
+    first, second = rng.uniform(-2.0, 2.0, size=(2, 20))
     worst = 0.0
-    for g, (t1, t2) in _by_generator(draws):
+    for g, (t1, t2) in _by_generator(index, first, second):
         lhs = phase_space.exp_generator(g, t1) @ phase_space.exp_generator(g, t2)
         worst = max(worst, _maxabs(lhs - phase_space.exp_generator(g, t1 + t2)))
     return worst, {"samples": 20}
 
 
 def _check_quadratic_form(rng):
-    draws = [
-        (rng.integers(0, 9), rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0, size=6))
-        for _ in range(100)
-    ]
+    index = rng.integers(0, 9, size=100)
+    angles = rng.uniform(-3.0, 3.0, size=100)
+    vectors = rng.uniform(-2.0, 2.0, size=(100, 6))
     worst = 0.0
-    for g, (theta, v) in _by_generator(draws):
+    for g, (theta, v) in _by_generator(index, angles, vectors):
         # stacked products keep the rounding of the 1-D dot products
         v = v[:, :, None]
         mv = phase_space.exp_generator(g, theta) @ v
@@ -386,6 +386,30 @@ def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _field_flip(fields: dict) -> dict:
+    """Conjugation's field flip, stated apart from the library: e -> -e, and
+    x -> -x where the fields give x (the colored kinds)."""
+    flipped = dict(fields)
+    if "x" in fields:
+        flipped["x"] = -np.asarray(fields["x"])
+    em = fields.get("em")
+    if em is not None:
+        flipped["em"] = EMField(-em.e, em.A0, em.Avec)
+    return flipped
+
+
+def _stack(samples: list[tuple[str, dict]], route=lambda fields: fields) -> np.ndarray:
+    """Matrices of samples (kind, fields) at route(fields), one coefficients row each."""
+    return matrices(np.stack([coefficients(kind, **route(fields)) for kind, fields in samples]))
+
+
+def _substitution(samples: list[tuple[str, dict]]) -> np.ndarray:
+    """The substitution chain over samples (kind, fields): the rows at p -> -p,
+    then i -> -i, H -> -H and C H C^-1 = -C H C as one stacked product."""
+    h = _stack(samples, lambda fields: {**fields, "p": -np.asarray(fields["p"])})
+    return _C8 @ -np.conj(h) @ -_C8
+
+
 def substitution_conjugate(spec: HamiltonianSpec) -> np.ndarray:
     """Charge conjugation by the substitution chain, the second route.
 
@@ -393,8 +417,23 @@ def substitution_conjugate(spec: HamiltonianSpec) -> np.ndarray:
     with C = build_C("s2").  Every step is a signed rearrangement of the
     same floats, so it equals conjugate_hamiltonian's field flip exactly.
     """
-    flipped_p = build_hamiltonian(replace(spec, p=tuple(-v for v in spec.p)))
-    return _C8 @ -np.conj(flipped_p) @ -_C8
+    fields = {name: getattr(spec, name) for name in spec.to_dict() if name != "kind"}
+    return _substitution([(spec.kind, fields)])[0]
+
+
+def _library_flip(kind: str, fields: dict, flip: np.ndarray):
+    """conjugate_hamiltonian at one sample against flip, its field flip's matrix.
+
+    Returns the largest difference (1 when the conjugated spec is not the
+    flipped spec), the sample's spec and its conjugate.
+    """
+    spec = HamiltonianSpec(kind, **fields)
+    matrix, conj = conjugate_hamiltonian(spec)
+    worst = _maxabs(matrix - flip)
+    flipped = {"em": None, **_field_flip(fields)}  # a free sample's conjugate has no em
+    if not all(np.array_equal(getattr(conj, name), v) for name, v in flipped.items()):
+        worst = max(worst, 1.0)
+    return worst, spec, conj
 
 
 def _check_c_matrix(rng):
@@ -409,52 +448,43 @@ def _check_c_matrix(rng):
 
 
 def _check_colored_closed_forms(rng):
-    worst = 0.0
-    for color in "RYB":
-        spec = _random_spec(rng, f"Color{color}")
-        matrix, _ = conjugate_hamiltonian(spec)
-        anti = HamiltonianSpec(kind=f"Anti{color}", m=spec.m, p=spec.p, x=spec.x)
-        worst = max(worst, _maxabs(matrix - build_hamiltonian(anti)),
-                    _maxabs(matrix - substitution_conjugate(spec)))
+    m, p, x, _, _ = _random_inputs(rng, 3)  # sample i for color i
+    colors = [(f"Color{c}", {"m": m[i], "p": p[i], "x": x[i]}) for i, c in enumerate("RYB")]
+    flip = _stack(colors, _field_flip)
+    anti = _stack([(f"Anti{c}", fields) for c, (_, fields) in zip("RYB", colors)])
+    worst = max(_maxabs(flip - anti), _maxabs(flip - _substitution(colors)),
+                _library_flip(*colors[0], flip[0])[0])
     return worst, {"colors": ["R", "Y", "B"]}
 
 
 def _check_conjugation_involution(rng):
-    worst = 0.0
-    specs = [_random_spec(rng, k) for k in ("ColorR", "ColorY", "ColorB", "Dirac")]
-    specs.append(
-        HamiltonianSpec(
-            kind="Dirac", m=1.0, p=(0.5, -1.0, 2.0),
-            em=EMField(e=0.75, A0=-0.25, Avec=(0.5, 1.5, -0.5)),
-        )
-    )
-    for spec in specs:
-        once_matrix, once_spec = conjugate_hamiltonian(spec)
-        twice_matrix, twice_spec = conjugate_hamiltonian(once_spec)
-        worst = max(worst, _maxabs(twice_matrix - build_hamiltonian(spec)),
-                    _maxabs(once_matrix - substitution_conjugate(spec)))
-        if twice_spec != spec:
-            worst = max(worst, 1.0)
-    return worst, {"specs": len(specs)}
+    m, p, x, _, _ = _random_inputs(rng, 4)  # ColorR, ColorY, ColorB, then Dirac
+    samples = [(f"Color{c}", {"m": m[i], "p": p[i], "x": x[i]}) for i, c in enumerate("RYB")]
+    samples += [
+        ("Dirac", {"m": m[3], "p": p[3]}),
+        ("Dirac", {"m": 1.0, "p": (0.5, -1.0, 2.0),
+                   "em": EMField(e=0.75, A0=-0.25, Avec=(0.5, 1.5, -0.5))}),
+    ]
+    h, once = _stack(samples), _stack(samples, _field_flip)
+    twice = _stack(samples, lambda fields: _field_flip(_field_flip(fields)))
+    worst, spec, conj = _library_flip(*samples[0], once[0])
+    twice_matrix, twice_spec = conjugate_hamiltonian(conj)
+    worst = max(worst, _maxabs(twice - h), _maxabs(twice_matrix - h[0]),
+                _maxabs(once - _substitution(samples)))
+    if twice_spec != spec:
+        worst = max(worst, 1.0)
+    return worst, {"specs": len(samples)}
 
 
 def _check_dirac_em(rng):
-    worst = 0.0
     u = rng.random((5, 9))  # columns e, A0, Avec, m, p: -2 + 4u, and 2u for m
-    for row, m in zip((-2.0 + 4.0 * u).tolist(), (2.0 * u[:, 5]).tolist()):
-        em = EMField(e=row[0], A0=row[1], Avec=tuple(row[2:5]))
-        spec = HamiltonianSpec(kind="Dirac", m=m, p=tuple(row[6:9]), em=em)
-        matrix, conj_spec = conjugate_hamiltonian(spec)
-        flipped = HamiltonianSpec(kind="Dirac", m=spec.m, p=spec.p,
-                                  em=EMField(e=-em.e, A0=em.A0, Avec=em.Avec))
-        worst = max(worst, _maxabs(matrix - build_hamiltonian(flipped)),
-                    _maxabs(matrix - substitution_conjugate(spec)))
-        if conj_spec != flipped:
-            worst = max(worst, 1.0)
-    free = HamiltonianSpec(kind="Dirac", m=1.5, p=(1.0, -2.0, 0.5))
-    matrix, _ = conjugate_hamiltonian(free)
-    worst = max(worst, _maxabs(matrix - build_hamiltonian(free)),
-                _maxabs(matrix - substitution_conjugate(free)))
+    samples = [("Dirac", {"m": m, "p": v[6:9], "em": EMField(v[0], v[1], v[2:5])})
+               for v, m in zip(-2.0 + 4.0 * u, 2.0 * u[:, 5])]
+    # the free Dirac, whose flip changes nothing: the chain must return it unchanged
+    samples.append(("Dirac", {"m": 1.5, "p": (1.0, -2.0, 0.5)}))
+    flip = _stack(samples, _field_flip)
+    worst = max(_maxabs(flip - _substitution(samples)),
+                _library_flip(*samples[0], flip[0])[0])
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
 
@@ -651,8 +681,10 @@ def run_suite(
     suite: str,
     tol: float | None = None,
     seed: int = DEFAULT_SEED,
+    timings: bool = False,
 ) -> VerificationReport:
-    """Run one named suite (or "all") and collect CheckResults."""
+    """Run one named suite (or "all") and collect CheckResults; with timings,
+    each carries its wall time in ms (the rng set-up included)."""
     if suite == "all":
         names = SUITES
     elif suite in _REGISTRY:
@@ -666,8 +698,10 @@ def run_suite(
     checks: list[CheckResult] = []
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:
+            start = time.perf_counter()
             rng = np.random.default_rng([seed, stream])
             residual, details = fn(rng)
+            elapsed_ms = 1e3 * (time.perf_counter() - start) if timings else None
             tolerance = default_tol if tol is None else float(tol)
             checks.append(
                 CheckResult(
@@ -675,6 +709,7 @@ def run_suite(
                     max_residual=float(residual),
                     tolerance=tolerance,
                     details=details,
+                    elapsed_ms=elapsed_ms,
                 )
             )
     return VerificationReport(suite=suite, seed=seed, checks=tuple(checks))

@@ -355,6 +355,17 @@ def test_golden_outputs(golden, args):
     assert result.stdout == (GOLDEN / golden).read_text()
 
 
+def test_verify_timings_add_elapsed_ms_and_change_nothing_else(capsys):
+    golden = (GOLDEN / "verify_conjugation_default.json").read_text()
+    code, out = run_in_process(capsys, "verify", "--suite", "conjugation", "--timings")
+    assert code == 0
+    report = strict_json(out)
+    elapsed = [check.pop("elapsed_ms") for check in report["checks"]]
+    assert all(type(t) in (int, float) and math.isfinite(t) and t >= 0.0 for t in elapsed)
+    assert report == json.loads(golden)
+    assert run_in_process(capsys, "verify", "--suite", "conjugation") == (0, golden)
+
+
 # -- behavior spot checks ------------------------------------------------------
 
 

@@ -412,6 +412,8 @@ def test_rotation_matrix_passive_convention():
     c, s = math.cos(phi), math.sin(phi)
     assert np.allclose(rot, np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]]), atol=1e-15)
     assert np.allclose(rotation_matrix((0.0, 0.0, 1.0), phi), rot, atol=1e-15)
+    # any integer type names an axis
+    assert rotation_matrix(np.int64(3), phi).tobytes() == rot.tobytes()
 
 
 def test_rotation_matrix_stacks_equal_scalar_calls():
@@ -439,6 +441,11 @@ def test_rotation_matrix_rejects_bad_axes():
         rotation_matrix((1.0, 1.0, 0.0), 0.5)
     with pytest.raises(ValueError, match="axis index"):
         rotation_matrix(4, 0.5)
+    with pytest.raises(ValueError, match="axis index"):
+        rotation_matrix(np.int64(0), 0.5)
+    for flag in (True, np.True_):  # a bool is not an axis index
+        with pytest.raises(ValueError, match="not a bool"):
+            rotation_matrix(flag, 0.5)
     with pytest.raises(ValueError, match="finite"):
         rotation_matrix(3, float("nan"))
     # one bad member fails the whole stack

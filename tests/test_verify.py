@@ -1,0 +1,134 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from phasequark import verify
+from phasequark.hamiltonian import EMField, HamiltonianSpec, build_hamiltonian
+from phasequark.verify import run_suite
+
+
+# -- the per-spec conjugation checks, kept as the reference for the stacked ones --
+
+
+def _reference_random_spec(rng, kind):
+    m, p, x, _, _ = (v[0] for v in verify._random_inputs(rng, 1))
+    fields = {"m": float(m), "p": p.tolist()}
+    if kind != "Dirac":
+        fields["x"] = x.tolist()
+    return HamiltonianSpec(kind, **fields)
+
+
+def _reference_substitution(spec):
+    flipped_p = build_hamiltonian(dataclasses.replace(spec, p=tuple(-v for v in spec.p)))
+    return verify._C8 @ -np.conj(flipped_p) @ -verify._C8
+
+
+def _reference_colored_closed_forms(rng):
+    worst = 0.0
+    for color in "RYB":
+        spec = _reference_random_spec(rng, f"Color{color}")
+        matrix, _ = verify.conjugate_hamiltonian(spec)
+        anti = HamiltonianSpec(kind=f"Anti{color}", m=spec.m, p=spec.p, x=spec.x)
+        worst = max(worst, verify._maxabs(matrix - build_hamiltonian(anti)),
+                    verify._maxabs(matrix - _reference_substitution(spec)))
+    return worst, {"colors": ["R", "Y", "B"]}
+
+
+def _reference_involution(rng):
+    worst = 0.0
+    specs = [_reference_random_spec(rng, k) for k in ("ColorR", "ColorY", "ColorB", "Dirac")]
+    specs.append(HamiltonianSpec(kind="Dirac", m=1.0, p=(0.5, -1.0, 2.0),
+                                 em=EMField(e=0.75, A0=-0.25, Avec=(0.5, 1.5, -0.5))))
+    for spec in specs:
+        once_matrix, once_spec = verify.conjugate_hamiltonian(spec)
+        twice_matrix, twice_spec = verify.conjugate_hamiltonian(once_spec)
+        worst = max(worst, verify._maxabs(twice_matrix - build_hamiltonian(spec)),
+                    verify._maxabs(once_matrix - _reference_substitution(spec)))
+        if twice_spec != spec:
+            worst = max(worst, 1.0)
+    return worst, {"specs": len(specs)}
+
+
+def _reference_dirac_em(rng):
+    worst = 0.0
+    u = rng.random((5, 9))
+    for row, m in zip((-2.0 + 4.0 * u).tolist(), (2.0 * u[:, 5]).tolist()):
+        em = EMField(e=row[0], A0=row[1], Avec=tuple(row[2:5]))
+        spec = HamiltonianSpec(kind="Dirac", m=m, p=tuple(row[6:9]), em=em)
+        matrix, conj_spec = verify.conjugate_hamiltonian(spec)
+        flipped = HamiltonianSpec(kind="Dirac", m=spec.m, p=spec.p,
+                                  em=EMField(e=-em.e, A0=em.A0, Avec=em.Avec))
+        worst = max(worst, verify._maxabs(matrix - build_hamiltonian(flipped)),
+                    verify._maxabs(matrix - _reference_substitution(spec)))
+        if conj_spec != flipped:
+            worst = max(worst, 1.0)
+    free = HamiltonianSpec(kind="Dirac", m=1.5, p=(1.0, -2.0, 0.5))
+    matrix, _ = verify.conjugate_hamiltonian(free)
+    worst = max(worst, verify._maxabs(matrix - build_hamiltonian(free)),
+                verify._maxabs(matrix - _reference_substitution(free)))
+    return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
+
+
+@pytest.mark.parametrize("check,reference,stream", [
+    (verify._check_colored_closed_forms, _reference_colored_closed_forms, 41),
+    (verify._check_conjugation_involution, _reference_involution, 42),
+    (verify._check_dirac_em, _reference_dirac_em, 43),
+], ids=["colored-closed-forms", "involution", "dirac-em"])
+def test_stacked_conjugation_checks_match_the_per_spec_route(check, reference, stream):
+    for seed in range(50):
+        expected = reference(np.random.default_rng([seed, stream]))
+        assert check(np.random.default_rng([seed, stream])) == expected, seed
+
+
+# -- a broken conjugation must fail verify --------------------------------------
+
+
+def _failing(report):
+    return sorted(c.name for c in report.checks if not c.passed)
+
+
+def _flip(flip_x, flip_em):
+    """A conjugate_hamiltonian that flips x or not, and em by flip_em."""
+    def conjugate(spec):
+        changes = {} if spec.em is None else {"em": flip_em(spec.em)}
+        if flip_x and spec.kind != "Dirac":
+            changes["x"] = tuple(-v for v in spec.x)
+        conj = dataclasses.replace(spec, **changes)
+        return build_hamiltonian(conj), conj
+    return conjugate
+
+
+@pytest.mark.parametrize("conjugate,failing", [
+    (_flip(False, lambda em: dataclasses.replace(em, e=-em.e)),
+     ["conjugation/colored-closed-forms", "conjugation/involution"]),
+    # -A0 and -Avec build the same matrix as -e: only the conjugated spec differs
+    (_flip(True, lambda em: EMField(em.e, -em.A0, tuple(-v for v in em.Avec))),
+     ["conjugation/dirac-em"]),
+], ids=["x-not-flipped", "potential-flipped-instead-of-e"])
+def test_a_broken_library_flip_fails_verify(monkeypatch, conjugate, failing):
+    monkeypatch.setattr(verify, "conjugate_hamiltonian", conjugate)
+    report = run_suite("conjugation")
+    assert report.passed is False
+    assert _failing(report) == failing
+
+
+def test_a_substitution_chain_without_conj_fails_verify(monkeypatch):
+    def without_conj(samples):
+        h = verify._stack(samples, lambda fields: {**fields, "p": -np.asarray(fields["p"])})
+        return verify._C8 @ -h @ -verify._C8
+
+    monkeypatch.setattr(verify, "_substitution", without_conj)
+    report = run_suite("conjugation")
+    assert report.passed is False
+    assert _failing(report) == ["conjugation/colored-closed-forms", "conjugation/dirac-em",
+                                "conjugation/involution"]
+
+
+def test_check_results_compare_without_their_timings():
+    timed, plain = run_suite("conjugation", timings=True), run_suite("conjugation")
+    assert timed == plain
+    assert all(c.elapsed_ms >= 0.0 for c in timed.checks)
+    assert all(c.elapsed_ms is None for c in plain.checks)
+    assert [c.to_dict() for c in plain.checks] == [
+        {k: v for k, v in c.to_dict().items() if k != "elapsed_ms"} for c in timed.checks]
