@@ -18,11 +18,16 @@ Factor by factor, the product of two tensors is then
 
 the index of the product is the XOR of the indices, and ``_PHASE[a][b] = n``
 tabulates the phase exponent of all 64 x 64 pairs, built once with NumPy
-from the 4 x 4 single-factor table.  Multiplying two expressions costs one
-XOR and one table lookup per tensor pair and one coefficient product per
-monomial pair; the factor i^n is a swap and/or negation of (re, im).
-:meth:`PauliExpr.to_matrix` sums each tensor's monomials to one number and
-contracts those numbers against ``clifford.KRON3_STACK`` in one matmul.
+from the 4 x 4 single-factor table.  Every coefficient is one reduced
+triple of Python ints ``(a, b, d)``, meaning (a + b i) / d with d > 0 and
+gcd(a, b, d) = 1, so equal numbers have equal triples and a sum or product
+is a few int operations and one ``math.gcd``.  Multiplying two expressions
+costs one XOR and one table lookup per tensor pair and one coefficient
+product per monomial pair; the factor i^n is a swap and/or negation of
+(a, b).  :meth:`PauliExpr.to_matrix` takes each coefficient as
+``complex(a / d, b / d)`` (int true division is correctly rounded), sums
+each tensor's monomials to one number and contracts those numbers against
+``clifford.KRON3_STACK`` in one matmul.
 
 Grammar (whitespace insensitive)::
 
@@ -36,10 +41,13 @@ Grammar (whitespace insensitive)::
 NAME is either a named operator of clifford.OPERATORS (A1 A2 A3 B B1 B2
 B3 C gamma5 gammaR5 gammaY5 gammaB5) or a symbol (p1 p2 p3 x1 x2 x3 m e
 A0 A1v A2v A3v).  A bare Pauli factor such as ``s1`` is rejected with a
-hint to write the full tensor form.  There is no division and literals
-are decimal, so every reachable coefficient denominator is a product of
-twos and fives and the canonical printer can always render coefficients
-as exact decimals.
+hint to write the full tensor form, and parentheses nest at most
+``_MAX_DEPTH`` deep.  There is no division and literals are decimal, so
+every reachable coefficient denominator is a product of twos and fives
+and the canonical printer can always render coefficients as exact
+decimals.  The parser multiplies the scalar, symbol and tensor factors of
+a term into one (coefficient, monomial, tensor) triple and builds a
+general product only at a parenthesised factor.
 
 Canonical form: terms are sorted by tensor index triple, then by
 monomial; unit coefficients and the identity tensor ``s0#s0#s0`` are
@@ -54,6 +62,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -75,102 +84,165 @@ SYMBOLS = ("p1", "p2", "p3", "x1", "x2", "x3", "m", "e", "A0", "A1v", "A2v", "A3
 
 
 # ---------------------------------------------------------------------------
-# Exact complex numbers
+# Exact complex numbers: reduced triples (a, b, d) = (a + b i) / d
 # ---------------------------------------------------------------------------
 
-
-def _decimal_str(f: Fraction) -> str:
-    """Exact decimal rendering; falls back to a/b for non 2^a 5^b denominators."""
-    num, den = f.numerator, f.denominator
-    d = den
-    digits = 0
-    for prime in (2, 5):
-        count = 0
-        while d % prime == 0:
-            d //= prime
-            count += 1
-        digits = max(digits, count)
-    if d != 1:
-        return f"{num}/{den}"
-    if digits == 0:
-        return str(num)
-    scaled = abs(num) * 10**digits // den
-    sign = "-" if num < 0 else ""
-    whole, frac = divmod(scaled, 10**digits)
-    frac_str = str(frac).rjust(digits, "0").rstrip("0")
-    return f"{sign}{whole}.{frac_str}" if frac_str else f"{sign}{whole}"
+Coeff = tuple[int, int, int]
+_ONE: Coeff = (1, 0, 1)
 
 
-@dataclass(frozen=True)
-class ExactComplex:
-    """Gaussian rational a + b i with exact Fraction components."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def from_literal(cls, text: str) -> "ExactComplex":
-        return cls(Fraction(Decimal(text)))
-
-    @classmethod
-    def unit_i(cls) -> "ExactComplex":
-        return cls(Fraction(0), Fraction(1))
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
-        # Most coefficients are real: skip the products with a zero part.
-        if not self.im:
-            if not other.im:
-                return ExactComplex(self.re * other.re)
-            return ExactComplex(self.re * other.re, self.re * other.im)
-        if not other.im:
-            return ExactComplex(self.re * other.re, self.im * other.re)
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return _decimal_str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return _decimal_str(self.im) + "i"
-        im_part = "i" if abs(self.im) == 1 else _decimal_str(abs(self.im)) + "i"
-        op = "+" if self.im > 0 else "-"
-        return f"({_decimal_str(self.re)}{op}{im_part})"
+def _reduced(a: int, b: int, d: int) -> Coeff:
+    """(a, b, d) divided by gcd(a, b, d); d must be > 0."""
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
 
 
-_ONE = ExactComplex(Fraction(1))
-_I = ExactComplex.unit_i()
+def _cadd(x: Coeff, y: Coeff) -> Coeff:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        if d1 == 1:
+            return (a1 + a2, b1 + b2, 1)
+        return _reduced(a1 + a2, b1 + b2, d1)
+    return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
-def _times_i_power(z: ExactComplex, n: int) -> ExactComplex:
-    """z * i**n for n in 0..3, by a swap and/or negation of (re, im)."""
+def _cmul(x: Coeff, y: Coeff) -> Coeff:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if b1 or b2:
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+    else:
+        a, b = a1 * a2, 0
+    if d1 == 1 and d2 == 1:
+        return (a, b, 1)
+    return _reduced(a, b, d1 * d2)
+
+
+def _times_i_power(z: Coeff, n: int) -> Coeff:
+    """z * i**n for n mod 4, by a swap and/or negation of (a, b)."""
+    a, b, d = z
+    n &= 3
     if n == 0:
         return z
     if n == 1:
-        return ExactComplex(-z.im, z.re)
+        return (-b, a, d)
     if n == 2:
-        return ExactComplex(-z.re, -z.im)
-    return ExactComplex(z.im, -z.re)
+        return (-a, -b, d)
+    return (b, -a, d)
+
+
+def _from_rational(value: int | Fraction) -> Coeff:
+    if isinstance(value, (int, Fraction)):
+        return (value.numerator, 0, value.denominator)
+    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+
+
+def _decimal_str(num: int, den: int) -> str:
+    """num/den as an exact decimal, or "num/den" unless den = 2^a 5^b.
+
+    num/den must be reduced with den > 0; then the last decimal digit is
+    nonzero, so the digits need no trimming.
+    """
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    digits = max(twos, fives)
+    whole, frac = divmod(abs(num) * (10**digits // den), 10**digits)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
+def _part_str(num: int, d: int) -> str:
+    g = gcd(num, d)
+    return _decimal_str(num // g, d // g)
+
+
+def _coeff_str(z: Coeff) -> str:
+    a, b, d = z
+    # with one part zero, gcd(a, b, d) = 1 makes the other part num/d reduced
+    if not b:
+        return _decimal_str(a, d)
+    if not a:
+        if b == d:
+            return "i"
+        if b == -d:
+            return "-i"
+        return _decimal_str(b, d) + "i"
+    im_part = "i" if abs(b) == d else _part_str(abs(b), d) + "i"
+    op = "+" if b > 0 else "-"
+    return f"({_part_str(a, d)}{op}{im_part})"
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class ExactComplex:
+    """Gaussian rational re + im i, held as one reduced triple (a, b, d).
+
+    The value is (a + b i) / d with d > 0 and gcd(a, b, d) = 1, so ``==``
+    and ``hash`` compare triples.  ``ExactComplex(re, im)`` takes ints or
+    Fractions; ``.re`` and ``.im`` return Fractions.  Instances are
+    immutable.
+    """
+
+    _t: Coeff
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        p, _, q = _from_rational(re)
+        r, _, s = _from_rational(im)
+        object.__setattr__(self, "_t", _reduced(p * s, r * q, q * s))
+
+    @classmethod
+    def _wrap(cls, t: Coeff) -> "ExactComplex":
+        z = cls.__new__(cls)
+        object.__setattr__(z, "_t", t)
+        return z
+
+    @classmethod
+    def from_literal(cls, text: str) -> "ExactComplex":
+        num, den = Decimal(text).as_integer_ratio()
+        return cls._wrap((num, 0, den))
+
+    @classmethod
+    def unit_i(cls) -> "ExactComplex":
+        return cls._wrap((0, 1, 1))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
+
+    def __add__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex._wrap(_cadd(self._t, other._t))
+
+    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex._wrap(_cadd(self._t, _times_i_power(other._t, 2)))
+
+    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex._wrap(_cmul(self._t, other._t))
+
+    def __neg__(self) -> "ExactComplex":
+        return ExactComplex._wrap(_times_i_power(self._t, 2))
+
+    def is_zero(self) -> bool:
+        return not self._t[0] and not self._t[1]
+
+    def __complex__(self) -> complex:
+        a, b, d = self._t
+        return complex(a / d, b / d)
+
+    def __str__(self) -> str:
+        return _coeff_str(self._t)
+
+    def __repr__(self) -> str:
+        return f"ExactComplex(re={self.re!r}, im={self.im!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +269,7 @@ _PHASE = _phase_table()
 # Row n is KRON3_STACK[n] flattened, so a weighted sum of tensors is one matmul.
 _FLAT_STACK = KRON3_STACK.reshape(64, 64)
 _LABELS = tuple("s%d#s%d#s%d" % (n >> 4, (n >> 2) & 3, n & 3) for n in range(64))
+_LABEL_INDEX = {label: n for n, label in enumerate(_LABELS)}
 
 
 def _basis_index(i: int, j: int, k: int) -> int:
@@ -204,20 +277,20 @@ def _basis_index(i: int, j: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in the real symbols (dict monomial -> ExactComplex)
+# Polynomials in the real symbols (dict monomial -> coefficient triple)
 # ---------------------------------------------------------------------------
 
 Monomial = tuple[tuple[str, int], ...]
-Poly = dict  # Monomial -> ExactComplex
+Poly = dict  # Monomial -> Coeff
 
 
-def _poly_add_into(target: Poly, mono: Monomial, coeff: ExactComplex) -> None:
+def _poly_add_into(target: Poly, mono: Monomial, coeff: Coeff) -> None:
     cur = target.get(mono)
-    new = coeff if cur is None else cur + coeff
-    if new.is_zero():
-        target.pop(mono, None)
-    else:
+    new = coeff if cur is None else _cadd(cur, coeff)
+    if new[0] or new[1]:
         target[mono] = new
+    else:
+        target.pop(mono, None)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -231,6 +304,37 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
+def _add_terms(out: dict[int, Poly], terms: dict[int, Poly], negate: bool) -> None:
+    """out += terms (or -terms) in place, dropping cancelled monomials and
+    tensors; a tensor new to out gets a copy of its poly."""
+    for basis, poly in terms.items():
+        if negate:
+            poly = {m: (-a, -b, d) for m, (a, b, d) in poly.items()}
+        target = out.get(basis)
+        if target is None:
+            out[basis] = dict(poly)
+            continue
+        for mono, coeff in poly.items():
+            _poly_add_into(target, mono, coeff)
+        if not target:
+            del out[basis]
+
+
+def _mul_terms(left: dict[int, Poly], right: dict[int, Poly]) -> dict[int, Poly]:
+    """The product of two index-keyed expressions, with no empty poly."""
+    out: dict[int, Poly] = {}
+    for a, poly_a in left.items():
+        row = _PHASE[a]
+        for b, poly_b in right.items():
+            n = row[b]
+            target = out.setdefault(a ^ b, {})
+            for mono_a, ca in poly_a.items():
+                for mono_b, cb in poly_b.items():
+                    _poly_add_into(target, _mono_mul(mono_a, mono_b),
+                                   _times_i_power(_cmul(ca, cb), n))
+    return {b: p for b, p in out.items() if p}
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -238,12 +342,10 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 ScalarLike = Union[int, Fraction, ExactComplex]
 
 
-def _as_exact(value: ScalarLike) -> ExactComplex:
+def _as_exact(value: ScalarLike) -> Coeff:
     if isinstance(value, ExactComplex):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ExactComplex(Fraction(value))
-    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+        return value._t
+    return _from_rational(value)
 
 
 class PauliExpr:
@@ -256,10 +358,10 @@ class PauliExpr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Basis, Mapping[Monomial, ExactComplex]] | None = None):
+    def __init__(self, terms: Mapping[Basis, Mapping[Monomial, ScalarLike]] | None = None):
         clean: dict[int, Poly] = {}
         for basis, poly in (terms or {}).items():
-            kept = {m: c for m, c in poly.items() if not c.is_zero()}
+            kept = {m: t for m, t in ((m, _as_exact(c)) for m, c in poly.items()) if t[0] or t[1]}
             if kept:
                 clean[_basis_index(*basis)] = kept
         self._terms = clean
@@ -288,20 +390,17 @@ class PauliExpr:
     def from_symbol(cls, name: str) -> "PauliExpr":
         if name not in SYMBOLS:
             raise ValueError(f"unknown symbol {name!r}; known symbols: {SYMBOLS}")
-        return cls._from_index({0: {((name, 1),): _ONE}})
+        return _SYMBOL_EXPRS[name]
 
     @classmethod
     def from_scalar(cls, value: ScalarLike) -> "PauliExpr":
-        return cls({(0, 0, 0): {(): _as_exact(value)}})
+        return cls({(0, 0, 0): {(): value}})
 
     # -- algebra ------------------------------------------------------
 
     def _combine(self, other: "PauliExpr", negate: bool) -> "PauliExpr":
         terms = {b: dict(p) for b, p in self._terms.items()}
-        for basis, poly in other._terms.items():
-            target = terms.setdefault(basis, {})
-            for mono, coeff in poly.items():
-                _poly_add_into(target, mono, -coeff if negate else coeff)
+        _add_terms(terms, other._terms, negate)
         return PauliExpr._from_index(terms)
 
     def __add__(self, other: "PauliExpr") -> "PauliExpr":
@@ -311,29 +410,17 @@ class PauliExpr:
         return self._combine(other, True)
 
     def __neg__(self) -> "PauliExpr":
-        return PauliExpr._from_index(
-            {b: {m: -c for m, c in p.items()} for b, p in self._terms.items()}
-        )
+        return PauliExpr()._combine(self, True)
 
     def __mul__(self, other: "PauliExpr | ScalarLike") -> "PauliExpr":
         if not isinstance(other, PauliExpr):
             scalar = _as_exact(other)
-            if scalar.is_zero():
+            if not (scalar[0] or scalar[1]):
                 return PauliExpr()
             return PauliExpr._from_index(
-                {b: {m: c * scalar for m, c in p.items()} for b, p in self._terms.items()}
+                {b: {m: _cmul(c, scalar) for m, c in p.items()} for b, p in self._terms.items()}
             )
-        out: dict[int, Poly] = {}
-        for a, poly_a in self._terms.items():
-            row = _PHASE[a]
-            for b, poly_b in other._terms.items():
-                n = row[b]
-                target = out.setdefault(a ^ b, {})
-                for mono_a, ca in poly_a.items():
-                    for mono_b, cb in poly_b.items():
-                        _poly_add_into(target, _mono_mul(mono_a, mono_b),
-                                       _times_i_power(ca * cb, n))
-        return PauliExpr._from_index(out)
+        return PauliExpr._from_index(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -363,7 +450,7 @@ class PauliExpr:
 
     # -- rendering and evaluation --------------------------------------
 
-    def _flat(self) -> Iterator[tuple[int, Monomial, ExactComplex]]:
+    def _flat(self) -> Iterator[tuple[int, Monomial, Coeff]]:
         for basis in sorted(self._terms):
             poly = self._terms[basis]
             for mono in sorted(poly):
@@ -371,15 +458,13 @@ class PauliExpr:
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for basis, mono, coeff in self._flat():
-            negative = False
-            if coeff.im == 0 and coeff.re < 0:
-                coeff, negative = -coeff, True
-            elif coeff.re == 0 and coeff.im < 0:
-                coeff, negative = -coeff, True
+        for basis, mono, (a, b, d) in self._flat():
+            negative = (a < 0 and not b) or (not a and b < 0)
+            if negative:
+                a, b = -a, -b
             pieces: list[str] = []
-            if not (coeff.re == 1 and coeff.im == 0):
-                pieces.append(str(coeff))
+            if not (a == 1 and not b and d == 1):
+                pieces.append(_coeff_str((a, b, d)))
             for name, power in mono:
                 pieces.extend([name] * power)
             if basis:
@@ -403,17 +488,19 @@ class PauliExpr:
         raises ValueError naming it.
         """
         values = dict(values or {})
-        missing = sorted(self.free_symbols - values.keys())
+        free = self.free_symbols
+        missing = sorted(free - values.keys())
         if missing:
             raise ValueError(f"no value given for symbol(s): {', '.join(missing)}")
+        numbers = {name: complex(values[name]) for name in free}
         index: list[int] = []
         weights: list[complex] = []
         for basis, poly in self._terms.items():
             total = 0j
-            for mono, coeff in poly.items():
-                val = complex(coeff)
+            for mono, (a, b, d) in poly.items():
+                val = complex(a / d, b / d)
                 for name, power in mono:
-                    val *= complex(values[name]) ** power
+                    val *= numbers[name] ** power
                 total += val
             if total != 0:
                 index.append(basis)
@@ -429,10 +516,13 @@ def commutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:
     return a * b - b * a
 
 
+# name -> (n, index): the operator is i**n times the tensor at index
+_OPERATOR_INDEX = {name: (n, _basis_index(*ijk)) for name, (n, ijk) in OPERATORS.items()}
 NAMED_OPERATORS = {
-    name: PauliExpr._from_index({_basis_index(*ijk): {(): _times_i_power(_ONE, n)}})
-    for name, (n, ijk) in OPERATORS.items()
+    name: PauliExpr._from_index({idx: {(): _times_i_power(_ONE, n)}})
+    for name, (n, idx) in _OPERATOR_INDEX.items()
 }
+_SYMBOL_EXPRS = {name: PauliExpr._from_index({0: {((name, 1),): _ONE}}) for name in SYMBOLS}
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +538,7 @@ class ParseError(ValueError):
         self.position = position
 
 
+# An operator token's kind is its own character; BAD is any other character.
 _TOKEN_RE = re.compile(
     r"""
     (?P<WS>\s+)
@@ -456,122 +547,171 @@ _TOKEN_RE = re.compile(
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
   | (?P<OP>[+\-*()])
+  | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _BARE_PAULI = {"s0", "s1", "s2", "s3"}
+# Deepest parenthesis nesting parse accepts; each level costs three stack frames.
+_MAX_DEPTH = 200
+
+Token = tuple[str, str, int]  # kind, text, 1-based position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int  # 1-based
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise ParseError(f"unexpected character {text[index]!r}", index + 1)
-        kind = match.lastgroup or ""
-        if kind != "WS":
-            tokens.append(_Token(kind, match.group(), index + 1))
-        index = match.end()
-    tokens.append(_Token("END", "", len(text) + 1))
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "WS":
+            continue
+        tok = match.group()
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {tok!r}", match.start() + 1)
+        tokens.append((tok if kind == "OP" else kind, tok, match.start() + 1))
+    tokens.append(("END", "", len(text) + 1))
     return tokens
 
 
+def _literal(text: str) -> Coeff:
+    """The exact value of a NUMBER token: digits with at most one '.'."""
+    whole, _, frac = text.partition(".")
+    try:
+        num, den = int(whole + frac), 10 ** len(frac)
+    except ValueError:  # more digits than int() reads from a string
+        num, den = Decimal(text).as_integer_ratio()
+    return _reduced(num, 0, den)
+
+
 class _Parser:
+    __slots__ = ("tokens", "index", "depth")
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    def parse(self) -> dict[int, Poly]:
+        terms = self.expr()
+        _, text, pos = tok = self.tokens[self.index]
+        if tok[0] != "END":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return terms
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def parse(self) -> PauliExpr:
-        expr = self.expr()
-        if self.current.kind != "END":
-            raise ParseError(f"unexpected {self.current.text!r}", self.current.pos)
-        return expr
-
-    def expr(self) -> PauliExpr:
-        negate = False
-        if self.current.kind == "OP" and self.current.text == "-":
-            self.advance()
-            negate = True
-        result = self.term()
+    def expr(self) -> dict[int, Poly]:
+        tokens = self.tokens
+        negate = tokens[self.index][0] == "-"
         if negate:
-            result = -result
-        while self.current.kind == "OP" and self.current.text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+            self.index += 1
+        out: dict[int, Poly] = {}
+        while True:
+            _add_terms(out, self.term(), negate)
+            kind = tokens[self.index][0]
+            if kind != "+" and kind != "-":
+                return out
+            negate = kind == "-"
+            self.index += 1
 
-    def term(self) -> PauliExpr:
-        result = self.factor()
-        while self.current.kind == "OP" and self.current.text == "*":
-            self.advance()
-            result = result * self.factor()
-        return result
+    def term(self) -> dict[int, Poly]:
+        """One product of factors.
 
-    def factor(self) -> PauliExpr:
-        tok = self.current
-        if tok.kind == "TENSOR":
-            self.advance()
-            i, j, k = (int(tok.text[n]) for n in (1, 4, 7))
-            return PauliExpr.from_basis(i, j, k)
-        if tok.kind == "NUMBER":
-            self.advance()
-            return PauliExpr.from_scalar(ExactComplex.from_literal(tok.text))
-        if tok.kind == "IMAG":
-            self.advance()
-            return PauliExpr.from_scalar(
-                ExactComplex(Fraction(0), Fraction(Decimal(tok.text[:-1])))
-            )
-        if tok.kind == "NAME":
-            self.advance()
-            name = tok.text
-            if name == "i":
-                return PauliExpr.from_scalar(_I)
-            if name in NAMED_OPERATORS:
-                return NAMED_OPERATORS[name]
-            if name in SYMBOLS:
-                return PauliExpr.from_symbol(name)
-            if name in _BARE_PAULI:
+        Scalars, symbols and tensors fold into coeff * i**phase * names *
+        T_basis, and so does a parenthesised scalar; any other parenthesised
+        factor multiplies what came before it and its own value into
+        ``result`` in order, since tensors do not commute.
+        """
+        tokens = self.tokens
+        coeff, phase, basis, names = _ONE, 0, 0, []
+        result = None
+        while True:
+            kind, text, pos = tokens[self.index]
+            self.index += 1
+            if kind == "TENSOR":
+                idx = _LABEL_INDEX[text]
+                phase += _PHASE[basis][idx]
+                basis ^= idx
+            elif kind == "NUMBER":
+                coeff = _cmul(coeff, _literal(text))
+            elif kind == "IMAG":
+                coeff = _cmul(coeff, _literal(text[:-1]))
+                phase += 1
+            elif kind == "NAME":
+                if text == "i":
+                    phase += 1
+                elif text in _OPERATOR_INDEX:
+                    n, idx = _OPERATOR_INDEX[text]
+                    phase += n + _PHASE[basis][idx]
+                    basis ^= idx
+                elif text in _SYMBOL_EXPRS:
+                    names.append(text)
+                elif text in _BARE_PAULI:
+                    raise ParseError(
+                        f"bare Pauli factor {text!r}; write a full tensor such as "
+                        f"{text}#s0#s0",
+                        pos,
+                    )
+                else:
+                    raise ParseError(f"unknown name {text!r}", pos)
+            elif kind == "(":
+                inner = self.parenthesised(pos)
+                scalar = _scalar(inner)
+                if scalar is not None:
+                    coeff = _cmul(coeff, scalar)
+                else:
+                    result = _mul_terms(_fold(result, coeff, phase, basis, names), inner)
+                    coeff, phase, basis, names = _ONE, 0, 0, []
+            else:
                 raise ParseError(
-                    f"bare Pauli factor {name!r}; write a full tensor such as "
-                    f"{name}#s0#s0",
-                    tok.pos,
+                    f"expected a factor, got {text!r}" if kind != "END" else "unexpected end of input",
+                    pos,
                 )
-            raise ParseError(f"unknown name {name!r}", tok.pos)
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            inner = self.expr()
-            closing = self.current
-            if not (closing.kind == "OP" and closing.text == ")"):
-                raise ParseError("expected ')'", closing.pos)
-            self.advance()
-            return inner
-        raise ParseError(
-            f"expected a factor, got {tok.text!r}" if tok.kind != "END" else "unexpected end of input",
-            tok.pos,
-        )
+            if tokens[self.index][0] != "*":
+                break
+            self.index += 1
+        return _fold(result, coeff, phase, basis, names)
+
+    def parenthesised(self, pos: int) -> dict[int, Poly]:
+        """The expression after a '(' at pos, and its ')'."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        kind, _, closing = self.tokens[self.index]
+        if kind != ")":
+            raise ParseError("expected ')'", closing)
+        self.index += 1
+        return inner
+
+
+def _fold(result, coeff: Coeff, phase: int, basis: int, names: list[str]) -> dict[int, Poly]:
+    """result (None for 1) times coeff * i**phase * names * T_basis."""
+    if not (coeff[0] or coeff[1]):
+        return {}
+    if result is not None and coeff == _ONE and not (phase & 3 or basis or names):
+        return result
+    if len(names) < 2:
+        mono = ((names[0], 1),) if names else ()
+    else:
+        powers: dict[str, int] = {}
+        for name in names:
+            powers[name] = powers.get(name, 0) + 1
+        mono = tuple(sorted(powers.items()))
+    single = {basis: {mono: _times_i_power(coeff, phase)}}
+    return single if result is None else _mul_terms(result, single)
+
+
+def _scalar(terms: dict[int, Poly]) -> Coeff | None:
+    """The coefficient of terms if they are a multiple of 1 (0 included), else None."""
+    if not terms:
+        return (0, 0, 1)
+    if len(terms) == 1 and len(terms.get(0, ())) == 1:
+        return terms[0].get(())
+    return None
 
 
 def parse(text: str) -> PauliExpr:
     """Parse the expression grammar into a canonical PauliExpr."""
     if not isinstance(text, str):
         raise TypeError("expression must be a string")
-    return _Parser(text).parse()
+    return PauliExpr._from_index(_Parser(text).parse())

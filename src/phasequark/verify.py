@@ -154,7 +154,7 @@ def _sq3(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_commutator_table(rng):
+def _check_commutator_table():
     ok, max_residual, rows = phase_space.verify_su3_table()
     nonzero = sum(
         1 for row in rows if any(abs(c) > 1e-9 for c in row["coefficients"])
@@ -170,7 +170,7 @@ def _check_jacobi(rng):
     return _maxabs(acc), {"triples": 50}
 
 
-def _check_centrality(rng):
+def _check_centrality():
     return _maxabs(phase_space.commutator6(_R6, _F)), {"generators": 8}
 
 
@@ -215,20 +215,20 @@ def _check_quadratic_form(rng):
     return worst, {"vectors": 100}
 
 
-def _check_reflection_square(rng):
+def _check_reflection_square():
     recip = phase_space.exp_generator(_R6, math.pi / 2.0)
     reflection = phase_space.exp_generator(_R6, math.pi)
     worst = max(_maxabs(recip @ recip - reflection), _maxabs(reflection + _I6))
     return worst, {"convention": "exp((pi/2) R) maps (p, x) to (-x, p)"}
 
 
-def _check_pairing_symplectic(rng):
+def _check_pairing_symplectic():
     tags = ("Standard", "R", "Y", "B", "Even(R)")
     m = np.stack([phase_space.pairing(tag).matrix() for tag in tags])
     return _maxabs(m.swapaxes(1, 2) @ _J6 @ m - _J6), {"tags": list(tags)}
 
 
-def _check_pairing_from_rotation(rng):
+def _check_pairing_from_rotation():
     worst = 0.0
     found = {}
     for color in "RYB":
@@ -243,7 +243,7 @@ def _check_pairing_from_rotation(rng):
     return worst, found
 
 
-def _check_pairing_from_diagonal(rng):
+def _check_pairing_from_diagonal():
     worst = 0.0
     found = {}
     for color in "RYB":
@@ -267,11 +267,11 @@ def _anticommutation_residual(gammas: np.ndarray) -> float:
     return _maxabs(clifford.anticommutator(gammas[:, None], gammas[None]) - target)
 
 
-def _check_anticommutation(rng):
+def _check_anticommutation():
     return _anticommutation_residual(_GAMMA), {"generators": list(clifford.GENERATOR_NAMES)}
 
 
-def _check_hermitian_involution(rng):
+def _check_hermitian_involution():
     g = _GAMMA
     worst = max(_maxabs(g - g.conj().swapaxes(1, 2)), _maxabs(g @ g - _I8))
     if not np.isin(g, [0, 1, -1, 1j, -1j]).all():
@@ -279,13 +279,13 @@ def _check_hermitian_involution(rng):
     return worst, {"entry_set": "0, +-1, +-i"}
 
 
-def _check_conjugation_identities(rng):
+def _check_conjugation_identities():
     c, ops = _C8, _GAMMA[:6]
     worst = max(_maxabs(c @ _B8 @ -c + _B8), _maxabs(c @ np.conj(ops) @ -c - ops))
     return worst, {"tau": "s2"}
 
 
-def _check_tau_uniqueness(rng):
+def _check_tau_uniqueness():
     expected = {"s0": [1, 3], "s1": [1, 2], "s2": [], "s3": [2, 3]}
     scan = clifford.charge_conjugation_tau_scan()
     failures = {tau: sorted(ks) for tau, ks in scan.items()}
@@ -293,7 +293,7 @@ def _check_tau_uniqueness(rng):
     return residual, {"failing_Bk_indices": failures}
 
 
-def _check_gamma5(rng):
+def _check_gamma5():
     """The table's chiralities against -i A1 A2 A3 and -i A_c B_u B_v by matmul."""
     c, u, v = [0, 1, 2], [1, 2, 0], [2, 0, 1]  # R, Y, B
     products = -1j * np.stack([_A8[0] @ _A8[1] @ _A8[2], *(_A8[c] @ _BK8[u] @ _BK8[v])])
@@ -436,7 +436,7 @@ def _library_flip(kind: str, fields: dict, flip: np.ndarray):
     return worst, spec, conj
 
 
-def _check_c_matrix(rng):
+def _check_c_matrix():
     c = _C8
     worst = max(_maxabs(c @ c + _I8), _maxabs(np.imag(c)))
     signed_perm = np.all(np.sum(np.abs(c) > 0, axis=0) == 1) and np.all(
@@ -493,7 +493,7 @@ _PI, _PJ = [0, 0, 1], [1, 2, 2]  # the pairs (i, j) of the probe rows (e_i + e_j
 _PROBES = np.concatenate([_I3, (_I3[_PI] + _I3[_PJ]) / math.sqrt(2.0)])
 
 
-def _check_distinctness(rng):
+def _check_distinctness():
     """The exact minimum of antiparticle_distinctness_check, checked by matrices.
 
     d^2, the squared distance of Anti(c) in a frame to Color(c), is u^T M u in
@@ -601,7 +601,7 @@ def _check_translation_invariance(rng):
                    "witness_change": witness}
 
 
-def _check_rest_frame(rng):
+def _check_rest_frame():
     spec = HamiltonianSpec.from_dict({"kind": "QQbar", "P": [0, 0, 0], "dx": [0, 0, 0], "m": 1})
     report = square_and_spectrum(build_hamiltonian(spec))
     worst = abs((report.scalar_square or 0.0) - 36.0)
@@ -630,26 +630,27 @@ def _check_chirality_breaking(rng):
 # registry and runner
 # ---------------------------------------------------------------------------
 
-# (name, stable rng stream id, default tolerance, function)
-_REGISTRY: dict[str, list[tuple[str, int, float, Callable]]] = {
+# (name, stable rng stream id, default tolerance, function); a check that draws
+# nothing has stream None and is called with no generator
+_REGISTRY: dict[str, list[tuple[str, int | None, float, Callable]]] = {
     "su3": [
-        ("su3/commutator-table", 10, 1e-12, _check_commutator_table),
+        ("su3/commutator-table", None, 1e-12, _check_commutator_table),
         ("su3/jacobi-identity", 11, 1e-12, _check_jacobi),
-        ("su3/u1-centrality", 12, 1e-12, _check_centrality),
+        ("su3/u1-centrality", None, 1e-12, _check_centrality),
         ("su3/group-membership", 13, 1e-12, _check_group_membership),
         ("su3/group-additivity", 14, 1e-11, _check_group_additivity),
         ("su3/quadratic-form-invariance", 15, 1e-12, _check_quadratic_form),
-        ("su3/reflection-square", 16, 1e-12, _check_reflection_square),
-        ("su3/pairing-symplectic", 17, 1e-12, _check_pairing_symplectic),
-        ("su3/pairing-from-rotation", 18, 1e-12, _check_pairing_from_rotation),
-        ("su3/pairing-from-diagonal", 19, 1e-12, _check_pairing_from_diagonal),
+        ("su3/reflection-square", None, 1e-12, _check_reflection_square),
+        ("su3/pairing-symplectic", None, 1e-12, _check_pairing_symplectic),
+        ("su3/pairing-from-rotation", None, 1e-12, _check_pairing_from_rotation),
+        ("su3/pairing-from-diagonal", None, 1e-12, _check_pairing_from_diagonal),
     ],
     "clifford": [
-        ("clifford/anticommutation-table", 20, 1e-12, _check_anticommutation),
-        ("clifford/hermitian-involution", 21, 1e-12, _check_hermitian_involution),
-        ("clifford/conjugation-identities", 22, 1e-12, _check_conjugation_identities),
-        ("clifford/tau-uniqueness", 23, 1e-12, _check_tau_uniqueness),
-        ("clifford/gamma5-chirality", 24, 1e-12, _check_gamma5),
+        ("clifford/anticommutation-table", None, 1e-12, _check_anticommutation),
+        ("clifford/hermitian-involution", None, 1e-12, _check_hermitian_involution),
+        ("clifford/conjugation-identities", None, 1e-12, _check_conjugation_identities),
+        ("clifford/tau-uniqueness", None, 1e-12, _check_tau_uniqueness),
+        ("clifford/gamma5-chirality", None, 1e-12, _check_gamma5),
         ("clifford/random-basis-similarity", 25, 1e-12, _check_random_basis_similarity),
     ],
     "rotation": [
@@ -659,11 +660,11 @@ _REGISTRY: dict[str, list[tuple[str, int, float, Callable]]] = {
         ("rotation/qqbar-invariance", 33, 1e-12, partial(_rotation_invariance, kind="QQbar")),
     ],
     "conjugation": [
-        ("conjugation/c-matrix-properties", 40, 1e-12, _check_c_matrix),
+        ("conjugation/c-matrix-properties", None, 1e-12, _check_c_matrix),
         ("conjugation/colored-closed-forms", 41, 1e-12, _check_colored_closed_forms),
         ("conjugation/involution", 42, 1e-12, _check_conjugation_involution),
         ("conjugation/dirac-em", 43, 1e-13, _check_dirac_em),
-        ("conjugation/antiparticle-distinctness", 44, 1e-12, _check_distinctness),
+        ("conjugation/antiparticle-distinctness", None, 1e-12, _check_distinctness),
     ],
     "composite": [
         ("composite/quark-sum-square", 50, 1e-11, _check_quark_sum_square),
@@ -671,7 +672,7 @@ _REGISTRY: dict[str, list[tuple[str, int, float, Callable]]] = {
         ("composite/spectrum-symmetry", 52, 1e-10, _check_spectrum_symmetry),
         ("composite/sum-route-equality", 53, 1e-12, _check_sum_route_equality),
         ("composite/translation-invariance", 54, 0.0, _check_translation_invariance),
-        ("composite/rest-frame-example", 55, 1e-12, _check_rest_frame),
+        ("composite/rest-frame-example", None, 1e-12, _check_rest_frame),
         ("composite/chirality-breaking", 56, 1e-12, _check_chirality_breaking),
     ],
 }
@@ -699,8 +700,10 @@ def run_suite(
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:
             start = time.perf_counter()
-            rng = np.random.default_rng([seed, stream])
-            residual, details = fn(rng)
+            if stream is None:
+                residual, details = fn()
+            else:
+                residual, details = fn(np.random.default_rng([seed, stream]))
             elapsed_ms = 1e3 * (time.perf_counter() - start) if timings else None
             tolerance = default_tol if tol is None else float(tol)
             checks.append(

@@ -1,12 +1,18 @@
+import copy
 import itertools
+import math
+import pickle
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from phasequark import clifford as cf
+from phasequark import pauli_expr
 from phasequark.hamiltonian import HamiltonianSpec, build_hamiltonian
 from phasequark.pauli_expr import (
     NAMED_OPERATORS,
@@ -66,6 +72,194 @@ def test_exact_complex_arithmetic():
     assert a + b == ExactComplex(Fraction(5, 2), Fraction(2))
     assert a * b == ExactComplex(Fraction(4), Fraction(11, 2))
     assert complex(a) == 0.5 + 3j
+
+
+def test_exact_complex_is_an_immutable_value():
+    z = ExactComplex(Fraction(5, 2), -1)
+    assert z.re == Fraction(5, 2) and z.im == -1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert repr(z) == "ExactComplex(re=Fraction(5, 2), im=Fraction(-1, 1))"
+    assert ExactComplex() == ExactComplex(0, Fraction(0)) and ExactComplex().is_zero()
+    with pytest.raises(AttributeError):
+        z.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        z.anything = 1
+    assert pickle.loads(pickle.dumps(z)) == z
+    assert copy.deepcopy(z) == z
+    assert {z: 1}[ExactComplex(Fraction(10, 4), Fraction(-2, 2))] == 1
+    with pytest.raises(TypeError):
+        ExactComplex(0.5)
+
+
+@pytest.mark.parametrize("text", ["0.1", "2.5", ".25", "7.", "1e-3", "-0.5", " 2 ", "3.14E2"])
+def test_from_literal_keeps_decimal_semantics(text):
+    z = ExactComplex.from_literal(text)
+    assert z.re == Fraction(Decimal(text)) and z.im == 0
+
+
+def test_scalar_third_prints_as_a_fraction():
+    assert str(parse("A1") * Fraction(1, 3)) == "1/3*s1#s1#s0"
+    assert str(parse("2*i*p1") * Fraction(1, 3)) == "2/3i*p1"
+
+
+# -- the two-Fraction coefficient, kept as the reference route ---------------
+
+
+def _reference_decimal_str(f: Fraction) -> str:
+    num, den = f.numerator, f.denominator
+    d = den
+    digits = 0
+    for prime in (2, 5):
+        count = 0
+        while d % prime == 0:
+            d //= prime
+            count += 1
+        digits = max(digits, count)
+    if d != 1:
+        return f"{num}/{den}"
+    if digits == 0:
+        return str(num)
+    scaled = abs(num) * 10**digits // den
+    sign = "-" if num < 0 else ""
+    whole, frac = divmod(scaled, 10**digits)
+    frac_str = str(frac).rjust(digits, "0").rstrip("0")
+    return f"{sign}{whole}.{frac_str}" if frac_str else f"{sign}{whole}"
+
+
+@dataclass(frozen=True)
+class FractionComplex:
+    """Gaussian rational a + b i with exact Fraction components."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return FractionComplex(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionComplex(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return FractionComplex(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __neg__(self):
+        return FractionComplex(-self.re, -self.im)
+
+    def times_i_power(self, n):
+        return [self, FractionComplex(-self.im, self.re), -self,
+                FractionComplex(self.im, -self.re)][n]
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self):
+        if self.im == 0:
+            return _reference_decimal_str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return _reference_decimal_str(self.im) + "i"
+        im_part = "i" if abs(self.im) == 1 else _reference_decimal_str(abs(self.im)) + "i"
+        op = "+" if self.im > 0 else "-"
+        return f"({_reference_decimal_str(self.re)}{op}{im_part})"
+
+
+_DENOMINATORS = st.one_of(
+    st.just(1),
+    st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 12), st.integers(0, 12)),
+    st.sampled_from([3, 7]),
+)
+_RATIONALS = st.builds(Fraction, st.integers(-(2**80), 2**80), _DENOMINATORS)
+# small numerators too, so that sums cancel and products reduce
+_PARTS = st.one_of(_RATIONALS, st.builds(Fraction, st.integers(-4, 4), _DENOMINATORS))
+_GAUSSIAN = st.tuples(_PARTS, _PARTS)
+
+
+def _both(parts):
+    return ExactComplex(*parts), FractionComplex(*parts)
+
+
+def _same(z: ExactComplex, ref: FractionComplex) -> None:
+    a, b, d = z._t
+    assert d > 0 and math.gcd(a, b, d) == 1  # the triple is reduced
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert str(z) == str(ref)
+    assert complex(z) == complex(ref)
+    assert np.array_equal(np.array([complex(z)]).view(np.float64),
+                          np.array([complex(ref)]).view(np.float64))  # signs of zeros too
+
+
+@given(_GAUSSIAN, _GAUSSIAN, st.integers(0, 3))
+@example((Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(0)), 0)  # 2/2 reduces
+@example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)), 1)  # (1+i)(1-i)/4
+@example((Fraction(1, 10), Fraction(0)), (Fraction(-1, 10), Fraction(3, 7)), 3)  # 1/10 - 1/10
+def test_coefficients_match_the_fraction_reference(x_parts, y_parts, n):
+    x, rx = _both(x_parts)
+    y, ry = _both(y_parts)
+    _same(x, rx)
+    _same(x + y, rx + ry)
+    _same(x - y, rx - ry)
+    _same(x * y, rx * ry)
+    _same(-x, -rx)
+    _same(ExactComplex._wrap(pauli_expr._times_i_power(x._t, n)), rx.times_i_power(n))
+    _same(x * ExactComplex.unit_i(), rx.times_i_power(1))
+    assert (x == y) == (rx == ry)
+    assert (x + y == y + x) and hash(x + y) == hash(y + x)
+    twin = ExactComplex(x_parts[0] * 3 / 3, x_parts[1])
+    assert twin == x and hash(twin) == hash(x)
+    assert (x - x).is_zero() and (x - x) == ExactComplex()
+
+
+def _reference_to_matrix(expr: PauliExpr, values) -> np.ndarray:
+    """to_matrix's evaluation with every coefficient taken through FractionComplex."""
+    index, weights = [], []
+    for basis, poly in expr._terms.items():
+        total = 0j
+        for mono, (a, b, d) in poly.items():
+            val = complex(FractionComplex(Fraction(a, d), Fraction(b, d)))
+            for name, power in mono:
+                val *= complex(values[name]) ** power
+            total += val
+        if total != 0:
+            index.append(basis)
+            weights.append(total)
+    return (np.array(weights, dtype=complex) @ cf.KRON3_STACK.reshape(64, 64)[index]).reshape(8, 8)
+
+
+@st.composite
+def coefficient_expressions(draw):
+    """A sum of up to 6 terms with Gaussian-rational coefficients, times another."""
+    def one():
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            mono = tuple(sorted(draw(st.dictionaries(
+                st.sampled_from(SYMBOLS[:4]), st.integers(1, 2), max_size=2)).items()))
+            terms.setdefault(draw(st.sampled_from(TRIPLES)), {})[mono] = ExactComplex(
+                *draw(_GAUSSIAN))
+        return PauliExpr(terms)
+    return one() * one()
+
+
+@given(coefficient_expressions(), st.integers(0, 2**31 - 1))
+def test_to_matrix_matches_the_fraction_reference(expr, seed):
+    rng = np.random.default_rng(seed)
+    values = {name: float(v) for name, v in zip(SYMBOLS, rng.uniform(-2, 2, size=12))}
+    assert np.array_equal(expr.to_matrix(values), _reference_to_matrix(expr, values))
+
+
+@given(st.from_regex(r"\A(?:\d{1,25}\.\d{0,25}|\.\d{1,25}|\d{1,25})\Z"))
+def test_parsed_literals_equal_their_decimal_value(text):
+    assert parse(text) == PauliExpr.from_scalar(Fraction(Decimal(text)))
+    assert parse(text + "i") == PauliExpr.from_scalar(ExactComplex(0, Fraction(Decimal(text))))
+
+
+def test_literal_longer_than_int_string_limit():
+    assert parse("1" * 5000) == PauliExpr.from_scalar((10**5000 - 1) // 9)
 
 
 # -- parsing and canonical printing ----------------------------------------
@@ -149,6 +343,23 @@ def test_unbalanced_parenthesis():
         parse("A1)")
 
 
+def test_nesting_up_to_the_limit_parses():
+    depth = pauli_expr._MAX_DEPTH
+    assert parse("(" * 100 + "1" + ")" * 100) == parse("1")
+    assert parse("(" * depth + "A1*p1" + ")" * depth) == parse("A1*p1")
+
+
+@pytest.mark.parametrize("levels", [400, 5000])
+def test_deep_nesting_is_a_parse_error(levels):
+    depth = pauli_expr._MAX_DEPTH
+    with pytest.raises(ParseError, match="nested deeper than") as err:
+        parse("(" * levels + "1" + ")" * levels)
+    assert err.value.position == depth + 1  # the first '(' past the limit
+    with pytest.raises(ParseError) as err:
+        parse("2*" + "(" * (depth + 1) + "1" + ")" * (depth + 1))
+    assert err.value.position == depth + 3
+
+
 def test_corpus_round_trips():
     assert len(CORPUS) == 50
     for text in CORPUS:
@@ -185,6 +396,19 @@ def test_to_matrix_matches_hamiltonian_builder():
         HamiltonianSpec(kind="ColorR", p=(1, 0, 0), x=(0, 2, 3), m=5)
     )
     assert np.array_equal(numeric, built)
+
+
+def test_mass_law_through_the_dsl():
+    """(A.p + 2 B.x + 3 m B)^2 = p^2 + 4 x^2 + 9 m^2, exactly, and the DSL's
+    matrix of the quark sum is the Hamiltonian builder's at a dyadic point."""
+    q = parse("A1*p1 + A2*p2 + A3*p3 + 2*B1*x1 + 2*B2*x2 + 2*B3*x3 + 3*m*B")
+    assert str(q * q) == "9*m*m + p1*p1 + p2*p2 + p3*p3 + 4*x1*x1 + 4*x2*x2 + 4*x3*x3"
+    p, x, m = (0.5, -1.25, 2.0), (0.75, -0.5, 1.5), 1.25
+    values = {"m": m, **dict(zip(("p1", "p2", "p3"), p)), **dict(zip(("x1", "x2", "x3"), x))}
+    built = build_hamiltonian(HamiltonianSpec(kind="QuarkSum", p=p, x=x, m=m))
+    assert np.array_equal(q.to_matrix(values), built)
+    lam = sum(v * v for v in p) + 4 * sum(v * v for v in x) + 9 * m * m
+    assert np.array_equal((q * q).to_matrix(values), lam * np.eye(8))
 
 
 def test_to_matrix_literal_scaling():
@@ -227,6 +451,46 @@ def expressions(draw):
     for op, part in zip(ops, parts[1:]):
         text += op + part
     return parse(text)
+
+
+_FACTOR_ATOMS = ["A1", "A2", "B1", "C", "gamma5", "s1#s2#s3", "s3#s0#s1", "p1", "x2", "m",
+                 "2", "0.5", "1.5i", "i", "(1-0.25i)"]
+
+
+@st.composite
+def mixed_sums(draw, depth=2):
+    """(text, left-to-right value) of a sum of products whose factors are
+    atoms or parenthesised sums, the value built with PauliExpr's operators."""
+    text, value = "", None
+    for position in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 4))):
+            if depth and draw(st.booleans()):
+                inner_text, inner = draw(mixed_sums(depth - 1))
+                factors.append(("(" + inner_text + ")", inner))
+            else:
+                atom = draw(st.sampled_from(_FACTOR_ATOMS))
+                factors.append((atom, parse(atom)))
+        product = factors[0][1]
+        for _, factor in factors[1:]:
+            product = product * factor
+        minus = draw(st.booleans())
+        op = ("-" if minus else "") if position == 0 else (" - " if minus else " + ")
+        text += op + "*".join(t for t, _ in factors)
+        if value is None:
+            value = -product if minus else product
+        else:
+            value = value - product if minus else value + product
+    return text, value
+
+
+@given(mixed_sums(), st.integers(0, 2**31 - 1))
+def test_parse_multiplies_factors_left_to_right(case, seed):
+    text, want = case
+    got = parse(text)
+    assert got == want, text
+    values = {name: float(v) for name, v in zip(SYMBOLS, np.random.default_rng(seed).uniform(-2, 2, 12))}
+    assert np.array_equal(got.to_matrix(values), want.to_matrix(values)), text
 
 
 @given(expressions())

@@ -132,3 +132,17 @@ def test_check_results_compare_without_their_timings():
     assert all(c.elapsed_ms is None for c in plain.checks)
     assert [c.to_dict() for c in plain.checks] == [
         {k: v for k, v in c.to_dict().items() if k != "elapsed_ms"} for c in timed.checks]
+
+
+def test_only_the_checks_that_draw_get_a_generator(monkeypatch):
+    streams = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        streams.append(seed[1])
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    report = run_suite("all")
+    assert len(report.checks) == 32
+    assert streams == [11, 13, 14, 15, 25, 30, 31, 32, 33, 41, 42, 43, 50, 51, 52, 53, 54, 56]
