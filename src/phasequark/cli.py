@@ -5,8 +5,8 @@ is deterministic JSON (or CSV for matrix export): identical invocations
 with the same --seed produce byte-identical bytes.  Exit codes: 0 when
 every check passes / the command succeeds, 1 when a verification check
 fails, 2 for usage or input errors (malformed flags, unknown labels,
-unreadable or invalid spec files), each reported as a JSON object
-{"error": ...} on stdout.
+unreadable, invalid or over-nested spec files), each reported as a JSON
+object {"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
-from .phase_space import PhaseVector, apply_pairing, exp_generator, pairing, pairing_tags
+from .phase_space import LABEL_HELP, PhaseVector, apply_pairing, exp_generator, pairing, pairing_tags
 from .serialize import dump_json, matrix_to_csv, resolve_export, resolve_generator6
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -72,6 +72,8 @@ def _load_spec(path: str) -> HamiltonianSpec:
         data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"spec file {path!r} is nested too deeply to parse") from None
     return HamiltonianSpec.from_dict(data)
 
 
@@ -108,7 +110,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         group.add_argument("--pairing", default=None, metavar="TAG",
                            help=f"one of {', '.join(pairing_tags())}")
         group.add_argument("--generator", default=None, metavar="LABEL",
-                           help="F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)")
+                           help=LABEL_HELP)
         p_tr.add_argument("--angle", type=float, default=None,
                           help="rotation angle for --generator")
         p_tr.add_argument("--input", required=True,

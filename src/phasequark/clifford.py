@@ -45,7 +45,6 @@ __all__ = [
     "build_A",
     "build_B",
     "build_Bk",
-    "clifford_generators",
     "anticommutator",
     "commutator8",
     "reflect",
@@ -125,11 +124,6 @@ def build_Bk(k: int) -> OperatorMatrix:
     if k not in (1, 2, 3):
         raise ValueError(f"B index must be 1..3, got {k}")
     return named_operator(f"B{k}")
-
-
-def clifford_generators() -> list[tuple[str, OperatorMatrix]]:
-    """The seven mutually anticommuting involutions (A1..A3, B1..B3, B)."""
-    return [(name, named_operator(name)) for name in GENERATOR_NAMES]
 
 
 def anticommutator(x: np.ndarray, y: np.ndarray) -> OperatorMatrix:

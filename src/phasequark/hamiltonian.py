@@ -77,7 +77,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clifford import clifford_generators
+from .clifford import GENERATOR_NAMES, named_operator
 
 __all__ = [
     "EMField",
@@ -94,7 +94,6 @@ __all__ = [
     "rotated_operators",
     "rotate_hamiltonian",
     "conjugate_hamiltonian",
-    "coefficient_pattern",
     "antiparticle_distinctness_check",
     "square_and_spectrum",
 ]
@@ -126,7 +125,8 @@ _DIAGONALS = {kind: tuple(alpha + beta * np.eye(3)[row.axis] for alpha, beta in 
 _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 
 # rows: 1, then clifford.GENERATOR_NAMES (A1..A3, B1..B3, B), each a flattened 8x8 matrix
-BASIS = np.stack([np.eye(8, dtype=complex)] + [g for _, g in clifford_generators()]).reshape(8, 64)
+BASIS = np.stack([np.eye(8, dtype=complex)] + [named_operator(n) for n in GENERATOR_NAMES])
+BASIS = BASIS.reshape(8, 64)
 BASIS.flags.writeable = False
 REFLECT_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, 1])
 _A_REAL, _BK_REAL = BASIS[1:4].view(float), BASIS[4:7].view(float)  # (3, 128): re, im interleaved
@@ -365,18 +365,9 @@ def colored_sum(kind: str, *, m, p, x, pbar=None, xbar=None) -> np.ndarray:
     return total
 
 
-def _spec_coefficients(spec: HamiltonianSpec, rot: np.ndarray | None = None) -> np.ndarray:
-    """The spec's 8-vector c, in the frame rotated by rot; unrotated, the stored row."""
-    if rot is None:
-        return spec._c
-    return coefficients(
-        spec.kind, rot=rot, **{name: getattr(spec, name) for name in _TABLE[spec.kind].fields}
-    )
-
-
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Assemble the 8x8 matrix c . BASIS of a spec; Hermitian for real inputs."""
-    return matrices(_spec_coefficients(spec))
+    return matrices(spec._c)
 
 
 def build_composite(kind: str, inputs: Mapping) -> np.ndarray:
@@ -453,7 +444,8 @@ def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
     coefficients that overflow are a ValueError naming the kind.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by kind
-        c = _spec_coefficients(spec, rotation_matrix(axis, angle))
+        c = coefficients(spec.kind, rot=rotation_matrix(axis, angle),
+                         **{name: getattr(spec, name) for name in _TABLE[spec.kind].fields})
     if not np.isfinite(c).all():  # s and beta do not rotate, so the diagonal stays finite
         raise ValueError(f"rotated coefficients of the {spec.kind} spec overflow float64")
     return matrices(c)
@@ -478,19 +470,6 @@ def conjugate_hamiltonian(spec: HamiltonianSpec) -> tuple[np.ndarray, Hamiltonia
         flips["x"] = tuple(-v for v in spec.x)
     conj = replace(spec, **flips)
     return build_hamiltonian(conj), conj
-
-
-def coefficient_pattern(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coefficient maps (Phi, Psi, mass) with H = A.(Phi p) + B.(Psi x) + m B.
-
-    Defined for the free colored and anti kinds, where the Hamiltonian is
-    linear in (p, x) through fixed projectors: Phi = e_c e_c^T and
-    Psi = +-(I - e_c e_c^T), the diagonals alpha + beta*e_c of the row.
-    """
-    if not spec.kind.startswith(("Color", "Anti")) or spec.em is not None:
-        raise ValueError("coefficient_pattern applies to free colored/anti kinds")
-    phi, psi = _DIAGONALS[spec.kind]
-    return np.diag(phi), np.diag(psi), spec.m
 
 
 @dataclass(frozen=True)
@@ -550,7 +529,7 @@ def antiparticle_distinctness_check(
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
     anti = HamiltonianSpec(kind=f"Anti{color}", m=m, p=p, x=x)
     row = _TABLE[anti.kind]
-    target = _spec_coefficients(HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x))
+    target = HamiltonianSpec(kind=f"Color{color}", m=m, p=p, x=x)._c
     blocks, q = [], np.zeros((3, 3))
     for (alpha, beta), v, t in ((row.phi, anti.p, target[1:4]), (row.psi, anti.x, target[4:7])):
         v = np.array(v)

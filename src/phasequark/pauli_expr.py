@@ -145,17 +145,22 @@ def _decimal_str(num: int, den: int) -> str:
     nonzero, so the digits need no trimming.
     """
     if den == 1:
-        return str(num)
+        return _int_str(num)
     twos = (den & -den).bit_length() - 1
     rest, fives = den >> twos, 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{num}/{den}"
+        return f"{_int_str(num)}/{_int_str(den)}"
     digits = max(twos, fives)
     whole, frac = divmod(abs(num) * (10**digits // den), 10**digits)
-    return f"{'-' if num < 0 else ''}{whole}.{frac:0{digits}d}"
+    return f"{'-' if num < 0 else ''}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
+
+
+def _int_str(n: int) -> str:
+    """str(n), or past int's 4300-digit str() limit, by way of Decimal, which has none."""
+    return str(n) if n.bit_length() <= 14000 else str(Decimal(n))
 
 
 def _part_str(num: int, d: int) -> str:

@@ -5,6 +5,9 @@ The quadratic invariant is p.p + x.x, so the full rotation group of the
 space is SO(6).  The subgroup that additionally preserves canonical Poisson
 brackets is U(3) = U(1) x SU(3); this module builds its generators, checks
 the structure constants, and exponentiates generators into group elements.
+Every named generator (F1..F8, R, R1..R3, H1..H3, J1..J3) is one row of
+plane-sum terms in a single label table; resolve_generator6 reads a label,
+G(m,n) included, and the build_* functions are index checks on that table.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,6 +57,8 @@ __all__ = [
     "StructureConstants",
     "PairingScheme",
     "DerivedPairing",
+    "LABEL_HELP",
+    "resolve_generator6",
     "build_G",
     "build_F",
     "build_R",
@@ -70,7 +76,6 @@ __all__ = [
     "apply_pairing",
     "derive_pairing_from_rotation",
     "derive_pairing_from_diagonal",
-    "diagonal_generator",
 ]
 
 COORD_NAMES = ("p1", "p2", "p3", "x1", "x2", "x3")
@@ -131,57 +136,70 @@ def _gsum(label: str, terms: Iterable[tuple[float, int, int]]) -> Generator6:
     return Generator6(label=label, matrix=m)
 
 
-# SU(3) basis.  F3 and F8 span the Cartan subalgebra; F6, -F4, -F1 are the
-# momentum/position quarter-turn generators H1, H2, H3, and F7, F5, -F2 are
-# the simultaneous (p, x) space rotations J1, J2, J3.
-_F_TERMS: dict[int, list[tuple[float, int, int]]] = {
-    1: [(1, 1, 5), (1, 2, 4)],
-    2: [(1, 1, 2), (1, 4, 5)],
-    3: [(1, 4, 1), (-1, 5, 2)],
-    4: [(1, 3, 4), (1, 1, 6)],
-    5: [(1, 1, 3), (1, 4, 6)],
-    6: [(1, 6, 2), (1, 5, 3)],
-    7: [(1, 3, 2), (1, 6, 5)],
-    8: [(1 / _SQRT3, 4, 1), (1 / _SQRT3, 5, 2), (-2 / _SQRT3, 6, 3)],
+# Every named 6x6 generator as its plane-sum terms (coeff, m, n), each
+# coeff * G(m, n): the SU(3) basis F1..F8, whose F3 and F8 span the Cartan
+# subalgebra; the U(1) generator R = R1 + R2 + R3 with Ri = G(i+3, i); the
+# momentum/position quarter turns H1, H2, H3 = F6, -F4, -F1; and the
+# simultaneous (p, x) space rotations J1, J2, J3 = F7, F5, -F2.
+_LABEL_TERMS: dict[str, tuple[tuple[float, int, int], ...]] = {
+    "F1": ((1, 1, 5), (1, 2, 4)),
+    "F2": ((1, 1, 2), (1, 4, 5)),
+    "F3": ((1, 4, 1), (-1, 5, 2)),
+    "F4": ((1, 3, 4), (1, 1, 6)),
+    "F5": ((1, 1, 3), (1, 4, 6)),
+    "F6": ((1, 6, 2), (1, 5, 3)),
+    "F7": ((1, 3, 2), (1, 6, 5)),
+    "F8": ((1 / _SQRT3, 4, 1), (1 / _SQRT3, 5, 2), (-2 / _SQRT3, 6, 3)),
+    "R": ((1, 4, 1), (1, 5, 2), (1, 6, 3)),
+    "R1": ((1, 4, 1),), "R2": ((1, 5, 2),), "R3": ((1, 6, 3),),
 }
+_LABEL_TERMS.update({
+    label: tuple((sign * coeff, a, b) for coeff, a, b in _LABEL_TERMS[f"F{i}"])
+    for label, sign, i in (("H1", 1, 6), ("H2", -1, 4), ("H3", -1, 1),
+                           ("J1", 1, 7), ("J2", 1, 5), ("J3", -1, 2))
+})
+_INDEX_RANGE = {"F": "in 1..8", "R": "1..3", "H": "1..3", "J": "1..3"}  # of each family's error
+LABEL_HELP = "F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)"
+_G_LABEL = re.compile(r"^G\((\d),(\d)\)$")
+
+
+def _indexed(family: str, i: int) -> Generator6:
+    label = f"{family}{i}"
+    if label not in _LABEL_TERMS:
+        raise ValueError(f"{family} index must be {_INDEX_RANGE[family]}, got {i}")
+    return _gsum(label, _LABEL_TERMS[label])
+
+
+def resolve_generator6(label: str) -> Generator6:
+    """Resolve a 6x6 generator label: F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)."""
+    match = _G_LABEL.match(label)
+    if match:
+        return build_G(int(match.group(1)), int(match.group(2)))
+    if label in _LABEL_TERMS:
+        return _gsum(label, _LABEL_TERMS[label])
+    if len(label) == 2 and label[0] in _INDEX_RANGE and label[1].isdigit():
+        return _indexed(label[0], int(label[1]))
+    raise ValueError(f"unknown generator label {label!r}; expected {LABEL_HELP}")
 
 
 def build_F(i: int) -> Generator6:
     """SU(3) generator F1..F8."""
-    if i not in _F_TERMS:
-        raise ValueError(f"F index must be in 1..8, got {i}")
-    return _gsum(f"F{i}", _F_TERMS[i])
+    return _indexed("F", i)
 
 
 def build_R(i: int | None = None) -> Generator6:
     """U(1) generator R = R1 + R2 + R3, or a single Ri = G(i+3, i)."""
-    if i is None:
-        return _gsum("R", [(1, 4, 1), (1, 5, 2), (1, 6, 3)])
-    if i not in (1, 2, 3):
-        raise ValueError(f"R index must be 1..3, got {i}")
-    return Generator6(label=f"R{i}", matrix=build_G(i + 3, i).matrix)
+    return resolve_generator6("R") if i is None else _indexed("R", i)
 
 
 def build_H(i: int) -> Generator6:
     """Momentum-position quarter-turn generator: H1 = F6, H2 = -F4, H3 = -F1."""
-    if i == 1:
-        return Generator6("H1", build_F(6).matrix)
-    if i == 2:
-        return Generator6("H2", -build_F(4).matrix)
-    if i == 3:
-        return Generator6("H3", -build_F(1).matrix)
-    raise ValueError(f"H index must be 1..3, got {i}")
+    return _indexed("H", i)
 
 
 def build_J(i: int) -> Generator6:
     """Ordinary space rotation about axis i, acting on p and x together."""
-    if i == 1:
-        return Generator6("J1", build_F(7).matrix)
-    if i == 2:
-        return Generator6("J2", build_F(5).matrix)
-    if i == 3:
-        return Generator6("J3", -build_F(2).matrix)
-    raise ValueError(f"J index must be 1..3, got {i}")
+    return _indexed("J", i)
 
 
 def commutator6(a: Generator6 | np.ndarray, b: Generator6 | np.ndarray) -> np.ndarray:
@@ -205,19 +223,22 @@ _F_CANONICAL: dict[tuple[int, int, int], float] = {
 }
 
 
+def _f_table() -> np.ndarray:
+    """f[i, k, j], 1-based (slot 0 unused), read-only: +f at the three cyclic
+    orders of each canonical triple, -f at the three odd ones."""
+    t = np.zeros((9, 9, 9))
+    for (i, k, j), v in _F_CANONICAL.items():
+        for a, b, c in ((i, k, j), (k, j, i), (j, i, k)):
+            t[a, b, c], t[b, a, c] = v, -v
+    t.flags.writeable = False
+    return t
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Totally antisymmetric table f[i, k, j] with [Fi, Fk] = 2 f_ikj Fj."""
 
     table: np.ndarray  # shape (9, 9, 9), 1-based indices, slot 0 unused
-
-    @classmethod
-    def build(cls) -> "StructureConstants":
-        t = np.zeros((9, 9, 9))
-        for (i, k, j), v in _F_CANONICAL.items():
-            for perm, sign in _signed_permutations((i, k, j)):
-                t[perm] = sign * v
-        return cls(table=t)
 
     def coefficient(self, i: int, k: int, j: int) -> float:
         return float(self.table[i, k, j])
@@ -226,14 +247,11 @@ class StructureConstants:
         return dict(_F_CANONICAL)
 
 
-def _signed_permutations(triple: tuple[int, int, int]):
-    for perm in itertools.permutations(range(3)):
-        inv = sum(1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b])
-        yield tuple(triple[q] for q in perm), (-1.0) ** inv
+_STRUCTURE_CONSTANTS = StructureConstants(table=_f_table())
 
 
 def structure_constants() -> StructureConstants:
-    return StructureConstants.build()
+    return _STRUCTURE_CONSTANTS
 
 
 def verify_su3_table(tol: float = 1e-12) -> tuple[bool, float, list[dict]]:
@@ -505,24 +523,12 @@ def derive_pairing_from_rotation(color: str) -> DerivedPairing:
     return DerivedPairing(color, h.label, _HALF_PI, j.label, _HALF_PI, m, residual)
 
 
-def diagonal_generator(name: str) -> Generator6:
-    """Cartan-direction combinations that also generate colored pairings."""
-    if name == "F3":
-        return build_F(3)
-    if name == "(F3+sqrt3*F8)/2":
-        m = (build_F(3).matrix + _SQRT3 * build_F(8).matrix) / 2
-        return Generator6(name, m)
-    if name == "(F3-sqrt3*F8)/2":
-        m = (build_F(3).matrix - _SQRT3 * build_F(8).matrix) / 2
-        return Generator6(name, m)
-    raise ValueError(f"unknown diagonal generator {name!r}")
-
-
-# the diagonal generator and angle whose quarter turn is each colored pairing
+# each colored pairing's diagonal generator: its name, the weight w of
+# (F3 + w*F8)/2 (None for F3 itself), and the angle of its quarter turn
 _DIAGONAL_PAIRING = {
-    "R": ("(F3-sqrt3*F8)/2", _HALF_PI),
-    "Y": ("(F3+sqrt3*F8)/2", _HALF_PI),
-    "B": ("F3", -_HALF_PI),
+    "R": ("(F3-sqrt3*F8)/2", -_SQRT3, _HALF_PI),
+    "Y": ("(F3+sqrt3*F8)/2", _SQRT3, _HALF_PI),
+    "B": ("F3", None, -_HALF_PI),
 }
 
 
@@ -540,7 +546,8 @@ def derive_pairing_from_diagonal(color: str) -> DerivedPairing:
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    name, angle = _DIAGONAL_PAIRING[color]
-    m = exp_generator(diagonal_generator(name), angle)
+    name, weight, angle = _DIAGONAL_PAIRING[color]
+    f3 = build_F(3).matrix
+    m = exp_generator(f3 if weight is None else (f3 + weight * build_F(8).matrix) / 2, angle)
     residual = float(np.abs(m - pairing(color).matrix()).max())
     return DerivedPairing(color, name, angle, "(none)", 0.0, m, residual)

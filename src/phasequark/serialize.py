@@ -1,4 +1,5 @@
-"""JSON/CSV serialization and label resolution shared by the CLI.
+"""JSON/CSV serialization and label resolution shared by the CLI; a 6x6
+label is read from phase_space's label table, an 8x8 one from clifford.OPERATORS.
 
 Conventions: complex numbers serialize as two-element [re, im] arrays;
 real matrices serialize as plain numbers (integers where the value is
@@ -11,18 +12,17 @@ contain NaN or Infinity.
 from __future__ import annotations
 
 import json
-import re
 
 import numpy as np
 
 from . import clifford, phase_space
+from .phase_space import resolve_generator6
 
 __all__ = [
     "to_jsonable",
     "dump_json",
     "matrix_to_csv",
     "resolve_generator6",
-    "resolve_operator8",
     "resolve_export",
     "EXPORT_LABELS",
 ]
@@ -99,39 +99,8 @@ def matrix_to_csv(m: np.ndarray) -> str:
 # Label resolution
 # ---------------------------------------------------------------------------
 
-_G_LABEL = re.compile(r"^G\((\d),(\d)\)$")
-
-
-def resolve_generator6(label: str) -> phase_space.Generator6:
-    """Resolve a 6x6 generator label: F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)."""
-    match = _G_LABEL.match(label)
-    if match:
-        return phase_space.build_G(int(match.group(1)), int(match.group(2)))
-    if label == "R":
-        return phase_space.build_R()
-    families = {"F": phase_space.build_F, "R": phase_space.build_R,
-                "H": phase_space.build_H, "J": phase_space.build_J}
-    if len(label) == 2 and label[0] in families and label[1].isdigit():
-        return families[label[0]](int(label[1]))
-    raise ValueError(
-        f"unknown generator label {label!r}; expected F1..F8, R, R1..R3, "
-        f"H1..H3, J1..J3, or G(m,n)"
-    )
-
-
-def resolve_operator8(label: str) -> np.ndarray:
-    """Resolve an 8x8 operator label, a name of clifford.OPERATORS."""
-    try:
-        return clifford.named_operator(label)
-    except KeyError:
-        raise ValueError(
-            f"unknown operator label {label!r}; expected one of "
-            f"{', '.join(clifford.OPERATORS)}"
-        ) from None
-
-
 EXPORT_LABELS = (
-    "F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)  (6x6 generators); "
+    phase_space.LABEL_HELP.replace(", or", ",") + "  (6x6 generators); "
     + ", ".join(clifford.OPERATORS) + "  (8x8 operators); "
     "pairing:TAG for TAG in " + ", ".join(phase_space.pairing_tags())
 )
@@ -148,8 +117,6 @@ def resolve_export(label: str) -> tuple[str, np.ndarray]:
         return "generator6", resolve_generator6(label).matrix
     except ValueError:
         pass
-    try:
-        return "operator8", resolve_operator8(label)
-    except ValueError:
-        pass
+    if label in clifford.OPERATORS:
+        return "operator8", clifford.named_operator(label)
     raise ValueError(f"unknown export label {label!r}; known labels: {EXPORT_LABELS}")

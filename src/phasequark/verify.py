@@ -228,31 +228,16 @@ def _check_pairing_symplectic():
     return _maxabs(m.swapaxes(1, 2) @ _J6 @ m - _J6), {"tags": list(tags)}
 
 
-def _check_pairing_from_rotation():
-    worst = 0.0
-    found = {}
+def _check_pairing(route: str, keys: dict[str, str]):
+    """Worst residual of phase_space.derive_pairing_from_<route>(color) over
+    R, Y, B, and per color the DerivedPairing fields named by the values of
+    keys, under its keys.  The function is looked up on the module at call
+    time, so a wrapper installed there (a tracer) sees the call."""
+    worst, found = 0.0, {}
     for color in "RYB":
-        derived = phase_space.derive_pairing_from_rotation(color)
+        derived = getattr(phase_space, f"derive_pairing_from_{route}")(color)
         worst = max(worst, derived.residual)
-        found[color] = {
-            "quarter_turn": derived.quarter_turn,
-            "quarter_turn_angle": derived.quarter_turn_angle,
-            "ordinary": derived.ordinary,
-            "ordinary_angle": derived.ordinary_angle,
-        }
-    return worst, found
-
-
-def _check_pairing_from_diagonal():
-    worst = 0.0
-    found = {}
-    for color in "RYB":
-        derived = phase_space.derive_pairing_from_diagonal(color)
-        worst = max(worst, derived.residual)
-        found[color] = {
-            "generator": derived.quarter_turn,
-            "angle": derived.quarter_turn_angle,
-        }
+        found[color] = {key: getattr(derived, attr) for key, attr in keys.items()}
     return worst, found
 
 
@@ -642,8 +627,10 @@ _REGISTRY: dict[str, list[tuple[str, int | None, float, Callable]]] = {
         ("su3/quadratic-form-invariance", 15, 1e-12, _check_quadratic_form),
         ("su3/reflection-square", None, 1e-12, _check_reflection_square),
         ("su3/pairing-symplectic", None, 1e-12, _check_pairing_symplectic),
-        ("su3/pairing-from-rotation", None, 1e-12, _check_pairing_from_rotation),
-        ("su3/pairing-from-diagonal", None, 1e-12, _check_pairing_from_diagonal),
+        ("su3/pairing-from-rotation", None, 1e-12, partial(_check_pairing, "rotation", {
+            k: k for k in ("quarter_turn", "quarter_turn_angle", "ordinary", "ordinary_angle")})),
+        ("su3/pairing-from-diagonal", None, 1e-12, partial(_check_pairing, "diagonal", {
+            "generator": "quarter_turn", "angle": "quarter_turn_angle"})),
     ],
     "clifford": [
         ("clifford/anticommutation-table", None, 1e-12, _check_anticommutation),

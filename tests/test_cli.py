@@ -273,6 +273,17 @@ def test_duplicate_spec_keys_are_input_errors(capsys, tmp_path, text, key):
         assert strict_json(out)["error"] == f"duplicate key {key!r} in spec file"
 
 
+def test_over_nested_spec_is_input_error(capsys, tmp_path):
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 100000 + "]" * 100000)
+    for command in ("spectrum", "conjugate"):
+        code, out = run_in_process(capsys, command, str(spec))
+        assert code == 2
+        error = f"spec file {str(spec)!r} is nested too deeply to parse"
+        assert strict_json(out) == {"error": error}
+        assert capsys.readouterr().err == ""
+
+
 def test_unwritable_out_path_is_json_input_error(tmp_path):
     target = tmp_path / "missing" / "x.json"
     result = run_cli("export", "A1", "--out", str(target))

@@ -16,7 +16,6 @@ from phasequark.hamiltonian import (
     antiparticle_distinctness_check,
     build_composite,
     build_hamiltonian,
-    coefficient_pattern,
     coefficients,
     colored_sum,
     conjugate_hamiltonian,
@@ -600,18 +599,6 @@ def test_field_flip_equals_substitution_chain(spec):
 def test_conjugate_rejects_composite_kinds():
     with pytest.raises(ValueError, match="supports kinds"):
         conjugate_hamiltonian(HamiltonianSpec(kind="QuarkSum"))
-
-
-def test_coefficient_pattern_projectors():
-    phi, psi, m = coefficient_pattern(HamiltonianSpec(kind="ColorR", m=2.0))
-    assert np.array_equal(phi, np.diag([1.0, 0, 0]))
-    assert np.array_equal(psi, np.diag([0.0, 1, 1]))
-    assert m == 2.0
-    phi_a, psi_a, _ = coefficient_pattern(HamiltonianSpec(kind="AntiR"))
-    assert np.array_equal(phi_a, phi)
-    assert np.array_equal(psi_a, -psi)
-    with pytest.raises(ValueError):
-        coefficient_pattern(HamiltonianSpec(kind="Dirac"))
 
 
 def test_distinctness_generic_case():

@@ -259,7 +259,13 @@ def test_parsed_literals_equal_their_decimal_value(text):
 
 
 def test_literal_longer_than_int_string_limit():
-    assert parse("1" * 5000) == PauliExpr.from_scalar((10**5000 - 1) // 9)
+    e = parse("1" * 5000)
+    assert e == PauliExpr.from_scalar((10**5000 - 1) // 9)
+    assert str(e) == "1" * 5000
+    assert parse(str(e)) == e
+    fractional = parse("-" + "7" * 5000 + "." + "25" * 2500 + "*A1")
+    assert str(fractional) == "-" + "7" * 5000 + "." + "25" * 2500 + "*s1#s1#s0"
+    assert parse(str(fractional)) == fractional
 
 
 # -- parsing and canonical printing ----------------------------------------

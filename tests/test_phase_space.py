@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phasequark import phase_space as ps
-from phasequark.serialize import resolve_generator6
+from phasequark.serialize import EXPORT_LABELS, resolve_generator6
 
 SQRT3 = math.sqrt(3.0)
 
@@ -47,6 +47,7 @@ def test_R_is_sum_of_coordinate_blocks():
     assert np.array_equal(r, total)
     for i in (1, 2, 3):
         assert np.array_equal(ps.build_R(i).matrix, ps.build_G(i + 3, i).matrix)
+    assert np.array_equal(r, sum(ps.build_R(i).matrix for i in (1, 2, 3)))
 
 
 def test_H_and_J_aliases():
@@ -167,9 +168,67 @@ GENERATOR_LABELS = (
 )
 # Sums of disjoint planes with unit weights: S = -g @ g is diagonal.
 PLANE_SUM_LABELS = [label for label in GENERATOR_LABELS if label != "F8"]
+NAMED_LABELS = [label for label in GENERATOR_LABELS if not label.startswith("G(")]
+BUILDERS = {"F": ps.build_F, "R": ps.build_R, "H": ps.build_H, "J": ps.build_J}
 
 
-DIAGONAL_NAMES = ("F3", "(F3+sqrt3*F8)/2", "(F3-sqrt3*F8)/2")
+def test_label_table_holds_the_eighteen_named_generators():
+    assert sorted(ps._LABEL_TERMS) == sorted(NAMED_LABELS)
+    assert len(NAMED_LABELS) == 18
+
+
+@pytest.mark.parametrize("label", NAMED_LABELS)
+def test_each_named_label_resolves_to_its_builder(label):
+    g = ps.resolve_generator6(label)
+    built = BUILDERS[label[0]](*(int(d) for d in label[1:]))
+    assert g.label == built.label == label
+    assert np.array_equal(g.matrix, built.matrix)
+
+
+UNKNOWN = ("unknown generator label {!r}; expected F1..F8, R, R1..R3, H1..H3, J1..J3, "
+           "or G(m,n)")
+LABEL_ERRORS = [
+    (ps.build_F, 0, "F index must be in 1..8, got 0"),
+    (ps.build_F, 9, "F index must be in 1..8, got 9"),
+    (ps.build_R, 0, "R index must be 1..3, got 0"),
+    (ps.build_R, 4, "R index must be 1..3, got 4"),
+    (ps.build_H, 0, "H index must be 1..3, got 0"),
+    (ps.build_H, 4, "H index must be 1..3, got 4"),
+    (ps.build_J, 0, "J index must be 1..3, got 0"),
+    (ps.build_J, 4, "J index must be 1..3, got 4"),
+    (ps.resolve_generator6, "F9", "F index must be in 1..8, got 9"),
+    (ps.resolve_generator6, "F0", "F index must be in 1..8, got 0"),
+    (ps.resolve_generator6, "R0", "R index must be 1..3, got 0"),
+    (ps.resolve_generator6, "H4", "H index must be 1..3, got 4"),
+    (ps.resolve_generator6, "J9", "J index must be 1..3, got 9"),
+    (ps.resolve_generator6, "G(7,1)", "G indices must be in 1..6, got (7, 1)"),
+    (ps.resolve_generator6, "G(0,2)", "G indices must be in 1..6, got (0, 2)"),
+    (ps.resolve_generator6, "G(3,3)", "G indices must differ, got (3, 3)"),
+    *[(ps.resolve_generator6, label, UNKNOWN.format(label))
+      for label in ("X1", "F", "H", "F10", "R12", "r1", "G(1,2,3)", "G(12,1)", "")],
+]
+
+
+@pytest.mark.parametrize("fn,arg,message", LABEL_ERRORS,
+                         ids=[f"{fn.__name__}({arg!r})" for fn, arg, _ in LABEL_ERRORS])
+def test_label_and_index_errors_are_pinned(fn, arg, message):
+    with pytest.raises(ValueError) as info:
+        fn(arg)
+    assert str(info.value) == message
+
+
+def test_export_label_help_is_pinned():
+    assert EXPORT_LABELS.startswith(
+        "F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)  (6x6 generators); A1, A2, A3, B, ")
+
+
+# the three diagonal generators of derive_pairing_from_diagonal, built as it builds them
+_F3, _F8 = ps.build_F(3).matrix, ps.build_F(8).matrix
+DIAGONAL_GENERATORS = {
+    "F3": ps.build_F(3),
+    "(F3+sqrt3*F8)/2": ps.Generator6("(F3+sqrt3*F8)/2", (_F3 + SQRT3 * _F8) / 2),
+    "(F3-sqrt3*F8)/2": ps.Generator6("(F3-sqrt3*F8)/2", (_F3 - SQRT3 * _F8) / 2),
+}
 STACK_ANGLES = np.array(
     [k * math.pi / 2 for k in range(-8, 9)]
     + [0.0, -0.0, 1e-300, 0.3, -2.9, 7.5, 123.456, -1e6, 1e20, -1e20, 1e300, -1e300]
@@ -179,8 +238,8 @@ STACK_ANGLES = np.array(
 @pytest.mark.parametrize(
     "generator",
     [resolve_generator6(label) for label in GENERATOR_LABELS]
-    + [ps.diagonal_generator(name) for name in DIAGONAL_NAMES],
-    ids=list(GENERATOR_LABELS) + list(DIAGONAL_NAMES),
+    + list(DIAGONAL_GENERATORS.values()),
+    ids=list(GENERATOR_LABELS) + list(DIAGONAL_GENERATORS),
 )
 def test_stacked_exponential_rows_equal_scalar_calls(generator):
     stack = ps.exp_generator(generator, STACK_ANGLES)
