@@ -4,9 +4,9 @@ Subcommands: verify, transform, spectrum, conjugate, export.  All output
 is deterministic JSON (or CSV for matrix export): identical invocations
 with the same --seed produce byte-identical bytes.  Exit codes: 0 when
 every check passes / the command succeeds, 1 when a verification check
-fails, 2 for usage or input errors (malformed flags, unknown labels,
-unreadable, invalid or over-nested spec files), each reported as a JSON
-object {"error": ...} on stdout.
+fails, 2 for usage or input errors (malformed flags, unknown labels, spec
+files that are unreadable, not UTF-8, not valid JSON or nested too deeply),
+each reported as a JSON object {"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def _parse_vector6(text: str) -> list[float]:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict; a key given twice is an error, not last-wins."""
+    """A JSON object's dict; a key given twice is a KeyError, not last-wins."""
     out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate key {key!r} in spec file")
+            raise KeyError(key)
         out[key] = value
     return out
 
@@ -66,11 +66,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load_spec(path: str) -> HamiltonianSpec:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
         data = json.loads(raw, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except KeyError as exc:
+        raise ValueError(f"duplicate key {exc.args[0]!r} in spec file") from None
+    except ValueError as exc:  # malformed, or an integer past int's 4300-digit limit
         raise ValueError(f"spec file {path!r} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError(f"spec file {path!r} is nested too deeply to parse") from None

@@ -66,6 +66,10 @@ and the eigenvalues are s -+ r, fourfold each, for every kind;
 square_and_spectrum reports them, and no scalar_square or scalar_residual
 where that value overflows.  Antiparticle distinctness is exact too: its
 minimum over O(3) is the lowest eigenvalue of a 3x3 form read off the table.
+
+SpectrumReport and DistinctnessReport are NamedTuples.  EMField and
+HamiltonianSpec are frozen dataclasses: a spec validates its fields, and
+both compare, hash and dataclasses.replace field by field.
 """
 
 from __future__ import annotations
@@ -472,8 +476,7 @@ def conjugate_hamiltonian(spec: HamiltonianSpec) -> tuple[np.ndarray, Hamiltonia
     return build_hamiltonian(conj), conj
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(NamedTuple):
     """Outcome of the antiparticle distinctness check for one color."""
 
     color: str
@@ -553,8 +556,7 @@ def antiparticle_distinctness_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     eigenvalues: tuple[float, ...]
     degeneracies: tuple[tuple[float, int], ...]
     scalar_square: float | None
@@ -563,14 +565,8 @@ class SpectrumReport:
     symmetric_about_zero: bool
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "degeneracies": [[v, n] for v, n in self.degeneracies],
-            "scalar_square": self.scalar_square,
-            "scalar_residual": self.scalar_residual,
-            "hermiticity_residual": self.hermiticity_residual,
-            "symmetric_about_zero": self.symmetric_about_zero,
-        }
+        return {**self._asdict(), "eigenvalues": list(self.eigenvalues),
+                "degeneracies": [[v, n] for v, n in self.degeneracies]}
 
 
 _SCALAR_TOL = 1e-11  # relative tolerance of a scalar square

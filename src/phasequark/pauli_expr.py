@@ -247,7 +247,10 @@ class ExactComplex:
         return _coeff_str(self._t)
 
     def __repr__(self) -> str:
-        return f"ExactComplex(re={self.re!r}, im={self.im!r})"
+        # Fraction's own repr fails past int's 4300-digit str() limit
+        re, im = (f"Fraction({_int_str(q.numerator)}, {_int_str(q.denominator)})"
+                  for q in (self.re, self.im))
+        return f"ExactComplex(re={re}, im={im})"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ the structure constants, and exponentiates generators into group elements.
 Every named generator (F1..F8, R, R1..R3, H1..H3, J1..J3) is one row of
 plane-sum terms in a single label table; resolve_generator6 reads a label,
 G(m,n) included, and the build_* functions are index checks on that table.
+The four printed pairings are one table of signed coordinate names, and
+each Even(tag) is its row under the slot map p_k -> x_k, x_k -> -p_k of
+exp(-pi/2 * R); all eight are built once at import.  The records
+(PhaseVector, StructureConstants, PairingScheme, DerivedPairing) are
+NamedTuples; Generator6, which validates its matrix, is a dataclass.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -46,7 +51,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,8 +88,7 @@ COORD_NAMES = ("p1", "p2", "p3", "x1", "x2", "x3")
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class PhaseVector:
+class PhaseVector(NamedTuple):
     """A point (p, x) of six-dimensional phase space."""
 
     p: tuple[float, float, float]
@@ -160,7 +164,7 @@ _LABEL_TERMS.update({
 })
 _INDEX_RANGE = {"F": "in 1..8", "R": "1..3", "H": "1..3", "J": "1..3"}  # of each family's error
 LABEL_HELP = "F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)"
-_G_LABEL = re.compile(r"^G\((\d),(\d)\)$")
+_G_LABEL = re.compile(r"G\(([0-9]),([0-9])\)")
 
 
 def _indexed(family: str, i: int) -> Generator6:
@@ -172,12 +176,12 @@ def _indexed(family: str, i: int) -> Generator6:
 
 def resolve_generator6(label: str) -> Generator6:
     """Resolve a 6x6 generator label: F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)."""
-    match = _G_LABEL.match(label)
+    match = _G_LABEL.fullmatch(label)
     if match:
         return build_G(int(match.group(1)), int(match.group(2)))
     if label in _LABEL_TERMS:
         return _gsum(label, _LABEL_TERMS[label])
-    if len(label) == 2 and label[0] in _INDEX_RANGE and label[1].isdigit():
+    if len(label) == 2 and label[0] in _INDEX_RANGE and "0" <= label[1] <= "9":
         return _indexed(label[0], int(label[1]))
     raise ValueError(f"unknown generator label {label!r}; expected {LABEL_HELP}")
 
@@ -234,8 +238,7 @@ def _f_table() -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """Totally antisymmetric table f[i, k, j] with [Fi, Fk] = 2 f_ikj Fj."""
 
     table: np.ndarray  # shape (9, 9, 9), 1-based indices, slot 0 unused
@@ -397,16 +400,7 @@ def is_symplectic(m: np.ndarray, tol: float = 1e-12) -> bool:
 # Canonical pairings ("colored" momentum/position splits)
 # ---------------------------------------------------------------------------
 
-_SIGNED = {
-    "p1": (1, 0), "p2": (1, 1), "p3": (1, 2),
-    "x1": (1, 3), "x2": (1, 4), "x3": (1, 5),
-    "-p1": (-1, 0), "-p2": (-1, 1), "-p3": (-1, 2),
-    "-x1": (-1, 3), "-x2": (-1, 4), "-x3": (-1, 5),
-}
-
-
-@dataclass(frozen=True)
-class PairingScheme:
+class PairingScheme(NamedTuple):
     """A split of phase space into canonically conjugate triplets.
 
     momenta[i] and positions[i] are (sign, coordinate_index) pairs naming the
@@ -428,59 +422,44 @@ class PairingScheme:
         return m
 
     def describe(self) -> dict:
-        names = []
-        for sign, col in self.momenta + self.positions:
-            names.append(("-" if sign < 0 else "") + COORD_NAMES[col])
+        names = [("-" if sign < 0 else "") + COORD_NAMES[col]
+                 for sign, col in self.momenta + self.positions]
         return {"label": self.label, "momenta": names[:3], "positions": names[3:]}
 
 
-def _scheme(label: str, momenta: Sequence[str], positions: Sequence[str]) -> PairingScheme:
-    return PairingScheme(
-        label=label,
-        momenta=tuple(_SIGNED[s] for s in momenta),  # type: ignore[arg-type]
-        positions=tuple(_SIGNED[s] for s in positions),  # type: ignore[arg-type]
-    )
-
-
-_BASE_PAIRINGS: dict[str, PairingScheme] = {
-    "Standard": _scheme("Standard", ("p1", "p2", "p3"), ("x1", "x2", "x3")),
-    "R": _scheme("R", ("p1", "x2", "-x3"), ("x1", "-p2", "p3")),
-    "Y": _scheme("Y", ("-x1", "p2", "x3"), ("p1", "x2", "-p3")),
-    "B": _scheme("B", ("x1", "-x2", "p3"), ("-p1", "p2", "x3")),
+# The printed pairings: the signed coordinates read as (P1, P2, P3, X1, X2, X3).
+_PAIRING_ROWS = {
+    "Standard": "p1 p2 p3 x1 x2 x3",
+    "R": "p1 x2 -x3 x1 -p2 p3",
+    "Y": "-x1 p2 x3 p1 x2 -p3",
+    "B": "x1 -x2 p3 -p1 p2 x3",
 }
 
 
-def _even_variant(tag: str) -> PairingScheme:
-    """Compose a base pairing with the reciprocity quarter turn (p,x)->(x,-p).
-
-    The composed matrix is still a signed permutation; its rows are decoded
-    back into signed coordinate slots.  For tag "R" this reproduces the
-    printed even pairing ((x1, -p2, p3), (-p1, -x2, x3)).
-    """
-    base = _BASE_PAIRINGS[tag]
-    recip = -build_R().matrix  # exp(-pi/2 * R) evaluated in closed form
-    m = base.matrix() @ recip
+def _pairing_scheme(label: str, row: str, even: bool) -> PairingScheme:
+    """A printed row as a scheme, if even turned by exp(-pi/2 * R): (p, x) -> (x, -p)."""
     slots = []
-    for row in range(6):
-        col = int(np.flatnonzero(m[row])[0])
-        slots.append((int(round(m[row, col])), col))
-    return PairingScheme(
-        label=f"Even({tag})", momenta=tuple(slots[:3]), positions=tuple(slots[3:])
-    )
+    for name in row.split():
+        sign, col = -1 if name[0] == "-" else 1, COORD_NAMES.index(name.lstrip("-"))
+        if even:  # slot p_k reads x_k, slot x_k reads -p_k
+            sign, col = (sign, col + 3) if col < 3 else (-sign, col - 3)
+        slots.append((sign, col))
+    return PairingScheme(label, tuple(slots[:3]), tuple(slots[3:]))
+
+
+_PAIRINGS = {tag: _pairing_scheme(tag, row, False) for tag, row in _PAIRING_ROWS.items()}
+_PAIRINGS.update({f"Even({tag})": _pairing_scheme(f"Even({tag})", row, True)
+                  for tag, row in _PAIRING_ROWS.items()})
 
 
 def pairing_tags() -> tuple[str, ...]:
-    return ("Standard", "R", "Y", "B", "Even(Standard)", "Even(R)", "Even(Y)", "Even(B)")
+    return tuple(_PAIRINGS)
 
 
 def pairing(tag: str) -> PairingScheme:
     """Look up a pairing scheme by tag, e.g. "R" or "Even(R)"."""
-    if tag in _BASE_PAIRINGS:
-        return _BASE_PAIRINGS[tag]
-    if tag.startswith("Even(") and tag.endswith(")"):
-        inner = tag[5:-1]
-        if inner in _BASE_PAIRINGS:
-            return _even_variant(inner)
+    if tag in _PAIRINGS:
+        return _PAIRINGS[tag]
     raise ValueError(f"unknown pairing tag {tag!r}; expected one of {pairing_tags()}")
 
 
@@ -496,8 +475,7 @@ def apply_pairing(scheme: PairingScheme, v: PhaseVector) -> PhaseVector:
 _COLOR_AXIS = {"R": 1, "Y": 2, "B": 3}
 
 
-@dataclass(frozen=True)
-class DerivedPairing:
+class DerivedPairing(NamedTuple):
     color: str
     quarter_turn: str          # label of the H generator used
     quarter_turn_angle: float

@@ -27,6 +27,8 @@ product does.  A check that draws only uniforms takes them as one block,
 as N per-sample draws.  The su3 checks draw their generator indices,
 angles and vectors as one block each; only the rotation-invariance checks,
 whose uniform and normal draws interleave, draw one sample at a time.
+A VerificationReport is a NamedTuple of its checks.  CheckResult stays a
+frozen dataclass, whose equality ignores elapsed_ms.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,8 +90,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     seed: int
     checks: tuple[CheckResult, ...]
@@ -99,13 +100,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "tool_version": __version__,
-            "all_passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**self._asdict(), "tool_version": __version__, "all_passed": self.passed,
+                "checks": [c.to_dict() for c in self.checks]}
 
 
 def _maxabs(m) -> float:
@@ -693,13 +689,5 @@ def run_suite(
                 residual, details = fn(np.random.default_rng([seed, stream]))
             elapsed_ms = 1e3 * (time.perf_counter() - start) if timings else None
             tolerance = default_tol if tol is None else float(tol)
-            checks.append(
-                CheckResult(
-                    name=check_name,
-                    max_residual=float(residual),
-                    tolerance=tolerance,
-                    details=details,
-                    elapsed_ms=elapsed_ms,
-                )
-            )
+            checks.append(CheckResult(check_name, float(residual), tolerance, details, elapsed_ms))
     return VerificationReport(suite=suite, seed=seed, checks=tuple(checks))

@@ -284,6 +284,20 @@ def test_over_nested_spec_is_input_error(capsys, tmp_path):
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("content,error", [
+    (b'{"kind": "Dirac", "m": \xff}', "cannot read spec file {!r}: 'utf-8' codec can't decode"),
+    (b'{"kind": "Dirac", "m": 1' + b"0" * 5000 + b"}", "spec file {!r} is not valid JSON: "
+                                                        "Exceeds the limit (4300 digits)"),
+], ids=["non-utf8", "5000-digit-int"])
+def test_unparsable_spec_file_error_names_the_file(capsys, tmp_path, content, error):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    code, out = run_in_process(capsys, "spectrum", str(spec))
+    assert code == 2
+    assert strict_json(out)["error"].startswith(error.format(str(spec)))
+    assert capsys.readouterr().err == ""
+
+
 def test_unwritable_out_path_is_json_input_error(tmp_path):
     target = tmp_path / "missing" / "x.json"
     result = run_cli("export", "A1", "--out", str(target))

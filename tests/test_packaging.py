@@ -1,7 +1,10 @@
 """The package imports exactly what pyproject.toml declares, no SciPy, and no
-numpy.random on the CLI's import path."""
+numpy.random on the CLI's import path; its plain records are NamedTuples."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -57,3 +60,40 @@ def test_cli_import_does_not_load_numpy_random():
     result = _run_python("import sys, phasequark.cli; print('numpy.random' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def _public_classes() -> dict[str, type]:
+    out = {}
+    for name in ("phase_space", "clifford", "hamiltonian", "pauli_expr", "serialize", "verify",
+                 "cli"):
+        module = importlib.import_module(f"phasequark.{name}")
+        out.update({attr: getattr(module, attr) for attr in module.__all__
+                    if inspect.isclass(getattr(module, attr))})
+    return out
+
+
+def test_only_records_with_behaviour_of_their_own_are_dataclasses():
+    # Generator6 validates its matrix; EMField and HamiltonianSpec compare, hash and
+    # dataclasses.replace field by field; ExactComplex is a value; CheckResult's == skips timings
+    assert {name for name, cls in _public_classes().items() if dataclasses.is_dataclass(cls)} == {
+        "Generator6", "EMField", "HamiltonianSpec", "ExactComplex", "CheckResult"}
+
+
+RECORD_FIELDS = {  # in the order of the dataclass fields each NamedTuple replaces
+    "PhaseVector": ("p", "x"),
+    "StructureConstants": ("table",),
+    "PairingScheme": ("label", "momenta", "positions"),
+    "DerivedPairing": ("color", "quarter_turn", "quarter_turn_angle", "ordinary",
+                       "ordinary_angle", "matrix", "residual"),
+    "DistinctnessReport": ("color", "p", "x", "m", "min_distance", "minimizer", "margin",
+                           "degenerate"),
+    "SpectrumReport": ("eigenvalues", "degeneracies", "scalar_square", "scalar_residual",
+                       "hermiticity_residual", "symmetric_about_zero"),
+    "VerificationReport": ("suite", "seed", "checks"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_records_are_named_tuples_in_their_field_order(name):
+    cls = _public_classes()[name]
+    assert issubclass(cls, tuple) and cls._fields == RECORD_FIELDS[name]

@@ -79,6 +79,10 @@ def test_exact_complex_is_an_immutable_value():
     assert z.re == Fraction(5, 2) and z.im == -1
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert repr(z) == "ExactComplex(re=Fraction(5, 2), im=Fraction(-1, 1))"
+    big = "1" + "0" * 5000  # past int's 4300-digit str() limit
+    assert repr(ExactComplex(10**5000, 0)) == f"ExactComplex(re=Fraction({big}, 1), im=Fraction(0, 1))"
+    assert (repr(ExactComplex(Fraction(-10**5000, 3)))
+            == f"ExactComplex(re=Fraction(-{big}, 3), im=Fraction(0, 1))")
     assert ExactComplex() == ExactComplex(0, Fraction(0)) and ExactComplex().is_zero()
     with pytest.raises(AttributeError):
         z.re = Fraction(1)

@@ -205,7 +205,9 @@ LABEL_ERRORS = [
     (ps.resolve_generator6, "G(0,2)", "G indices must be in 1..6, got (0, 2)"),
     (ps.resolve_generator6, "G(3,3)", "G indices must differ, got (3, 3)"),
     *[(ps.resolve_generator6, label, UNKNOWN.format(label))
-      for label in ("X1", "F", "H", "F10", "R12", "r1", "G(1,2,3)", "G(12,1)", "")],
+      for label in ("X1", "F", "H", "F10", "R12", "r1", "G(1,2,3)", "G(12,1)", "",
+                    # a label is ASCII: no trailing newline, no other script's digits
+                    "G(1,2)\n", "G(\u0661,2)", "F\u0663", "R\u00b2")],
 ]
 
 
@@ -418,6 +420,13 @@ def test_all_pairings_are_symplectic_and_orthogonal():
         m = ps.pairing(tag).matrix()
         assert ps.is_symplectic(m), tag
         assert ps.is_orthogonal(m), tag
+
+
+@pytest.mark.parametrize("tag", ["Standard", "R", "Y", "B"])
+def test_even_pairing_is_its_pairing_after_the_inverse_quarter_turn_of_R(tag):
+    # the second route: exp(-pi/2 * R) as a closed-form exponential, not the slot map
+    turned = ps.pairing(tag).matrix() @ ps.exp_generator(ps.build_R(), -math.pi / 2)
+    assert np.array_equal(ps.pairing(f"Even({tag})").matrix(), turned)
 
 
 def test_unknown_pairing_tag_raises():
