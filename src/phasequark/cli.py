@@ -5,8 +5,9 @@ is deterministic JSON (or CSV for matrix export): identical invocations
 with the same --seed produce byte-identical bytes.  Exit codes: 0 when
 every check passes / the command succeeds, 1 when a verification check
 fails, 2 for usage or input errors (malformed flags, unknown labels, spec
-files that are unreadable, not UTF-8, not valid JSON or nested too deeply),
-each reported as a JSON object {"error": ...} on stdout.
+files that are unreadable, not UTF-8, not valid JSON or nested too deeply,
+a spectrum or transform output that overflows float64), each reported as a
+JSON object {"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
@@ -36,8 +39,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_error(message: str, out: str | None = None) -> int:
-    _emit(dump_json({"error": message}), out)
+def _emit_error(message: str) -> int:
+    _emit(dump_json({"error": message}), None)
     return 2
 
 
@@ -161,12 +164,15 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         if args.angle is None:
             raise ValueError("--generator requires --angle")
         gen = resolve_generator6(args.generator)
-        moved = exp_generator(gen, args.angle) @ values
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by generator
+            moved = (exp_generator(gen, args.angle) @ values).tolist()
+        if not all(map(math.isfinite, moved)):
+            raise ValueError(f"transform by {gen.label} is not finite: 'output' overflows float64")
         payload = {
             "generator": gen.label,
             "angle": args.angle,
             "input": values,
-            "output": [float(v) for v in moved],
+            "output": moved,
         }
     _emit(dump_json(payload), args.out)
     return 0

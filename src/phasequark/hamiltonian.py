@@ -19,17 +19,33 @@ accept stay zero, so Custom passes (scalar, a, b, beta) through unchanged.
 Each mask is alpha + beta e_c e_c^T, with e_c the unit vector of the
 row's color axis (R, Y, B = 1, 2, 3), and the table gives (alpha, beta):
 
-    kind      Phi     Psi      mu  closed form
-    Dirac     (1, 0)  (0, 0)   1   A.(p - e*Avec) + B m + e*A0
-    ColorR    (0, 1)  (1, -1)  1   A1(p1 - e*A1v) + B2 x2 + B3 x3 + B m + e*A0
-    ColorY    (0, 1)  (1, -1)  1   B1 x1 + A2(p2 - e*A2v) + B3 x3 + B m + e*A0
-    ColorB    (0, 1)  (1, -1)  1   B1 x1 + B2 x2 + A3(p3 - e*A3v) + B m + e*A0
-    AntiR     (0, 1)  (-1, 1)  1   A1 p1 - B2 x2 - B3 x3 + B m
-    AntiY     (0, 1)  (-1, 1)  1   -B1 x1 + A2 p2 - B3 x3 + B m
-    AntiB     (0, 1)  (-1, 1)  1   -B1 x1 - B2 x2 + A3 p3 + B m
-    QuarkSum  (1, 0)  (2, 0)   3   A.p + 2 B.x + 3 B m    (ColorR + ColorY + ColorB)
-    QQbar     (1, 0)  (2, 0)   6   A.P + 2 B.dx + 6 B m   (P = p + pbar, dx = x - xbar)
-    Custom    (0, 0)  (0, 0)   0   A.a + B.b + beta B + scalar
+    kind      Phi     Psi      mu
+    Dirac     (1, 0)  (0, 0)   1
+    ColorR    (0, 1)  (1, -1)  1
+    ColorY    (0, 1)  (1, -1)  1
+    ColorB    (0, 1)  (1, -1)  1
+    AntiR     (0, 1)  (-1, 1)  1
+    AntiY     (0, 1)  (-1, 1)  1
+    AntiB     (0, 1)  (-1, 1)  1
+    QuarkSum  (1, 0)  (2, 0)   3
+    QQbar     (1, 0)  (2, 0)   6
+    Custom    (0, 0)  (0, 0)   0
+
+Each kind's closed form, in the syntax and SYMBOLS of phasequark.pauli_expr
+(Avec = (A1v, A2v, A3v)); QQbar reads p and x as P = p + pbar and dx = x -
+xbar, and Custom reads p, x, m and A0 as a, b, beta and scalar.  QuarkSum
+is ColorR + ColorY + ColorB, and QQbar adds each color's Anti partner:
+
+    Dirac     A1*(p1 - e*A1v) + A2*(p2 - e*A2v) + A3*(p3 - e*A3v) + B*m + e*A0
+    ColorR    A1*(p1 - e*A1v) + B2*x2 + B3*x3 + B*m + e*A0
+    ColorY    B1*x1 + A2*(p2 - e*A2v) + B3*x3 + B*m + e*A0
+    ColorB    B1*x1 + B2*x2 + A3*(p3 - e*A3v) + B*m + e*A0
+    AntiR     A1*p1 - B2*x2 - B3*x3 + B*m
+    AntiY     -B1*x1 + A2*p2 - B3*x3 + B*m
+    AntiB     -B1*x1 - B2*x2 + A3*p3 + B*m
+    QuarkSum  A1*p1 + A2*p2 + A3*p3 + 2*B1*x1 + 2*B2*x2 + 2*B3*x3 + 3*B*m
+    QQbar     A1*p1 + A2*p2 + A3*p3 + 2*B1*x1 + 2*B2*x2 + 2*B3*x3 + 6*B*m
+    Custom    A1*p1 + A2*p2 + A3*p3 + B1*x1 + B2*x2 + B3*x3 + B*m + A0
 
 Rotations are passive (frame) rotations: coordinates map as v' = R v and
 operators as A'_k = R_kl A_l, B'_k = R_kl B_l, which conjugates each mask,
@@ -76,8 +92,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,7 +171,11 @@ def _real(value, name: str, index: int | None = None) -> float:
 
 
 def _vec3(value, name: str) -> tuple[float, float, float]:
+    """value as three finite floats; it must be an ordered sequence, so text,
+    bytes, mappings and sets are errors, whatever their length."""
     try:
+        if isinstance(value, (str, bytes, bytearray, Mapping, AbstractSet)):
+            raise TypeError
         x, y, z = value
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a 3-vector, got {value!r}") from None

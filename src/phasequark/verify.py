@@ -22,11 +22,10 @@ flip at the flipped fields, the Anti closed form, and the substitution
 chain as one stacked product over the rows at p -> -p; each also calls
 conjugate_hamiltonian once and compares it with its flip row.  Each stack
 is compared in one batched product, which rounds as the per-matrix
-product does.  A check that draws only uniforms takes them as one block,
-(N, 13) or dirac-em's (5, 9), which a Generator fills with the same floats
-as N per-sample draws.  The su3 checks draw their generator indices,
-angles and vectors as one block each; only the rotation-invariance checks,
-whose uniform and normal draws interleave, draw one sample at a time.
+product does.  Every check draws each random quantity with one Generator
+call, as one block that the Generator fills row by row: the (N, 13)
+uniforms of _random_inputs, dirac-em's (5, 9), the su3 generator indices,
+angles and vectors, the rotation axes and angles, the translation grid.
 A VerificationReport is a NamedTuple of its checks.  CheckResult stays a
 frozen dataclass, whose equality ignores elapsed_ms.
 """
@@ -179,8 +178,8 @@ def _by_generator(index: np.ndarray, *values: np.ndarray):
 
 def _check_group_membership(rng):
     worst = 0.0
-    for g in _F9:
-        m = phase_space.exp_generator(g, rng.uniform(-3.1, 3.1, size=10))
+    for g, angles in zip(_F9, rng.uniform(-3.1, 3.1, size=(len(_F9), 10))):
+        m = phase_space.exp_generator(g, angles)
         mt = m.swapaxes(1, 2)
         worst = max(worst, _maxabs(mt @ m - _I6), _maxabs(mt @ _J6 @ m - _J6))
     # a matrix off the group by more than 1e-12 fails at any --tol below 1
@@ -334,31 +333,27 @@ def _operator_route(kind: str, rots: np.ndarray, **fields) -> np.ndarray:
 
 def _check_color_axis_invariance(rng):
     worst = 0.0
-    for color, axis in (("R", 1), ("Y", 2), ("B", 3)):
-        m, p, x, _, _ = _random_inputs(rng, 1)
-        phis = rng.uniform(-3.1, 3.1, size=5)
-        rots = rotation_matrix(axis, phis)
-        kind, fields = f"Color{color}", {"m": m, "p": p, "x": x}
+    m, p, x, _, _ = _random_inputs(rng, 3)  # row i for color i
+    phis = rng.uniform(-3.1, 3.1, size=(3, 5))
+    for i, color in enumerate("RYB"):
+        rots = rotation_matrix(i + 1, phis[i])
+        kind, fields = f"Color{color}", {"m": m[i], "p": p[i], "x": x[i]}
         rotated = _operator_route(kind, rots, **fields)
         worst = max(worst, _maxabs(matrices(coefficients(kind, **fields)) - rotated))
     return worst, {"pairs": "ColorR/axis1, ColorY/axis2, ColorB/axis3"}
 
 
 def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
-    """Largest |H - H rotated| over 20 random specs, each with a random rotation;
-    the draws interleave uniforms and normals, so they stay one sample at a time."""
-    draws, axes, angles = [], [], []
-    for _ in range(20):
-        draws.append(_random_inputs(rng, 1))
-        axis = rng.normal(size=3)
-        axes.append(axis / np.linalg.norm(axis))
-        angles.append(float(rng.uniform(-math.pi, math.pi)))
-    m, p, x, pbar, xbar = (np.concatenate(v) for v in zip(*draws))
+    """Largest |H - H rotated| over 20 random specs, each with a random rotation."""
+    m, p, x, pbar, xbar = _random_inputs(rng, 20)
+    axes = rng.normal(size=(20, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = rng.uniform(-math.pi, math.pi, size=20)
     fields = {"m": m, "p": p, "x": x}
     if kind == "QQbar":
         fields.update(pbar=pbar, xbar=xbar)
     h = matrices(coefficients(kind, **fields))
-    rots = rotation_matrix(np.stack(axes), angles)
+    rots = rotation_matrix(axes, angles)
     return _maxabs(h - _operator_route(kind, rots, **fields)), {"samples": 20}
 
 
@@ -562,12 +557,9 @@ def _check_sum_route_equality(rng):
 
 
 def _check_translation_invariance(rng):
-    grids, masses = [], []
-    for _ in range(30):
-        grids.append(rng.integers(-32, 33, size=15) / 8.0)  # dyadic grid keeps sums exact
-        masses.append(float(rng.integers(0, 9)) / 4.0)
-    p, x, pbar, xbar, shift = np.split(np.stack(grids), 5, axis=1)
-    m = np.array(masses)
+    grid = rng.integers(-32, 33, size=(30, 15)) / 8.0  # dyadic grid keeps sums exact
+    m = rng.integers(0, 9, size=30) / 4.0
+    p, x, pbar, xbar, shift = np.split(grid, 5, axis=1)
     base = coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar)
     shifted = coefficients("QQbar", m=m, p=p, x=x + shift, pbar=pbar, xbar=xbar + shift)
     worst = _maxabs(matrices(base) - matrices(shifted))

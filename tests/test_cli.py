@@ -4,14 +4,18 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phasequark import cli
 from phasequark.cli import main
+from phasequark.hamiltonian import KINDS, _TABLE
+from phasequark.phase_space import pairing_tags
 from phasequark.verify import run_suite
 
 HERE = Path(__file__).parent
@@ -422,6 +426,16 @@ def test_transform_at_huge_angle_keeps_the_norm(capsys, label, angle):
     assert abs(norm_out - norm_in) <= 1e-12 * norm_in
 
 
+def test_overflowing_transform_names_its_generator(capsys):
+    code, out = run_in_process(capsys, "transform", "--generator", "G(1,2)",
+                               "--angle", "0.7853981633974483",
+                               "--input=1.7e308,1.7e308,0,0,0,0")
+    assert code == 2
+    assert strict_json(out) == {
+        "error": "transform by G(1,2) is not finite: 'output' overflows float64"}
+    assert capsys.readouterr().err == ""
+
+
 # the Dirac file and the three extreme specs of the benchmark's edge probe
 EXTREME_SPECS = [
     json.loads((DATA / "dirac_extreme.json").read_text()),
@@ -527,3 +541,102 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert "phasequark" in result.stdout
+
+
+# -- the CLI contract at its input boundaries ----------------------------------
+# Exit 0 or 2, no escaped exception, strict JSON on stdout, exactly {"error": str}
+# on exit 2, and nothing on stderr (a NumPy warning included) for any input.
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1e308, 1.7e308, 1.7976931348623157e308, -1.7976931348623157e308]
+_EDGE_INTS = [2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63, 10 ** 308, 10 ** 309, -(10 ** 400)]
+_FINITE = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0), st.sampled_from(_EDGE_FLOATS),
+                    st.sampled_from(_EDGE_INTS), st.floats(allow_nan=False, allow_infinity=False))
+_NUMBERS = _FINITE | st.floats()  # NaN and infinities too
+_VALUES = st.recursive(
+    _NUMBERS | st.booleans() | st.none() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _fields(number):
+    """A strategy per spec key, its numbers drawn from number."""
+    vector = st.lists(number, min_size=3, max_size=3)
+    em = st.fixed_dictionaries({}, optional={"e": number, "A0": number, "Avec": vector})
+    return {"m": number.map(abs), "beta": number, "scalar": number, "em": em,
+            **{name: vector for name in ("p", "x", "pbar", "xbar", "a", "b", "P", "dx")}}
+
+
+_NUMERIC_FIELDS = _fields(_FINITE)
+_ANY_FIELDS = {name: field | _VALUES for name, field in _fields(_NUMBERS).items()}
+
+
+_RARELY = st.integers(0, 9).map(lambda n: n == 4)  # one draw in ten, not at a bound
+
+
+@st.composite
+def _spec_text(draw):
+    """JSON text of a spec of any kind, some fields left out, with junk values
+    in some specs; now and then a foreign or duplicate key, a junk kind or no
+    object at all."""
+    if draw(_RARELY):
+        return json.dumps(draw(_VALUES))
+    kind = draw(_VALUES) if draw(_RARELY) else draw(st.sampled_from(KINDS))
+    names = list(_TABLE[kind].fields) if kind in KINDS else []
+    if kind == "QQbar" and draw(st.booleans()):
+        names = ["m", "P", "dx"]
+    strategies = _ANY_FIELDS if draw(_RARELY) else _NUMERIC_FIELDS
+    pairs = [("kind", kind)] + [(n, draw(strategies[n])) for n in names if not draw(_RARELY)]
+    if draw(_RARELY):
+        pairs.append((draw(st.sampled_from(["kind", *_ANY_FIELDS])), draw(_VALUES)))
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+def _holds_the_contract(argv):
+    """Run cli.main on argv in this process and check the CLI contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert err.getvalue() == ""
+    payload = strict_json(out.getvalue())
+    assert code in (0, 2)
+    if code == 2:
+        assert list(payload) == ["error"] and isinstance(payload["error"], str)
+
+
+@settings(max_examples=200)
+@given(text=_spec_text())
+def test_spec_files_hold_the_cli_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("spectrum", "conjugate"):
+            _holds_the_contract([command, str(path)])
+
+
+def _number_text(v) -> str:
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+_GENERATOR_LABELS = ([f"F{i}" for i in range(1, 9)] + ["R", "R1", "H2", "J3", "G(1,2)", "G(4,6)"]
+                     + ["G(1,1)", "F9", "", "R\u00b2"])
+_INPUT = (st.lists(_FINITE, min_size=6, max_size=6) | st.lists(_NUMBERS, min_size=5, max_size=7)).map(
+    lambda values: "--input=" + ",".join(map(_number_text, values)))
+_ANGLE = _NUMBERS.map(lambda v: "--angle=" + _number_text(v))
+
+
+@settings(max_examples=150)
+@example(argv=["transform", "--generator", "G(1,2)", "--angle=0.7853981633974483",
+               "--input=1.7e308,1.7e308,0,0,0,0"])
+@given(argv=st.one_of(
+    st.tuples(st.just("--pairing"), st.sampled_from([*pairing_tags(), "Even(Q)", "Red"]),
+              _INPUT, st.lists(_ANGLE, max_size=1)),
+    st.tuples(st.just("--generator"), st.sampled_from(_GENERATOR_LABELS), _INPUT,
+              st.lists(_ANGLE, min_size=1, max_size=1) | st.just([])),
+).map(lambda t: ["transform", t[0], t[1], t[2], *t[3]]))
+def test_transform_holds_the_cli_contract(argv):
+    _holds_the_contract(argv)

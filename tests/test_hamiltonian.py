@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasequark import clifford as cf
+from phasequark import clifford as cf, hamiltonian
 from phasequark.hamiltonian import (
     BASIS,
     KINDS,
@@ -25,6 +25,7 @@ from phasequark.hamiltonian import (
     rotation_matrix,
     square_and_spectrum,
 )
+from phasequark.pauli_expr import SYMBOLS, parse
 from phasequark.verify import substitution_conjugate
 
 A = [cf.build_A(k) for k in (1, 2, 3)]
@@ -145,6 +146,33 @@ def test_build_matches_docstring_closed_form_exactly(spec):
     assert np.array_equal(build_hamiltonian(spec), closed_form(spec))
 
 
+def _docstring_closed_forms() -> dict[str, str]:
+    """The closed-form rows of the hamiltonian docstring, by kind: each row
+    whose first word is a kind and whose text does not open the mask table."""
+    rows = re.findall(r"^    (\w+) +([^\s(].*)$", hamiltonian.__doc__, re.M)
+    forms = [(kind, text) for kind, text in rows if kind in KINDS]
+    assert sorted(kind for kind, _ in forms) == sorted(KINDS)  # one row per kind
+    return dict(forms)
+
+
+@pytest.mark.parametrize("kind,with_em", [(k, False) for k in KINDS] + [
+    (k, True) for k in ("Dirac", "ColorR", "ColorY", "ColorB")])
+def test_docstring_closed_forms_parse_to_the_built_matrix(kind, with_em):
+    form = parse(_docstring_closed_forms()[kind])
+    accepted = hamiltonian._TABLE[kind].fields
+    for v in np.random.default_rng(11).integers(-32, 33, size=(5, 18)) / 8.0:
+        p, x, pbar, xbar, avec = v[0:3], v[3:6], v[6:9], v[9:12], v[12:15]
+        m, e, a0 = abs(v[15]), v[16] if with_em else 0.0, v[17]
+        given = {"m": m, "p": p, "x": x, "pbar": pbar, "xbar": xbar, "a": p, "b": x,
+                 "beta": m, "scalar": a0, "em": EMField(e, a0, avec) if with_em else None}
+        spec = HamiltonianSpec(kind, **{name: given[name] for name in accepted})
+        if kind == "QQbar":  # the form reads p and x as P and dx
+            p, x = p + pbar, x - xbar
+        values = dict(zip(SYMBOLS, [*p, *x, m, e, a0, *avec]))
+        # dyadic values keep every sum exact, so the two routes agree bit for bit
+        assert np.array_equal(form.to_matrix(values), build_hamiltonian(spec))
+
+
 def test_reflect_signs_match_conjugation_by_b():
     for sign, g in zip(REFLECT_SIGNS, BASIS.reshape(8, 8, 8)):
         assert np.array_equal(cf.reflect(g), sign * g)
@@ -219,8 +247,8 @@ def test_components_a_kind_does_not_use_never_overflow():
         ({"kind": "ColorR", "p": ["1", "0", "0"]}, "p[0]"),
         ({"kind": "QQbar", "xbar": [0, 0, True]}, "xbar[2]"),
         ({"kind": "QQbar", "P": [0, 0, True]}, "P[2]"),
-        ({"kind": "QQbar", "dx": "abc"}, "dx[0]"),
-        ({"kind": "AntiY", "x": "123"}, "x[0]"),
+        ({"kind": "QQbar", "dx": "abc"}, "dx"),
+        ({"kind": "AntiY", "x": "123"}, "x"),
         ({"kind": "Dirac", "m": 10 ** 400}, "m"),
         ({"kind": "Dirac", "em": {"e": "2"}}, "em.e"),
         ({"kind": "ColorB", "em": {"A0": None}}, "em.A0"),
@@ -231,6 +259,31 @@ def test_components_a_kind_does_not_use_never_overflow():
 def test_from_dict_rejects_wrong_typed_numbers(spec, field):
     with pytest.raises(ValueError, match=re.escape(field) + " must be|'" + re.escape(field)):
         HamiltonianSpec.from_dict(spec)
+
+
+@pytest.mark.parametrize("value", [
+    {0.1, 2.5, -7.25}, frozenset({1.0, 2.0, 3.0}), {1: 0, 2: 0, 3: 0}.keys(),
+    "abc", b"abc", bytearray(b"abc"), {"a": 1, "b": 2, "c": 3},
+], ids=["set", "frozenset", "dict-keys", "str", "bytes", "bytearray", "dict"])
+def test_a_3_vector_must_be_an_ordered_sequence(value):
+    # a set would be stored in its iteration order, text and mappings element by element
+    with pytest.raises(ValueError) as err:
+        HamiltonianSpec(kind="Dirac", p=value)
+    assert str(err.value) == f"p must be a 3-vector, got {value!r}"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "ColorR", "p": "abc"}, "p must be a 3-vector, got 'abc'"),
+    ({"kind": "ColorR", "p": {"a": 1, "b": 2, "c": 3}},
+     "p must be a 3-vector, got {'a': 1, 'b': 2, 'c': 3}"),
+    ({"kind": "QQbar", "dx": "abc"}, "dx must be a 3-vector, got 'abc'"),
+    ({"kind": "Dirac", "em": {"Avec": {"x": 0, "y": 0, "z": 0}}},
+     "em.Avec must be a 3-vector, got {'x': 0, 'y': 0, 'z': 0}"),
+], ids=["str", "dict", "shorthand-str", "em-dict"])
+def test_from_dict_rejects_unordered_3_vectors(spec, message):
+    with pytest.raises(ValueError) as err:
+        HamiltonianSpec.from_dict(spec)
+    assert str(err.value) == message
 
 
 def test_numpy_real_scalars_are_accepted():

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +148,30 @@ def test_only_the_checks_that_draw_get_a_generator(monkeypatch):
     report = run_suite("all")
     assert len(report.checks) == 32
     assert streams == [11, 13, 14, 15, 25, 30, 31, 32, 33, 41, 42, 43, 50, 51, 52, 53, 54, 56]
+
+
+def _draws_in_loops(source: str) -> list[int]:
+    """Lines of the draws (a call on rng, or a call given rng) that run once per
+    pass: in the body or condition of a for or while loop, or in a comprehension."""
+    def draws(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Attribute) and getattr(n.func.value, "id", None) == "rng"
+            or any(getattr(arg, "id", None) == "rng" for arg in n.args))]
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            lines.update(line for stmt in node.body for line in draws(stmt))
+        elif isinstance(node, ast.While):
+            lines.update(line for part in (node.test, *node.body) for line in draws(part))
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            lines.update(draws(node))
+    return sorted(lines)
+
+
+def test_every_random_quantity_is_drawn_as_one_block():
+    assert _draws_in_loops("for g in rng.random(3):\n    f(g)\n") == []  # one draw, then a loop
+    assert _draws_in_loops("for _ in range(3):\n    x = rng.normal(size=3)\n") == [2]
+    assert _draws_in_loops("while ok:\n    f(g(rng, 1))\n") == [2]
+    assert _draws_in_loops("x = [rng.random() for _ in range(3)]\n") == [1]
+    assert _draws_in_loops(Path(verify.__file__).read_text(encoding="utf-8")) == []
