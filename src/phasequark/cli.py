@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -22,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
-from .phase_space import LABEL_HELP, PhaseVector, apply_pairing, exp_generator, pairing, pairing_tags
-from .serialize import dump_json, matrix_to_csv, resolve_export, resolve_generator6
+from .phase_space import (LABEL_HELP, PhaseVector, apply_pairing, exp_generator, pairing,
+                          pairing_tags, resolve_generator6)
+from .serialize import dump_json, matrix_to_csv, resolve_export
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -83,7 +85,13 @@ def _load_spec(path: str) -> HamiltonianSpec:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors reach main as ValueError (exit 2, JSON)."""
+    """An ArgumentParser whose usage errors reach main as ValueError (exit 2, JSON),
+    and which reads "-" or "-." then a digit as a value, as Python 3.13 does, so
+    "--angle -1e-3" and "--input -1,2,3,4,5,6" parse as their "=" forms do."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")

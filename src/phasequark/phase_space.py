@@ -6,13 +6,16 @@ space is SO(6).  The subgroup that additionally preserves canonical Poisson
 brackets is U(3) = U(1) x SU(3); this module builds its generators, checks
 the structure constants, and exponentiates generators into group elements.
 Every named generator (F1..F8, R, R1..R3, H1..H3, J1..J3) is one row of
-plane-sum terms in a single label table; resolve_generator6 reads a label,
-G(m,n) included, and the build_* functions are index checks on that table.
-The four printed pairings are one table of signed coordinate names, and
-each Even(tag) is its row under the slot map p_k -> x_k, x_k -> -p_k of
-exp(-pi/2 * R); all eight are built once at import.  The records
-(PhaseVector, StructureConstants, PairingScheme, DerivedPairing) are
-NamedTuples; Generator6, which validates its matrix, is a dataclass.
+plane-sum terms in a single label table, built once at import into shared
+Generator6 instances; resolve_generator6 reads a label, G(m,n) included,
+and the build_* functions are index checks on that table that return the
+shared instance.  Only G(m,n) is built per call.  The structure constants
+are one read-only (9, 9, 9) array, also built once.  The four printed
+pairings are one table of signed coordinate names, and each Even(tag) is
+its row under the slot map p_k -> x_k, x_k -> -p_k of exp(-pi/2 * R); all
+eight are built once at import.  The records (PhaseVector, PairingScheme,
+DerivedPairing) are NamedTuples; Generator6, which validates its matrix
+and holds it read-only, is a dataclass.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -51,7 +54,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +62,6 @@ __all__ = [
     "COORD_NAMES",
     "PhaseVector",
     "Generator6",
-    "StructureConstants",
     "PairingScheme",
     "DerivedPairing",
     "LABEL_HELP",
@@ -107,17 +109,21 @@ class PhaseVector(NamedTuple):
 
 @dataclass(frozen=True)
 class Generator6:
-    """Labeled real antisymmetric 6x6 matrix, an so(6) element."""
+    """Labeled real antisymmetric 6x6 matrix, an so(6) element.
+
+    The matrix is a read-only copy, so a generator can be shared.
+    """
 
     label: str
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.shape != (6, 6):
             raise ValueError(f"{self.label}: generator must be 6x6, got {m.shape}")
         if not np.array_equal(m, -m.T):
             raise ValueError(f"{self.label}: generator must be antisymmetric")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
@@ -131,13 +137,6 @@ def build_G(m: int, n: int) -> Generator6:
     g[m - 1, n - 1] = 1.0
     g[n - 1, m - 1] = -1.0
     return Generator6(label=f"G({m},{n})", matrix=g)
-
-
-def _gsum(label: str, terms: Iterable[tuple[float, int, int]]) -> Generator6:
-    m = np.zeros((6, 6))
-    for coeff, a, b in terms:
-        m += coeff * build_G(a, b).matrix
-    return Generator6(label=label, matrix=m)
 
 
 # Every named 6x6 generator as its plane-sum terms (coeff, m, n), each
@@ -162,6 +161,8 @@ _LABEL_TERMS.update({
     for label, sign, i in (("H1", 1, 6), ("H2", -1, 4), ("H3", -1, 1),
                            ("J1", 1, 7), ("J2", 1, 5), ("J3", -1, 2))
 })
+_NAMED = {label: Generator6(label, sum(coeff * build_G(a, b).matrix for coeff, a, b in terms))
+          for label, terms in _LABEL_TERMS.items()}
 _INDEX_RANGE = {"F": "in 1..8", "R": "1..3", "H": "1..3", "J": "1..3"}  # of each family's error
 LABEL_HELP = "F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)"
 _G_LABEL = re.compile(r"G\(([0-9]),([0-9])\)")
@@ -169,9 +170,9 @@ _G_LABEL = re.compile(r"G\(([0-9]),([0-9])\)")
 
 def _indexed(family: str, i: int) -> Generator6:
     label = f"{family}{i}"
-    if label not in _LABEL_TERMS:
+    if label not in _NAMED:
         raise ValueError(f"{family} index must be {_INDEX_RANGE[family]}, got {i}")
-    return _gsum(label, _LABEL_TERMS[label])
+    return _NAMED[label]
 
 
 def resolve_generator6(label: str) -> Generator6:
@@ -179,8 +180,8 @@ def resolve_generator6(label: str) -> Generator6:
     match = _G_LABEL.fullmatch(label)
     if match:
         return build_G(int(match.group(1)), int(match.group(2)))
-    if label in _LABEL_TERMS:
-        return _gsum(label, _LABEL_TERMS[label])
+    if label in _NAMED:
+        return _NAMED[label]
     if len(label) == 2 and label[0] in _INDEX_RANGE and "0" <= label[1] <= "9":
         return _indexed(label[0], int(label[1]))
     raise ValueError(f"unknown generator label {label!r}; expected {LABEL_HELP}")
@@ -193,7 +194,7 @@ def build_F(i: int) -> Generator6:
 
 def build_R(i: int | None = None) -> Generator6:
     """U(1) generator R = R1 + R2 + R3, or a single Ri = G(i+3, i)."""
-    return resolve_generator6("R") if i is None else _indexed("R", i)
+    return _NAMED["R"] if i is None else _indexed("R", i)
 
 
 def build_H(i: int) -> Generator6:
@@ -238,23 +239,16 @@ def _f_table() -> np.ndarray:
     return t
 
 
-class StructureConstants(NamedTuple):
-    """Totally antisymmetric table f[i, k, j] with [Fi, Fk] = 2 f_ikj Fj."""
+_F_TABLE = _f_table()
 
-    table: np.ndarray  # shape (9, 9, 9), 1-based indices, slot 0 unused
-
-    def coefficient(self, i: int, k: int, j: int) -> float:
-        return float(self.table[i, k, j])
-
-    def canonical_triples(self) -> dict[tuple[int, int, int], float]:
-        return dict(_F_CANONICAL)
+_F_STACK = np.stack([_NAMED[f"F{i}"].matrix for i in range(1, 9)])  # F1..F8
+_F_STACK.flags.writeable = False
 
 
-_STRUCTURE_CONSTANTS = StructureConstants(table=_f_table())
-
-
-def structure_constants() -> StructureConstants:
-    return _STRUCTURE_CONSTANTS
+def structure_constants() -> np.ndarray:
+    """The read-only totally antisymmetric table f[i, k, j] with
+    [Fi, Fk] = 2 f_ikj Fj: shape (9, 9, 9), 1-based indices, slot 0 unused."""
+    return _F_TABLE
 
 
 def verify_su3_table(tol: float = 1e-12) -> tuple[bool, float, list[dict]]:
@@ -268,11 +262,11 @@ def verify_su3_table(tol: float = 1e-12) -> tuple[bool, float, list[dict]]:
     All 28 pairs are one stack, with the per-pair order of every sum kept.
     """
     pairs = np.array(list(itertools.combinations(range(1, 9), 2)))
-    F = np.stack([build_F(i).matrix for i in range(1, 9)])
+    F = _F_STACK
     fi, fk = F[pairs[:, 0] - 1], F[pairs[:, 1] - 1]
     c = fi @ fk - fk @ fi
     coeffs = np.trace(c.swapaxes(1, 2)[:, None] @ F, axis1=2, axis2=3) / 4.0
-    expected = 2.0 * structure_constants().table[pairs[:, 0], pairs[:, 1], 1:]
+    expected = 2.0 * _F_TABLE[pairs[:, 0], pairs[:, 1], 1:]
     span = 0.0
     for j in range(8):
         span = span + coeffs[:, j, None, None] * F[j]
@@ -501,12 +495,12 @@ def derive_pairing_from_rotation(color: str) -> DerivedPairing:
     return DerivedPairing(color, h.label, _HALF_PI, j.label, _HALF_PI, m, residual)
 
 
-# each colored pairing's diagonal generator: its name, the weight w of
-# (F3 + w*F8)/2 (None for F3 itself), and the angle of its quarter turn
+# each colored pairing's diagonal generator and the angle of its quarter turn
+_F3, _F8 = _NAMED["F3"].matrix, _NAMED["F8"].matrix
 _DIAGONAL_PAIRING = {
-    "R": ("(F3-sqrt3*F8)/2", -_SQRT3, _HALF_PI),
-    "Y": ("(F3+sqrt3*F8)/2", _SQRT3, _HALF_PI),
-    "B": ("F3", None, -_HALF_PI),
+    "R": (Generator6("(F3-sqrt3*F8)/2", (_F3 - _SQRT3 * _F8) / 2), _HALF_PI),
+    "Y": (Generator6("(F3+sqrt3*F8)/2", (_F3 + _SQRT3 * _F8) / 2), _HALF_PI),
+    "B": (_NAMED["F3"], -_HALF_PI),
 }
 
 
@@ -524,8 +518,7 @@ def derive_pairing_from_diagonal(color: str) -> DerivedPairing:
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    name, weight, angle = _DIAGONAL_PAIRING[color]
-    f3 = build_F(3).matrix
-    m = exp_generator(f3 if weight is None else (f3 + weight * build_F(8).matrix) / 2, angle)
+    g, angle = _DIAGONAL_PAIRING[color]
+    m = exp_generator(g, angle)
     residual = float(np.abs(m - pairing(color).matrix()).max())
-    return DerivedPairing(color, name, angle, "(none)", 0.0, m, residual)
+    return DerivedPairing(color, g.label, angle, "(none)", 0.0, m, residual)

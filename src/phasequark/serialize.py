@@ -16,13 +16,11 @@ import json
 import numpy as np
 
 from . import clifford, phase_space
-from .phase_space import resolve_generator6
 
 __all__ = [
     "to_jsonable",
     "dump_json",
     "matrix_to_csv",
-    "resolve_generator6",
     "resolve_export",
     "EXPORT_LABELS",
 ]
@@ -114,7 +112,7 @@ def resolve_export(label: str) -> tuple[str, np.ndarray]:
     if label.startswith("pairing:"):
         return "pairing", phase_space.pairing(label[len("pairing:"):]).matrix()
     try:
-        return "generator6", resolve_generator6(label).matrix
+        return "generator6", phase_space.resolve_generator6(label).matrix
     except ValueError:
         pass
     if label in clifford.OPERATORS:

@@ -58,9 +58,9 @@ def test_primary_01_su3_closure(capfd):
             (2, 5, 7): 0.5, (3, 4, 5): 0.5, (3, 7, 6): 0.5,
             (4, 5, 8): SQRT3 / 2.0, (6, 7, 8): SQRT3 / 2.0,
         }
-        triples = ps.structure_constants().canonical_triples()
-        assert set(triples) == set(expected)
-        assert all(abs(triples[k] - expected[k]) <= 1e-15 for k in expected)
+        table = ps.structure_constants()
+        assert np.count_nonzero(table) == 6 * len(expected)  # each triple's six orders
+        assert all(abs(table[k] - expected[k]) <= 1e-15 for k in expected)
         assert time.perf_counter() - start < 1.0
 
     _report(1, "su3-closure-28-commutators", run, capfd)

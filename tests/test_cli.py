@@ -414,6 +414,18 @@ def test_transform_generator_examples():
     assert json.loads(quarter.stdout)["output"] == [0, 0, 0, 1, 0, 0]
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (["--generator", "F1", "--angle", "-1e-3", "--input=1,2,3,4,5,6"],
+     ["--generator", "F1", "--angle=-1e-3", "--input=1,2,3,4,5,6"]),
+    (["--pairing", "R", "--input", "-1,2,3,4,5,6"], ["--pairing", "R", "--input=-1,2,3,4,5,6"]),
+], ids=["angle", "input"])
+def test_a_negative_number_may_follow_its_option(capsys, spaced, joined):
+    joined_result = run_in_process(capsys, "transform", *joined)
+    assert joined_result[0] == 0
+    assert run_in_process(capsys, "transform", *spaced) == joined_result
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("label", ["F1", "F8"])
 @pytest.mark.parametrize("angle", ["1e20", "1e300"])
 def test_transform_at_huge_angle_keeps_the_norm(capsys, label, angle):

@@ -81,7 +81,6 @@ def test_only_records_with_behaviour_of_their_own_are_dataclasses():
 
 RECORD_FIELDS = {  # in the order of the dataclass fields each NamedTuple replaces
     "PhaseVector": ("p", "x"),
-    "StructureConstants": ("table",),
     "PairingScheme": ("label", "momenta", "positions"),
     "DerivedPairing": ("color", "quarter_turn", "quarter_turn_angle", "ordinary",
                        "ordinary_angle", "matrix", "residual"),

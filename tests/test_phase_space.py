@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phasequark import phase_space as ps
-from phasequark.serialize import EXPORT_LABELS, resolve_generator6
+from phasequark.phase_space import resolve_generator6
+from phasequark.serialize import EXPORT_LABELS
 
 SQRT3 = math.sqrt(3.0)
 
@@ -66,7 +67,7 @@ def test_generators_are_antisymmetric(i):
 
 
 def test_structure_constant_canonical_triples():
-    sc = ps.structure_constants()
+    table = ps.structure_constants()
     expected = {
         (1, 2, 3): 1.0,
         (1, 4, 7): 0.5,
@@ -78,7 +79,8 @@ def test_structure_constant_canonical_triples():
         (4, 5, 8): SQRT3 / 2.0,
         (6, 7, 8): SQRT3 / 2.0,
     }
-    assert sc.canonical_triples() == pytest.approx(expected)
+    assert {t: table[t] for t in expected} == pytest.approx(expected)
+    assert np.count_nonzero(table) == 6 * len(expected)  # each triple's six orders
 
 
 @given(
@@ -87,9 +89,9 @@ def test_structure_constant_canonical_triples():
     st.integers(min_value=1, max_value=8),
 )
 def test_structure_constants_totally_antisymmetric(i, k, j):
-    sc = ps.structure_constants()
-    assert sc.coefficient(i, k, j) == -sc.coefficient(k, i, j)
-    assert sc.coefficient(i, k, j) == sc.coefficient(k, j, i)
+    f = ps.structure_constants()
+    assert f[i, k, j] == -f[k, i, j]
+    assert f[i, k, j] == f[k, j, i]
 
 
 def test_su3_table_closes():
@@ -102,13 +104,13 @@ def test_su3_table_closes():
 def test_su3_table_rows_match_a_per_pair_reference():
     # reference: one pair at a time, each sum in the same order
     F = [ps.build_F(i).matrix for i in range(1, 9)]
-    sc = ps.structure_constants()
+    f = ps.structure_constants()
     reference = []
     for i in range(1, 9):
         for k in range(i + 1, 9):
             c = F[i - 1] @ F[k - 1] - F[k - 1] @ F[i - 1]
             coeffs = np.array([np.trace(c.T @ F[j]) / 4.0 for j in range(8)])
-            expected = np.array([2.0 * sc.coefficient(i, k, j) for j in range(1, 9)])
+            expected = np.array([2.0 * f[i, k, j] for j in range(1, 9)])
             span = sum(coeffs[j] * F[j] for j in range(8))
             resid = max(float(np.abs(coeffs - expected).max()), float(np.abs(c - span).max()))
             reference.append({"pair": (i, k), "coefficients": coeffs.tolist(),
@@ -123,12 +125,12 @@ def test_commutators_match_table_directly():
     # independent route: rebuild each bracket from the stored table and
     # compare matrices, rather than projecting onto the basis
     F = [ps.build_F(i).matrix for i in range(1, 9)]
-    sc = ps.structure_constants()
+    f = ps.structure_constants()
     for i in range(1, 9):
         for k in range(i + 1, 9):
             direct = ps.commutator6(F[i - 1], F[k - 1])
             from_table = sum(
-                2.0 * sc.coefficient(i, k, j) * F[j - 1] for j in range(1, 9)
+                2.0 * f[i, k, j] * F[j - 1] for j in range(1, 9)
             )
             assert np.abs(direct - from_table).max() <= 1e-12, (i, k)
 
@@ -183,6 +185,25 @@ def test_each_named_label_resolves_to_its_builder(label):
     built = BUILDERS[label[0]](*(int(d) for d in label[1:]))
     assert g.label == built.label == label
     assert np.array_equal(g.matrix, built.matrix)
+
+
+def test_shared_generators_and_structure_constants_are_read_only():
+    assert ps.build_F(3) is resolve_generator6("F3")
+    assert ps.build_R() is ps.build_R() is resolve_generator6("R")
+    for m in (ps.build_H(2).matrix, ps.build_G(1, 2).matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 1] = 5.0
+    assert np.array_equal(ps.build_H(2).matrix, -ps.build_F(4).matrix)
+    # a matrix given to Generator6 is copied, so the caller's array stays writable
+    given = np.zeros((6, 6))
+    ps.Generator6("zero", given)
+    given[0, 1] = 1.0
+    f = ps.structure_constants()
+    with pytest.raises(ValueError, match="read-only"):
+        f[1, 2, 3] = 0.0
+    assert f.shape == (9, 9, 9) and f[1, 2, 3] == 1.0
+    assert np.array_equal(f, -f.transpose(1, 0, 2))
+    assert np.array_equal(f, f.transpose(1, 2, 0))
 
 
 UNKNOWN = ("unknown generator label {!r}; expected F1..F8, R, R1..R3, H1..H3, J1..J3, "

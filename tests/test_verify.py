@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +149,40 @@ def test_only_the_checks_that_draw_get_a_generator(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting)
     report = run_suite("all")
     assert len(report.checks) == 32
-    assert streams == [11, 13, 14, 15, 25, 30, 31, 32, 33, 41, 42, 43, 50, 51, 52, 53, 54, 56]
+    assert streams == [13, 14, 15, 25, 30, 31, 32, 33, 41, 42, 43, 50, 51, 52, 53, 54, 56]
+
+
+def test_su3_checks_reach_every_generator(monkeypatch):
+    """At the default seed, each su3 check on generators reaches all of them,
+    and the Jacobi check every triple of distinct generators."""
+    labels = [f"F{i}" for i in range(1, 9)] + ["R"]  # the rows of verify._F9
+    reached, pairs = {}, {}
+
+    def which(stack):
+        """The generator label of each 6x6 matrix of stack, None for a non-generator."""
+        return [next((label for label, g in zip(labels, verify._F9) if np.array_equal(m, g)), None)
+                for m in np.reshape(getattr(stack, "matrix", stack), (-1, 6, 6))]
+
+    def record(fn):
+        def wrapper(a, b):
+            check = sys._getframe(1).f_code.co_name
+            reached.setdefault(check, set()).update(which(a))
+            if fn is commutator6 and None not in which(a) + which(b):
+                pairs.setdefault(check, []).append(list(zip(which(a), which(b))))
+            return fn(a, b)
+        return wrapper
+
+    exp_generator, commutator6 = verify.phase_space.exp_generator, verify.phase_space.commutator6
+    monkeypatch.setattr(verify.phase_space, "exp_generator", record(exp_generator))
+    monkeypatch.setattr(verify.phase_space, "commutator6", record(commutator6))
+    assert run_suite("su3", seed=1729).passed
+    assert reached["_check_group_additivity"] == set(labels[:8])
+    assert reached["_check_quadratic_form"] == set(labels)
+    assert reached["_check_group_membership"] == set(labels)
+    # the Jacobi sum's brackets [a, b], [b, c] and [c, a] of each row name its triple
+    triples = [frozenset(a + b + c) for a, b, c in zip(*pairs["_check_jacobi"])]
+    assert len(triples) == 56
+    assert set(triples) == set(map(frozenset, itertools.combinations(labels[:8], 3)))
 
 
 def _draws_in_loops(source: str) -> list[int]:
