@@ -8,11 +8,15 @@ fails, 2 for usage or input errors (malformed flags, unknown labels, spec
 files that are unreadable, not UTF-8, not valid JSON or nested too deeply,
 a spectrum or transform output that overflows float64), each reported as a
 JSON object {"error": ...} on stdout.
+
+Each subcommand's parser is built on its first use and shared for the life of
+the process: later main calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -48,7 +52,7 @@ def _emit_error(message: str) -> int:
 
 def _parse_vector6(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.replace(" ", "").split(",") if part]
+        values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"--input must be six comma-separated numbers: {exc}") from exc
     if len(values) != 6 or not all(math.isfinite(v) for v in values):
@@ -97,8 +101,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or, given a subcommand's name, one with only that subparser."""
+    """The full parser, or, given a subcommand's name, one with only that subparser.
+
+    Each parser is built on its first use and shared for the life of the
+    process, so treat the returned parser as read-only;
+    ``build_parser.__wrapped__(command)`` builds a fresh one.
+    """
     parser = _Parser(
         prog="phasequark",
         description="Exact checks and transforms for the phase-space "

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -134,7 +135,7 @@ def test_bad_argv_errors_are_pinned(capsys, argv, error):
     assert capsys.readouterr().err == ""
 
 
-def test_each_main_call_builds_its_own_parser(monkeypatch):
+def test_each_main_call_asks_for_its_argv0_parser(monkeypatch):
     calls = []
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda *args: calls.append(args) or full(*args))
@@ -192,6 +193,42 @@ def test_narrowed_parser_matches_the_full_parser(argv):
         assert _run_main(argv) == narrowed
     assert narrowed[0] in (0, 1, 2)
     assert narrowed[2] == ""
+
+
+def test_build_parser_shares_one_parser_per_command():
+    assert cli.build_parser("export") is cli.build_parser("export")
+    assert cli.build_parser.__wrapped__("export") is not cli.build_parser("export")
+
+
+_VALID_ARGV = (
+    ["export", "A1"], ["export", "G(1,5)", "--format", "csv"], ["spectrum", str(DATA / "color_r.json")],
+    ["conjugate", str(DATA / "dirac_em.json")], ["transform", "--pairing", "R", "--input=1,2,3,4,5,6"],
+    ["verify", "--suite", "su3"],
+)
+
+
+@settings(max_examples=100)
+@example(argvs=[["verify", "--samples", "5"], ["export", "-h"], ["--version"], ["bogus"],
+                ["transform", "--pairing", "R", "--input=1,2,3,4,5,6"]])
+@example(argvs=[["export", "A1", "--format", "xml"], ["-h"], ["export", "A1"], ["export", "A1"]])
+@given(argvs=st.tuples(st.lists(_ARGV.filter(lambda argv: not _verify_would_pass(argv)),
+                                min_size=1, max_size=5),
+                       st.sampled_from(_VALID_ARGV)).map(lambda t: [*t[0], t[1]]))
+def test_a_reused_parser_behaves_like_a_fresh_one(argvs):
+    """A sequence of main calls in one process gives, at every step, what it gives
+    when each call builds its own parser, after usage errors, -h and --version too."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a drawn "--out extra" writes here
+        try:
+            reused = [_run_main(argv) for argv in argvs]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+                fresh = [_run_main(argv) for argv in argvs]
+        finally:
+            os.chdir(cwd)
+    assert reused == fresh
+    assert reused[-1][0] == 0
 
 
 def test_malformed_spec_file_is_input_error(tmp_path):
@@ -424,6 +461,26 @@ def test_a_negative_number_may_follow_its_option(capsys, spaced, joined):
     assert joined_result[0] == 0
     assert run_in_process(capsys, "transform", *spaced) == joined_result
     assert capsys.readouterr().err == ""
+
+
+_NOT_A_FLOAT = "--input must be six comma-separated numbers: could not convert string to float: "
+
+
+@pytest.mark.parametrize("text,error", [
+    ("1 2,3,4,5,6,7", _NOT_A_FLOAT + "'1 2'"),
+    ("1,2,3,,4,5,6", _NOT_A_FLOAT + "''"),
+    (",1,2,3,4,5,6,", _NOT_A_FLOAT + "''"),
+    ("", _NOT_A_FLOAT + "''"),
+], ids=["space-inside-a-number", "empty-field", "leading-and-trailing-comma", "empty"])
+def test_input_is_read_as_typed(capsys, text, error):
+    assert run_in_process(capsys, "transform", "--pairing", "R", f"--input={text}") == (
+        2, json.dumps({"error": error}, indent=2) + "\n")
+
+
+def test_input_fields_may_carry_surrounding_spaces(capsys):
+    code, out = run_in_process(capsys, "transform", "--pairing", "R", "--input= 1, 2, 3 ,4,5,6 ")
+    assert code == 0
+    assert strict_json(out)["input"] == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("label", ["F1", "F8"])
