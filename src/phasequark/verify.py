@@ -10,28 +10,20 @@ seeded with (seed, stable-check-id), so reports are byte-identical for a
 fixed seed.  Antiparticle distinctness draws nothing: it checks the exact
 minimum over O(3) against the distance form rebuilt from matrices.
 
-Checks work on stacks, not one matrix at a time.  The composite and
-rotation checks build each sample stack with one hamiltonian.coefficients
-call and each rotation stack with one rotation_matrix call.  The su3
-checks walk the generator table, so every generator is checked at every
-seed: each exponential check takes one exp_generator stack over an angle
-axis per generator, and the Jacobi check takes all 56 triples i < j < k
-of F1..F8 and draws nothing.  The second route of rotation is the
-operator route: the table at rotated coordinates on the primed operators,
-which the rotation checks and distinctness compare with
-coefficients(rot=) or the unrotated matrix.  The conjugation checks build
-each route from coefficients rows, one call per sample, stacked: the
-field flip at the flipped fields, the Anti closed form, and the
-substitution chain as one stacked product over the rows at p -> -p; each
-also calls conjugate_hamiltonian once and compares it with its flip row.
-Each stack is compared in one batched product, which rounds as the
-per-matrix product does.  Every check draws each random quantity with one
-Generator call, as one block that the Generator fills row by row: the
-(N, 13) uniforms of _random_inputs, dirac-em's (5, 9), the su3 angles (a
-block with a row per generator) and vectors, the rotation axes and
-angles, the translation grid.  A VerificationReport is a NamedTuple of
-its checks.  CheckResult stays a frozen dataclass, whose equality ignores
-elapsed_ms.
+A check states each identity by two independent routes, one stack per
+route with the sample axis first, and _compare turns the two stacks into
+the residual: the largest |a - b|, divided by each sample's scale where
+the check is relative.  Loops only build stacks.  Residuals that the
+library reports (verify_su3_table, derive_pairing_from_*) stay the
+library's, and a structural test that fails forces a residual of 1.  The
+second route of rotation is the operator route: the table at rotated
+coordinates on the primed operators.  The conjugation checks build the
+field flip, the Anti closed form and the substitution chain from
+coefficients rows, one call per sample, and compare conjugate_hamiltonian
+with the flip once per check.  Every check draws each random quantity
+with one Generator call, as one block that the Generator fills row by
+row.  A VerificationReport is a NamedTuple of its checks.  CheckResult
+stays a frozen dataclass, whose equality ignores elapsed_ms.
 """
 
 from __future__ import annotations
@@ -108,9 +100,20 @@ class VerificationReport(NamedTuple):
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _maxabs(m) -> float:
-    arr = np.asarray(m)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+def _compare(a, b, scale=None) -> float:
+    """The residual of route a against route b: the largest |a - b|.
+
+    a is a stack with the sample axis first; b broadcasts against it, so a
+    number or one matrix is a route too.  With scale, each sample's largest
+    |a - b| is divided by its entry of scale.  An empty stack gives 0.0, and
+    a NaN in either route gives NaN, which fails."""
+    a = np.asarray(a)
+    if not a.size:
+        return 0.0
+    diff = np.abs(a - b)
+    if scale is not None:
+        diff = diff.reshape(len(diff), -1).max(axis=1) / scale
+    return float(diff.max())
 
 
 _F = np.stack([phase_space.build_F(i).matrix for i in range(1, 9)])
@@ -138,12 +141,6 @@ def _random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
     return 2.0 * u[:, 12], vals[:, 0:3], vals[:, 3:6], vals[:, 6:9], vals[:, 9:12]
 
 
-def _worst_scalar_residual(h: np.ndarray, lam: np.ndarray) -> float:
-    """Largest |H^2 - lam 1| / max(1, |lam|) over a stack of matrices."""
-    resid = np.abs(h @ h - lam[:, None, None] * _I8).max(axis=(1, 2))
-    return float((resid / np.maximum(1.0, np.abs(lam))).max())
-
-
 def _sq3(v: np.ndarray) -> np.ndarray:
     """|v|^2 of each row, summed in component order."""
     return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
@@ -169,56 +166,57 @@ def _check_jacobi():
     a, b, c = _F[np.array(list(itertools.combinations(range(8), 3))).T]
     comm = phase_space.commutator6
     acc = comm(comm(a, b), c) + comm(comm(b, c), a) + comm(comm(c, a), b)
-    return _maxabs(acc), {"triples": len(a)}
+    return _compare(acc, 0.0), {"triples": len(a)}
 
 
 def _check_centrality():
-    return _maxabs(phase_space.commutator6(_R6, _F)), {"generators": 8}
+    return _compare(phase_space.commutator6(_R6, _F), 0.0), {"generators": 8}
+
+
+def _exp_stack(generators: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """exp(theta g) at each angle of row i of angles for g = generators[i]:
+    one exp_generator stack per generator, concatenated in row order."""
+    return np.concatenate([phase_space.exp_generator(g, theta)
+                           for g, theta in zip(generators, angles)])
 
 
 def _check_group_membership(rng):
-    worst = 0.0
-    for g, angles in zip(_F9, rng.uniform(-3.1, 3.1, size=(len(_F9), 10))):
-        m = phase_space.exp_generator(g, angles)
-        mt = m.swapaxes(1, 2)
-        worst = max(worst, _maxabs(mt @ m - _I6), _maxabs(mt @ _J6 @ m - _J6))
+    angles = rng.uniform(-3.1, 3.1, size=(len(_F9), 10))  # row i for _F9[i]
+    m = _exp_stack(_F9, angles)
+    mt = m.swapaxes(1, 2)
+    worst = max(_compare(mt @ m, _I6), _compare(mt @ _J6 @ m, _J6))
     # a matrix off the group by more than 1e-12 fails at any --tol below 1
-    return (max(worst, 1.0) if worst > 1e-12 else worst), {"matrices": 10 * len(_F9)}
+    return (max(worst, 1.0) if worst > 1e-12 else worst), {"matrices": angles.size}
 
 
 def _check_group_additivity(rng):
     first, second = rng.uniform(-2.0, 2.0, size=(2, len(_F), 3))  # row i for F(i+1)
-    worst = 0.0
-    for g, t1, t2 in zip(_F, first, second):
-        lhs = phase_space.exp_generator(g, t1) @ phase_space.exp_generator(g, t2)
-        worst = max(worst, _maxabs(lhs - phase_space.exp_generator(g, t1 + t2)))
-    return worst, {"samples": first.size}
+    lhs = _exp_stack(_F, first) @ _exp_stack(_F, second)
+    return _compare(lhs, _exp_stack(_F, first + second)), {"samples": first.size}
 
 
 def _check_quadratic_form(rng):
     angles = rng.uniform(-3.0, 3.0, size=(len(_F9), 11))  # row i for _F9[i]
     vectors = rng.uniform(-2.0, 2.0, size=(len(_F9), 11, 6))
-    worst = 0.0
-    for g, theta, v in zip(_F9, angles, vectors):
-        # stacked products keep the rounding of the 1-D dot products
-        v = v[:, :, None]
-        mv = phase_space.exp_generator(g, theta) @ v
-        vv = (v.swapaxes(1, 2) @ v)[:, 0, 0]
-        worst = max(worst, _maxabs((vv - (mv.swapaxes(1, 2) @ mv)[:, 0, 0]) / vv))
+    # stacked products keep the rounding of the 1-D dot products
+    v = vectors.reshape(-1, 6, 1)
+    mv = _exp_stack(_F9, angles) @ v
+    vv = (v.swapaxes(1, 2) @ v)[:, 0, 0]
+    worst = _compare(vv, (mv.swapaxes(1, 2) @ mv)[:, 0, 0], scale=vv)
     return worst, {"vectors": angles.size}
 
 
 def _check_reflection_square():
     recip = phase_space.exp_generator(_R6, math.pi / 2.0)
     reflection = phase_space.exp_generator(_R6, math.pi)
-    worst = max(_maxabs(recip @ recip - reflection), _maxabs(reflection + _I6))
+    worst = max(_compare(recip @ recip, reflection), _compare(reflection, -_I6))
     return worst, {"convention": "exp((pi/2) R) maps (p, x) to (-x, p)"}
 
 
 def _check_pairing_symplectic():
     tags = ("Standard", "R", "Y", "B", "Even(R)")
     m = np.stack([phase_space.pairing(tag).matrix() for tag in tags])
-    return _maxabs(m.swapaxes(1, 2) @ _J6 @ m - _J6), {"tags": list(tags)}
+    return _compare(m.swapaxes(1, 2) @ _J6 @ m, _J6), {"tags": list(tags)}
 
 
 def _check_pairing(route: str, keys: dict[str, str]):
@@ -226,12 +224,11 @@ def _check_pairing(route: str, keys: dict[str, str]):
     R, Y, B, and per color the DerivedPairing fields named by the values of
     keys, under its keys.  The function is looked up on the module at call
     time, so a wrapper installed there (a tracer) sees the call."""
-    worst, found = 0.0, {}
-    for color in "RYB":
-        derived = getattr(phase_space, f"derive_pairing_from_{route}")(color)
-        worst = max(worst, derived.residual)
-        found[color] = {key: getattr(derived, attr) for key, attr in keys.items()}
-    return worst, found
+    derive = getattr(phase_space, f"derive_pairing_from_{route}")
+    derived = {color: derive(color) for color in "RYB"}
+    found = {color: {key: getattr(d, attr) for key, attr in keys.items()}
+             for color, d in derived.items()}
+    return max(d.residual for d in derived.values()), found
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def _check_pairing(route: str, keys: dict[str, str]):
 def _anticommutation_residual(gammas: np.ndarray) -> float:
     """Largest |{G_a, G_b} - 2 delta_ab 1| over all pairs of a (7, 8, 8) stack."""
     target = 2.0 * np.eye(7)[:, :, None, None] * _I8
-    return _maxabs(clifford.anticommutator(gammas[:, None], gammas[None]) - target)
+    return _compare(clifford.anticommutator(gammas[:, None], gammas[None]), target)
 
 
 def _check_anticommutation():
@@ -251,7 +248,7 @@ def _check_anticommutation():
 
 def _check_hermitian_involution():
     g = _GAMMA
-    worst = max(_maxabs(g - g.conj().swapaxes(1, 2)), _maxabs(g @ g - _I8))
+    worst = max(_compare(g, g.conj().swapaxes(1, 2)), _compare(g @ g, _I8))
     if not np.isin(g, [0, 1, -1, 1j, -1j]).all():
         worst = max(worst, 1.0)
     return worst, {"entry_set": "0, +-1, +-i"}
@@ -259,7 +256,7 @@ def _check_hermitian_involution():
 
 def _check_conjugation_identities():
     c, ops = _C8, _GAMMA[:6]
-    worst = max(_maxabs(c @ _B8 @ -c + _B8), _maxabs(c @ np.conj(ops) @ -c - ops))
+    worst = max(_compare(c @ _B8 @ -c, -_B8), _compare(c @ np.conj(ops) @ -c, ops))
     return worst, {"tau": "s2"}
 
 
@@ -278,9 +275,10 @@ def _check_gamma5():
     table = np.stack([clifford.named_operator(f"gamma{n}5") for n in ("", "R", "Y", "B")])
     g5 = table[0]
     worst = max(
-        _maxabs(products - table), _maxabs(table @ table - _I8),
-        _maxabs(clifford.anticommutator(table, _B8)), _maxabs(clifford.anticommutator(g5, _BK8)),
-        _maxabs(clifford.commutator8(g5, _A8)),
+        _compare(products, table), _compare(table @ table, _I8),
+        _compare(clifford.anticommutator(table, _B8), 0.0),
+        _compare(clifford.anticommutator(g5, _BK8), 0.0),
+        _compare(clifford.commutator8(g5, _A8), 0.0),
     )
     return worst, {"colored": ["R", "Y", "B"]}
 
@@ -310,8 +308,7 @@ def _check_mixing_law(rng):
     pp, xp = ((rots @ v)[:, :, None, None] for v in (p, x))
     cross = b_p[1] * xp[:, 0] + b_p[0] * xp[:, 1] - a_p[1] * pp[:, 0] - a_p[0] * pp[:, 1]
     h_r = matrices(coefficients("ColorR", **fields))
-    worst = _maxabs(h_r - (c * c * h_r_p + s * s * h_y_p + s * c * cross))
-    return worst, {"angles": 10}
+    return _compare(c * c * h_r_p + s * s * h_y_p + s * c * cross, h_r), {"angles": 10}
 
 
 def _operator_route(kind: str, rots: np.ndarray, **fields) -> np.ndarray:
@@ -330,14 +327,14 @@ def _operator_route(kind: str, rots: np.ndarray, **fields) -> np.ndarray:
 
 
 def _check_color_axis_invariance(rng):
-    worst = 0.0
     m, p, x, _, _ = _random_inputs(rng, 3)  # row i for color i
     phis = rng.uniform(-3.1, 3.1, size=(3, 5))
+    plain, rotated = [], []  # one stack per color, each color its own kind
     for i, color in enumerate("RYB"):
-        rots = rotation_matrix(i + 1, phis[i])
         kind, fields = f"Color{color}", {"m": m[i], "p": p[i], "x": x[i]}
-        rotated = _operator_route(kind, rots, **fields)
-        worst = max(worst, _maxabs(matrices(coefficients(kind, **fields)) - rotated))
+        plain.append(matrices(coefficients(kind, **fields)))
+        rotated.append(_operator_route(kind, rotation_matrix(i + 1, phis[i]), **fields))
+    worst = _compare(np.stack(rotated), np.stack(plain)[:, None])
     return worst, {"pairs": "ColorR/axis1, ColorY/axis2, ColorB/axis3"}
 
 
@@ -352,7 +349,7 @@ def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
         fields.update(pbar=pbar, xbar=xbar)
     h = matrices(coefficients(kind, **fields))
     rots = rotation_matrix(axes, angles)
-    return _maxabs(h - _operator_route(kind, rots, **fields)), {"samples": 20}
+    return _compare(h, _operator_route(kind, rots, **fields)), {"samples": 20}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +400,7 @@ def _library_flip(kind: str, fields: dict, flip: np.ndarray):
     """
     spec = HamiltonianSpec(kind, **fields)
     matrix, conj = conjugate_hamiltonian(spec)
-    worst = _maxabs(matrix - flip)
+    worst = _compare(matrix, flip)
     flipped = {"em": None, **_field_flip(fields)}  # a free sample's conjugate has no em
     if not all(np.array_equal(getattr(conj, name), v) for name, v in flipped.items()):
         worst = max(worst, 1.0)
@@ -412,7 +409,7 @@ def _library_flip(kind: str, fields: dict, flip: np.ndarray):
 
 def _check_c_matrix():
     c = _C8
-    worst = max(_maxabs(c @ c + _I8), _maxabs(np.imag(c)))
+    worst = max(_compare(c @ c, -_I8), _compare(np.imag(c), 0.0))
     signed_perm = np.all(np.sum(np.abs(c) > 0, axis=0) == 1) and np.all(
         np.isin(np.real(c).reshape(-1), [0.0, 1.0, -1.0])
     )
@@ -426,7 +423,7 @@ def _check_colored_closed_forms(rng):
     colors = [(f"Color{c}", {"m": m[i], "p": p[i], "x": x[i]}) for i, c in enumerate("RYB")]
     flip = _stack(colors, _field_flip)
     anti = _stack([(f"Anti{c}", fields) for c, (_, fields) in zip("RYB", colors)])
-    worst = max(_maxabs(flip - anti), _maxabs(flip - _substitution(colors)),
+    worst = max(_compare(flip, anti), _compare(flip, _substitution(colors)),
                 _library_flip(*colors[0], flip[0])[0])
     return worst, {"colors": ["R", "Y", "B"]}
 
@@ -441,10 +438,10 @@ def _check_conjugation_involution(rng):
     ]
     h, once = _stack(samples), _stack(samples, _field_flip)
     twice = _stack(samples, lambda fields: _field_flip(_field_flip(fields)))
-    worst, spec, conj = _library_flip(*samples[0], once[0])
+    flip_residual, spec, conj = _library_flip(*samples[0], once[0])
     twice_matrix, twice_spec = conjugate_hamiltonian(conj)
-    worst = max(worst, _maxabs(twice - h), _maxabs(twice_matrix - h[0]),
-                _maxabs(once - _substitution(samples)))
+    worst = max(flip_residual, _compare(twice, h), _compare(twice_matrix, h[0]),
+                _compare(once, _substitution(samples)))
     if twice_spec != spec:
         worst = max(worst, 1.0)
     return worst, {"specs": len(samples)}
@@ -457,7 +454,7 @@ def _check_dirac_em(rng):
     # the free Dirac, whose flip changes nothing: the chain must return it unchanged
     samples.append(("Dirac", {"m": 1.5, "p": (1.0, -2.0, 0.5)}))
     flip = _stack(samples, _field_flip)
-    worst = max(_maxabs(flip - _substitution(samples)),
+    worst = max(_compare(flip, _substitution(samples)),
                 _library_flip(*samples[0], flip[0])[0])
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
@@ -477,27 +474,30 @@ def _check_distinctness():
     d^2((e_i + e_j)/sqrt(2)) - (M_ii + M_jj)/2, must have min_distance^2 as
     its lowest eigenvalue; both residuals join the margin gap.
     """
-    worst, details = 0.0, {}
-    for axis, color in enumerate("RYB"):
-        report = antiparticle_distinctness_check(color)
+    reports = [antiparticle_distinctness_check(color) for color in "RYB"]
+    anti, plain = [], []  # one stack per color, each color its own kind
+    for axis, (color, report) in enumerate(zip("RYB", reports)):
         u = np.array(report.minimizer)
         # minus the Householder reflection along e_axis + r is a rotation whose
         # color-axis row is r, for a unit r with r[axis] >= 0 (d is even in u)
         v = np.concatenate([[u if u[axis] >= 0.0 else -u], _PROBES]) + _I3[axis]
         frames = 2.0 * v[:, :, None] * v[:, None, :] / (v * v).sum(axis=1)[:, None, None] - _I3
         fields = {"m": report.m, "p": report.p, "x": report.x}
-        diff = (_operator_route(f"Anti{color}", frames, **fields)
-                - matrices(coefficients(f"Color{color}", **fields)))
-        d2 = (diff.real ** 2 + diff.imag ** 2).sum(axis=(1, 2)) / 8.0
-        form = np.diag(d2[1:4])
-        form[_PI, _PJ] = form[_PJ, _PI] = d2[4:] - (d2[1:4][_PI] + d2[1:4][_PJ]) / 2.0
-        attained = abs(math.sqrt(d2[0]) - report.min_distance)
-        minimal = (abs(np.linalg.eigvalsh(form)[0] - report.min_distance ** 2)
-                   / max(1.0, float(np.trace(form))))
-        # a zero margin proves nothing, so it fails at any tolerance below 1
-        gap = 1.0 if report.margin <= 0.0 else max(0.0, report.margin - report.min_distance)
-        worst = max(worst, gap, attained, float(minimal))
-        details[color] = {"min_distance": report.min_distance, "margin": report.margin}
+        anti.append(_operator_route(f"Anti{color}", frames, **fields))
+        plain.append(matrices(coefficients(f"Color{color}", **fields)))
+    diff = np.stack(anti) - np.stack(plain)[:, None]  # (color, frame, 8, 8)
+    d2 = (diff.real ** 2 + diff.imag ** 2).sum(axis=(2, 3)) / 8.0
+    axes = d2[:, 1:4]
+    form = axes[:, :, None] * _I3  # M_ii; the entries off the diagonal are set next
+    form[:, _PI, _PJ] = form[:, _PJ, _PI] = d2[:, 4:] - (axes[:, _PI] + axes[:, _PJ]) / 2.0
+    distance = np.array([report.min_distance for report in reports])
+    scale = np.maximum(1.0, np.trace(form, axis1=1, axis2=2))
+    # a zero margin proves nothing, so it fails at any tolerance below 1
+    gaps = [1.0 if r.margin <= 0.0 else max(0.0, r.margin - r.min_distance) for r in reports]
+    worst = max(*gaps, _compare(np.sqrt(d2[:, 0]), distance),
+                _compare(np.linalg.eigvalsh(form)[:, 0], distance ** 2, scale=scale))
+    details = {color: {"min_distance": r.min_distance, "margin": r.margin}
+               for color, r in zip("RYB", reports)}
     return worst, details
 
 
@@ -510,35 +510,34 @@ def _check_quark_sum_square(rng):
     m, p, x, _, _ = _random_inputs(rng, 200)
     h = matrices(coefficients("QuarkSum", m=m, p=p, x=x))
     lam = _sq3(p) + 4.0 * _sq3(x) + 9.0 * m * m
-    return _worst_scalar_residual(h, lam), {"samples": 200}
+    worst = _compare(h @ h, lam[:, None, None] * _I8, scale=np.maximum(1.0, lam))
+    return worst, {"samples": 200}
 
 
 def _check_qqbar_mass_law(rng):
     m, p, x, pbar, xbar = _random_inputs(rng, 200)
     h = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
     lam = _sq3(p + pbar) + 4.0 * _sq3(x - xbar) + 36.0 * m * m
-    return _worst_scalar_residual(h, lam), {"samples": 200}
+    worst = _compare(h @ h, lam[:, None, None] * _I8, scale=np.maximum(1.0, lam))
+    return worst, {"samples": 200}
 
 
 def _check_spectrum_symmetry(rng):
-    worst = 0.0
     m, p, x, pbar, xbar = _random_inputs(rng, 25)
     stack = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
+    reports = [square_and_spectrum(h) for h in stack]
+    kept = [i for i, report in enumerate(reports) if report.scalar_square is not None]
+    roots = np.sqrt([max(reports[i].scalar_square, 0.0) for i in kept])
     # eigvalsh is the second route: it checks the closed form and the +-sqrt(lambda) law
-    for h, eig in zip(stack, np.linalg.eigvalsh(stack)):
-        report = square_and_spectrum(h)
-        if report.scalar_square is None:
-            worst = max(worst, 1.0)
-            continue
-        root = math.sqrt(max(report.scalar_square, 0.0))
-        target = np.array([-root] * 4 + [root] * 4)
-        worst = max(
-            worst,
-            float(np.abs(eig - target).max()) / max(1.0, root),
-            float(np.abs(np.array(report.eigenvalues) - eig).max()) / max(1.0, root),
-        )
-        if [n for _, n in report.degeneracies] != [4, 4] and root > 1e-6:
-            worst = max(worst, 1.0)
+    eig = np.linalg.eigvalsh(stack[kept])
+    scale = np.maximum(1.0, roots)
+    worst = max(_compare(eig, roots[:, None] * np.repeat([-1.0, 1.0], 4), scale=scale),
+                _compare([reports[i].eigenvalues for i in kept], eig, scale=scale))
+    # a square that is not scalar, or a spectrum away from 0 not split 4 + 4, fails
+    split = all([n for _, n in reports[i].degeneracies] == [4, 4] or root <= 1e-6
+                for i, root in zip(kept, roots))
+    if len(kept) < len(reports) or not split:
+        worst = max(worst, 1.0)
     return worst, {"samples": 25, "pattern": "+-sqrt(lambda) with multiplicity 4"}
 
 
@@ -547,11 +546,10 @@ def _check_sum_route_equality(rng):
     # the samples alternate QuarkSum, QQbar
     quark = {"m": m[0::2], "p": p[0::2], "x": x[0::2]}
     qqbar = {"m": m[1::2], "p": p[1::2], "x": x[1::2], "pbar": pbar[1::2], "xbar": xbar[1::2]}
-    worst = max(
-        _maxabs(matrices(coefficients(kind, **fields)) - colored_sum(kind, **fields))
-        for kind, fields in (("QuarkSum", quark), ("QQbar", qqbar))
-    )
-    return worst, {"samples": 50, "kinds": ["QuarkSum", "QQbar"]}
+    kinds = (("QuarkSum", quark), ("QQbar", qqbar))
+    table = np.concatenate([matrices(coefficients(kind, **fields)) for kind, fields in kinds])
+    summed = np.concatenate([colored_sum(kind, **fields) for kind, fields in kinds])
+    return _compare(table, summed), {"samples": 50, "kinds": ["QuarkSum", "QQbar"]}
 
 
 def _check_translation_invariance(rng):
@@ -560,12 +558,12 @@ def _check_translation_invariance(rng):
     p, x, pbar, xbar, shift = np.split(grid, 5, axis=1)
     base = coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar)
     shifted = coefficients("QQbar", m=m, p=p, x=x + shift, pbar=pbar, xbar=xbar + shift)
-    worst = _maxabs(matrices(base) - matrices(shifted))
+    worst = _compare(matrices(base), matrices(shifted))
     # witness of single-quark NON-invariance: the shift must move H_q
     q = HamiltonianSpec(kind="QuarkSum", m=1.0, p=(1.0, 2.0, 3.0), x=(0.5, -1.0, 2.0))
     q_shift = HamiltonianSpec(kind="QuarkSum", m=1.0, p=(1.0, 2.0, 3.0),
                               x=(1.5, -1.0, 2.0))
-    witness = _maxabs(build_hamiltonian(q) - build_hamiltonian(q_shift))
+    witness = _compare(build_hamiltonian(q), build_hamiltonian(q_shift))
     if witness < 0.5:
         worst = max(worst, 1.0)
     return worst, {"samples": 30, "witness_shift": [1.0, 0.0, 0.0],
@@ -575,9 +573,9 @@ def _check_translation_invariance(rng):
 def _check_rest_frame():
     spec = HamiltonianSpec.from_dict({"kind": "QQbar", "P": [0, 0, 0], "dx": [0, 0, 0], "m": 1})
     report = square_and_spectrum(build_hamiltonian(spec))
-    worst = abs((report.scalar_square or 0.0) - 36.0)
     target = np.array([-6.0] * 4 + [6.0] * 4)
-    worst = max(worst, float(np.abs(np.array(report.eigenvalues) - target).max()))
+    worst = max(_compare(report.scalar_square or 0.0, 36.0),
+                _compare(report.eigenvalues, target))
     return worst, {"scalar_square": report.scalar_square,
                    "degeneracies": [[v, n] for v, n in report.degeneracies]}
 
@@ -589,11 +587,8 @@ def _check_chirality_breaking(rng):
     mass_term = m * clifford.build_B()
     position_term = sum(clifford.build_Bk(k + 1) * x[k] for k in range(3))
     kinetic = sum(clifford.build_A(k + 1) * x[k] for k in range(3))
-    worst = max(
-        _maxabs(g5 @ mass_term @ g5 + mass_term),
-        _maxabs(g5 @ position_term @ g5 + position_term),
-        _maxabs(g5 @ kinetic @ g5 - kinetic),
-    )
+    terms = np.stack([mass_term, position_term, kinetic])
+    worst = _compare(g5 @ terms @ g5, np.array([-1.0, -1.0, 1.0])[:, None, None] * terms)
     return worst, {"note": "mass and position terms anticommute with gamma5; kinetic term commutes"}
 
 
@@ -667,7 +662,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                            or not (math.isfinite(tol) and tol >= 0.0)):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     checks: list[CheckResult] = []
     for name in names:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,17 @@ def test_run_suite_rejects_a_seed_that_is_not_a_non_negative_int(seed):
 def test_run_suite_accepts_large_seeds():
     for seed in (0, 2**31 - 1, 2**64 + 5):
         assert run_suite("clifford", seed=seed).passed
+
+
+@pytest.mark.parametrize("tol", [True, False, "1e-3", 1 + 0j, float("nan"), float("inf"), -1.0])
+def test_run_suite_rejects_a_tol_that_is_not_a_finite_real_number(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        run_suite("clifford", tol=tol)
+
+
+def test_run_suite_reads_any_real_tol_as_a_float():
+    for tol in (np.float64(1e-3), Fraction(1, 1000), 0, 1e-3):
+        assert {c.tolerance for c in run_suite("clifford", tol=tol).checks} == {float(tol)}
 
 
 @pytest.mark.parametrize(

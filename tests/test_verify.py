@@ -15,6 +15,11 @@ from phasequark.verify import run_suite
 # -- the per-spec conjugation checks, kept as the reference for the stacked ones --
 
 
+def _maxabs(x):
+    """The reference routes' own residual, apart from verify._compare."""
+    return float(np.abs(x).max())
+
+
 def _reference_random_spec(rng, kind):
     m, p, x, _, _ = (v[0] for v in verify._random_inputs(rng, 1))
     fields = {"m": float(m), "p": p.tolist()}
@@ -34,8 +39,8 @@ def _reference_colored_closed_forms(rng):
         spec = _reference_random_spec(rng, f"Color{color}")
         matrix, _ = verify.conjugate_hamiltonian(spec)
         anti = HamiltonianSpec(kind=f"Anti{color}", m=spec.m, p=spec.p, x=spec.x)
-        worst = max(worst, verify._maxabs(matrix - build_hamiltonian(anti)),
-                    verify._maxabs(matrix - _reference_substitution(spec)))
+        worst = max(worst, _maxabs(matrix - build_hamiltonian(anti)),
+                    _maxabs(matrix - _reference_substitution(spec)))
     return worst, {"colors": ["R", "Y", "B"]}
 
 
@@ -47,8 +52,8 @@ def _reference_involution(rng):
     for spec in specs:
         once_matrix, once_spec = verify.conjugate_hamiltonian(spec)
         twice_matrix, twice_spec = verify.conjugate_hamiltonian(once_spec)
-        worst = max(worst, verify._maxabs(twice_matrix - build_hamiltonian(spec)),
-                    verify._maxabs(once_matrix - _reference_substitution(spec)))
+        worst = max(worst, _maxabs(twice_matrix - build_hamiltonian(spec)),
+                    _maxabs(once_matrix - _reference_substitution(spec)))
         if twice_spec != spec:
             worst = max(worst, 1.0)
     return worst, {"specs": len(specs)}
@@ -63,14 +68,14 @@ def _reference_dirac_em(rng):
         matrix, conj_spec = verify.conjugate_hamiltonian(spec)
         flipped = HamiltonianSpec(kind="Dirac", m=spec.m, p=spec.p,
                                   em=EMField(e=-em.e, A0=em.A0, Avec=em.Avec))
-        worst = max(worst, verify._maxabs(matrix - build_hamiltonian(flipped)),
-                    verify._maxabs(matrix - _reference_substitution(spec)))
+        worst = max(worst, _maxabs(matrix - build_hamiltonian(flipped)),
+                    _maxabs(matrix - _reference_substitution(spec)))
         if conj_spec != flipped:
             worst = max(worst, 1.0)
     free = HamiltonianSpec(kind="Dirac", m=1.5, p=(1.0, -2.0, 0.5))
     matrix, _ = verify.conjugate_hamiltonian(free)
-    worst = max(worst, verify._maxabs(matrix - build_hamiltonian(free)),
-                verify._maxabs(matrix - _reference_substitution(free)))
+    worst = max(worst, _maxabs(matrix - build_hamiltonian(free)),
+                _maxabs(matrix - _reference_substitution(free)))
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
 
@@ -165,7 +170,11 @@ def test_su3_checks_reach_every_generator(monkeypatch):
 
     def record(fn):
         def wrapper(a, b):
-            check = sys._getframe(1).f_code.co_name
+            frame = sys._getframe(1)
+            # a comprehension has a frame of its own before Python 3.12 (PEP 709)
+            while not frame.f_code.co_name.startswith("_check_"):
+                frame = frame.f_back
+            check = frame.f_code.co_name
             reached.setdefault(check, set()).update(which(a))
             if fn is commutator6 and None not in which(a) + which(b):
                 pairs.setdefault(check, []).append(list(zip(which(a), which(b))))
@@ -210,3 +219,41 @@ def test_every_random_quantity_is_drawn_as_one_block():
     assert _draws_in_loops("while ok:\n    f(g(rng, 1))\n") == [2]
     assert _draws_in_loops("x = [rng.random() for _ in range(3)]\n") == [1]
     assert _draws_in_loops(Path(verify.__file__).read_text(encoding="utf-8")) == []
+
+
+# -- the one residual form ------------------------------------------------------
+
+
+def test_compare_is_the_largest_difference_scaled_per_sample():
+    a = np.array([[0.0, 2.0], [100.0, 0.0]])
+    assert verify._compare(a, 0.0) == 100.0
+    assert verify._compare(a, [[0.0, 1.0], [99.0, 0.0]]) == 1.0
+    # a large scale on one sample does not hide another sample's error
+    assert verify._compare(a, 0.0, scale=np.array([1.0, 1000.0])) == 2.0
+    assert verify._compare(np.ones((3, 2, 2)), verify._I8[:2, :2]) == 1.0  # one matrix broadcasts
+    assert verify._compare(np.zeros((0, 8, 8)), verify._I8) == 0.0
+    assert verify._compare([], 1.0, scale=np.array([])) == 0.0
+    for nan_in_a in (True, False):
+        routes = [np.array([[0.0, np.nan], [5.0, 0.0]]), np.zeros((2, 2))]
+        residual = verify._compare(*(routes if nan_in_a else routes[::-1]))
+        assert np.isnan(residual)
+        assert not verify.CheckResult("nan", residual, 1e300, {}).passed
+
+
+def test_a_nan_route_fails_every_check_that_reads_it(monkeypatch):
+    exp_generator = verify.phase_space.exp_generator
+    monkeypatch.setattr(verify.phase_space, "exp_generator",
+                        lambda g, theta: np.full_like(exp_generator(g, theta), np.nan))
+    report = run_suite("su3")
+    assert _failing(report) == ["su3/group-additivity", "su3/group-membership",
+                                "su3/pairing-from-diagonal", "su3/pairing-from-rotation",
+                                "su3/quadratic-form-invariance", "su3/reflection-square"]
+    assert all(np.isnan(c.max_residual) for c in report.checks if not c.passed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_all_runs_each_suite_in_turn_and_passes(seed):
+    report = run_suite("all", seed=seed)
+    assert report.passed
+    assert report.checks == tuple(c for suite in verify.SUITES
+                                  for c in run_suite(suite, seed=seed).checks)
