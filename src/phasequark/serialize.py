@@ -4,69 +4,84 @@ label is read from phase_space's label table, an 8x8 one from clifford.OPERATORS
 Conventions: complex numbers serialize as two-element [re, im] arrays;
 real matrices serialize as plain numbers (integers where the value is
 integral, so signed permutation and Clifford matrices stay readable);
-JSON reports are emitted with sorted keys, two-space indentation and a
-trailing newline so identical inputs give byte-identical files, and never
-contain NaN or Infinity.
+dump_json writes sorted keys, two-space indentation and a trailing newline
+in one recursive pass (an array converted once by NumPy, joined by rows),
+so identical inputs give byte-identical files, and never NaN or Infinity.
 """
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import clifford, phase_space
 
-__all__ = [
-    "to_jsonable",
-    "dump_json",
-    "matrix_to_csv",
-    "resolve_export",
-    "EXPORT_LABELS",
-]
+__all__ = ["dump_json", "matrix_to_csv", "resolve_export", "EXPORT_LABELS"]
 
 
-def _scalar_to_jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        return int(f) if f.is_integer() and abs(f) < 2**53 else f
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return [_scalar_to_jsonable(c.real), _scalar_to_jsonable(c.imag)]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _block(brackets: str, items: list[str], indent: str) -> str:
+    """Rendered items one per line, indented one level below indent."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def to_jsonable(obj):
-    """Convert values (incl. numpy) to JSON-compatible data; a float or complex array in one pass."""
-    if obj is None or isinstance(obj, str):
-        return obj
+def _render(obj, indent: str) -> str:
+    # the most frequent types first; bool before int, which it subclasses
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if f.is_integer() and abs(f) < 2**53:  # a whole float prints as an int
+            return repr(int(f))
+        if not math.isfinite(f):
+            raise ValueError(f"Out of range float values are not JSON compliant: {f!r}")
+        return repr(f)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        return _block("[]", [_render(v, indent + "  ") for v in obj], indent)
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(items[k], indent + '  ')}"
+                             for k in sorted(items)], indent)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind not in "fc":
-            return to_jsonable(obj.tolist())
+        if obj.dtype.kind not in "fc" or not obj.size:
+            return _render(obj.tolist(), indent)
         if obj.dtype.kind == "c":
             obj = np.stack((obj.real, obj.imag), axis=-1) if np.any(obj.imag) else obj.real
         a = np.asarray(obj, dtype=np.float64)
+        if not np.isfinite(a).all():  # the first non-finite number raises as a float
+            _render(float(a[~np.isfinite(a)][0]), indent)
         out = a.astype(object)
-        whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the integer rule of _scalar_to_jsonable
+        whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the float branch's integer rule
         out[whole] = a[whole].astype(np.int64)
-        return out.tolist()
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return _scalar_to_jsonable(obj)
+        items = list(map(repr, out.ravel().tolist()))
+        for depth in range(a.ndim - 1, -1, -1):  # the innermost rows first, one join per row
+            n, outer = a.shape[depth], indent + "  " * depth
+            sep = ",\n  " + outer
+            items = ["[\n  " + outer + sep.join(items[i * n:(i + 1) * n]) + "\n" + outer + "]"
+                     for i in range(len(items) // n)]
+        return items[0]
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _render([obj.real, obj.imag], indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(obj) -> str:
-    """Render obj deterministically as strict JSON.
+    """Render obj deterministically as strict JSON, in the layout of
+    json.dumps(obj, sort_keys=True, indent=2) plus a trailing newline.
 
-    A NaN or infinite number raises ValueError: JSON has no such values.
-    """
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    A NaN or infinite number raises ValueError: JSON has no such values.  A
+    type but JSON's, tuple, complex, ndarray and NumPy scalars raises TypeError."""
+    return _render(obj, "") + "\n"
 
 
 def _csv_number(value: float) -> str:

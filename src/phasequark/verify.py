@@ -77,7 +77,7 @@ class CheckResult:
         out = {
             "name": self.name,
             "status": "pass" if self.passed else "fail",
-            "max_residual": self.max_residual,
+            "max_residual": self.max_residual if math.isfinite(self.max_residual) else None,
             "tolerance": self.tolerance,
             "details": self.details,
         }
@@ -114,6 +114,11 @@ def _compare(a, b, scale=None) -> float:
     if scale is not None:
         diff = diff.reshape(len(diff), -1).max(axis=1) / scale
     return float(diff.max())
+
+
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is: max(0.1, nan) is 0.1, not NaN."""
+    return math.nan if any(r != r for r in residuals) else max(residuals)
 
 
 _F = np.stack([phase_space.build_F(i).matrix for i in range(1, 9)])
@@ -184,9 +189,9 @@ def _check_group_membership(rng):
     angles = rng.uniform(-3.1, 3.1, size=(len(_F9), 10))  # row i for _F9[i]
     m = _exp_stack(_F9, angles)
     mt = m.swapaxes(1, 2)
-    worst = max(_compare(mt @ m, _I6), _compare(mt @ _J6 @ m, _J6))
+    worst = _worst(_compare(mt @ m, _I6), _compare(mt @ _J6 @ m, _J6))
     # a matrix off the group by more than 1e-12 fails at any --tol below 1
-    return (max(worst, 1.0) if worst > 1e-12 else worst), {"matrices": angles.size}
+    return (_worst(worst, 1.0) if worst > 1e-12 else worst), {"matrices": angles.size}
 
 
 def _check_group_additivity(rng):
@@ -209,7 +214,7 @@ def _check_quadratic_form(rng):
 def _check_reflection_square():
     recip = phase_space.exp_generator(_R6, math.pi / 2.0)
     reflection = phase_space.exp_generator(_R6, math.pi)
-    worst = max(_compare(recip @ recip, reflection), _compare(reflection, -_I6))
+    worst = _worst(_compare(recip @ recip, reflection), _compare(reflection, -_I6))
     return worst, {"convention": "exp((pi/2) R) maps (p, x) to (-x, p)"}
 
 
@@ -228,7 +233,7 @@ def _check_pairing(route: str, keys: dict[str, str]):
     derived = {color: derive(color) for color in "RYB"}
     found = {color: {key: getattr(d, attr) for key, attr in keys.items()}
              for color, d in derived.items()}
-    return max(d.residual for d in derived.values()), found
+    return _worst(*(d.residual for d in derived.values())), found
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +253,15 @@ def _check_anticommutation():
 
 def _check_hermitian_involution():
     g = _GAMMA
-    worst = max(_compare(g, g.conj().swapaxes(1, 2)), _compare(g @ g, _I8))
+    worst = _worst(_compare(g, g.conj().swapaxes(1, 2)), _compare(g @ g, _I8))
     if not np.isin(g, [0, 1, -1, 1j, -1j]).all():
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst, {"entry_set": "0, +-1, +-i"}
 
 
 def _check_conjugation_identities():
     c, ops = _C8, _GAMMA[:6]
-    worst = max(_compare(c @ _B8 @ -c, -_B8), _compare(c @ np.conj(ops) @ -c, ops))
+    worst = _worst(_compare(c @ _B8 @ -c, -_B8), _compare(c @ np.conj(ops) @ -c, ops))
     return worst, {"tau": "s2"}
 
 
@@ -274,7 +279,7 @@ def _check_gamma5():
     products = -1j * np.stack([_A8[0] @ _A8[1] @ _A8[2], *(_A8[c] @ _BK8[u] @ _BK8[v])])
     table = np.stack([clifford.named_operator(f"gamma{n}5") for n in ("", "R", "Y", "B")])
     g5 = table[0]
-    worst = max(
+    worst = _worst(
         _compare(products, table), _compare(table @ table, _I8),
         _compare(clifford.anticommutator(table, _B8), 0.0),
         _compare(clifford.anticommutator(g5, _BK8), 0.0),
@@ -403,18 +408,18 @@ def _library_flip(kind: str, fields: dict, flip: np.ndarray):
     worst = _compare(matrix, flip)
     flipped = {"em": None, **_field_flip(fields)}  # a free sample's conjugate has no em
     if not all(np.array_equal(getattr(conj, name), v) for name, v in flipped.items()):
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst, spec, conj
 
 
 def _check_c_matrix():
     c = _C8
-    worst = max(_compare(c @ c, -_I8), _compare(np.imag(c), 0.0))
+    worst = _worst(_compare(c @ c, -_I8), _compare(np.imag(c), 0.0))
     signed_perm = np.all(np.sum(np.abs(c) > 0, axis=0) == 1) and np.all(
         np.isin(np.real(c).reshape(-1), [0.0, 1.0, -1.0])
     )
     if not signed_perm:
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst, {"square": "-identity", "real_signed_permutation": bool(signed_perm)}
 
 
@@ -423,8 +428,8 @@ def _check_colored_closed_forms(rng):
     colors = [(f"Color{c}", {"m": m[i], "p": p[i], "x": x[i]}) for i, c in enumerate("RYB")]
     flip = _stack(colors, _field_flip)
     anti = _stack([(f"Anti{c}", fields) for c, (_, fields) in zip("RYB", colors)])
-    worst = max(_compare(flip, anti), _compare(flip, _substitution(colors)),
-                _library_flip(*colors[0], flip[0])[0])
+    worst = _worst(_compare(flip, anti), _compare(flip, _substitution(colors)),
+                   _library_flip(*colors[0], flip[0])[0])
     return worst, {"colors": ["R", "Y", "B"]}
 
 
@@ -440,10 +445,10 @@ def _check_conjugation_involution(rng):
     twice = _stack(samples, lambda fields: _field_flip(_field_flip(fields)))
     flip_residual, spec, conj = _library_flip(*samples[0], once[0])
     twice_matrix, twice_spec = conjugate_hamiltonian(conj)
-    worst = max(flip_residual, _compare(twice, h), _compare(twice_matrix, h[0]),
-                _compare(once, _substitution(samples)))
+    worst = _worst(flip_residual, _compare(twice, h), _compare(twice_matrix, h[0]),
+                   _compare(once, _substitution(samples)))
     if twice_spec != spec:
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst, {"specs": len(samples)}
 
 
@@ -454,8 +459,8 @@ def _check_dirac_em(rng):
     # the free Dirac, whose flip changes nothing: the chain must return it unchanged
     samples.append(("Dirac", {"m": 1.5, "p": (1.0, -2.0, 0.5)}))
     flip = _stack(samples, _field_flip)
-    worst = max(_compare(flip, _substitution(samples)),
-                _library_flip(*samples[0], flip[0])[0])
+    worst = _worst(_compare(flip, _substitution(samples)),
+                   _library_flip(*samples[0], flip[0])[0])
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
 
@@ -493,9 +498,9 @@ def _check_distinctness():
     distance = np.array([report.min_distance for report in reports])
     scale = np.maximum(1.0, np.trace(form, axis1=1, axis2=2))
     # a zero margin proves nothing, so it fails at any tolerance below 1
-    gaps = [1.0 if r.margin <= 0.0 else max(0.0, r.margin - r.min_distance) for r in reports]
-    worst = max(*gaps, _compare(np.sqrt(d2[:, 0]), distance),
-                _compare(np.linalg.eigvalsh(form)[:, 0], distance ** 2, scale=scale))
+    gaps = [1.0 if r.margin <= 0.0 else _worst(0.0, r.margin - r.min_distance) for r in reports]
+    worst = _worst(*gaps, _compare(np.sqrt(d2[:, 0]), distance),
+                   _compare(np.linalg.eigvalsh(form)[:, 0], distance ** 2, scale=scale))
     details = {color: {"min_distance": r.min_distance, "margin": r.margin}
                for color, r in zip("RYB", reports)}
     return worst, details
@@ -531,13 +536,13 @@ def _check_spectrum_symmetry(rng):
     # eigvalsh is the second route: it checks the closed form and the +-sqrt(lambda) law
     eig = np.linalg.eigvalsh(stack[kept])
     scale = np.maximum(1.0, roots)
-    worst = max(_compare(eig, roots[:, None] * np.repeat([-1.0, 1.0], 4), scale=scale),
-                _compare([reports[i].eigenvalues for i in kept], eig, scale=scale))
+    worst = _worst(_compare(eig, roots[:, None] * np.repeat([-1.0, 1.0], 4), scale=scale),
+                   _compare([reports[i].eigenvalues for i in kept], eig, scale=scale))
     # a square that is not scalar, or a spectrum away from 0 not split 4 + 4, fails
     split = all([n for _, n in reports[i].degeneracies] == [4, 4] or root <= 1e-6
                 for i, root in zip(kept, roots))
     if len(kept) < len(reports) or not split:
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst, {"samples": 25, "pattern": "+-sqrt(lambda) with multiplicity 4"}
 
 
@@ -565,7 +570,7 @@ def _check_translation_invariance(rng):
                               x=(1.5, -1.0, 2.0))
     witness = _compare(build_hamiltonian(q), build_hamiltonian(q_shift))
     if witness < 0.5:
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst, {"samples": 30, "witness_shift": [1.0, 0.0, 0.0],
                    "witness_change": witness}
 
@@ -574,8 +579,8 @@ def _check_rest_frame():
     spec = HamiltonianSpec.from_dict({"kind": "QQbar", "P": [0, 0, 0], "dx": [0, 0, 0], "m": 1})
     report = square_and_spectrum(build_hamiltonian(spec))
     target = np.array([-6.0] * 4 + [6.0] * 4)
-    worst = max(_compare(report.scalar_square or 0.0, 36.0),
-                _compare(report.eigenvalues, target))
+    worst = _worst(_compare(report.scalar_square or 0.0, 36.0),
+                   _compare(report.eigenvalues, target))
     return worst, {"scalar_square": report.scalar_square,
                    "degeneracies": [[v, n] for v, n in report.degeneracies]}
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from phasequark import cli
+from phasequark import cli, verify
 from phasequark.cli import main
 from phasequark.hamiltonian import KINDS, _TABLE
 from phasequark.phase_space import pairing_tags
@@ -68,6 +68,18 @@ def test_unreachable_tolerance_fails_with_exit_one():
     assert report["all_passed"] is False
     failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
     assert "clifford/random-basis-similarity" in failed
+
+
+def test_a_nan_residual_fails_with_exit_one_and_reads_null(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_substitution",
+                        lambda samples: np.full((len(samples), 8, 8), np.nan))
+    code, out = run_in_process(capsys, "verify", "--suite", "conjugation")
+    assert code == 1
+    report = strict_json(out)
+    assert report["all_passed"] is False
+    failed = {c["name"]: c["max_residual"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == {"conjugation/colored-closed-forms": None, "conjugation/involution": None,
+                      "conjugation/dirac-em": None}
 
 
 def test_unknown_suite_is_usage_error():

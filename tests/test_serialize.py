@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from phasequark.serialize import dump_json
@@ -85,3 +85,75 @@ def test_non_finite_arrays_are_rejected_by_both_routes(bad, shape):
     for dump in (dump_json, reference_dump_json):
         with pytest.raises(ValueError):
             dump(a)
+
+
+# -- whole payload trees: every type dump_json takes, at any depth --
+
+# control characters, non-ASCII, astral, quotes and a lone surrogate
+_TEXT = st.one_of(st.text(), st.sampled_from(
+    ["", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\U0001d11e", '"\\/', "\ud800"]))
+_LEAVES = st.one_of(
+    st.none(),
+    _TEXT,
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FLOATS,
+    st.sampled_from([2.0**53 + 2, -(2.0**53 + 2)]),
+    _FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.builds(complex, _FLOATS, _FLOATS),
+    st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
+    _arrays(),
+)
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.floats(), st.none())
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+                     st.dictionaries(_KEYS, children, max_size=4))
+
+
+_TREES = st.recursive(_LEAVES, _containers, max_leaves=20)
+
+
+def _nested(bad):
+    """Trees that hold bad once, at any depth, among valid siblings."""
+    return st.recursive(bad, lambda inner: st.one_of(
+        st.builds(lambda fine, x: [*fine, x], st.lists(_TREES, max_size=3), inner),
+        st.builds(lambda x: (x,), inner),
+        st.builds(lambda d, k, x: {**d, k: x},
+                  st.dictionaries(_KEYS, _TREES, max_size=3), _KEYS, inner),
+    ), max_leaves=4)
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, np.float64(-np.inf), np.float32(np.nan),
+                               complex(1, np.nan), complex(np.inf, 0), np.array([1.0, np.nan]),
+                               np.array([[0, 1j], [np.inf, 0]]), np.array(-np.inf)])
+
+
+@settings(max_examples=300)
+@given(_TREES)
+def test_payload_trees_match_the_per_element_route(tree):
+    assert dump_json(tree) == reference_dump_json(tree)
+
+
+@given(_nested(_NON_FINITE))
+def test_a_non_finite_number_at_any_depth_is_rejected_by_both_routes(tree):
+    errors = []
+    for dump in (dump_json, reference_dump_json):
+        with pytest.raises(ValueError) as excinfo:
+            dump(tree)
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("Out of range float values are not JSON compliant: ")
+
+
+@given(_nested(st.sampled_from([{1, 2}, frozenset(), object(), b"bytes"])))
+def test_an_unsupported_type_at_any_depth_is_rejected_by_both_routes(tree):
+    for dump in (dump_json, reference_dump_json):
+        with pytest.raises(TypeError):
+            dump(tree)

@@ -251,6 +251,19 @@ def test_a_nan_route_fails_every_check_that_reads_it(monkeypatch):
     assert all(np.isnan(c.max_residual) for c in report.checks if not c.passed)
 
 
+def test_a_nan_residual_fails_its_check_wherever_it_is_combined(monkeypatch):
+    # max(0.1, nan) is 0.1: each of these checks combines the substitution
+    # residual with others, and only dirac-em's comes first
+    assert np.isnan(verify._worst(0.1, np.nan)) and np.isnan(verify._worst(np.nan, 0.1))
+    assert verify._worst(0.1, 0.3, 0.2) == 0.3
+    monkeypatch.setattr(verify, "_substitution",
+                        lambda samples: np.full((len(samples), 8, 8), np.nan))
+    report = run_suite("conjugation")
+    assert _failing(report) == ["conjugation/colored-closed-forms", "conjugation/dirac-em",
+                                "conjugation/involution"]
+    assert all(np.isnan(c.max_residual) for c in report.checks if not c.passed)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_all_runs_each_suite_in_turn_and_passes(seed):
     report = run_suite("all", seed=seed)
