@@ -9,8 +9,8 @@ files that are unreadable, not UTF-8, not valid JSON or nested too deeply,
 a spectrum or transform output that overflows float64), each reported as a
 JSON object {"error": ...} on stdout.
 
-Each subcommand's parser is built on its first use and shared for the life of
-the process: later main calls reuse it.
+The parser is built on its first use and shared for the life of the process:
+later main calls reuse it.
 """
 
 from __future__ import annotations
@@ -102,12 +102,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or, given a subcommand's name, one with only that subparser.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.
 
-    Each parser is built on its first use and shared for the life of the
-    process, so treat the returned parser as read-only;
-    ``build_parser.__wrapped__(command)`` builds a fresh one.
+    It is built on its first use and shared for the life of the process,
+    so treat it as read-only; ``build_parser.__wrapped__()`` builds a
+    fresh one.
     """
     parser = _Parser(
         prog="phasequark",
@@ -117,44 +117,39 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "verify"):
-        p_verify = sub.add_parser("verify", help="run a named verification suite")
-        p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
-        p_verify.add_argument("--tol", type=float, default=None,
-                              help="override every check tolerance")
-        p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p_verify.add_argument("--timings", action="store_true",
-                              help="add each check's wall time as elapsed_ms")
+    p_verify = sub.add_parser("verify", help="run a named verification suite")
+    p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="override every check tolerance")
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p_verify.add_argument("--timings", action="store_true",
+                          help="add each check's wall time as elapsed_ms")
 
-    if command in (None, "transform"):
-        p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
-        group = p_tr.add_mutually_exclusive_group(required=True)
-        group.add_argument("--pairing", default=None, metavar="TAG",
-                           help=f"one of {', '.join(pairing_tags())}")
-        group.add_argument("--generator", default=None, metavar="LABEL",
-                           help=LABEL_HELP)
-        p_tr.add_argument("--angle", type=float, default=None,
-                          help="rotation angle for --generator")
-        p_tr.add_argument("--input", required=True,
-                          help="six comma-separated numbers p1,p2,p3,x1,x2,x3")
-        p_tr.add_argument("--out", default=None)
+    p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
+    group = p_tr.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pairing", default=None, metavar="TAG",
+                       help=f"one of {', '.join(pairing_tags())}")
+    group.add_argument("--generator", default=None, metavar="LABEL",
+                       help=LABEL_HELP)
+    p_tr.add_argument("--angle", type=float, default=None,
+                      help="rotation angle for --generator")
+    p_tr.add_argument("--input", required=True,
+                      help="six comma-separated numbers p1,p2,p3,x1,x2,x3")
+    p_tr.add_argument("--out", default=None)
 
-    if command in (None, "spectrum"):
-        p_sp = sub.add_parser("spectrum", help="eigenvalues and squared form of a spec")
-        p_sp.add_argument("spec_file", help="JSON Hamiltonian spec")
-        p_sp.add_argument("--out", default=None)
+    p_sp = sub.add_parser("spectrum", help="eigenvalues and squared form of a spec")
+    p_sp.add_argument("spec_file", help="JSON Hamiltonian spec")
+    p_sp.add_argument("--out", default=None)
 
-    if command in (None, "conjugate"):
-        p_cj = sub.add_parser("conjugate", help="charge conjugate a Dirac/colored spec")
-        p_cj.add_argument("spec_file", help="JSON Hamiltonian spec")
-        p_cj.add_argument("--out", default=None)
+    p_cj = sub.add_parser("conjugate", help="charge conjugate a Dirac/colored spec")
+    p_cj.add_argument("spec_file", help="JSON Hamiltonian spec")
+    p_cj.add_argument("--out", default=None)
 
-    if command in (None, "export"):
-        p_ex = sub.add_parser("export", help="export a named matrix as JSON or CSV")
-        p_ex.add_argument("label", help="e.g. F3, R, G(1,5), A1, B2, C, gamma5, pairing:R")
-        p_ex.add_argument("--format", default="json", choices=("json", "csv"))
-        p_ex.add_argument("--out", default=None)
+    p_ex = sub.add_parser("export", help="export a named matrix as JSON or CSV")
+    p_ex.add_argument("label", help="e.g. F3, R, G(1,5), A1, B2, C, gamma5, pairing:R")
+    p_ex.add_argument("--format", default="json", choices=("json", "csv"))
+    p_ex.add_argument("--out", default=None)
 
     return parser
 
@@ -253,11 +248,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only argv[0] narrows the parser, so ["-", "spectrum"] still lists every command.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         return _emit_error(str(exc))

@@ -7,27 +7,26 @@ rational (exact complex) coefficients.  Products, commutators and
 anticommutators are exact — no floating point is involved until
 :meth:`PauliExpr.to_matrix`.
 
-Representation: each tensor is keyed by its index 16 i + 4 j + k, whose
-order is that of the (i, j, k) triples.  With the two-bit codes I = 0,
-X = 1, Y = 2, Z = 3 a single-factor product is sigma_a sigma_b =
-i^e(a, b) sigma_(a xor b), the (x|z) bit form of Aaronson & Gottesman,
-"Improved simulation of stabilizer circuits" (arXiv:quant-ph/0406196).
-Factor by factor, the product of two tensors is then
+Representation: an expression is one dict from (tensor index, monomial)
+to a nonzero coefficient.  The index of si#sj#sk is 16 i + 4 j + k, whose
+order is that of the (i, j, k) triples; a monomial is a tuple of (symbol,
+power) pairs sorted by symbol, built only by ``_monomial``.  With the
+two-bit codes I = 0, X = 1, Y = 2, Z = 3 a single-factor product is
+sigma_a sigma_b = i^e(a, b) sigma_(a xor b), the (x|z) bit form of
+Aaronson & Gottesman, "Improved simulation of stabilizer circuits"
+(arXiv:quant-ph/0406196).  Factor by factor, the product of two tensors is
 
-    T_a T_b = i^n T_c,   c = a xor b,   n = sum of the three e's mod 4:
+    T_a T_b = i^n T_c,   c = a xor b,   n = sum of the three e's mod 4,
 
-the index of the product is the XOR of the indices, and ``_PHASE[a][b] = n``
-tabulates the phase exponent of all 64 x 64 pairs, built once with NumPy
-from the 4 x 4 single-factor table.  Every coefficient is one reduced
-triple of Python ints ``(a, b, d)``, meaning (a + b i) / d with d > 0 and
-gcd(a, b, d) = 1, so equal numbers have equal triples and a sum or product
-is a few int operations and one ``math.gcd``.  Multiplying two expressions
-costs one XOR and one table lookup per tensor pair and one coefficient
-product per monomial pair; the factor i^n is a swap and/or negation of
-(a, b).  :meth:`PauliExpr.to_matrix` takes each coefficient as
-``complex(a / d, b / d)`` (int true division is correctly rounded), sums
-each tensor's monomials to one number and contracts those numbers against
-``clifford.KRON3_STACK`` in one matmul.
+and ``_PHASE[a][b] = n`` tabulates all 64 x 64 pairs.  A coefficient is
+one reduced triple of Python ints ``(a, b, d)``, meaning (a + b i) / d
+with d > 0 and gcd(a, b, d) = 1, so equal numbers have equal triples.
+Multiplying two expressions costs one XOR, one table lookup and one
+coefficient product per pair of terms; the factor i^n is a swap and/or
+negation of (a, b).  :meth:`PauliExpr.to_matrix` takes each coefficient
+as ``complex(a / d, b / d)`` (int true division is correctly rounded),
+sums each tensor's terms in canonical order and contracts the sums
+against ``clifford.KRON3_STACK`` in one matmul.
 
 Grammar (whitespace insensitive)::
 
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -133,7 +132,7 @@ def _times_i_power(z: Coeff, n: int) -> Coeff:
 
 
 def _from_rational(value: int | Fraction) -> Coeff:
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return (value.numerator, 0, value.denominator)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
@@ -280,67 +279,62 @@ _LABELS = tuple("s%d#s%d#s%d" % (n >> 4, (n >> 2) & 3, n & 3) for n in range(64)
 _LABEL_INDEX = {label: n for n, label in enumerate(_LABELS)}
 
 
-def _basis_index(i: int, j: int, k: int) -> int:
-    return 16 * int(i) + 4 * int(j) + int(k)
+def _basis_index(basis: Basis) -> int:
+    """16 i + 4 j + k of a tensor key (i, j, k), each an int in 0..3."""
+    if not (len(basis) == 3 and all(type(n) is int and 0 <= n <= 3 for n in basis)):
+        raise ValueError(f"a tensor is three ints in 0..3, got {basis!r}")
+    return 16 * basis[0] + 4 * basis[1] + basis[2]
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in the real symbols (dict monomial -> coefficient triple)
+# Terms: one table (tensor index, monomial) -> coefficient triple
 # ---------------------------------------------------------------------------
 
 Monomial = tuple[tuple[str, int], ...]
-Poly = dict  # Monomial -> Coeff
+Terms = dict  # (tensor index, Monomial) -> Coeff, never zero
 
 
-def _poly_add_into(target: Poly, mono: Monomial, coeff: Coeff) -> None:
-    cur = target.get(mono)
-    new = coeff if cur is None else _cadd(cur, coeff)
-    if new[0] or new[1]:
-        target[mono] = new
-    else:
-        target.pop(mono, None)
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
+def _monomial(pairs) -> Monomial:
+    """The canonical monomial of (name, power) pairs: sorted, equal names merged."""
+    if len(pairs) < 2:
+        return tuple(pairs)
     powers: dict[str, int] = {}
-    for name, k in (*a, *b):
+    for name, k in pairs:
         powers[name] = powers.get(name, 0) + k
     return tuple(sorted(powers.items()))
 
 
-def _add_terms(out: dict[int, Poly], terms: dict[int, Poly], negate: bool) -> None:
-    """out += terms (or -terms) in place, dropping cancelled monomials and
-    tensors; a tensor new to out gets a copy of its poly."""
-    for basis, poly in terms.items():
-        if negate:
-            poly = {m: (-a, -b, d) for m, (a, b, d) in poly.items()}
-        target = out.get(basis)
-        if target is None:
-            out[basis] = dict(poly)
-            continue
-        for mono, coeff in poly.items():
-            _poly_add_into(target, mono, coeff)
-        if not target:
-            del out[basis]
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not (a and b):
+        return a or b
+    return _monomial((*a, *b))
 
 
-def _mul_terms(left: dict[int, Poly], right: dict[int, Poly]) -> dict[int, Poly]:
-    """The product of two index-keyed expressions, with no empty poly."""
-    out: dict[int, Poly] = {}
-    for a, poly_a in left.items():
+def _add_into(out: Terms, key: tuple[int, Monomial], coeff: Coeff) -> None:
+    """out[key] += coeff, holding no key whose coefficient is zero."""
+    cur = out.get(key)
+    new = coeff if cur is None else _cadd(cur, coeff)
+    if new[0] or new[1]:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
+def _add_terms(out: Terms, terms: Terms, negate: bool) -> None:
+    """out += terms (or -terms) in place."""
+    for key, c in terms.items():
+        _add_into(out, key, (-c[0], -c[1], c[2]) if negate else c)
+
+
+def _mul_terms(left: Terms, right: Terms) -> Terms:
+    """The product of two tables: T_a T_b = i**_PHASE[a][b] T_(a xor b) per term pair."""
+    out: Terms = {}
+    for (a, mono_a), ca in left.items():
         row = _PHASE[a]
-        for b, poly_b in right.items():
-            n = row[b]
-            target = out.setdefault(a ^ b, {})
-            for mono_a, ca in poly_a.items():
-                for mono_b, cb in poly_b.items():
-                    _poly_add_into(target, _mono_mul(mono_a, mono_b),
-                                   _times_i_power(_cmul(ca, cb), n))
-    return {b: p for b, p in out.items() if p}
+        for (b, mono_b), cb in right.items():
+            _add_into(out, (a ^ b, _mono_mul(mono_a, mono_b)),
+                      _times_i_power(_cmul(ca, cb), row[b]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +350,41 @@ def _as_exact(value: ScalarLike) -> Coeff:
     return _from_rational(value)
 
 
+def _checked_monomial(mono: Monomial) -> Monomial:
+    """A constructor's monomial in canonical form, each factor checked."""
+    if not isinstance(mono, tuple):
+        raise TypeError(f"a monomial is a tuple of (symbol, power) pairs, got {mono!r}")
+    for factor in mono:
+        if not (isinstance(factor, tuple) and len(factor) == 2 and factor[0] in SYMBOLS
+                and type(factor[1]) is int and factor[1] >= 1):
+            raise ValueError(f"a monomial factor is (symbol, int power >= 1), got {factor!r}")
+    return _monomial(mono)
+
+
 class PauliExpr:
     """Immutable linear combination of tensor basis elements.
 
     Supports +, -, * (with another expression or an exact scalar), exact
     equality, canonical printing via str(), and numeric evaluation via
-    :meth:`to_matrix`.
+    :meth:`to_matrix`.  ``PauliExpr({(i, j, k): {monomial: scalar}})`` takes
+    ints i, j, k in 0..3 and a monomial's (symbol, power) pairs in any order.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Basis, Mapping[Monomial, ScalarLike]] | None = None):
-        clean: dict[int, Poly] = {}
-        for basis, poly in (terms or {}).items():
-            kept = {m: t for m, t in ((m, _as_exact(c)) for m, c in poly.items()) if t[0] or t[1]}
-            if kept:
-                clean[_basis_index(*basis)] = kept
-        self._terms = clean
+        table: Terms = {}
+        for basis, poly in dict(terms or {}).items():
+            index = _basis_index(basis)
+            for mono, value in dict(poly).items():
+                _add_into(table, (index, _checked_monomial(mono)), _as_exact(value))
+        self._terms = table
 
     @classmethod
-    def _from_index(cls, terms: dict[int, Poly]) -> "PauliExpr":
-        """Wrap index-keyed polynomials that hold no zero coefficient."""
+    def _from_index(cls, terms: Terms) -> "PauliExpr":
+        """Wrap a table that holds no zero coefficient."""
         expr = cls.__new__(cls)
-        expr._terms = {b: p for b, p in terms.items() if p}
+        expr._terms = terms
         return expr
 
     # -- constructors -------------------------------------------------
@@ -389,16 +395,13 @@ class PauliExpr:
 
     @classmethod
     def from_basis(cls, i: int, j: int, k: int) -> "PauliExpr":
-        for idx in (i, j, k):
-            if idx not in (0, 1, 2, 3):
-                raise ValueError(f"tensor indices must be 0..3, got {(i, j, k)}")
-        return cls._from_index({_basis_index(i, j, k): {(): _ONE}})
+        return cls._from_index({(_basis_index((i, j, k)), ()): _ONE})
 
     @classmethod
     def from_symbol(cls, name: str) -> "PauliExpr":
         if name not in SYMBOLS:
             raise ValueError(f"unknown symbol {name!r}; known symbols: {SYMBOLS}")
-        return _SYMBOL_EXPRS[name]
+        return cls._from_index({(0, ((name, 1),)): _ONE})
 
     @classmethod
     def from_scalar(cls, value: ScalarLike) -> "PauliExpr":
@@ -407,7 +410,7 @@ class PauliExpr:
     # -- algebra ------------------------------------------------------
 
     def _combine(self, other: "PauliExpr", negate: bool) -> "PauliExpr":
-        terms = {b: dict(p) for b, p in self._terms.items()}
+        terms = dict(self._terms)
         _add_terms(terms, other._terms, negate)
         return PauliExpr._from_index(terms)
 
@@ -425,9 +428,7 @@ class PauliExpr:
             scalar = _as_exact(other)
             if not (scalar[0] or scalar[1]):
                 return PauliExpr()
-            return PauliExpr._from_index(
-                {b: {m: _cmul(c, scalar) for m, c in p.items()} for b, p in self._terms.items()}
-            )
+            return PauliExpr._from_index({key: _cmul(c, scalar) for key, c in self._terms.items()})
         return PauliExpr._from_index(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
@@ -438,35 +439,20 @@ class PauliExpr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(
-            tuple(
-                (b, tuple(sorted(p.items())))
-                for b, p in sorted(self._terms.items())
-            )
-        )
+        return hash(frozenset(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     @property
     def free_symbols(self) -> frozenset[str]:
-        names = set()
-        for poly in self._terms.values():
-            for mono in poly:
-                names.update(name for name, _ in mono)
-        return frozenset(names)
+        return frozenset(name for _, mono in self._terms for name, _ in mono)
 
     # -- rendering and evaluation --------------------------------------
 
-    def _flat(self) -> Iterator[tuple[int, Monomial, Coeff]]:
-        for basis in sorted(self._terms):
-            poly = self._terms[basis]
-            for mono in sorted(poly):
-                yield basis, mono, poly[mono]
-
     def __str__(self) -> str:
         parts: list[str] = []
-        for basis, mono, (a, b, d) in self._flat():
+        for (basis, mono), (a, b, d) in sorted(self._terms.items()):
             negative = (a < 0 and not b) or (not a and b < 0)
             if negative:
                 a, b = -a, -b
@@ -479,12 +465,9 @@ class PauliExpr:
                 pieces.append(_LABELS[basis])
             elif not pieces:
                 pieces.append("1")
-            text = "*".join(pieces)
-            if not parts:
-                parts.append(("-" if negative else "") + text)
-            else:
-                parts.append((" - " if negative else " + ") + text)
-        return "".join(parts) if parts else "0"
+            sign = (" - " if negative else " + ") if parts else ("-" if negative else "")
+            parts.append(sign + "*".join(pieces))
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"PauliExpr({self})"
@@ -493,7 +476,8 @@ class PauliExpr:
         """Evaluate to an 8x8 complex matrix.
 
         values supplies a number for every free symbol; a missing symbol
-        raises ValueError naming it.
+        raises ValueError naming it.  Terms are summed in canonical order,
+        so equal expressions give bit-identical matrices.
         """
         values = dict(values or {})
         free = self.free_symbols
@@ -501,19 +485,15 @@ class PauliExpr:
         if missing:
             raise ValueError(f"no value given for symbol(s): {', '.join(missing)}")
         numbers = {name: complex(values[name]) for name in free}
-        index: list[int] = []
-        weights: list[complex] = []
-        for basis, poly in self._terms.items():
-            total = 0j
-            for mono, (a, b, d) in poly.items():
-                val = complex(a / d, b / d)
-                for name, power in mono:
-                    val *= numbers[name] ** power
-                total += val
-            if total != 0:
-                index.append(basis)
-                weights.append(total)
-        return (np.array(weights, dtype=complex) @ _FLAT_STACK[index]).reshape(8, 8)
+        totals: dict[int, complex] = {}
+        for (basis, mono), (a, b, d) in sorted(self._terms.items()):
+            val = complex(a / d, b / d)
+            for name, power in mono:
+                val *= numbers[name] ** power
+            totals[basis] = totals.get(basis, 0j) + val
+        index = [basis for basis, total in totals.items() if total != 0]
+        weights = np.array([totals[basis] for basis in index], dtype=complex)
+        return (weights @ _FLAT_STACK[index]).reshape(8, 8)
 
 
 def anticommutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:
@@ -525,12 +505,11 @@ def commutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:
 
 
 # name -> (n, index): the operator is i**n times the tensor at index
-_OPERATOR_INDEX = {name: (n, _basis_index(*ijk)) for name, (n, ijk) in OPERATORS.items()}
+_OPERATOR_INDEX = {name: (n, _basis_index(ijk)) for name, (n, ijk) in OPERATORS.items()}
 NAMED_OPERATORS = {
-    name: PauliExpr._from_index({idx: {(): _times_i_power(_ONE, n)}})
+    name: PauliExpr._from_index({(idx, ()): _times_i_power(_ONE, n)})
     for name, (n, idx) in _OPERATOR_INDEX.items()
 }
-_SYMBOL_EXPRS = {name: PauliExpr._from_index({0: {((name, 1),): _ONE}}) for name in SYMBOLS}
 
 
 # ---------------------------------------------------------------------------
@@ -599,19 +578,19 @@ class _Parser:
         self.index = 0
         self.depth = 0
 
-    def parse(self) -> dict[int, Poly]:
+    def parse(self) -> Terms:
         terms = self.expr()
         _, text, pos = tok = self.tokens[self.index]
         if tok[0] != "END":
             raise ParseError(f"unexpected {text!r}", pos)
         return terms
 
-    def expr(self) -> dict[int, Poly]:
+    def expr(self) -> Terms:
         tokens = self.tokens
         negate = tokens[self.index][0] == "-"
         if negate:
             self.index += 1
-        out: dict[int, Poly] = {}
+        out: Terms = {}
         while True:
             _add_terms(out, self.term(), negate)
             kind = tokens[self.index][0]
@@ -620,7 +599,7 @@ class _Parser:
             negate = kind == "-"
             self.index += 1
 
-    def term(self) -> dict[int, Poly]:
+    def term(self) -> Terms:
         """One product of factors.
 
         Scalars, symbols and tensors fold into coeff * i**phase * names *
@@ -650,8 +629,8 @@ class _Parser:
                     n, idx = _OPERATOR_INDEX[text]
                     phase += n + _PHASE[basis][idx]
                     basis ^= idx
-                elif text in _SYMBOL_EXPRS:
-                    names.append(text)
+                elif text in SYMBOLS:
+                    names.append((text, 1))
                 elif text in _BARE_PAULI:
                     raise ParseError(
                         f"bare Pauli factor {text!r}; write a full tensor such as "
@@ -678,7 +657,7 @@ class _Parser:
             self.index += 1
         return _fold(result, coeff, phase, basis, names)
 
-    def parenthesised(self, pos: int) -> dict[int, Poly]:
+    def parenthesised(self, pos: int) -> Terms:
         """The expression after a '(' at pos, and its ')'."""
         if self.depth == _MAX_DEPTH:
             raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
@@ -692,30 +671,21 @@ class _Parser:
         return inner
 
 
-def _fold(result, coeff: Coeff, phase: int, basis: int, names: list[str]) -> dict[int, Poly]:
+def _fold(result, coeff: Coeff, phase: int, basis: int, names: list[tuple[str, int]]) -> Terms:
     """result (None for 1) times coeff * i**phase * names * T_basis."""
     if not (coeff[0] or coeff[1]):
         return {}
     if result is not None and coeff == _ONE and not (phase & 3 or basis or names):
         return result
-    if len(names) < 2:
-        mono = ((names[0], 1),) if names else ()
-    else:
-        powers: dict[str, int] = {}
-        for name in names:
-            powers[name] = powers.get(name, 0) + 1
-        mono = tuple(sorted(powers.items()))
-    single = {basis: {mono: _times_i_power(coeff, phase)}}
+    single = {(basis, _monomial(names)): _times_i_power(coeff, phase)}
     return single if result is None else _mul_terms(result, single)
 
 
-def _scalar(terms: dict[int, Poly]) -> Coeff | None:
+def _scalar(terms: Terms) -> Coeff | None:
     """The coefficient of terms if they are a multiple of 1 (0 included), else None."""
     if not terms:
         return (0, 0, 1)
-    if len(terms) == 1 and len(terms.get(0, ())) == 1:
-        return terms[0].get(())
-    return None
+    return terms.get((0, ())) if len(terms) == 1 else None
 
 
 def parse(text: str) -> PauliExpr:

@@ -44,6 +44,9 @@ def _render(obj, indent: str) -> str:
         return _block("[]", [_render(v, indent + "  ") for v in obj], indent)
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
+        if len(items) < len(obj):
+            key = next(k for k in items if sum(str(o) == k for o in obj) > 1)
+            raise ValueError(f"two keys of one object render as the JSON key {key!r}")
         return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(items[k], indent + '  ')}"
                              for k in sorted(items)], indent)
     if isinstance(obj, np.ndarray):
@@ -79,8 +82,9 @@ def dump_json(obj) -> str:
     """Render obj deterministically as strict JSON, in the layout of
     json.dumps(obj, sort_keys=True, indent=2) plus a trailing newline.
 
-    A NaN or infinite number raises ValueError: JSON has no such values.  A
-    type but JSON's, tuple, complex, ndarray and NumPy scalars raises TypeError."""
+    A NaN or infinite number raises ValueError: JSON has no such values, and
+    so do two keys of one dict that render as one string, such as 1 and "1".
+    A type but JSON's, tuple, complex, ndarray and NumPy scalars raises TypeError."""
     return _render(obj, "") + "\n"
 
 

@@ -118,8 +118,7 @@ def test_help_still_prints_usage_text(capsys):
         assert capsys.readouterr().out.startswith("usage: phasequark")
 
 
-# The exact error of each argv.  A parser built for the command in argv[0]
-# must not change a usage error, and any other argv keeps the full parser.
+# The exact error of each argv.
 _ALL_COMMANDS = "'verify', 'transform', 'spectrum', 'conjugate', 'export'"
 BAD_ARGV = [
     ([], "phasequark: the following arguments are required: command"),
@@ -146,15 +145,6 @@ def test_bad_argv_errors_are_pinned(capsys, argv, error):
     assert code == 2
     assert out == json.dumps({"error": error}, indent=2) + "\n"
     assert capsys.readouterr().err == ""
-
-
-def test_each_main_call_asks_for_its_argv0_parser(monkeypatch):
-    calls = []
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *args: calls.append(args) or full(*args))
-    for argv in (["export", "A1"], ["export", "A1"], ["bogus"]):
-        main(argv)
-    assert calls == [("export",), ("export",), (None,)]
 
 
 def _run_main(argv):
@@ -197,20 +187,16 @@ _ARGV = st.one_of(
 
 @settings(max_examples=300)
 @given(argv=_ARGV)
-def test_narrowed_parser_matches_the_full_parser(argv):
+def test_random_argv_exits_0_1_or_2_with_empty_stderr(argv):
     assume(not _verify_would_pass(argv))
-    narrowed = _run_main(argv)
-    full = cli.build_parser
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "build_parser", lambda command=None: full())
-        assert _run_main(argv) == narrowed
-    assert narrowed[0] in (0, 1, 2)
-    assert narrowed[2] == ""
+    code, _, err = _run_main(argv)
+    assert code in (0, 1, 2)
+    assert err == ""
 
 
-def test_build_parser_shares_one_parser_per_command():
-    assert cli.build_parser("export") is cli.build_parser("export")
-    assert cli.build_parser.__wrapped__("export") is not cli.build_parser("export")
+def test_build_parser_shares_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.__wrapped__() is not cli.build_parser()
 
 
 _VALID_ARGV = (

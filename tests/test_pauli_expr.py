@@ -221,18 +221,15 @@ def test_coefficients_match_the_fraction_reference(x_parts, y_parts, n):
 
 def _reference_to_matrix(expr: PauliExpr, values) -> np.ndarray:
     """to_matrix's evaluation with every coefficient taken through FractionComplex."""
-    index, weights = [], []
-    for basis, poly in expr._terms.items():
-        total = 0j
-        for mono, (a, b, d) in poly.items():
-            val = complex(FractionComplex(Fraction(a, d), Fraction(b, d)))
-            for name, power in mono:
-                val *= complex(values[name]) ** power
-            total += val
-        if total != 0:
-            index.append(basis)
-            weights.append(total)
-    return (np.array(weights, dtype=complex) @ cf.KRON3_STACK.reshape(64, 64)[index]).reshape(8, 8)
+    totals = {}
+    for (basis, mono), (a, b, d) in sorted(expr._terms.items()):
+        val = complex(FractionComplex(Fraction(a, d), Fraction(b, d)))
+        for name, power in mono:
+            val *= complex(values[name]) ** power
+        totals[basis] = totals.get(basis, 0j) + val
+    index = [basis for basis, total in totals.items() if total != 0]
+    weights = np.array([totals[basis] for basis in index], dtype=complex)
+    return (weights @ cf.KRON3_STACK.reshape(64, 64)[index]).reshape(8, 8)
 
 
 @st.composite
@@ -386,6 +383,54 @@ def test_corpus_canonical_forms_match_golden():
     assert got == (HERE / "golden" / "expr_corpus_canonical.txt").read_text()
 
 
+# -- the constructor --------------------------------------------------------
+
+# a decimal denominator 2^a 5^b, so that every coefficient prints as parse reads it
+_DECIMAL_FRACTIONS = st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b),
+                               st.integers(-50, 50), st.integers(0, 3), st.integers(0, 3))
+_SCALARS = st.one_of(st.integers(-5, 5), _DECIMAL_FRACTIONS,
+                     st.builds(ExactComplex, _DECIMAL_FRACTIONS, _DECIMAL_FRACTIONS))
+# (symbol, power) pairs in any order, a symbol possibly more than once
+_FACTORS = st.lists(st.tuples(st.sampled_from(SYMBOLS[:4]), st.integers(1, 2)), max_size=3)
+
+
+@given(st.dictionaries(st.sampled_from(TRIPLES),
+                       st.dictionaries(_FACTORS.map(tuple), _SCALARS, max_size=3), max_size=4))
+def test_constructor_built_expressions_round_trip(terms):
+    e = PauliExpr(terms)
+    again = parse(str(e))
+    assert again == e and hash(again) == hash(e)
+    built = PauliExpr.zero()
+    for ijk, poly in terms.items():
+        for mono, value in poly.items():
+            term = PauliExpr.from_scalar(value) * PauliExpr.from_basis(*ijk)
+            for name, power in mono:
+                for _ in range(power):
+                    term = term * PauliExpr.from_symbol(name)
+            built = built + term
+    assert built == e and hash(built) == hash(e)
+
+
+_REJECTED = [
+    ({(0, 0, 4): {(): 1}}, ValueError),
+    ({(0, 0, -1): {(): 1}}, ValueError),
+    ({(1.0, 0, 0): {(): 1}}, ValueError),
+    ({(1, 0): {(): 1}}, ValueError),
+    ({(1, 0, 0): {(("zz", 1),): 1}}, ValueError),
+    ({(1, 0, 0): {(("p1", 0),): 1}}, ValueError),
+    ({(1, 0, 0): {(("p1", 1.0),): 1}}, ValueError),
+    ({(1, 0, 0): {"": 1}}, TypeError),
+    ({(1, 0, 0): {(): True}}, TypeError),
+    ({(1, 0, 0): [1]}, TypeError),
+]
+
+
+@pytest.mark.parametrize("terms,error", _REJECTED, ids=[repr(t) for t, _ in _REJECTED])
+def test_constructor_rejects_malformed_terms(terms, error):
+    with pytest.raises(error):
+        PauliExpr(terms)
+
+
 # -- evaluation -------------------------------------------------------------
 
 
@@ -424,6 +469,13 @@ def test_mass_law_through_the_dsl():
 def test_to_matrix_literal_scaling():
     assert np.array_equal(parse("i*A2").to_matrix(), 1j * cf.build_A(2))
     assert np.array_equal(parse("0").to_matrix(), np.zeros((8, 8)))
+
+
+def test_equal_expressions_give_bit_identical_matrices():
+    a, b = parse("A1*p1 + A1*x1 + A1*m"), parse("A1*m + A1*x1 + A1*p1")
+    assert a == b and hash(a) == hash(b)
+    values = {"p1": 1e16, "x1": 1.0, "m": 1.0}
+    assert a.to_matrix(values).tobytes() == b.to_matrix(values).tobytes()
 
 
 def test_to_matrix_requires_bindings():

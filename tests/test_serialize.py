@@ -112,9 +112,14 @@ _LEAVES = st.one_of(
 _KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.floats(), st.none())
 
 
+def _dicts(children):
+    """Dicts whose keys render as distinct strings, as dump_json requires."""
+    return st.lists(st.tuples(_KEYS, children), max_size=4, unique_by=lambda kv: str(kv[0])).map(dict)
+
+
 def _containers(children):
     return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-                     st.dictionaries(_KEYS, children, max_size=4))
+                     _dicts(children))
 
 
 _TREES = st.recursive(_LEAVES, _containers, max_leaves=20)
@@ -125,8 +130,8 @@ def _nested(bad):
     return st.recursive(bad, lambda inner: st.one_of(
         st.builds(lambda fine, x: [*fine, x], st.lists(_TREES, max_size=3), inner),
         st.builds(lambda x: (x,), inner),
-        st.builds(lambda d, k, x: {**d, k: x},
-                  st.dictionaries(_KEYS, _TREES, max_size=3), _KEYS, inner),
+        st.builds(lambda d, k, x: {**{j: v for j, v in d.items() if str(j) != str(k)}, k: x},
+                  _dicts(_TREES), _KEYS, inner),
     ), max_leaves=4)
 
 
@@ -157,3 +162,15 @@ def test_an_unsupported_type_at_any_depth_is_rejected_by_both_routes(tree):
     for dump in (dump_json, reference_dump_json):
         with pytest.raises(TypeError):
             dump(tree)
+
+
+def test_keys_that_render_alike_are_rejected():
+    with pytest.raises(ValueError, match="render as the JSON key '1'"):
+        dump_json({1: "a", "1": "b"})
+
+
+@given(_nested(st.sampled_from([{1: "a", "1": "b"}, {None: 0, "None": 1}, {0.5: [], "0.5": {}},
+                                {True: 1, "True": 2}, {float("nan"): 0, float("nan"): 1}])))
+def test_keys_that_render_alike_at_any_depth_are_rejected(tree):
+    with pytest.raises(ValueError, match="render as the JSON key"):
+        dump_json(tree)
