@@ -65,7 +65,6 @@ from .hamiltonian import (  # noqa: F401
     square_and_spectrum,
 )
 from .pauli_expr import (  # noqa: F401
-    ExactComplex,
     PauliExpr,
     ParseError,
     parse,

@@ -51,14 +51,16 @@ def _emit_error(message: str) -> int:
 
 
 def _parse_vector6(text: str) -> list[float]:
+    fields = text.split(",")
     try:
-        values = [float(part) for part in text.split(",")]
+        values = [float(part) for part in fields]
     except ValueError as exc:
         raise ValueError(f"--input must be six comma-separated numbers: {exc}") from exc
-    if len(values) != 6 or not all(math.isfinite(v) for v in values):
-        raise ValueError(
-            f"--input must be six finite comma-separated numbers, got {len(values)}"
-        )
+    if len(values) != 6:
+        raise ValueError(f"--input must be six finite comma-separated numbers, got {len(values)}")
+    for name, field, value in zip(("p1", "p2", "p3", "x1", "x2", "x3"), fields, values):
+        if not math.isfinite(value):
+            raise ValueError(f"--input field {name} must be finite, got {field!r}")
     return values
 
 

@@ -41,12 +41,16 @@ NAME is either a named operator of clifford.OPERATORS (A1 A2 A3 B B1 B2
 B3 C gamma5 gammaR5 gammaY5 gammaB5) or a symbol (p1 p2 p3 x1 x2 x3 m e
 A0 A1v A2v A3v).  A bare Pauli factor such as ``s1`` is rejected with a
 hint to write the full tensor form, and parentheses nest at most
-``_MAX_DEPTH`` deep.  There is no division and literals are decimal, so
-every reachable coefficient denominator is a product of twos and fives
-and the canonical printer can always render coefficients as exact
-decimals.  The parser multiplies the scalar, symbol and tensor factors of
-a term into one (coefficient, monomial, tensor) triple and builds a
-general product only at a parenthesised factor.
+``_MAX_DEPTH`` deep.  The parser multiplies the scalar, symbol and tensor
+factors of a term into one (coefficient, monomial, tensor) triple and
+builds a general product only at a parenthesised factor.
+
+Scalars are the numbers the grammar writes: with no division and decimal
+literals, the Gaussian rationals whose denominators are 2^a 5^b, a set
+closed under + and *, so every coefficient prints as an exact decimal.
+Scalar ``*`` and the constructors take an int or such a Fraction and raise
+ValueError for any other (``Fraction(1, 3)``); a complex scalar is written
+in the DSL, as ``parse("0.5 - 2i")`` or ``e * parse("i")``.
 
 Canonical form: terms are sorted by tensor index triple, then by
 monomial; unit coefficients and the identity tensor ``s0#s0#s0`` are
@@ -58,18 +62,16 @@ expression equal to ``e``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from .clifford import KRON3_STACK, OPERATORS
 
 __all__ = [
-    "ExactComplex",
     "PauliExpr",
     "ParseError",
     "parse",
@@ -132,13 +134,19 @@ def _times_i_power(z: Coeff, n: int) -> Coeff:
 
 
 def _from_rational(value: int | Fraction) -> Coeff:
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return (value.numerator, 0, value.denominator)
-    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+    """An exact scalar (see Scalars in the module docstring) as a coefficient."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+    den = value.denominator
+    # 2^a 5^b divides 10^k once k >= a, b, as k = den.bit_length() is; no other den does
+    if 10 ** den.bit_length() % den:
+        raise ValueError(f"cannot use {value!r} as an exact scalar: "
+                         "its denominator is not 2^a 5^b, so no decimal writes it")
+    return (value.numerator, 0, den)
 
 
 def _decimal_str(num: int, den: int) -> str:
-    """num/den as an exact decimal, or "num/den" unless den = 2^a 5^b.
+    """num/den, with den = 2^a 5^b, as an exact decimal.
 
     num/den must be reduced with den > 0; then the last decimal digit is
     nonzero, so the digits need no trimming.
@@ -150,8 +158,6 @@ def _decimal_str(num: int, den: int) -> str:
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest != 1:
-        return f"{_int_str(num)}/{_int_str(den)}"
     digits = max(twos, fives)
     whole, frac = divmod(abs(num) * (10**digits // den), 10**digits)
     return f"{'-' if num < 0 else ''}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
@@ -172,84 +178,11 @@ def _coeff_str(z: Coeff) -> str:
     # with one part zero, gcd(a, b, d) = 1 makes the other part num/d reduced
     if not b:
         return _decimal_str(a, d)
-    if not a:
-        if b == d:
-            return "i"
-        if b == -d:
-            return "-i"
-        return _decimal_str(b, d) + "i"
     im_part = "i" if abs(b) == d else _part_str(abs(b), d) + "i"
+    if not a:
+        return im_part if b > 0 else "-" + im_part
     op = "+" if b > 0 else "-"
     return f"({_part_str(a, d)}{op}{im_part})"
-
-
-@dataclass(frozen=True, init=False, repr=False)
-class ExactComplex:
-    """Gaussian rational re + im i, held as one reduced triple (a, b, d).
-
-    The value is (a + b i) / d with d > 0 and gcd(a, b, d) = 1, so ``==``
-    and ``hash`` compare triples.  ``ExactComplex(re, im)`` takes ints or
-    Fractions; ``.re`` and ``.im`` return Fractions.  Instances are
-    immutable.
-    """
-
-    _t: Coeff
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        p, _, q = _from_rational(re)
-        r, _, s = _from_rational(im)
-        object.__setattr__(self, "_t", _reduced(p * s, r * q, q * s))
-
-    @classmethod
-    def _wrap(cls, t: Coeff) -> "ExactComplex":
-        z = cls.__new__(cls)
-        object.__setattr__(z, "_t", t)
-        return z
-
-    @classmethod
-    def from_literal(cls, text: str) -> "ExactComplex":
-        num, den = Decimal(text).as_integer_ratio()
-        return cls._wrap((num, 0, den))
-
-    @classmethod
-    def unit_i(cls) -> "ExactComplex":
-        return cls._wrap((0, 1, 1))
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._t[0], self._t[2])
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._t[1], self._t[2])
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex._wrap(_cadd(self._t, other._t))
-
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex._wrap(_cadd(self._t, _times_i_power(other._t, 2)))
-
-    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex._wrap(_cmul(self._t, other._t))
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex._wrap(_times_i_power(self._t, 2))
-
-    def is_zero(self) -> bool:
-        return not self._t[0] and not self._t[1]
-
-    def __complex__(self) -> complex:
-        a, b, d = self._t
-        return complex(a / d, b / d)
-
-    def __str__(self) -> str:
-        return _coeff_str(self._t)
-
-    def __repr__(self) -> str:
-        # Fraction's own repr fails past int's 4300-digit str() limit
-        re, im = (f"Fraction({_int_str(q.numerator)}, {_int_str(q.denominator)})"
-                  for q in (self.re, self.im))
-        return f"ExactComplex(re={re}, im={im})"
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +274,6 @@ def _mul_terms(left: Terms, right: Terms) -> Terms:
 # Expressions
 # ---------------------------------------------------------------------------
 
-ScalarLike = Union[int, Fraction, ExactComplex]
-
-
-def _as_exact(value: ScalarLike) -> Coeff:
-    if isinstance(value, ExactComplex):
-        return value._t
-    return _from_rational(value)
-
 
 def _checked_monomial(mono: Monomial) -> Monomial:
     """A constructor's monomial in canonical form, each factor checked."""
@@ -372,12 +297,12 @@ class PauliExpr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Basis, Mapping[Monomial, ScalarLike]] | None = None):
+    def __init__(self, terms: Mapping[Basis, Mapping[Monomial, int | Fraction]] | None = None):
         table: Terms = {}
         for basis, poly in dict(terms or {}).items():
             index = _basis_index(basis)
             for mono, value in dict(poly).items():
-                _add_into(table, (index, _checked_monomial(mono)), _as_exact(value))
+                _add_into(table, (index, _checked_monomial(mono)), _from_rational(value))
         self._terms = table
 
     @classmethod
@@ -404,12 +329,14 @@ class PauliExpr:
         return cls._from_index({(0, ((name, 1),)): _ONE})
 
     @classmethod
-    def from_scalar(cls, value: ScalarLike) -> "PauliExpr":
+    def from_scalar(cls, value: int | Fraction) -> "PauliExpr":
         return cls({(0, 0, 0): {(): value}})
 
     # -- algebra ------------------------------------------------------
 
     def _combine(self, other: "PauliExpr", negate: bool) -> "PauliExpr":
+        if not isinstance(other, PauliExpr):
+            return NotImplemented  # so that e + 1 is a TypeError
         terms = dict(self._terms)
         _add_terms(terms, other._terms, negate)
         return PauliExpr._from_index(terms)
@@ -423,9 +350,9 @@ class PauliExpr:
     def __neg__(self) -> "PauliExpr":
         return PauliExpr()._combine(self, True)
 
-    def __mul__(self, other: "PauliExpr | ScalarLike") -> "PauliExpr":
+    def __mul__(self, other: "PauliExpr | int | Fraction") -> "PauliExpr":
         if not isinstance(other, PauliExpr):
-            scalar = _as_exact(other)
+            scalar = _from_rational(other)
             if not (scalar[0] or scalar[1]):
                 return PauliExpr()
             return PauliExpr._from_index({key: _cmul(c, scalar) for key, c in self._terms.items()})
@@ -476,15 +403,21 @@ class PauliExpr:
         """Evaluate to an 8x8 complex matrix.
 
         values supplies a number for every free symbol; a missing symbol
-        raises ValueError naming it.  Terms are summed in canonical order,
-        so equal expressions give bit-identical matrices.
+        raises ValueError and text or a bool, which complex() would read,
+        TypeError, each naming the symbol.  Terms are summed in canonical
+        order, so equal expressions give bit-identical matrices.
         """
         values = dict(values or {})
         free = self.free_symbols
         missing = sorted(free - values.keys())
         if missing:
             raise ValueError(f"no value given for symbol(s): {', '.join(missing)}")
-        numbers = {name: complex(values[name]) for name in free}
+        numbers = {}
+        for name in free:
+            value = values[name]
+            if isinstance(value, (str, bytes, bool, np.bool_)):
+                raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}")
+            numbers[name] = complex(value)
         totals: dict[int, complex] = {}
         for (basis, mono), (a, b, d) in sorted(self._terms.items()):
             val = complex(a / d, b / d)

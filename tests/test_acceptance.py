@@ -26,7 +26,7 @@ from phasequark.hamiltonian import (
     rotation_matrix,
     square_and_spectrum,
 )
-from phasequark.pauli_expr import ExactComplex, PauliExpr, parse
+from phasequark.pauli_expr import PauliExpr, parse
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -250,10 +250,8 @@ def _random_expr(rng: np.random.Generator) -> PauliExpr:
     symbols = ("p1", "p2", "p3", "x1", "x2", "x3", "m", "e")
     total = PauliExpr.zero()
     for _ in range(int(rng.integers(1, 4))):
-        coeff = ExactComplex(
-            Fraction(int(rng.integers(-3, 4))), Fraction(int(rng.integers(-2, 3)))
-        )
-        term = PauliExpr.from_scalar(coeff)
+        re, im = Fraction(int(rng.integers(-3, 4))), Fraction(int(rng.integers(-2, 3)))
+        term = PauliExpr.from_scalar(re) + PauliExpr.from_scalar(im) * parse("i")
         term = term * PauliExpr.from_basis(*(int(v) for v in rng.integers(0, 4, 3)))
         if rng.integers(0, 2):
             term = term * PauliExpr.from_symbol(symbols[int(rng.integers(0, 8))])

@@ -487,6 +487,23 @@ def test_input_is_read_as_typed(capsys, text, error):
         2, json.dumps({"error": error}, indent=2) + "\n")
 
 
+_WRONG_COUNT = "--input must be six finite comma-separated numbers, got "
+
+
+@pytest.mark.parametrize("text,error", [
+    ("1,2,3,4,5,nan", "--input field x3 must be finite, got 'nan'"),
+    ("inf,2,3,4,5,6", "--input field p1 must be finite, got 'inf'"),
+    ("1,2, -Infinity ,4,5,6", "--input field p3 must be finite, got ' -Infinity '"),
+    ("1,2,3,1e999,5,6", "--input field x1 must be finite, got '1e999'"),
+    ("1,2,3", _WRONG_COUNT + "3"),
+    ("1,2,3,4,5,nan,7", _WRONG_COUNT + "7"),
+], ids=["nan", "inf", "spaced-infinity", "overflowing-literal", "short", "long-with-nan"])
+def test_input_errors_name_the_field_or_the_count(capsys, text, error):
+    for command in (["--pairing", "R"], ["--generator", "F1", "--angle", "1"]):
+        assert run_in_process(capsys, "transform", *command, f"--input={text}") == (
+            2, json.dumps({"error": error}, indent=2) + "\n")
+
+
 def test_input_fields_may_carry_surrounding_spaces(capsys):
     code, out = run_in_process(capsys, "transform", "--pairing", "R", "--input= 1, 2, 3 ,4,5,6 ")
     assert code == 0

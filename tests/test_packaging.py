@@ -74,9 +74,9 @@ def _public_classes() -> dict[str, type]:
 
 def test_only_records_with_behaviour_of_their_own_are_dataclasses():
     # Generator6 validates its matrix; EMField and HamiltonianSpec compare, hash and
-    # dataclasses.replace field by field; ExactComplex is a value; CheckResult's == skips timings
+    # dataclasses.replace field by field; CheckResult's == skips timings
     assert {name for name, cls in _public_classes().items() if dataclasses.is_dataclass(cls)} == {
-        "Generator6", "EMField", "HamiltonianSpec", "ExactComplex", "CheckResult"}
+        "Generator6", "EMField", "HamiltonianSpec", "CheckResult"}
 
 
 RECORD_FIELDS = {  # in the order of the dataclass fields each NamedTuple replaces

@@ -1,7 +1,6 @@
-import copy
 import itertools
 import math
-import pickle
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phasequark import clifford as cf
 from phasequark import pauli_expr
@@ -17,7 +16,6 @@ from phasequark.hamiltonian import HamiltonianSpec, build_hamiltonian
 from phasequark.pauli_expr import (
     NAMED_OPERATORS,
     SYMBOLS,
-    ExactComplex,
     ParseError,
     PauliExpr,
     anticommutator_expr,
@@ -39,71 +37,70 @@ TRIPLES = list(itertools.product(range(4), repeat=3))
 # -- exact scalars ----------------------------------------------------------
 
 
+def _gaussian(real, imag) -> PauliExpr:
+    """The scalar real + imag i, built as the DSL builds one: a real part plus i times another."""
+    return PauliExpr.from_scalar(real) + PauliExpr.from_scalar(imag) * parse("i")
+
+
+_PRINTED = [
+    (Fraction(1, 2), 0, "0.5"),
+    (Fraction(-1, 4), 0, "-0.25"),
+    (3, 0, "3"),
+    (0, 1, "i"),
+    (0, -1, "-i"),
+    (0, Fraction(5, 2), "2.5i"),
+    (1, 1, "(1+i)"),
+    (Fraction(5, 2), Fraction(-1, 2), "(2.5-0.5i)"),
+]
+
+
 def test_literals_parse_exactly():
-    assert ExactComplex.from_literal("0.1").re == Fraction(1, 10)
-    assert ExactComplex.from_literal("2.5").re == Fraction(5, 2)
-    assert ExactComplex.from_literal("1000000").re == 10**6
-    assert ExactComplex.from_literal(".25").re == Fraction(1, 4)
+    assert parse("0.1") == PauliExpr.from_scalar(Fraction(1, 10))
+    assert parse("2.5") == PauliExpr.from_scalar(Fraction(5, 2))
+    assert parse("1000000") == PauliExpr.from_scalar(10**6)
+    assert parse(".25") == PauliExpr.from_scalar(Fraction(1, 4))
 
 
-@pytest.mark.parametrize(
-    "value,text",
-    [
-        (ExactComplex(Fraction(1, 2)), "0.5"),
-        (ExactComplex(Fraction(-1, 4)), "-0.25"),
-        (ExactComplex(Fraction(3)), "3"),
-        (ExactComplex(Fraction(0), Fraction(1)), "i"),
-        (ExactComplex(Fraction(0), Fraction(-1)), "-i"),
-        (ExactComplex(Fraction(0), Fraction(5, 2)), "2.5i"),
-        (ExactComplex(Fraction(1), Fraction(1)), "(1+i)"),
-        (ExactComplex(Fraction(5, 2), Fraction(-1, 2)), "(2.5-0.5i)"),
-        (ExactComplex(Fraction(1, 3)), "1/3"),  # non-decimal fallback
-    ],
-)
-def test_exact_complex_printing(value, text):
-    assert str(value) == text
+@pytest.mark.parametrize("real,imag,text", _PRINTED, ids=[text for *_, text in _PRINTED])
+def test_scalar_printing(real, imag, text):
+    assert str(_gaussian(real, imag)) == text
+    assert parse(text) == _gaussian(real, imag)
 
 
-def test_exact_complex_arithmetic():
-    i = ExactComplex.unit_i()
-    assert i * i == ExactComplex(Fraction(-1))
-    a = ExactComplex(Fraction(1, 2), Fraction(3))
-    b = ExactComplex(Fraction(2), Fraction(-1))
-    assert a + b == ExactComplex(Fraction(5, 2), Fraction(2))
-    assert a * b == ExactComplex(Fraction(4), Fraction(11, 2))
-    assert complex(a) == 0.5 + 3j
+_NON_DECIMAL = [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 30), Fraction(7, 2**70 * 3)]
 
 
-def test_exact_complex_is_an_immutable_value():
-    z = ExactComplex(Fraction(5, 2), -1)
-    assert z.re == Fraction(5, 2) and z.im == -1
-    assert type(z.re) is Fraction and type(z.im) is Fraction
-    assert repr(z) == "ExactComplex(re=Fraction(5, 2), im=Fraction(-1, 1))"
-    big = "1" + "0" * 5000  # past int's 4300-digit str() limit
-    assert repr(ExactComplex(10**5000, 0)) == f"ExactComplex(re=Fraction({big}, 1), im=Fraction(0, 1))"
-    assert (repr(ExactComplex(Fraction(-10**5000, 3)))
-            == f"ExactComplex(re=Fraction(-{big}, 3), im=Fraction(0, 1))")
-    assert ExactComplex() == ExactComplex(0, Fraction(0)) and ExactComplex().is_zero()
-    with pytest.raises(AttributeError):
-        z.re = Fraction(1)
-    with pytest.raises(AttributeError):
-        z.anything = 1
-    assert pickle.loads(pickle.dumps(z)) == z
-    assert copy.deepcopy(z) == z
-    assert {z: 1}[ExactComplex(Fraction(10, 4), Fraction(-2, 2))] == 1
-    with pytest.raises(TypeError):
-        ExactComplex(0.5)
+@pytest.mark.parametrize("value", _NON_DECIMAL, ids=str)
+def test_non_decimal_scalars_are_rejected(value):
+    """The grammar writes no 1/3, so no expression may hold one."""
+    e = parse("2*i*p1 + A1")
+    builds = [lambda: e * value, lambda: value * e, lambda: PauliExpr.from_scalar(value),
+              lambda: PauliExpr({(0, 0, 0): {(): value}}),
+              lambda: PauliExpr({(1, 1, 0): {(("p1", 1),): value}})]
+    for build in builds:
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            build()
 
 
-@pytest.mark.parametrize("text", ["0.1", "2.5", ".25", "7.", "1e-3", "-0.5", " 2 ", "3.14E2"])
-def test_from_literal_keeps_decimal_semantics(text):
-    z = ExactComplex.from_literal(text)
-    assert z.re == Fraction(Decimal(text)) and z.im == 0
+@pytest.mark.parametrize("value", [True, False, 0.5, 1j, Decimal("0.5"), "2", None],
+                         ids=repr)
+def test_scalars_that_are_not_int_or_fraction_are_type_errors(value):
+    with pytest.raises(TypeError, match="exact scalar"):
+        parse("A1") * value
+    with pytest.raises(TypeError, match="exact scalar"):
+        PauliExpr.from_scalar(value)
 
 
-def test_scalar_third_prints_as_a_fraction():
-    assert str(parse("A1") * Fraction(1, 3)) == "1/3*s1#s1#s0"
-    assert str(parse("2*i*p1") * Fraction(1, 3)) == "2/3i*p1"
+@given(st.integers(0, 60), st.integers(0, 60), st.sampled_from([1, 3, 7, 9, 11, 2**61 - 1]),
+       st.sampled_from([1, -1, 3]))
+def test_the_scalar_domain_is_the_decimal_fractions(twos, fives, rest, num):
+    value = Fraction(num, 2**twos * 5**fives * rest)
+    if value.denominator == 2**twos * 5**fives:  # rest is 1, or num divided it out
+        e = PauliExpr.from_scalar(value) * parse("A1")
+        assert parse(str(e)) == e
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            PauliExpr.from_scalar(value)
 
 
 # -- the two-Fraction coefficient, kept as the reference route ---------------
@@ -176,7 +173,6 @@ class FractionComplex:
 _DENOMINATORS = st.one_of(
     st.just(1),
     st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 12), st.integers(0, 12)),
-    st.sampled_from([3, 7]),
 )
 _RATIONALS = st.builds(Fraction, st.integers(-(2**80), 2**80), _DENOMINATORS)
 # small numerators too, so that sums cancel and products reduce
@@ -185,38 +181,38 @@ _GAUSSIAN = st.tuples(_PARTS, _PARTS)
 
 
 def _both(parts):
-    return ExactComplex(*parts), FractionComplex(*parts)
+    """The triple of real + imag i, built by the triple arithmetic, and its reference."""
+    real, imag = parts
+    z = pauli_expr._cadd(pauli_expr._from_rational(real),
+                         pauli_expr._times_i_power(pauli_expr._from_rational(imag), 1))
+    return z, FractionComplex(real, imag)
 
 
-def _same(z: ExactComplex, ref: FractionComplex) -> None:
-    a, b, d = z._t
+def _same(z, ref: FractionComplex) -> None:
+    a, b, d = z
     assert d > 0 and math.gcd(a, b, d) == 1  # the triple is reduced
-    assert (z.re, z.im) == (ref.re, ref.im)
-    assert str(z) == str(ref)
-    assert complex(z) == complex(ref)
-    assert np.array_equal(np.array([complex(z)]).view(np.float64),
-                          np.array([complex(ref)]).view(np.float64))  # signs of zeros too
+    assert (Fraction(a, d), Fraction(b, d)) == (ref.re, ref.im)
+    assert pauli_expr._coeff_str(z) == str(ref)
 
 
 @given(_GAUSSIAN, _GAUSSIAN, st.integers(0, 3))
 @example((Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(0)), 0)  # 2/2 reduces
 @example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)), 1)  # (1+i)(1-i)/4
-@example((Fraction(1, 10), Fraction(0)), (Fraction(-1, 10), Fraction(3, 7)), 3)  # 1/10 - 1/10
+@example((Fraction(1, 10), Fraction(0)), (Fraction(-1, 10), Fraction(3, 8)), 3)  # 1/10 - 1/10
 def test_coefficients_match_the_fraction_reference(x_parts, y_parts, n):
-    x, rx = _both(x_parts)
-    y, ry = _both(y_parts)
+    cadd, cmul, times_i_power = pauli_expr._cadd, pauli_expr._cmul, pauli_expr._times_i_power
+    (x, rx), (y, ry) = _both(x_parts), _both(y_parts)
     _same(x, rx)
-    _same(x + y, rx + ry)
-    _same(x - y, rx - ry)
-    _same(x * y, rx * ry)
-    _same(-x, -rx)
-    _same(ExactComplex._wrap(pauli_expr._times_i_power(x._t, n)), rx.times_i_power(n))
-    _same(x * ExactComplex.unit_i(), rx.times_i_power(1))
+    _same(cadd(x, y), rx + ry)
+    _same(cadd(x, times_i_power(y, 2)), rx - ry)
+    _same(cmul(x, y), rx * ry)
+    _same(times_i_power(x, n), rx.times_i_power(n))
+    _same(times_i_power(x, n + 4), rx.times_i_power(n))  # n is read mod 4
+    _same(cmul(x, (0, 1, 1)), rx.times_i_power(1))
     assert (x == y) == (rx == ry)
-    assert (x + y == y + x) and hash(x + y) == hash(y + x)
-    twin = ExactComplex(x_parts[0] * 3 / 3, x_parts[1])
-    assert twin == x and hash(twin) == hash(x)
-    assert (x - x).is_zero() and (x - x) == ExactComplex()
+    assert cadd(x, y) == cadd(y, x) and cmul(x, y) == cmul(y, x)
+    assert cadd(cmul(x, (2, 0, 1)), times_i_power(x, 2)) == x  # 2x - x reduces back to x
+    assert cadd(x, times_i_power(x, 2)) == (0, 0, 1)
 
 
 def _reference_to_matrix(expr: PauliExpr, values) -> np.ndarray:
@@ -236,13 +232,13 @@ def _reference_to_matrix(expr: PauliExpr, values) -> np.ndarray:
 def coefficient_expressions(draw):
     """A sum of up to 6 terms with Gaussian-rational coefficients, times another."""
     def one():
-        terms = {}
+        total = PauliExpr.zero()
         for _ in range(draw(st.integers(1, 6))):
             mono = tuple(sorted(draw(st.dictionaries(
                 st.sampled_from(SYMBOLS[:4]), st.integers(1, 2), max_size=2)).items()))
-            terms.setdefault(draw(st.sampled_from(TRIPLES)), {})[mono] = ExactComplex(
-                *draw(_GAUSSIAN))
-        return PauliExpr(terms)
+            ijk, (real, imag) = draw(st.sampled_from(TRIPLES)), draw(_GAUSSIAN)
+            total += PauliExpr({ijk: {mono: real}}) + PauliExpr({ijk: {mono: imag}}) * parse("i")
+        return total
     return one() * one()
 
 
@@ -256,7 +252,7 @@ def test_to_matrix_matches_the_fraction_reference(expr, seed):
 @given(st.from_regex(r"\A(?:\d{1,25}\.\d{0,25}|\.\d{1,25}|\d{1,25})\Z"))
 def test_parsed_literals_equal_their_decimal_value(text):
     assert parse(text) == PauliExpr.from_scalar(Fraction(Decimal(text)))
-    assert parse(text + "i") == PauliExpr.from_scalar(ExactComplex(0, Fraction(Decimal(text))))
+    assert parse(text + "i") == _gaussian(0, Fraction(Decimal(text)))
 
 
 def test_literal_longer_than_int_string_limit():
@@ -388,8 +384,7 @@ def test_corpus_canonical_forms_match_golden():
 # a decimal denominator 2^a 5^b, so that every coefficient prints as parse reads it
 _DECIMAL_FRACTIONS = st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b),
                                st.integers(-50, 50), st.integers(0, 3), st.integers(0, 3))
-_SCALARS = st.one_of(st.integers(-5, 5), _DECIMAL_FRACTIONS,
-                     st.builds(ExactComplex, _DECIMAL_FRACTIONS, _DECIMAL_FRACTIONS))
+_SCALARS = st.one_of(st.integers(-5, 5), _DECIMAL_FRACTIONS)
 # (symbol, power) pairs in any order, a symbol possibly more than once
 _FACTORS = st.lists(st.tuples(st.sampled_from(SYMBOLS[:4]), st.integers(1, 2)), max_size=3)
 
@@ -429,6 +424,46 @@ _REJECTED = [
 def test_constructor_rejects_malformed_terms(terms, error):
     with pytest.raises(error):
         PauliExpr(terms)
+
+
+def _pairs(items):
+    return st.tuples(items, items)
+
+
+# every way to build an expression: the constructor and the DSL at the leaves
+# (the DSL is the only source of i), then +, -, * and * by an int or decimal Fraction
+_BUILT = st.recursive(
+    st.one_of(
+        st.dictionaries(st.sampled_from(TRIPLES),
+                        st.dictionaries(_FACTORS.map(tuple), _SCALARS, max_size=2),
+                        max_size=2).map(PauliExpr),
+        st.sampled_from(["i", "1.5i", "(0.5-2i)*A1", "-0.25i*p1*B2", "gamma5", "C*x3"]).map(parse),
+    ),
+    lambda inner: st.one_of(
+        _pairs(inner).map(lambda t: t[0] + t[1]),
+        _pairs(inner).map(lambda t: t[0] - t[1]),
+        _pairs(inner).map(lambda t: t[0] * t[1]),
+        st.tuples(inner, _SCALARS).map(lambda t: t[0] * t[1]),
+        st.tuples(_SCALARS, inner).map(lambda t: t[0] * t[1]),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_BUILT)
+def test_built_expressions_round_trip(e):
+    printed = str(e)
+    assert parse(printed) == e
+    assert str(parse(printed)) == printed
+
+
+@pytest.mark.parametrize("other", [1, 0, Fraction(1, 2), 0.5, "A1", None], ids=repr)
+def test_adding_a_non_expression_is_a_type_error(other):
+    e = parse("A1")
+    for combine in (lambda: e + other, lambda: e - other, lambda: other + e, lambda: other - e):
+        with pytest.raises(TypeError):
+            combine()
 
 
 # -- evaluation -------------------------------------------------------------
@@ -481,6 +516,19 @@ def test_equal_expressions_give_bit_identical_matrices():
 def test_to_matrix_requires_bindings():
     with pytest.raises(ValueError, match="m, p1"):
         parse("A1*p1 + B*m").to_matrix({})
+
+
+@pytest.mark.parametrize("value", ["2", b"2", True, False, np.bool_(True)], ids=repr)
+def test_to_matrix_takes_only_numbers(value):
+    """complex() reads '2' and True, but neither is a number."""
+    with pytest.raises(TypeError, match="symbol p1 needs a number"):
+        parse("A1*p1 + B*m").to_matrix({"p1": value, "m": 1.0})
+
+
+@pytest.mark.parametrize("value", [2, 2.0, 2 + 0j, Fraction(2), Decimal(2), np.float64(2),
+                                   np.int64(2), np.complex128(2)], ids=repr)
+def test_to_matrix_takes_any_number(value):
+    assert np.array_equal(parse("A1*p1").to_matrix({"p1": value}), 2 * cf.build_A(1))
 
 
 def test_anticommutator_and_commutator_helpers():
