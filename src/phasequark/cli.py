@@ -10,7 +10,8 @@ a spectrum or transform output that overflows float64), each reported as a
 JSON object {"error": ...} on stdout.
 
 The parser is built on its first use and shared for the life of the process:
-later main calls reuse it.
+later main calls reuse it.  Each subcommand's handler returns its text and exit
+code, and main writes the text once, to stdout or to --out.
 """
 
 from __future__ import annotations
@@ -117,18 +118,22 @@ def build_parser() -> argparse.ArgumentParser:
         "generator algebra and its 8x8 Dirac-style Hamiltonians.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    out = argparse.ArgumentParser(add_help=False)  # the --out of every subcommand
+    out.add_argument("--out", default=None, help="write the output here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
+    p_verify = sub.add_parser("verify", parents=[out], help="run a named verification suite")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override every check tolerance")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--timings", action="store_true",
                           help="add each check's wall time as elapsed_ms")
 
-    p_tr = sub.add_parser("transform", help="apply a pairing or a generator exponential")
+    p_tr = sub.add_parser("transform", parents=[out],
+                          help="apply a pairing or a generator exponential")
+    p_tr.set_defaults(run=_cmd_transform)
     group = p_tr.add_mutually_exclusive_group(required=True)
     group.add_argument("--pairing", default=None, metavar="TAG",
                        help=f"one of {', '.join(pairing_tags())}")
@@ -138,31 +143,29 @@ def build_parser() -> argparse.ArgumentParser:
                       help="rotation angle for --generator")
     p_tr.add_argument("--input", required=True,
                       help="six comma-separated numbers p1,p2,p3,x1,x2,x3")
-    p_tr.add_argument("--out", default=None)
 
-    p_sp = sub.add_parser("spectrum", help="eigenvalues and squared form of a spec")
+    p_sp = sub.add_parser("spectrum", parents=[out], help="eigenvalues and squared form of a spec")
+    p_sp.set_defaults(run=_cmd_spectrum)
     p_sp.add_argument("spec_file", help="JSON Hamiltonian spec")
-    p_sp.add_argument("--out", default=None)
 
-    p_cj = sub.add_parser("conjugate", help="charge conjugate a Dirac/colored spec")
+    p_cj = sub.add_parser("conjugate", parents=[out], help="charge conjugate a Dirac/colored spec")
+    p_cj.set_defaults(run=_cmd_conjugate)
     p_cj.add_argument("spec_file", help="JSON Hamiltonian spec")
-    p_cj.add_argument("--out", default=None)
 
-    p_ex = sub.add_parser("export", help="export a named matrix as JSON or CSV")
+    p_ex = sub.add_parser("export", parents=[out], help="export a named matrix as JSON or CSV")
+    p_ex.set_defaults(run=_cmd_export)
     p_ex.add_argument("label", help="e.g. F3, R, G(1,5), A1, B2, C, gamma5, pairing:R")
     p_ex.add_argument("--format", default="json", choices=("json", "csv"))
-    p_ex.add_argument("--out", default=None)
 
     return parser
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     report = run_suite(args.suite, tol=args.tol, seed=args.seed, timings=args.timings)
-    _emit(dump_json(report.to_dict()), args.out)
-    return 0 if report.passed else 1
+    return dump_json(report.to_dict()), 0 if report.passed else 1
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> tuple[str, int]:
     values = _parse_vector6(args.input)
     if args.pairing is not None:
         if args.angle is not None:
@@ -189,8 +192,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             "input": values,
             "output": moved,
         }
-    _emit(dump_json(payload), args.out)
-    return 0
+    return dump_json(payload), 0
 
 
 def _finite(value) -> bool:
@@ -200,7 +202,7 @@ def _finite(value) -> bool:
     return value is None or math.isfinite(value)
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
     spec = _load_spec(args.spec_file)
     report = square_and_spectrum(build_hamiltonian(spec)).to_dict()
     for field, value in report.items():
@@ -209,11 +211,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 f"spectrum of the {spec.kind} spec is not finite: "
                 f"{field!r} overflows float64"
             )
-    _emit(dump_json({"spec": spec.to_dict(), "spectrum": report}), args.out)
-    return 0
+    return dump_json({"spec": spec.to_dict(), "spectrum": report}), 0
 
 
-def _cmd_conjugate(args: argparse.Namespace) -> int:
+def _cmd_conjugate(args: argparse.Namespace) -> tuple[str, int]:
     spec = _load_spec(args.spec_file)
     matrix, conj_spec = conjugate_hamiltonian(spec)
     payload = {
@@ -221,38 +222,28 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
         "conjugated_spec": conj_spec.to_dict(),
         "matrix": matrix,
     }
-    _emit(dump_json(payload), args.out)
-    return 0
+    return dump_json(payload), 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> tuple[str, int]:
     kind, matrix = resolve_export(args.label)
     if args.format == "csv":
-        _emit(matrix_to_csv(matrix), args.out)
-    else:
-        payload = {
-            "label": args.label,
-            "kind": kind,
-            "shape": list(matrix.shape),
-            "matrix": matrix,
-        }
-        _emit(dump_json(payload), args.out)
-    return 0
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "transform": _cmd_transform,
-    "spectrum": _cmd_spectrum,
-    "conjugate": _cmd_conjugate,
-    "export": _cmd_export,
-}
+        return matrix_to_csv(matrix), 0
+    payload = {
+        "label": args.label,
+        "kind": kind,
+        "shape": list(matrix.shape),
+        "matrix": matrix,
+    }
+    return dump_json(payload), 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        text, code = args.run(args)  # each subcommand's handler, set by build_parser
+        _emit(text, args.out)
+        return code
     except ValueError as exc:
         return _emit_error(str(exc))
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "OperatorMatrix",
     "PAULI",
     "KRON3_STACK",
     "OPERATORS",
@@ -55,8 +54,6 @@ __all__ = [
     "build_colored_gamma5",
 ]
 
-OperatorMatrix = np.ndarray
-
 PAULI: tuple[np.ndarray, ...] = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -73,12 +70,12 @@ KRON3_STACK: np.ndarray = np.einsum(
 KRON3_STACK.flags.writeable = False
 
 
-def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> OperatorMatrix:
+def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Triple Kronecker product, first factor outermost (slowest index)."""
     return np.kron(np.kron(np.asarray(a, dtype=complex), b), c)
 
 
-def kron3_by_index(i: int, j: int, k: int) -> OperatorMatrix:
+def kron3_by_index(i: int, j: int, k: int) -> np.ndarray:
     """kron3 of Pauli matrices selected by index, e.g. (3, 1, 0)."""
     return kron3(PAULI[i], PAULI[j], PAULI[k])
 
@@ -97,55 +94,55 @@ GENERATOR_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
 _I_POWER = (1, 1j, -1, -1j)
 
 
-def _tensor(n: int, i: int, j: int, k: int) -> OperatorMatrix:
+def _tensor(n: int, i: int, j: int, k: int) -> np.ndarray:
     return _I_POWER[n] * KRON3_STACK[16 * i + 4 * j + k]
 
 
-def named_operator(name: str) -> OperatorMatrix:
+def named_operator(name: str) -> np.ndarray:
     """The table's operator i**n * kron3(s_i, s_j, s_k), a new array; KeyError if unknown."""
     n, ijk = OPERATORS[name]
     return _tensor(n, *ijk)
 
 
-def build_A(k: int) -> OperatorMatrix:
+def build_A(k: int) -> np.ndarray:
     """Momentum-sector generator A_k = kron3(s_k, s1, s0)."""
-    if k not in (1, 2, 3):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3):
         raise ValueError(f"A index must be 1..3, got {k}")
     return named_operator(f"A{k}")
 
 
-def build_B() -> OperatorMatrix:
+def build_B() -> np.ndarray:
     """Mass-sector generator B = kron3(s0, s3, s0)."""
     return named_operator("B")
 
 
-def build_Bk(k: int) -> OperatorMatrix:
+def build_Bk(k: int) -> np.ndarray:
     """Position-sector generator B_k = kron3(s0, s2, s_k)."""
-    if k not in (1, 2, 3):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3):
         raise ValueError(f"B index must be 1..3, got {k}")
     return named_operator(f"B{k}")
 
 
-def anticommutator(x: np.ndarray, y: np.ndarray) -> OperatorMatrix:
+def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
-def commutator8(x: np.ndarray, y: np.ndarray) -> OperatorMatrix:
+def commutator8(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def reflect(x: np.ndarray) -> OperatorMatrix:
+def reflect(x: np.ndarray) -> np.ndarray:
     """Conjugation by B; sends every A_k and B_k to its negative."""
     b = build_B()
     return b @ x @ b
 
 
-def conjugate_matrix(x: np.ndarray) -> OperatorMatrix:
+def conjugate_matrix(x: np.ndarray) -> np.ndarray:
     """Entrywise complex conjugation (the i -> -i substitution)."""
     return np.conj(np.asarray(x, dtype=complex))
 
 
-def build_C(tau: str = "s2") -> OperatorMatrix:
+def build_C(tau: str = "s2") -> np.ndarray:
     """Charge conjugation C = -i * kron3(s2, s2, tau): the table's C, last factor tau."""
     if tau not in _TAU_NAMES:
         raise ValueError(f"tau must be one of {_TAU_NAMES}, got {tau!r}")
@@ -168,12 +165,12 @@ def charge_conjugation_tau_scan() -> dict[str, list[int]]:
     return failures
 
 
-def build_gamma5() -> OperatorMatrix:
+def build_gamma5() -> np.ndarray:
     """Chirality matrix -i A1 A2 A3 = kron3(s0, s1, s0)."""
     return named_operator("gamma5")
 
 
-def build_colored_gamma5(color: str) -> OperatorMatrix:
+def build_colored_gamma5(color: str) -> np.ndarray:
     """Colored chirality -i A_c B_(c+1) B_(c+2), cyclic in the color axis.
 
     Closed forms: R -> kron3(s1, s1, s1), Y -> kron3(s2, s1, s2),

@@ -237,18 +237,15 @@ class HamiltonianSpec:
             object.__setattr__(self, name, _vec3(getattr(self, name), name))
         if self.em is not None and not isinstance(self.em, EMField):
             raise ValueError(f"em must be an EMField, got {self.em!r}")
-        accepted = _TABLE[self.kind].fields
-        for f in fields(self)[1:]:
-            if f.name not in accepted and getattr(self, f.name) != f.default:
-                raise ValueError(f"field {f.name!r} is not valid for kind {self.kind}")
+        given = {f.name: v for f in fields(self)[1:] if (v := getattr(self, f.name)) != f.default}
         with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
-            c = coefficients(self.kind, **{name: getattr(self, name) for name in accepted})
+            c = coefficients(self.kind, **given)  # which rejects a field the kind lacks
             row = c.tolist()  # plain floats: the test of a valid spec builds no array
             if not (all(map(math.isfinite, row)) and math.isfinite(abs(row[0]) + abs(row[7]))):
                 bad = ~np.isfinite(c)  # name each field whose own part of c reaches a bad entry
                 bad[[0, 7]] |= not np.isfinite(abs(c[0]) + abs(c[7]))  # the diagonal s +- beta
-                names = [name for name in accepted
-                         if np.any(coefficients(self.kind, **{name: getattr(self, name)})[bad] != 0)]
+                names = [name for name, v in given.items()
+                         if np.any(coefficients(self.kind, **{name: v})[bad] != 0)]
                 raise ValueError(f"coefficients of the {self.kind} spec overflow float64 in "
                                  + ", ".join(map(repr, names)))
         c.flags.writeable = False
@@ -417,10 +414,10 @@ def rotation_matrix(axis: int | Sequence[float], angle: float | np.ndarray) -> n
     angle, so each matrix of a stack equals the call for its own axis and
     angle bit for bit.
     """
-    angles = np.asarray(angle, dtype=float)
+    angles = np.asarray(angle)  # NumPy would read a bool or text as a float
     flat = angles.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
-        raise ValueError(f"angle must be finite, got {angle!r}")
+    if angles.dtype.kind not in "iuf" or not all(map(math.isfinite, flat)):
+        raise ValueError(f"angle must be a finite int or float, or an array, got {angle!r}")
     if isinstance(axis, (bool, np.bool_)):
         raise ValueError(f"axis must be an index 1..3 or a 3-vector, not a bool: {axis!r}")
     if isinstance(axis, numbers.Integral):

@@ -61,6 +61,7 @@ expression equal to ``e``.
 
 from __future__ import annotations
 
+import cmath
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -404,8 +405,10 @@ class PauliExpr:
 
         values supplies a number for every free symbol; a missing symbol
         raises ValueError and text or a bool, which complex() would read,
-        TypeError, each naming the symbol.  Terms are summed in canonical
-        order, so equal expressions give bit-identical matrices.
+        TypeError, each naming the symbol.  A tensor whose sum is not finite
+        (from a NaN or infinite value, or an overflow) raises ValueError naming
+        it.  Terms are summed in canonical order, so equal expressions give
+        bit-identical matrices.
         """
         values = dict(values or {})
         free = self.free_symbols
@@ -417,13 +420,22 @@ class PauliExpr:
             value = values[name]
             if isinstance(value, (str, bytes, bool, np.bool_)):
                 raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}")
-            numbers[name] = complex(value)
+            try:
+                numbers[name] = complex(value)
+            except OverflowError:  # an int or a Fraction past float64
+                raise ValueError(f"symbol {name} needs a number within float64's range") from None
         totals: dict[int, complex] = {}
-        for (basis, mono), (a, b, d) in sorted(self._terms.items()):
-            val = complex(a / d, b / d)
-            for name, power in mono:
-                val *= numbers[name] ** power
-            totals[basis] = totals.get(basis, 0j) + val
+        try:
+            for (basis, mono), (a, b, d) in sorted(self._terms.items()):
+                val = complex(a / d, b / d)
+                for name, power in mono:
+                    val *= numbers[name] ** power
+                totals[basis] = totals.get(basis, 0j) + val
+        except OverflowError:  # a coefficient or a power past float64: an infinite sum
+            totals[basis] = cmath.inf
+        bad = [_LABELS[basis] for basis, total in totals.items() if not cmath.isfinite(total)]
+        if bad:  # from a NaN or infinite value, or an overflow
+            raise ValueError(f"the sum of the {bad[0]} terms is not finite at these values")
         index = [basis for basis, total in totals.items() if total != 0]
         weights = np.array([totals[basis] for basis in index], dtype=complex)
         return (weights @ _FLAT_STACK[index]).reshape(8, 8)

@@ -129,7 +129,8 @@ class Generator6:
 
 def build_G(m: int, n: int) -> Generator6:
     """Plane rotation generator with +1 at (m, n) and -1 at (n, m), 1-based."""
-    if not (1 <= m <= 6 and 1 <= n <= 6):
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= 6
+               for i in (m, n)):
         raise ValueError(f"G indices must be in 1..6, got ({m}, {n})")
     if m == n:
         raise ValueError(f"G indices must differ, got ({m}, {n})")
@@ -352,9 +353,9 @@ def exp_generator(g: Generator6 | np.ndarray, theta: float | np.ndarray) -> np.n
     an (N, 2F) block of weights, each angle still reduced on its own, times
     the cached split.  Each matrix equals the call at its angle.
     """
-    thetas = np.asarray(theta, dtype=float)
-    if thetas.ndim > 1 or not np.isfinite(thetas).all():
-        raise ValueError(f"angle must be finite, a number or a 1-D array, got {theta}")
+    thetas = np.asarray(theta)  # NumPy would read a bool or text as a float
+    if thetas.dtype.kind not in "iuf" or thetas.ndim > 1 or not np.isfinite(thetas).all():
+        raise ValueError(f"angle must be a finite int or float, or a 1-D array, got {theta!r}")
     m = g.matrix if isinstance(g, Generator6) else np.asarray(g, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"exp_generator needs a 6x6 matrix, got {m.shape}")

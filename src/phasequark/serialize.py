@@ -88,28 +88,19 @@ def dump_json(obj) -> str:
     return _render(obj, "") + "\n"
 
 
-def _csv_number(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
 def matrix_to_csv(m: np.ndarray) -> str:
-    """Rows of comma-separated entries; complex entries printed as a+bi."""
+    """Rows of comma-separated entries, each number printed as dump_json prints
+    it; complex entries printed as a+bi."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"CSV export is for matrices, got ndim={m.ndim}")
-    lines = []
     complex_valued = m.dtype.kind == "c" and bool(np.any(m.imag))
-    for row in m:
-        cells = []
-        for value in row:
-            if complex_valued:
-                c = complex(value)
-                sign = "+" if c.imag >= 0 else "-"
-                cells.append(f"{_csv_number(c.real)}{sign}{_csv_number(abs(c.imag))}i")
-            else:
-                cells.append(_csv_number(complex(value).real))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    def cell(c: complex) -> str:
+        text = _render(c.real, "")
+        if complex_valued:  # then the imaginary part, as +bi or -bi
+            text += ("+" if c.imag >= 0 else "-") + _render(abs(c.imag), "") + "i"
+        return text
+    return "".join(",".join(map(cell, row)) + "\n" for row in m.astype(complex).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -589,9 +589,9 @@ def _check_chirality_breaking(rng):
     g5 = clifford.build_gamma5()
     x = rng.uniform(-2.0, 2.0, size=3)
     m = float(rng.uniform(0.5, 2.0))
-    mass_term = m * clifford.build_B()
-    position_term = sum(clifford.build_Bk(k + 1) * x[k] for k in range(3))
-    kinetic = sum(clifford.build_A(k + 1) * x[k] for k in range(3))
+    mass_term = m * _B8
+    position_term = sum(_BK8[k] * x[k] for k in range(3))
+    kinetic = sum(_A8[k] * x[k] for k in range(3))
     terms = np.stack([mass_term, position_term, kinetic])
     worst = _compare(g5 @ terms @ g5, np.array([-1.0, -1.0, 1.0])[:, None, None] * terms)
     return worst, {"note": "mass and position terms anticommute with gamma5; kinetic term commutes"}

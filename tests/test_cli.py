@@ -633,6 +633,37 @@ def test_out_flag_writes_file(tmp_path):
     assert target.read_text() == (GOLDEN / "verify_su3_default.json").read_text()
 
 
+_OUT_ARGV = [  # every subcommand, and the exit code of each argv
+    (["verify", "--suite", "su3"], 0),
+    (["verify", "--suite", "su3", "--tol", "1e-30"], 1),
+    (["transform", "--pairing", "R", "--input=1,2,3,4,5,6"], 0),
+    (["transform", "--generator", "H2", "--angle", "0.5", "--input=1,2,3,4,5,6"], 0),
+    (["spectrum", str(DATA / "qqbar_rest.json")], 0),
+    (["conjugate", str(DATA / "dirac_em.json")], 0),
+    (["export", "A1"], 0),
+    (["export", "G(1,5)", "--format", "csv"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", _OUT_ARGV, ids=[
+    "verify", "verify-failing", "transform-pairing", "transform-generator", "spectrum",
+    "conjugate", "export-json", "export-csv"])
+def test_out_writes_what_the_command_prints(capsys, tmp_path, argv, code):
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == printed.out.encode("utf-8")
+    unwritable = tmp_path / "missing" / "out"
+    assert main([*argv, "--out", str(unwritable)]) == 2
+    error = capsys.readouterr()
+    assert error.err == "" and list(strict_json(error.out)) == ["error"]
+    assert strict_json(error.out)["error"].startswith("cannot write --out file")
+    assert not unwritable.exists()
+
+
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasequark import clifford as cf, hamiltonian
+from phasequark import clifford as cf, hamiltonian, phase_space as ps
 from phasequark.hamiltonian import (
     BASIS,
     KINDS,
@@ -510,6 +510,42 @@ def test_rotation_matrix_rejects_bad_axes():
         rotation_matrix(3, [[0.1, 0.2], [0.3, float("inf")]])
     with pytest.raises(ValueError, match="3-vector"):
         rotation_matrix(np.full((2, 4), 0.5), [0.1, 0.2])
+
+
+_SPEC = HamiltonianSpec(kind="ColorR", m=1.0, p=(1.0, 2.0, 3.0), x=(0.0, 1.0, 0.0))
+_NOT_NUMBERS = [  # NumPy or a lookup would read each as a number: (call, its args, the name)
+    (cf.build_A, (True,), "A index"),
+    (cf.build_A, (1.0,), "A index"),
+    (cf.build_Bk, (np.float64(2),), "B index"),
+    (ps.build_G, (True, 2), "G indices"),
+    (ps.build_G, (1.0, 2), "G indices"),
+    (rotation_matrix, (3, True), "angle"),
+    (rotation_matrix, (3, "0.5"), "angle"),
+    (rotation_matrix, (3, [np.True_, np.False_]), "angle"),
+    (ps.exp_generator, (ps.build_F(1), True), "angle"),
+    (ps.exp_generator, (ps.build_F(1), "0.5"), "angle"),
+    (rotate_hamiltonian, (_SPEC, 3, True), "angle"),
+]
+
+
+@pytest.mark.parametrize("fn,args,name", _NOT_NUMBERS,
+                         ids=[f"{fn.__name__}({', '.join(map(repr, args[-2 if fn is ps.build_G else -1:]))})"
+                              for fn, args, _ in _NOT_NUMBERS])
+def test_an_index_or_angle_that_is_not_a_number_is_a_value_error(fn, args, name):
+    with pytest.raises(ValueError, match=name):
+        fn(*args)
+
+
+def test_ints_floats_and_numpy_numbers_stay_indices_and_angles():
+    assert np.array_equal(cf.build_A(np.int64(2)), cf.build_A(2))
+    assert np.array_equal(cf.build_Bk(np.uint8(3)), cf.build_Bk(3))
+    assert ps.build_G(np.int32(1), 2).label == "G(1,2)"
+    assert np.array_equal(rotation_matrix(3, 1), rotation_matrix(3, 1.0))
+    assert np.array_equal(rotation_matrix(3, np.float32(0.5)), rotation_matrix(3, float(np.float32(0.5))))
+    assert np.array_equal(rotation_matrix(3, np.arange(3)), rotation_matrix(3, [0.0, 1.0, 2.0]))
+    f1 = ps.build_F(1)
+    assert np.array_equal(ps.exp_generator(f1, np.int64(1)), ps.exp_generator(f1, 1.0))
+    assert np.array_equal(rotate_hamiltonian(_SPEC, 3, 2), rotate_hamiltonian(_SPEC, 3, 2.0))
 
 
 def einsum_rotated_operators(rot):

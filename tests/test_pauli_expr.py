@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -529,6 +530,23 @@ def test_to_matrix_takes_only_numbers(value):
                                    np.int64(2), np.complex128(2)], ids=repr)
 def test_to_matrix_takes_any_number(value):
     assert np.array_equal(parse("A1*p1").to_matrix({"p1": value}), 2 * cf.build_A(1))
+
+
+@pytest.mark.parametrize("text,values,named", [
+    ("A1*p1", {"p1": 10**400}, "symbol p1"),  # complex() overflows
+    ("A1*p1*p1", {"p1": 1e200}, "s1#s1#s0"),  # the power overflows
+    ("A1*p1", {"p1": math.inf}, "s1#s1#s0"),
+    ("A1*p1*x1", {"p1": 1e200, "x1": 1e200}, "s1#s1#s0"),  # the product overflows
+    ("B + A1*p1 + A2", {"p1": math.nan}, "s1#s1#s0"),  # the other sums stay finite
+    ("A1*p1", {"p1": Decimal("1e400")}, "s1#s1#s0"),  # complex() reads it as inf
+    ("1" + "0" * 400 + "*A1", {}, "s1#s1#s0"),  # the coefficient overflows
+], ids=["int-past-float64", "power", "inf", "product", "nan", "decimal-past-float64",
+        "coefficient"])
+def test_to_matrix_names_the_value_or_the_tensor_that_is_not_finite(text, values, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy warning either
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse(text).to_matrix(values)
 
 
 def test_anticommutator_and_commutator_helpers():

@@ -111,18 +111,32 @@ _LEAVES = st.one_of(
 )
 _KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.floats(), st.none())
 
+# Hypothesis renders a strategy's repr when a filter in it retries, such as the
+# unique keys of a dict, and a tree strategy holds every level below it.  The
+# composites below print as their own name, so that repr stays short however
+# many leaf strategies and levels the trees hold.
+
+
+@st.composite
+def _leaf(draw):
+    return draw(_LEAVES)
+
 
 def _dicts(children):
     """Dicts whose keys render as distinct strings, as dump_json requires."""
     return st.lists(st.tuples(_KEYS, children), max_size=4, unique_by=lambda kv: str(kv[0])).map(dict)
 
 
-def _containers(children):
-    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-                     _dicts(children))
+@st.composite
+def _containers(draw, children):
+    """A list, a tuple or a dict of at most four children."""
+    shape = draw(st.sampled_from([list, tuple, dict]))
+    if shape is dict:
+        return draw(_dicts(children))
+    return shape(draw(st.lists(children, max_size=4)))
 
 
-_TREES = st.recursive(_LEAVES, _containers, max_leaves=20)
+_TREES = st.recursive(_leaf(), _containers, max_leaves=20)
 
 
 def _nested(bad):
@@ -140,6 +154,7 @@ _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, np.float64(-np.inf), np.
                                np.array([[0, 1j], [np.inf, 0]]), np.array(-np.inf)])
 
 
+@pytest.mark.filterwarnings("error::hypothesis.errors.HypothesisWarning")  # such as a large repr
 @settings(max_examples=300)
 @given(_TREES)
 def test_payload_trees_match_the_per_element_route(tree):

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import itertools
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from phasequark import verify
+from phasequark.cli import main
 from phasequark.hamiltonian import EMField, HamiltonianSpec, build_hamiltonian
 from phasequark.verify import run_suite
 
@@ -132,6 +135,82 @@ def test_a_substitution_chain_without_conj_fails_verify(monkeypatch):
     assert report.passed is False
     assert _failing(report) == ["conjugation/colored-closed-forms", "conjugation/dirac-em",
                                 "conjugation/involution"]
+
+
+# -- a structural test made false fails its check at any tolerance below 1 ------
+
+
+def _gammas_off_the_entry_set(monkeypatch):
+    # a diagonal unitary of phases keeps Hermitian, anticommuting involutions
+    u = np.exp(1j * np.pi / 8 * np.arange(8))
+    monkeypatch.setattr(verify, "_GAMMA", u[:, None] * verify._GAMMA * u.conj())
+
+
+def _c_not_a_signed_permutation(monkeypatch):
+    # a real rotation of C still squares to -1 and stays real
+    r = np.eye(8)
+    r[:2, :2] = [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]
+    monkeypatch.setattr(verify, "_C8", r @ verify._C8 @ r.T)
+
+
+def _conjugate_twice_drifts(monkeypatch):
+    # each matrix stays right; only the conjugate of a conjugate moves m
+    conjugate, returned = verify.conjugate_hamiltonian, []
+
+    def drifting(spec):
+        matrix, conj = conjugate(spec)
+        if any(spec is c for c in returned):
+            conj = dataclasses.replace(conj, m=conj.m + 1.0)
+        returned.append(conj)
+        return matrix, conj
+
+    monkeypatch.setattr(verify, "conjugate_hamiltonian", drifting)
+
+
+def _sample_not_kept(monkeypatch):
+    # no square reads as scalar, so spectrum-symmetry keeps no sample
+    square_and_spectrum = verify.square_and_spectrum
+    monkeypatch.setattr(verify, "square_and_spectrum",
+                        lambda h: square_and_spectrum(h)._replace(scalar_square=None))
+
+
+def _spectrum_not_split(monkeypatch):
+    # the eigenvalues stay right; the degeneracies read one eightfold value
+    square_and_spectrum = verify.square_and_spectrum
+
+    def eightfold(h):
+        report = square_and_spectrum(h)
+        return report._replace(degeneracies=((report.eigenvalues[0], 8),))
+
+    monkeypatch.setattr(verify, "square_and_spectrum", eightfold)
+
+
+def _witness_ignores_x(monkeypatch):
+    # the witness's shift of x then moves nothing, as if QuarkSum were invariant
+    build_hamiltonian = verify.build_hamiltonian
+    monkeypatch.setattr(verify, "build_hamiltonian",
+                        lambda spec: build_hamiltonian(dataclasses.replace(spec, x=(0.0, 0.0, 0.0))))
+
+
+@pytest.mark.parametrize("check,breaks", [
+    ("clifford/hermitian-involution", _gammas_off_the_entry_set),
+    ("conjugation/c-matrix-properties", _c_not_a_signed_permutation),
+    ("conjugation/involution", _conjugate_twice_drifts),
+    ("composite/spectrum-symmetry", _sample_not_kept),
+    ("composite/spectrum-symmetry", _spectrum_not_split),
+    ("composite/translation-invariance", _witness_ignores_x),
+], ids=["entry-set", "signed-permutation", "twice-conjugated-spec", "sample-not-kept",
+        "spectrum-not-split", "witness"])
+def test_a_false_structural_property_fails_its_check(monkeypatch, capsys, check, breaks):
+    breaks(monkeypatch)
+    suite = check.split("/")[0]
+    result = next(c for c in run_suite(suite).checks if c.name == check)
+    assert not result.passed and result.max_residual >= 1.0
+    code = main(["verify", "--suite", suite])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+    assert (code, captured.err, report["all_passed"]) == (1, "", False)
+    assert {c["name"]: c["status"] for c in report["checks"]}[check] == "fail"
 
 
 def test_check_results_compare_without_their_timings():
