@@ -48,8 +48,6 @@ from .clifford import (  # noqa: F401
     build_colored_gamma5,
     anticommutator,
     commutator8,
-    reflect,
-    conjugate_matrix,
     charge_conjugation_tau_scan,
 )
 from .hamiltonian import (  # noqa: F401
@@ -68,7 +66,5 @@ from .pauli_expr import (  # noqa: F401
     PauliExpr,
     ParseError,
     parse,
-    anticommutator_expr,
-    commutator_expr,
 )
 from .verify import run_suite, SUITES, DEFAULT_SEED  # noqa: F401

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
-from .phase_space import (LABEL_HELP, PhaseVector, apply_pairing, exp_generator, pairing,
+from .phase_space import (COORD_NAMES, LABEL_HELP, PhaseVector, apply_pairing, exp_generator, pairing,
                           pairing_tags, resolve_generator6)
 from .serialize import dump_json, matrix_to_csv, resolve_export
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -59,7 +59,7 @@ def _parse_vector6(text: str) -> list[float]:
         raise ValueError(f"--input must be six comma-separated numbers: {exc}") from exc
     if len(values) != 6:
         raise ValueError(f"--input must be six finite comma-separated numbers, got {len(values)}")
-    for name, field, value in zip(("p1", "p2", "p3", "x1", "x2", "x3"), fields, values):
+    for name, field, value in zip(COORD_NAMES, fields, values):
         if not math.isfinite(value):
             raise ValueError(f"--input field {name} must be finite, got {field!r}")
     return values

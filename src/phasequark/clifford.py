@@ -46,8 +46,6 @@ __all__ = [
     "build_Bk",
     "anticommutator",
     "commutator8",
-    "reflect",
-    "conjugate_matrix",
     "build_C",
     "charge_conjugation_tau_scan",
     "build_gamma5",
@@ -129,17 +127,6 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def commutator8(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
-
-
-def reflect(x: np.ndarray) -> np.ndarray:
-    """Conjugation by B; sends every A_k and B_k to its negative."""
-    b = build_B()
-    return b @ x @ b
-
-
-def conjugate_matrix(x: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugation (the i -> -i substitution)."""
-    return np.conj(np.asarray(x, dtype=complex))
 
 
 def build_C(tau: str = "s2") -> np.ndarray:

@@ -73,8 +73,8 @@ whose row has x; on the free colored kinds it lands exactly on the Anti
 forms.  The substitution chain p -> -p, i -> -i, H -> -H followed by
 C H C^-1 with C = build_C("s2") reaches the same matrix by a second,
 independent route, which phasequark.verify and the tests compare against
-it.  Reflection (conjugation by B) multiplies c by REFLECT_SIGNS =
-(+, -, -, -, -, -, -, +).
+it.  Reflection (conjugation by B) negates the A_k and B_k entries of c
+and keeps those of 1 and B.
 
 Spectra are closed form: the generators anticommute and square to 1, so
 with s = c[0], r = |c[1:]| and lam = s^2 + r^2, H^2 = lam*1 + 2s(H - s*1)
@@ -149,7 +149,6 @@ _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 BASIS = np.stack([np.eye(8, dtype=complex)] + [named_operator(n) for n in GENERATOR_NAMES])
 BASIS = BASIS.reshape(8, 64)
 BASIS.flags.writeable = False
-REFLECT_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, 1])
 _A_REAL, _BK_REAL = BASIS[1:4].view(float), BASIS[4:7].view(float)  # (3, 128): re, im interleaved
 _BASIS_CONJ, _I8 = BASIS.conj(), np.eye(8)
 _PLAIN = (float, int, np.float64)  # number types that need no further check
@@ -539,9 +538,9 @@ def antiparticle_distinctness_check(
     rotation, so min_distance, the norm of the two block differences at
     that u (a sum of squares, free of cancellation), is the minimum.
 
-    Reflections reach no other distance.  Reflection, conjugation by B
-    (REFLECT_SIGNS on c), negates the a- and b-blocks and p -> -p, x -> -x
-    negates them back; an improper -R has the row -u, and d is even in u.
+    Reflections reach no other distance.  Reflection, conjugation by B,
+    negates the a- and b-blocks and p -> -p, x -> -x negates them back;
+    an improper -R has the row -u, and d is even in u.
     For every rotation the position block satisfies
         |R^T Psi_anti R x - Psi_color x| >= |P_c x|^2 / |x|,
     the margin reported next to the minimum (P_c projects off the color axis).

@@ -76,8 +76,6 @@ __all__ = [
     "PauliExpr",
     "ParseError",
     "parse",
-    "anticommutator_expr",
-    "commutator_expr",
     "SYMBOLS",
     "NAMED_OPERATORS",
 ]
@@ -405,10 +403,10 @@ class PauliExpr:
 
         values supplies a number for every free symbol; a missing symbol
         raises ValueError and text or a bool, which complex() would read,
-        TypeError, each naming the symbol.  A tensor whose sum is not finite
-        (from a NaN or infinite value, or an overflow) raises ValueError naming
-        it.  Terms are summed in canonical order, so equal expressions give
-        bit-identical matrices.
+        TypeError, each naming the symbol.  A tensor sum that is not finite,
+        or finite sums that overflow one matrix entry together, raise
+        ValueError naming the tensors.  Terms are summed in canonical order,
+        so equal expressions give bit-identical matrices.
         """
         values = dict(values or {})
         free = self.free_symbols
@@ -433,20 +431,19 @@ class PauliExpr:
                 totals[basis] = totals.get(basis, 0j) + val
         except OverflowError:  # a coefficient or a power past float64: an infinite sum
             totals[basis] = cmath.inf
-        bad = [_LABELS[basis] for basis, total in totals.items() if not cmath.isfinite(total)]
+        large = [b for b, t in totals.items() if not (abs(t.real) <= 2e307 and abs(t.imag) <= 2e307)]
+        bad = [_LABELS[basis] for basis in large if not cmath.isfinite(totals[basis])]
         if bad:  # from a NaN or infinite value, or an overflow
             raise ValueError(f"the sum of the {bad[0]} terms is not finite at these values")
         index = [basis for basis, total in totals.items() if total != 0]
         weights = np.array([totals[basis] for basis in index], dtype=complex)
+        if large:  # an entry adds at most 8 sums times 0, +-1 or +-i, so only these can overflow it
+            with np.errstate(all="ignore"):
+                over = ~np.isfinite(weights @ _FLAT_STACK[index])
+            named = [_LABELS[basis] for basis in large if _FLAT_STACK[basis][over].any()]
+            if named:
+                raise ValueError(f"the {' + '.join(named)} terms overflow a matrix entry at these values")
         return (weights @ _FLAT_STACK[index]).reshape(8, 8)
-
-
-def anticommutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:
-    return a * b + b * a
-
-
-def commutator_expr(a: PauliExpr, b: PauliExpr) -> PauliExpr:
-    return a * b - b * a
 
 
 # name -> (n, index): the operator is i**n times the tensor at index

@@ -171,7 +171,7 @@ _G_LABEL = re.compile(r"G\(([0-9]),([0-9])\)")
 
 def _indexed(family: str, i: int) -> Generator6:
     label = f"{family}{i}"
-    if label not in _NAMED:
+    if not isinstance(i, (int, np.integer)) or label not in _NAMED:  # a bool: FTrue is not a label
         raise ValueError(f"{family} index must be {_INDEX_RANGE[family]}, got {i}")
     return _NAMED[label]
 

@@ -10,7 +10,6 @@ from phasequark import clifford as cf, hamiltonian, phase_space as ps
 from phasequark.hamiltonian import (
     BASIS,
     KINDS,
-    REFLECT_SIGNS,
     EMField,
     HamiltonianSpec,
     antiparticle_distinctness_check,
@@ -173,9 +172,13 @@ def test_docstring_closed_forms_parse_to_the_built_matrix(kind, with_em):
         assert np.array_equal(form.to_matrix(values), build_hamiltonian(spec))
 
 
+# conjugation by B on the rows of BASIS: it negates A1..A3 and B1..B3 and keeps 1 and B
+REFLECT_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, 1])
+
+
 def test_reflect_signs_match_conjugation_by_b():
     for sign, g in zip(REFLECT_SIGNS, BASIS.reshape(8, 8, 8)):
-        assert np.array_equal(cf.reflect(g), sign * g)
+        assert np.array_equal(B @ g @ B, sign * g)
 
 
 def test_custom_kind():
@@ -519,6 +522,11 @@ _NOT_NUMBERS = [  # NumPy or a lookup would read each as a number: (call, its ar
     (cf.build_Bk, (np.float64(2),), "B index"),
     (ps.build_G, (True, 2), "G indices"),
     (ps.build_G, (1.0, 2), "G indices"),
+    (ps.build_F, ("1",), "F index"),
+    (ps.build_R, ("2",), "R index"),
+    (ps.build_H, ("3",), "H index"),
+    (ps.build_J, (True,), "J index"),
+    (ps.build_J, (2.0,), "J index"),
     (rotation_matrix, (3, True), "angle"),
     (rotation_matrix, (3, "0.5"), "angle"),
     (rotation_matrix, (3, [np.True_, np.False_]), "angle"),

@@ -1,5 +1,6 @@
 """The package imports exactly what pyproject.toml declares, no SciPy, and no
-numpy.random on the CLI's import path; its plain records are NamedTuples."""
+numpy.random on the CLI's import path; its plain records are NamedTuples, and
+its public names are pinned here, so removing one is a deliberate edit."""
 
 import ast
 import dataclasses
@@ -96,3 +97,53 @@ RECORD_FIELDS = {  # in the order of the dataclass fields each NamedTuple replac
 def test_records_are_named_tuples_in_their_field_order(name):
     cls = _public_classes()[name]
     assert issubclass(cls, tuple) and cls._fields == RECORD_FIELDS[name]
+
+
+TOP_LEVEL = {
+    "DEFAULT_SEED", "EMField", "Generator6", "HamiltonianSpec", "PairingScheme", "ParseError",
+    "PauliExpr", "PhaseVector", "SUITES", "SpectrumReport", "anticommutator",
+    "antiparticle_distinctness_check", "apply_pairing", "build_A", "build_B", "build_Bk", "build_C",
+    "build_F", "build_G", "build_H", "build_J", "build_R", "build_colored_gamma5", "build_composite",
+    "build_gamma5", "build_hamiltonian", "charge_conjugation_tau_scan", "commutator6", "commutator8",
+    "conjugate_hamiltonian", "derive_pairing_from_diagonal", "derive_pairing_from_rotation",
+    "exp_generator", "is_orthogonal", "is_symplectic", "kron3", "pairing", "pairing_tags", "parse",
+    "rotate_hamiltonian", "rotation_matrix", "run_suite", "square_and_spectrum",
+    "structure_constants", "symplectic_form", "verify_su3_table",
+}
+MODULE_ALL = {
+    "phase_space": ["COORD_NAMES", "PhaseVector", "Generator6", "PairingScheme", "DerivedPairing",
+                    "LABEL_HELP", "resolve_generator6", "build_G", "build_F", "build_R", "build_H",
+                    "build_J", "commutator6", "structure_constants", "verify_su3_table",
+                    "exp_generator", "is_orthogonal", "is_symplectic", "symplectic_form", "pairing",
+                    "pairing_tags", "apply_pairing", "derive_pairing_from_rotation",
+                    "derive_pairing_from_diagonal"],
+    "clifford": ["PAULI", "KRON3_STACK", "OPERATORS", "GENERATOR_NAMES", "kron3", "named_operator",
+                 "build_A", "build_B", "build_Bk", "anticommutator", "commutator8", "build_C",
+                 "charge_conjugation_tau_scan", "build_gamma5", "build_colored_gamma5"],
+    "hamiltonian": ["EMField", "HamiltonianSpec", "SpectrumReport", "DistinctnessReport", "KINDS",
+                    "coefficients", "matrices", "colored_sum", "build_hamiltonian",
+                    "build_composite", "rotation_matrix", "rotated_operators",
+                    "rotate_hamiltonian", "conjugate_hamiltonian",
+                    "antiparticle_distinctness_check", "square_and_spectrum"],
+    "pauli_expr": ["PauliExpr", "ParseError", "parse", "SYMBOLS", "NAMED_OPERATORS"],
+    "serialize": ["dump_json", "matrix_to_csv", "resolve_export", "EXPORT_LABELS"],
+    "verify": ["CheckResult", "VerificationReport", "run_suite", "substitution_conjugate",
+               "SUITES", "DEFAULT_SEED"],
+    "cli": ["main", "build_parser"],
+}
+
+
+def test_public_names_are_the_pinned_ones():
+    package = importlib.import_module("phasequark")
+    top = {name for name, value in vars(package).items()
+           if not name.startswith("_") and not inspect.ismodule(value)}
+    assert top == TOP_LEVEL
+    for name, expected in MODULE_ALL.items():
+        assert importlib.import_module(f"phasequark.{name}").__all__ == expected, name
+    # each top-level name comes from a module that lists it in __all__
+    init = ast.parse((SRC / "phasequark" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.name: node.module for node in init.body
+                if isinstance(node, ast.ImportFrom) and node.module in MODULE_ALL
+                for alias in node.names}
+    assert imported.keys() == TOP_LEVEL
+    assert all(name in MODULE_ALL[module] for name, module in imported.items())

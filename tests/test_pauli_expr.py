@@ -19,8 +19,6 @@ from phasequark.pauli_expr import (
     SYMBOLS,
     ParseError,
     PauliExpr,
-    anticommutator_expr,
-    commutator_expr,
     parse,
 )
 
@@ -540,8 +538,9 @@ def test_to_matrix_takes_any_number(value):
     ("B + A1*p1 + A2", {"p1": math.nan}, "s1#s1#s0"),  # the other sums stay finite
     ("A1*p1", {"p1": Decimal("1e400")}, "s1#s1#s0"),  # complex() reads it as inf
     ("1" + "0" * 400 + "*A1", {}, "s1#s1#s0"),  # the coefficient overflows
+    ("B*p1 + x1", {"p1": 1e308, "x1": 1e308}, "s0#s0#s0 + s0#s3#s0"),  # finite sums meet on the diagonal
 ], ids=["int-past-float64", "power", "inf", "product", "nan", "decimal-past-float64",
-        "coefficient"])
+        "coefficient", "matrix-entry"])
 def test_to_matrix_names_the_value_or_the_tensor_that_is_not_finite(text, values, named):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no NumPy warning either
@@ -549,10 +548,17 @@ def test_to_matrix_names_the_value_or_the_tensor_that_is_not_finite(text, values
             parse(text).to_matrix(values)
 
 
-def test_anticommutator_and_commutator_helpers():
-    assert anticommutator_expr(parse("gamma5"), parse("B")).is_zero()
-    assert commutator_expr(parse("A1"), parse("A1")).is_zero()
-    assert not commutator_expr(parse("A1"), parse("A2")).is_zero()
+def test_to_matrix_keeps_large_sums_that_share_no_entry():
+    # A1 is off-diagonal and B diagonal, so each entry holds at most one of the two sums
+    matrix = parse("A1*p1 + B*x1").to_matrix({"p1": 1e308, "x1": -1e308})
+    assert np.array_equal(matrix, 1e308 * (cf.build_A(1) - cf.build_B()))
+
+
+def test_anticommutator_and_commutator_from_products():
+    g5, b, a1, a2 = parse("gamma5"), parse("B"), parse("A1"), parse("A2")
+    assert (g5 * b + b * g5).is_zero()
+    assert (a1 * a1 - a1 * a1).is_zero()
+    assert not (a1 * a2 - a2 * a1).is_zero()
 
 
 # -- randomized properties ---------------------------------------------------
