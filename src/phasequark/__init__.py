@@ -5,8 +5,8 @@ The package has five layers:
 
 - phase_space: antisymmetric 6x6 generators, their su(3) (+) u(1) algebra,
   finite group elements, and the canonical momentum/position pairings.
-- clifford:   the seven mutually anticommuting 8x8 involutions built from
-  threefold Pauli tensor products, charge conjugation, and gamma5.
+- clifford:   the table of named 8x8 operators (the seven anticommuting
+  involutions, C, the chiralities) on Pauli triples, and its phase table.
 - hamiltonian: Dirac/colored/composite Hamiltonians, rotations, charge
   conjugation, exact antiparticle distinctness, spectra.
 - pauli_expr: an exact symbolic expression algebra over the same tensor
@@ -40,14 +40,9 @@ from .phase_space import (  # noqa: F401
 )
 from .clifford import (  # noqa: F401
     kron3,
-    build_A,
-    build_B,
-    build_Bk,
+    named_operator,
     build_C,
-    build_gamma5,
-    build_colored_gamma5,
     anticommutator,
-    commutator8,
     charge_conjugation_tau_scan,
 )
 from .hamiltonian import (  # noqa: F401

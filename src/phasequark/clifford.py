@@ -1,12 +1,13 @@
 """8x8 Clifford generators for three colored Dirac structures.
 
-Each named operator is a phase times one triple Kronecker product of
-Pauli matrices, and OPERATORS is its single definition: name -> (n,
-(i, j, k)) means i**n * kron3(s_i, s_j, s_k).  The builders, BASIS, the
-DSL, export and verify all read it; verify's gamma5-chirality check also
-forms gamma5 = -i A1 A2 A3 and gammaC5 = -i A_c B_u B_v (c, u, v cyclic)
-by matmul, a second route to those rows.  kron3 puts the first factor
-outermost (slowest index): kron3(a, b, c) = kron(kron(a, b), c).
+The 8x8 operator algebra is stated here once, as two tables and one
+reader: OPERATORS maps name -> (n, (i, j, k)), the operator i**n *
+kron3(s_i, s_j, s_k); PHASE is the product rule of those tensors; and
+named_operator reads OPERATORS.  BASIS, the DSL, export and verify read
+these three; verify's gamma5-chirality check also forms gamma5 = -i A1 A2
+A3 and gammaC5 = -i A_c B_u B_v (c, u, v cyclic) by matmul, a second
+route to those rows.  kron3 puts the first factor outermost (slowest
+index): kron3(a, b, c) = kron(kron(a, b), c).
 
 The seven generators A_k = kron3(s_k, s1, s0), B = kron3(s0, s3, s0) and
 B_k = kron3(s0, s2, s_k), k = 1..3, are Hermitian involutions and pairwise
@@ -17,17 +18,26 @@ be s2: with any other choice B_k would fail to anticommute with the A_k or
 with B, and the mixed momentum-position cross terms of squared
 Hamiltonians would survive.
 
+KRON3_STACK holds all 64 tensors T_n = kron3(s_i, s_j, s_k) as one
+read-only (64, 8, 8) array, entry n = 16 i + 4 j + k, built from PAULI by
+one einsum at import; TENSOR_LABELS[n] is its DSL label ``si#sj#sk``.  A
+linear combination of tensors is then a single matmul of its coefficients
+against the selected entries flattened to rows of 64.  With the two-bit
+codes I = 0, X = 1, Y = 2, Z = 3 a single-factor product is
+sigma_a sigma_b = i^e(a, b) sigma_(a xor b), the (x|z) bit form of
+Aaronson & Gottesman, "Improved simulation of stabilizer circuits"
+(arXiv:quant-ph/0406196).  Factor by factor, the product of two tensors is
+
+    T_a T_b = i^n T_c,   c = a xor b,   n = sum of the three e's mod 4,
+
+and ``PHASE[a][b] = n`` tabulates all 64 x 64 pairs.
+
 Charge conjugation uses C(tau) = -i * kron3(s2, s2, tau) with tau a Pauli
 matrix, so C^2 = -1 and C^-1 = -C.  Only tau = s2 satisfies all of
 
     C B C^-1 = -B,  C conj(A_k) C^-1 = A_k,  C conj(B_k) C^-1 = B_k;
 
 tau = s0, s1, s3 each break the B_k rule for at least one k.
-
-KRON3_STACK holds all 64 tensors kron3(s_i, s_j, s_k) as one read-only
-(64, 8, 8) array, entry 16 i + 4 j + k, built from PAULI by one einsum at
-import.  A linear combination of tensors is then a single matmul of its
-coefficients against the selected entries flattened to rows of 64.
 """
 
 from __future__ import annotations
@@ -37,19 +47,15 @@ import numpy as np
 __all__ = [
     "PAULI",
     "KRON3_STACK",
+    "TENSOR_LABELS",
+    "PHASE",
     "OPERATORS",
     "GENERATOR_NAMES",
     "kron3",
     "named_operator",
-    "build_A",
-    "build_B",
-    "build_Bk",
     "anticommutator",
-    "commutator8",
     "build_C",
     "charge_conjugation_tau_scan",
-    "build_gamma5",
-    "build_colored_gamma5",
 ]
 
 PAULI: tuple[np.ndarray, ...] = (
@@ -66,6 +72,20 @@ KRON3_STACK: np.ndarray = np.einsum(
     "iab,jcd,kef->ijkacebdf", PAULI, PAULI, PAULI
 ).reshape(64, 8, 8)
 KRON3_STACK.flags.writeable = False
+TENSOR_LABELS = tuple("s%d#s%d#s%d" % (n >> 4, (n >> 2) & 3, n & 3) for n in range(64))
+
+# sigma_a sigma_b = i**_PHASE1[a][b] * sigma_(a xor b), for a, b in 0..3
+_PHASE1 = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
+
+
+def _phase_table() -> list[list[int]]:
+    """PHASE[a][b] = n with T_a T_b = i**n T_(a xor b), as lists of ints: no NumPy scalar lookups."""
+    index = np.arange(64)
+    digits = np.stack([index >> 4, (index >> 2) & 3, index & 3])  # (3, 64): i, j, k
+    return (_PHASE1[digits[:, :, None], digits[:, None, :]].sum(axis=0) % 4).tolist()
+
+
+PHASE = _phase_table()
 
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -92,41 +112,16 @@ GENERATOR_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "B")
 _I_POWER = (1, 1j, -1, -1j)
 
 
-def _tensor(n: int, i: int, j: int, k: int) -> np.ndarray:
-    return _I_POWER[n] * KRON3_STACK[16 * i + 4 * j + k]
-
-
 def named_operator(name: str) -> np.ndarray:
-    """The table's operator i**n * kron3(s_i, s_j, s_k), a new array; KeyError if unknown."""
-    n, ijk = OPERATORS[name]
-    return _tensor(n, *ijk)
-
-
-def build_A(k: int) -> np.ndarray:
-    """Momentum-sector generator A_k = kron3(s_k, s1, s0)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3):
-        raise ValueError(f"A index must be 1..3, got {k}")
-    return named_operator(f"A{k}")
-
-
-def build_B() -> np.ndarray:
-    """Mass-sector generator B = kron3(s0, s3, s0)."""
-    return named_operator("B")
-
-
-def build_Bk(k: int) -> np.ndarray:
-    """Position-sector generator B_k = kron3(s0, s2, s_k)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3):
-        raise ValueError(f"B index must be 1..3, got {k}")
-    return named_operator(f"B{k}")
+    """The table's operator i**n * kron3(s_i, s_j, s_k), a new array; ValueError if unknown."""
+    if name not in OPERATORS:
+        raise ValueError(f"unknown operator {name!r}; known operators: {', '.join(OPERATORS)}")
+    n, (i, j, k) = OPERATORS[name]
+    return _I_POWER[n] * KRON3_STACK[16 * i + 4 * j + k]
 
 
 def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
-
-
-def commutator8(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
 
 
 def build_C(tau: str = "s2") -> np.ndarray:
@@ -134,35 +129,26 @@ def build_C(tau: str = "s2") -> np.ndarray:
     if tau not in _TAU_NAMES:
         raise ValueError(f"tau must be one of {_TAU_NAMES}, got {tau!r}")
     n, (i, j, _) = OPERATORS["C"]
-    return _tensor(n, i, j, _TAU_NAMES.index(tau))
+    return _I_POWER[n] * KRON3_STACK[16 * i + 4 * j + _TAU_NAMES.index(tau)]
 
 
 def charge_conjugation_tau_scan() -> dict[str, list[int]]:
     """For each tau choice, list the k for which C conj(B_k) C^-1 != B_k.
 
+    A lookup, no matrices: with C = i**n T_c, B_k = i**m T_b and s the
+    number of s2 factors of b, C conj(B_k) C^-1 = (-1)**s i**-m T_c T_b T_c,
+    which is B_k iff 2 s - 2 m + PHASE[c][b] + PHASE[c xor b][c] = 0 mod 4.
     The B and A_k rules hold for every tau; only tau = s2 clears the B_k
     rule for all three k, which is why it is the default in build_C.
     """
-    bk = np.stack([build_Bk(k) for k in (1, 2, 3)])
+    _, (i, j, _) = OPERATORS["C"]
     failures: dict[str, list[int]] = {}
-    for tau in _TAU_NAMES:
-        c = build_C(tau)
-        held = (c @ np.conj(bk) @ -c == bk).all(axis=(1, 2))
-        failures[tau] = [k for k, ok in zip((1, 2, 3), held) if not ok]
+    for t, tau in enumerate(_TAU_NAMES):
+        c = 16 * i + 4 * j + t
+        failures[tau] = []
+        for k in (1, 2, 3):
+            m, (bi, bj, bk) = OPERATORS[f"B{k}"]
+            b = 16 * bi + 4 * bj + bk
+            if (2 * ((bi, bj, bk).count(2) - m) + PHASE[c][b] + PHASE[c ^ b][c]) % 4:
+                failures[tau].append(k)
     return failures
-
-
-def build_gamma5() -> np.ndarray:
-    """Chirality matrix -i A1 A2 A3 = kron3(s0, s1, s0)."""
-    return named_operator("gamma5")
-
-
-def build_colored_gamma5(color: str) -> np.ndarray:
-    """Colored chirality -i A_c B_(c+1) B_(c+2), cyclic in the color axis.
-
-    Closed forms: R -> kron3(s1, s1, s1), Y -> kron3(s2, s1, s2),
-    B -> kron3(s3, s1, s3).  Each anticommutes with the mass term B.
-    """
-    if color not in ("R", "Y", "B"):
-        raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    return named_operator(f"gamma{color}5")

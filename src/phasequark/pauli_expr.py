@@ -9,24 +9,18 @@ anticommutators are exact — no floating point is involved until
 
 Representation: an expression is one dict from (tensor index, monomial)
 to a nonzero coefficient.  The index of si#sj#sk is 16 i + 4 j + k, whose
-order is that of the (i, j, k) triples; a monomial is a tuple of (symbol,
-power) pairs sorted by symbol, built only by ``_monomial``.  With the
-two-bit codes I = 0, X = 1, Y = 2, Z = 3 a single-factor product is
-sigma_a sigma_b = i^e(a, b) sigma_(a xor b), the (x|z) bit form of
-Aaronson & Gottesman, "Improved simulation of stabilizer circuits"
-(arXiv:quant-ph/0406196).  Factor by factor, the product of two tensors is
-
-    T_a T_b = i^n T_c,   c = a xor b,   n = sum of the three e's mod 4,
-
-and ``_PHASE[a][b] = n`` tabulates all 64 x 64 pairs.  A coefficient is
-one reduced triple of Python ints ``(a, b, d)``, meaning (a + b i) / d
-with d > 0 and gcd(a, b, d) = 1, so equal numbers have equal triples.
-Multiplying two expressions costs one XOR, one table lookup and one
-coefficient product per pair of terms; the factor i^n is a swap and/or
-negation of (a, b).  :meth:`PauliExpr.to_matrix` takes each coefficient
-as ``complex(a / d, b / d)`` (int true division is correctly rounded),
-sums each tensor's terms in canonical order and contracts the sums
-against ``clifford.KRON3_STACK`` in one matmul.
+order is that of the (i, j, k) triples, and ``clifford.TENSOR_LABELS``
+holds its label; a monomial is a tuple of (symbol, power) pairs sorted by
+symbol, built only by ``_monomial``.  A coefficient is one reduced triple
+of Python ints ``(a, b, d)``, meaning (a + b i) / d with d > 0 and
+gcd(a, b, d) = 1, so equal numbers have equal triples.  Multiplying two
+expressions costs one XOR, one lookup in ``clifford.PHASE`` (T_a T_b =
+i**PHASE[a][b] T_(a xor b)) and one coefficient product per pair of terms;
+the factor i^n is a swap and/or negation of (a, b).
+:meth:`PauliExpr.to_matrix` takes each coefficient as ``complex(a / d,
+b / d)`` (int true division is correctly rounded), sums each tensor's
+terms in canonical order and contracts the sums against
+``clifford.KRON3_STACK`` in one matmul.
 
 Grammar (whitespace insensitive)::
 
@@ -70,14 +64,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .clifford import KRON3_STACK, OPERATORS
+from .clifford import KRON3_STACK, OPERATORS, PHASE, TENSOR_LABELS
 
 __all__ = [
     "PauliExpr",
     "ParseError",
     "parse",
     "SYMBOLS",
-    "NAMED_OPERATORS",
 ]
 
 SYMBOLS = ("p1", "p2", "p3", "x1", "x2", "x3", "m", "e", "A0", "A1v", "A2v", "A3v")
@@ -185,30 +178,14 @@ def _coeff_str(z: Coeff) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tensor basis: index 16 i + 4 j + k and the phase-tracked product table
+# Tensor basis: index 16 i + 4 j + k, with clifford's labels and phase table
 # ---------------------------------------------------------------------------
 
 Basis = tuple[int, int, int]
 
-# sigma_a sigma_b = i**_PHASE1[a][b] * sigma_(a xor b), for a, b in 0..3
-_PHASE1 = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
-
-
-def _phase_table() -> list[list[int]]:
-    """_PHASE[a][b] = n with T_a T_b = i**n T_(a xor b), for a, b in 0..63.
-
-    Nested lists of Python ints, so a lookup costs no NumPy scalar indexing.
-    """
-    index = np.arange(64)
-    digits = np.stack([index >> 4, (index >> 2) & 3, index & 3])  # (3, 64): i, j, k
-    return (_PHASE1[digits[:, :, None], digits[:, None, :]].sum(axis=0) % 4).tolist()
-
-
-_PHASE = _phase_table()
 # Row n is KRON3_STACK[n] flattened, so a weighted sum of tensors is one matmul.
 _FLAT_STACK = KRON3_STACK.reshape(64, 64)
-_LABELS = tuple("s%d#s%d#s%d" % (n >> 4, (n >> 2) & 3, n & 3) for n in range(64))
-_LABEL_INDEX = {label: n for n, label in enumerate(_LABELS)}
+_LABEL_INDEX = {label: n for n, label in enumerate(TENSOR_LABELS)}
 
 
 def _basis_index(basis: Basis) -> int:
@@ -259,10 +236,10 @@ def _add_terms(out: Terms, terms: Terms, negate: bool) -> None:
 
 
 def _mul_terms(left: Terms, right: Terms) -> Terms:
-    """The product of two tables: T_a T_b = i**_PHASE[a][b] T_(a xor b) per term pair."""
+    """The product of two tables: T_a T_b = i**PHASE[a][b] T_(a xor b) per term pair."""
     out: Terms = {}
     for (a, mono_a), ca in left.items():
-        row = _PHASE[a]
+        row = PHASE[a]
         for (b, mono_b), cb in right.items():
             _add_into(out, (a ^ b, _mono_mul(mono_a, mono_b)),
                       _times_i_power(_cmul(ca, cb), row[b]))
@@ -388,7 +365,7 @@ class PauliExpr:
             for name, power in mono:
                 pieces.extend([name] * power)
             if basis:
-                pieces.append(_LABELS[basis])
+                pieces.append(TENSOR_LABELS[basis])
             elif not pieces:
                 pieces.append("1")
             sign = (" - " if negative else " + ") if parts else ("-" if negative else "")
@@ -402,11 +379,12 @@ class PauliExpr:
         """Evaluate to an 8x8 complex matrix.
 
         values supplies a number for every free symbol; a missing symbol
-        raises ValueError and text or a bool, which complex() would read,
-        TypeError, each naming the symbol.  A tensor sum that is not finite,
-        or finite sums that overflow one matrix entry together, raise
-        ValueError naming the tensors.  Terms are summed in canonical order,
-        so equal expressions give bit-identical matrices.
+        raises ValueError, and text, a bool (which complex() would read) or
+        any other non-number TypeError, each naming the symbol.  A tensor
+        sum that is not finite, or finite sums that overflow one matrix
+        entry together, raise ValueError naming the tensors.  Terms are
+        summed in canonical order, so equal expressions give bit-identical
+        matrices.
         """
         values = dict(values or {})
         free = self.free_symbols
@@ -422,6 +400,8 @@ class PauliExpr:
                 numbers[name] = complex(value)
             except OverflowError:  # an int or a Fraction past float64
                 raise ValueError(f"symbol {name} needs a number within float64's range") from None
+            except TypeError:  # None, a list, any object that complex() cannot read
+                raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}") from None
         totals: dict[int, complex] = {}
         try:
             for (basis, mono), (a, b, d) in sorted(self._terms.items()):
@@ -432,7 +412,7 @@ class PauliExpr:
         except OverflowError:  # a coefficient or a power past float64: an infinite sum
             totals[basis] = cmath.inf
         large = [b for b, t in totals.items() if not (abs(t.real) <= 2e307 and abs(t.imag) <= 2e307)]
-        bad = [_LABELS[basis] for basis in large if not cmath.isfinite(totals[basis])]
+        bad = [TENSOR_LABELS[basis] for basis in large if not cmath.isfinite(totals[basis])]
         if bad:  # from a NaN or infinite value, or an overflow
             raise ValueError(f"the sum of the {bad[0]} terms is not finite at these values")
         index = [basis for basis, total in totals.items() if total != 0]
@@ -440,7 +420,7 @@ class PauliExpr:
         if large:  # an entry adds at most 8 sums times 0, +-1 or +-i, so only these can overflow it
             with np.errstate(all="ignore"):
                 over = ~np.isfinite(weights @ _FLAT_STACK[index])
-            named = [_LABELS[basis] for basis in large if _FLAT_STACK[basis][over].any()]
+            named = [TENSOR_LABELS[basis] for basis in large if _FLAT_STACK[basis][over].any()]
             if named:
                 raise ValueError(f"the {' + '.join(named)} terms overflow a matrix entry at these values")
         return (weights @ _FLAT_STACK[index]).reshape(8, 8)
@@ -448,10 +428,6 @@ class PauliExpr:
 
 # name -> (n, index): the operator is i**n times the tensor at index
 _OPERATOR_INDEX = {name: (n, _basis_index(ijk)) for name, (n, ijk) in OPERATORS.items()}
-NAMED_OPERATORS = {
-    name: PauliExpr._from_index({(idx, ()): _times_i_power(_ONE, n)})
-    for name, (n, idx) in _OPERATOR_INDEX.items()
-}
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +533,7 @@ class _Parser:
             self.index += 1
             if kind == "TENSOR":
                 idx = _LABEL_INDEX[text]
-                phase += _PHASE[basis][idx]
+                phase += PHASE[basis][idx]
                 basis ^= idx
             elif kind == "NUMBER":
                 coeff = _cmul(coeff, _literal(text))
@@ -569,7 +545,7 @@ class _Parser:
                     phase += 1
                 elif text in _OPERATOR_INDEX:
                     n, idx = _OPERATOR_INDEX[text]
-                    phase += n + _PHASE[basis][idx]
+                    phase += n + PHASE[basis][idx]
                     basis ^= idx
                 elif text in SYMBOLS:
                     names.append((text, 1))

@@ -131,7 +131,7 @@ def build_G(m: int, n: int) -> Generator6:
     """Plane rotation generator with +1 at (m, n) and -1 at (n, m), 1-based."""
     if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= 6
                for i in (m, n)):
-        raise ValueError(f"G indices must be in 1..6, got ({m}, {n})")
+        raise ValueError(f"G indices must be in 1..6, got ({m!r}, {n!r})")
     if m == n:
         raise ValueError(f"G indices must differ, got ({m}, {n})")
     g = np.zeros((6, 6))
@@ -172,7 +172,7 @@ _G_LABEL = re.compile(r"G\(([0-9]),([0-9])\)")
 def _indexed(family: str, i: int) -> Generator6:
     label = f"{family}{i}"
     if not isinstance(i, (int, np.integer)) or label not in _NAMED:  # a bool: FTrue is not a label
-        raise ValueError(f"{family} index must be {_INDEX_RANGE[family]}, got {i}")
+        raise ValueError(f"{family} index must be {_INDEX_RANGE[family]}, got {i!r}")
     return _NAMED[label]
 
 

@@ -97,9 +97,9 @@ def test_primary_03_pairing_generation(capfd):
 
 def test_primary_04_clifford_table(capfd):
     def run():
-        gammas = [cf.build_A(k) for k in (1, 2, 3)] + [
-            cf.build_Bk(k) for k in (1, 2, 3)
-        ] + [cf.build_B()]
+        gammas = [cf.named_operator(f"A{k}") for k in (1, 2, 3)] + [
+            cf.named_operator(f"B{k}") for k in (1, 2, 3)
+        ] + [cf.named_operator("B")]
         for a in range(7):
             for b in range(7):
                 anti = cf.anticommutator(gammas[a], gammas[b])
@@ -149,10 +149,10 @@ def test_primary_06_charge_conjugation(capfd):
     def run():
         c = cf.build_C("s2")
         c_inv = -c
-        b = cf.build_B()
+        b = cf.named_operator("B")
         assert np.array_equal(c @ b @ c_inv, -b)
         for k in (1, 2, 3):
-            ak, bk = cf.build_A(k), cf.build_Bk(k)
+            ak, bk = cf.named_operator(f"A{k}"), cf.named_operator(f"B{k}")
             assert np.array_equal(c @ np.conj(ak) @ c_inv, ak)
             assert np.array_equal(c @ np.conj(bk) @ c_inv, bk)
         for color in "RYB":
@@ -210,16 +210,16 @@ def test_primary_07_mass_squared_law(capfd):
 
 def test_primary_08_chirality(capfd):
     def run():
-        g5 = cf.build_gamma5()
+        g5 = cf.named_operator("gamma5")
         zero = np.zeros((8, 8))
-        assert np.array_equal(cf.anticommutator(g5, cf.build_B()), zero)
+        assert np.array_equal(cf.anticommutator(g5, cf.named_operator("B")), zero)
         for k in (1, 2, 3):
-            assert np.array_equal(cf.anticommutator(g5, cf.build_Bk(k)), zero)
+            assert np.array_equal(cf.anticommutator(g5, cf.named_operator(f"B{k}")), zero)
         for color in "RYB":
-            gc5 = cf.build_colored_gamma5(color)
-            assert np.array_equal(cf.anticommutator(gc5, cf.build_B()), zero)
+            gc5 = cf.named_operator(f"gamma{color}5")
+            assert np.array_equal(cf.anticommutator(gc5, cf.named_operator("B")), zero)
         s = cf.PAULI
-        assert np.array_equal(cf.build_colored_gamma5("R"), cf.kron3(s[1], s[1], s[1]))
+        assert np.array_equal(cf.named_operator("gammaR5"), cf.kron3(s[1], s[1], s[1]))
 
     _report(8, "gamma5-chirality-relations", run, capfd)
 

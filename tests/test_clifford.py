@@ -1,18 +1,20 @@
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from phasequark import clifford as cf
+from phasequark.pauli_expr import PauliExpr, parse
 
-GAMMAS = {
-    "A1": cf.build_A(1),
-    "A2": cf.build_A(2),
-    "A3": cf.build_A(3),
-    "B1": cf.build_Bk(1),
-    "B2": cf.build_Bk(2),
-    "B3": cf.build_Bk(3),
-    "B": cf.build_B(),
-}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+GAMMAS = {name: cf.named_operator(name) for name in ("A1", "A2", "A3", "B1", "B2", "B3", "B")}
 I8 = np.eye(8)
 
 
@@ -103,10 +105,10 @@ def test_reflect_flips_vector_operators_and_fixes_B():
     assert np.array_equal(b @ b @ b, b)
 
 
-def test_commutator8_and_anticommutator_consistency():
+def test_commutator_and_anticommutator_consistency():
     a, b = GAMMAS["A1"], GAMMAS["B2"]
     assert np.array_equal(
-        cf.commutator8(a, b) + cf.anticommutator(a, b), 2.0 * (a @ b)
+        (a @ b - b @ a) + cf.anticommutator(a, b), 2.0 * (a @ b)
     )
 
 
@@ -133,6 +135,11 @@ def test_charge_conjugation_identities_with_s2():
 def test_only_s2_satisfies_all_Bk_identities():
     scan = cf.charge_conjugation_tau_scan()
     assert scan == {"s0": [1, 3], "s1": [1, 2], "s2": [], "s3": [2, 3]}
+    # the lookup agrees with the matrix condition C conj(B_k) C^-1 == B_k, C^-1 = -C
+    for tau, failing in scan.items():
+        c = cf.build_C(tau)
+        held = [np.array_equal(c @ np.conj(GAMMAS[f"B{k}"]) @ -c, GAMMAS[f"B{k}"]) for k in (1, 2, 3)]
+        assert failing == [k for k, ok in zip((1, 2, 3), held) if not ok], tau
 
 
 def test_build_C_rejects_unknown_tau():
@@ -141,7 +148,7 @@ def test_build_C_rejects_unknown_tau():
 
 
 def test_gamma5_structure_and_chirality():
-    g5 = cf.build_gamma5()
+    g5 = cf.named_operator("gamma5")
     s = cf.PAULI
     assert np.array_equal(g5, cf.kron3(s[0], s[1], s[0]))
     assert np.array_equal(
@@ -153,7 +160,7 @@ def test_gamma5_structure_and_chirality():
         assert np.array_equal(
             cf.anticommutator(g5, GAMMAS[f"B{k}"]), np.zeros((8, 8))
         )
-        assert np.array_equal(cf.commutator8(g5, GAMMAS[f"A{k}"]), np.zeros((8, 8)))
+        assert np.array_equal(g5 @ GAMMAS[f"A{k}"] - GAMMAS[f"A{k}"] @ g5, np.zeros((8, 8)))
 
 
 def test_colored_gamma5():
@@ -164,7 +171,7 @@ def test_colored_gamma5():
         "B": cf.kron3(s[3], s[1], s[3]),
     }
     for color, target in expected.items():
-        gc5 = cf.build_colored_gamma5(color)
+        gc5 = cf.named_operator(f"gamma{color}5")
         assert np.array_equal(gc5, target), color
         assert np.array_equal(gc5 @ gc5, I8), color
         assert np.array_equal(
@@ -173,5 +180,39 @@ def test_colored_gamma5():
 
 
 def test_colored_gamma5_rejects_unknown_color():
-    with pytest.raises(ValueError):
-        cf.build_colored_gamma5("G")
+    # an unknown name is a ValueError that lists the table's names
+    with pytest.raises(ValueError, match="unknown operator 'gammaG5'; known operators: " + ", ".join(cf.OPERATORS)):
+        cf.named_operator("gammaG5")
+
+
+def test_phase_table_is_the_product_rule_of_the_stack():
+    stack = cf.KRON3_STACK
+    for a in range(64):
+        for b in range(64):
+            assert np.array_equal(stack[a] @ stack[b], 1j ** cf.PHASE[a][b] * stack[a ^ b]), (a, b)
+
+
+def test_tensor_labels_parse_to_their_tensors():
+    for n, label in enumerate(cf.TENSOR_LABELS):
+        assert parse(label) == PauliExpr.from_basis(n >> 4, (n >> 2) & 3, n & 3), label
+        assert np.array_equal(parse(label).to_matrix(), cf.KRON3_STACK[n]), label
+
+
+# (old text, new text) in clifford.py: sigma_1 sigma_2 = -i sigma_3 in place of i sigma_3
+_PHASE1_MUTANT = ("[0, 0, 1, 3]", "[0, 0, 3, 3]")
+
+
+def test_verify_fails_on_a_phase_table_mutant(tmp_path):
+    """One wrong entry of the one-factor phase table fails `phasequark verify`, at tau-uniqueness."""
+    shutil.copytree(SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = tmp_path / "src" / "phasequark" / "clifford.py"
+    text = path.read_text(encoding="utf-8")
+    old, new = _PHASE1_MUTANT
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "phasequark", "verify", "--suite", "clifford"],
+                            capture_output=True, text=True, cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(tmp_path / "src")})
+    assert result.returncode == 1, result.stderr
+    failed = [c["name"] for c in json.loads(result.stdout)["checks"] if c["status"] != "pass"]
+    assert failed == ["clifford/tau-uniqueness"]

@@ -27,9 +27,9 @@ from phasequark.hamiltonian import (
 from phasequark.pauli_expr import SYMBOLS, parse
 from phasequark.verify import substitution_conjugate
 
-A = [cf.build_A(k) for k in (1, 2, 3)]
-BK = [cf.build_Bk(k) for k in (1, 2, 3)]
-B = cf.build_B()
+A = [cf.named_operator(f"A{k}") for k in (1, 2, 3)]
+BK = [cf.named_operator(f"B{k}") for k in (1, 2, 3)]
+B = cf.named_operator("B")
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -517,12 +517,9 @@ def test_rotation_matrix_rejects_bad_axes():
 
 _SPEC = HamiltonianSpec(kind="ColorR", m=1.0, p=(1.0, 2.0, 3.0), x=(0.0, 1.0, 0.0))
 _NOT_NUMBERS = [  # NumPy or a lookup would read each as a number: (call, its args, the name)
-    (cf.build_A, (True,), "A index"),
-    (cf.build_A, (1.0,), "A index"),
-    (cf.build_Bk, (np.float64(2),), "B index"),
-    (ps.build_G, (True, 2), "G indices"),
+    (ps.build_G, (True, 2), r"G indices must be in 1\.\.6, got \(True, 2\)"),
     (ps.build_G, (1.0, 2), "G indices"),
-    (ps.build_F, ("1",), "F index"),
+    (ps.build_F, ("1",), r"F index must be in 1\.\.8, got '1'"),
     (ps.build_R, ("2",), "R index"),
     (ps.build_H, ("3",), "H index"),
     (ps.build_J, (True,), "J index"),
@@ -545,8 +542,6 @@ def test_an_index_or_angle_that_is_not_a_number_is_a_value_error(fn, args, name)
 
 
 def test_ints_floats_and_numpy_numbers_stay_indices_and_angles():
-    assert np.array_equal(cf.build_A(np.int64(2)), cf.build_A(2))
-    assert np.array_equal(cf.build_Bk(np.uint8(3)), cf.build_Bk(3))
     assert ps.build_G(np.int32(1), 2).label == "G(1,2)"
     assert np.array_equal(rotation_matrix(3, 1), rotation_matrix(3, 1.0))
     assert np.array_equal(rotation_matrix(3, np.float32(0.5)), rotation_matrix(3, float(np.float32(0.5))))
@@ -888,3 +883,14 @@ def test_single_quark_shift_witness_changes_matrix():
     diff = build_hamiltonian(shifted) - build_hamiltonian(spec)
     assert np.array_equal(diff, 2.0 * BK[0])
     assert np.abs(diff).max() == 2.0
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: HamiltonianSpec(kind="Bogus"), "unknown kind 'Bogus'; expected one of"),
+    (lambda: HamiltonianSpec(kind="Dirac", em={"e": 1.0}), "em must be an EMField"),
+    (lambda: rotated_operators(np.eye(2)), "rotation must be 3x3, got (2, 2)"),
+    (lambda: square_and_spectrum(np.eye(4)), "expected an 8x8 matrix, got (4, 4)"),
+], ids=["unknown-kind", "em-dict", "rotation-2x2", "spectrum-4x4"])
+def test_malformed_specs_and_matrices_are_rejected(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

@@ -102,13 +102,12 @@ def test_records_are_named_tuples_in_their_field_order(name):
 TOP_LEVEL = {
     "DEFAULT_SEED", "EMField", "Generator6", "HamiltonianSpec", "PairingScheme", "ParseError",
     "PauliExpr", "PhaseVector", "SUITES", "SpectrumReport", "anticommutator",
-    "antiparticle_distinctness_check", "apply_pairing", "build_A", "build_B", "build_Bk", "build_C",
-    "build_F", "build_G", "build_H", "build_J", "build_R", "build_colored_gamma5", "build_composite",
-    "build_gamma5", "build_hamiltonian", "charge_conjugation_tau_scan", "commutator6", "commutator8",
-    "conjugate_hamiltonian", "derive_pairing_from_diagonal", "derive_pairing_from_rotation",
-    "exp_generator", "is_orthogonal", "is_symplectic", "kron3", "pairing", "pairing_tags", "parse",
-    "rotate_hamiltonian", "rotation_matrix", "run_suite", "square_and_spectrum",
-    "structure_constants", "symplectic_form", "verify_su3_table",
+    "antiparticle_distinctness_check", "apply_pairing", "build_C", "build_F", "build_G", "build_H",
+    "build_J", "build_R", "build_composite", "build_hamiltonian", "charge_conjugation_tau_scan",
+    "commutator6", "conjugate_hamiltonian", "derive_pairing_from_diagonal",
+    "derive_pairing_from_rotation", "exp_generator", "is_orthogonal", "is_symplectic", "kron3",
+    "named_operator", "pairing", "pairing_tags", "parse", "rotate_hamiltonian", "rotation_matrix",
+    "run_suite", "square_and_spectrum", "structure_constants", "symplectic_form", "verify_su3_table",
 }
 MODULE_ALL = {
     "phase_space": ["COORD_NAMES", "PhaseVector", "Generator6", "PairingScheme", "DerivedPairing",
@@ -117,15 +116,15 @@ MODULE_ALL = {
                     "exp_generator", "is_orthogonal", "is_symplectic", "symplectic_form", "pairing",
                     "pairing_tags", "apply_pairing", "derive_pairing_from_rotation",
                     "derive_pairing_from_diagonal"],
-    "clifford": ["PAULI", "KRON3_STACK", "OPERATORS", "GENERATOR_NAMES", "kron3", "named_operator",
-                 "build_A", "build_B", "build_Bk", "anticommutator", "commutator8", "build_C",
-                 "charge_conjugation_tau_scan", "build_gamma5", "build_colored_gamma5"],
+    "clifford": ["PAULI", "KRON3_STACK", "TENSOR_LABELS", "PHASE", "OPERATORS", "GENERATOR_NAMES",
+                 "kron3", "named_operator", "anticommutator", "build_C",
+                 "charge_conjugation_tau_scan"],
     "hamiltonian": ["EMField", "HamiltonianSpec", "SpectrumReport", "DistinctnessReport", "KINDS",
                     "coefficients", "matrices", "colored_sum", "build_hamiltonian",
                     "build_composite", "rotation_matrix", "rotated_operators",
                     "rotate_hamiltonian", "conjugate_hamiltonian",
                     "antiparticle_distinctness_check", "square_and_spectrum"],
-    "pauli_expr": ["PauliExpr", "ParseError", "parse", "SYMBOLS", "NAMED_OPERATORS"],
+    "pauli_expr": ["PauliExpr", "ParseError", "parse", "SYMBOLS"],
     "serialize": ["dump_json", "matrix_to_csv", "resolve_export", "EXPORT_LABELS"],
     "verify": ["CheckResult", "VerificationReport", "run_suite", "substitution_conjugate",
                "SUITES", "DEFAULT_SEED"],

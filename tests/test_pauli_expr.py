@@ -15,7 +15,6 @@ from phasequark import clifford as cf
 from phasequark import pauli_expr
 from phasequark.hamiltonian import HamiltonianSpec, build_hamiltonian
 from phasequark.pauli_expr import (
-    NAMED_OPERATORS,
     SYMBOLS,
     ParseError,
     PauliExpr,
@@ -291,9 +290,8 @@ def test_pauli_product_phases():
 
 
 def test_named_operators_match_matrix_builders(literal_operators):
-    assert list(NAMED_OPERATORS) == list(literal_operators)
+    assert list(cf.OPERATORS) == list(literal_operators)
     for name, matrix in literal_operators.items():
-        assert np.array_equal(NAMED_OPERATORS[name].to_matrix(), matrix), name
         assert np.array_equal(parse(name).to_matrix(), matrix), name
 
 
@@ -501,7 +499,7 @@ def test_mass_law_through_the_dsl():
 
 
 def test_to_matrix_literal_scaling():
-    assert np.array_equal(parse("i*A2").to_matrix(), 1j * cf.build_A(2))
+    assert np.array_equal(parse("i*A2").to_matrix(), 1j * cf.named_operator("A2"))
     assert np.array_equal(parse("0").to_matrix(), np.zeros((8, 8)))
 
 
@@ -517,9 +515,10 @@ def test_to_matrix_requires_bindings():
         parse("A1*p1 + B*m").to_matrix({})
 
 
-@pytest.mark.parametrize("value", ["2", b"2", True, False, np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("value", ["2", b"2", True, False, np.bool_(True), None, [1], object()],
+                         ids=lambda v: "object()" if type(v) is object else repr(v))
 def test_to_matrix_takes_only_numbers(value):
-    """complex() reads '2' and True, but neither is a number."""
+    """complex() reads '2' and True, but neither is a number; what it cannot read is named too."""
     with pytest.raises(TypeError, match="symbol p1 needs a number"):
         parse("A1*p1 + B*m").to_matrix({"p1": value, "m": 1.0})
 
@@ -527,7 +526,7 @@ def test_to_matrix_takes_only_numbers(value):
 @pytest.mark.parametrize("value", [2, 2.0, 2 + 0j, Fraction(2), Decimal(2), np.float64(2),
                                    np.int64(2), np.complex128(2)], ids=repr)
 def test_to_matrix_takes_any_number(value):
-    assert np.array_equal(parse("A1*p1").to_matrix({"p1": value}), 2 * cf.build_A(1))
+    assert np.array_equal(parse("A1*p1").to_matrix({"p1": value}), 2 * cf.named_operator("A1"))
 
 
 @pytest.mark.parametrize("text,values,named", [
@@ -551,7 +550,7 @@ def test_to_matrix_names_the_value_or_the_tensor_that_is_not_finite(text, values
 def test_to_matrix_keeps_large_sums_that_share_no_entry():
     # A1 is off-diagonal and B diagonal, so each entry holds at most one of the two sums
     matrix = parse("A1*p1 + B*x1").to_matrix({"p1": 1e308, "x1": -1e308})
-    assert np.array_equal(matrix, 1e308 * (cf.build_A(1) - cf.build_B()))
+    assert np.array_equal(matrix, 1e308 * (cf.named_operator("A1") - cf.named_operator("B")))
 
 
 def test_anticommutator_and_commutator_from_products():
@@ -565,7 +564,7 @@ def test_anticommutator_and_commutator_from_products():
 
 _ATOMS = (
     [f"s{i}#s{j}#s{k}" for i, j, k in [(0, 1, 2), (3, 3, 3), (1, 0, 2), (2, 2, 0)]]
-    + list(NAMED_OPERATORS)
+    + list(cf.OPERATORS)
     + list(SYMBOLS[:8])
     + ["2", "0.5", "i", "1.5i"]
 )
@@ -687,3 +686,12 @@ def test_scalar_multiplication():
     assert 2 * e == parse("2*A1")
     assert e * Fraction(1, 2) == parse("0.5*A1")
     assert -1 * e == -e
+
+
+def test_constructors_and_dunders_outside_the_grammar():
+    with pytest.raises(ValueError, match="unknown symbol 'q'; known symbols"):
+        PauliExpr.from_symbol("q")
+    with pytest.raises(TypeError, match="expression must be a string"):
+        parse(5)
+    assert (parse("A1") == 1) is False  # not equal, rather than an error
+    assert repr(parse("A1")) == "PauliExpr(s1#s1#s0)"

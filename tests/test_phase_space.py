@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -481,3 +482,15 @@ def test_pairings_derive_from_diagonal_generators(color, generator, angle):
     assert derived.quarter_turn_angle == pytest.approx(angle)
     assert derived.residual <= 1e-12
     assert np.abs(derived.matrix - ps.pairing(color).matrix()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: ps.PhaseVector.from_array([1, 2]), "phase vector needs 6 components, got (2,)"),
+    (lambda: ps.Generator6("X", np.zeros((5, 5))), "X: generator must be 6x6, got (5, 5)"),
+    (lambda: ps.Generator6("X", np.ones((6, 6))), "X: generator must be antisymmetric"),
+    (lambda: ps.derive_pairing_from_rotation("W"), "color must be one of R, Y, B, got 'W'"),
+    (lambda: ps.derive_pairing_from_diagonal("W"), "color must be one of R, Y, B, got 'W'"),
+], ids=["vector-2", "generator-5x5", "generator-symmetric", "rotation-color", "diagonal-color"])
+def test_malformed_vectors_generators_and_colors_are_rejected(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

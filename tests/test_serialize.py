@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from phasequark.serialize import dump_json
+from phasequark.serialize import dump_json, matrix_to_csv
 
 
 # -- the per-element route, kept as the reference for the one-pass conversion --
@@ -189,3 +189,8 @@ def test_keys_that_render_alike_are_rejected():
 def test_keys_that_render_alike_at_any_depth_are_rejected(tree):
     with pytest.raises(ValueError, match="render as the JSON key"):
         dump_json(tree)
+
+
+def test_csv_export_takes_only_matrices():
+    with pytest.raises(ValueError, match="CSV export is for matrices, got ndim=1"):
+        matrix_to_csv(np.zeros(3))

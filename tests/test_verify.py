@@ -349,3 +349,8 @@ def test_all_runs_each_suite_in_turn_and_passes(seed):
     assert report.passed
     assert report.checks == tuple(c for suite in verify.SUITES
                                   for c in run_suite(suite, seed=seed).checks)
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match=r"unknown suite 'bogus'; expected one of \('all', 'su3'"):
+        run_suite("bogus")
