@@ -10,8 +10,10 @@ a spectrum or transform output that overflows float64), each reported as a
 JSON object {"error": ...} on stdout.
 
 The parser is built on its first use and shared for the life of the process:
-later main calls reuse it.  Each subcommand's handler returns its text and exit
-code, and main writes the text once, to stdout or to --out.
+later main calls reuse it.  An argv that starts with a command's name is read by
+that command's parser alone, and the top-level parser reports the words it leaves
+over, as a full parse does.  Each handler returns its text and exit code, and
+main writes the text once, to stdout or to --out.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)  # the --out of every subcommand
     out.add_argument("--out", default=None, help="write the output here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> its parser, for main's dispatch
 
     p_verify = sub.add_parser("verify", parents=[out], help="run a named verification suite")
     p_verify.set_defaults(run=_cmd_verify)
@@ -240,7 +243,14 @@ def _cmd_export(args: argparse.Namespace) -> tuple[str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else argv
+        if argv and argv[0] in parser.commands:  # the words a full parse hands it
+            args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+        else:
+            args, extra = parser.parse_known_args(argv)
+        if extra:  # reported as parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         text, code = args.run(args)  # each subcommand's handler, set by build_parser
         _emit(text, args.out)
         return code

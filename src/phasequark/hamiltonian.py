@@ -65,8 +65,10 @@ spec builds a non-finite matrix.
 coefficients() evaluates the table over a leading sample axis, optionally
 rotated, and matrices() turns its (N, 8) rows into the stack c @ BASIS;
 build_hamiltonian, rotate_hamiltonian and colored_sum are built on them.
-A spec's row is computed once, by the finite check of its validation, and
-kept read-only: unrotated builds, conjugation and distinctness reuse it.
+A spec's own row comes from _row instead: the unrotated operations of
+coefficients() in the same order on plain floats, so the two agree bit for
+bit.  Validation checks it finite and keeps it read-only: unrotated builds,
+conjugation and distinctness reuse it.
 
 Charge conjugation is the field flip e -> -e, and x -> -x for a kind
 whose row has x; on the free colored kinds it lands exactly on the Anti
@@ -143,6 +145,7 @@ KINDS = tuple(_TABLE)
 _ZERO = np.zeros(3)
 _DIAGONALS = {kind: tuple(alpha + beta * np.eye(3)[row.axis] for alpha, beta in (row.phi, row.psi))
               for kind, row in _TABLE.items()}  # the unrotated Phi and Psi
+_PLAIN_DIAGONALS = {kind: tuple(d.tolist() for d in masks) for kind, masks in _DIAGONALS.items()}
 _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 
 # rows: 1, then clifford.GENERATOR_NAMES (A1..A3, B1..B3, B), each a flattened 8x8 matrix
@@ -237,16 +240,15 @@ class HamiltonianSpec:
         if self.em is not None and not isinstance(self.em, EMField):
             raise ValueError(f"em must be an EMField, got {self.em!r}")
         given = {f.name: v for f in fields(self)[1:] if (v := getattr(self, f.name)) != f.default}
-        with np.errstate(over="ignore", invalid="ignore"):  # finite fields can overflow c
-            c = coefficients(self.kind, **given)  # which rejects a field the kind lacks
-            row = c.tolist()  # plain floats: the test of a valid spec builds no array
-            if not (all(map(math.isfinite, row)) and math.isfinite(abs(row[0]) + abs(row[7]))):
-                bad = ~np.isfinite(c)  # name each field whose own part of c reaches a bad entry
-                bad[[0, 7]] |= not np.isfinite(abs(c[0]) + abs(c[7]))  # the diagonal s +- beta
-                names = [name for name, v in given.items()
-                         if np.any(coefficients(self.kind, **{name: v})[bad] != 0)]
-                raise ValueError(f"coefficients of the {self.kind} spec overflow float64 in "
-                                 + ", ".join(map(repr, names)))
+        row = _row(self.kind, **given)  # which rejects a field the kind lacks
+        diagonal = math.isfinite(abs(row[0]) + abs(row[7]))  # the entries s +- beta of H
+        if not (diagonal and all(map(math.isfinite, row))):  # name the fields behind it
+            bad = [not (math.isfinite(v) and (diagonal or 0 < i < 7)) for i, v in enumerate(row)]
+            names = [name for name, v in given.items()
+                     if any(b and c != 0 for b, c in zip(bad, _row(self.kind, **{name: v})))]
+            raise ValueError(f"coefficients of the {self.kind} spec overflow float64 in "
+                             + ", ".join(map(repr, names)))
+        c = np.array(row)
         c.flags.writeable = False
         object.__setattr__(self, "_c", c)  # not a field: ==, hash and repr ignore it
 
@@ -259,18 +261,15 @@ class HamiltonianSpec:
         kind = data.pop("kind", None)
         if kind not in KINDS:
             raise ValueError(f"spec.kind must be one of {KINDS}, got {kind!r}")
-        accepted = _TABLE[kind].fields
         shorthand = "P" in data or "dx" in data
         if shorthand:
-            if "pbar" not in accepted:
+            if "pbar" not in _TABLE[kind].fields:
                 raise ValueError("P/dx shorthand is only valid for kind QQbar")
             if data.keys() & {"p", "x", "pbar", "xbar"}:
                 raise ValueError("give either (P, dx) or (p, x, pbar, xbar), not both")
             data["p"] = _vec3(data.pop("P", (0.0, 0.0, 0.0)), "P")
             data["x"] = _vec3(data.pop("dx", (0.0, 0.0, 0.0)), "dx")
-        for key in data:
-            if key not in accepted:
-                raise ValueError(f"field {key!r} is not valid for kind {kind}")
+        _accepts(kind, data)
         if "em" in data:
             em = data["em"]
             if not isinstance(em, dict):
@@ -301,6 +300,26 @@ class HamiltonianSpec:
 _FIELDS = tuple(f.name for f in fields(HamiltonianSpec))[1:]  # m, p, x, ..., scalar
 
 
+def _accepts(kind: str, names) -> None:
+    """Reject the first of names that the kind's table row lacks."""
+    for name in names:
+        if name not in _TABLE[kind].fields:
+            raise ValueError(f"field {name!r} is not valid for kind {kind}")
+
+
+def _row(kind: str, **given) -> list[float]:
+    """The unrotated coefficients(kind, **given) of one spec's fields, on plain
+    floats: the same IEEE operations in the same order, so equal bit for bit."""
+    _accepts(kind, given)
+    (phi, psi), get = _PLAIN_DIAGONALS[kind], given.get
+    p, x, pbar, xbar, a, b = (get(n, (0.0,) * 3) for n in ("p", "x", "pbar", "xbar", "a", "b"))
+    em = get("em") or _NO_FIELD
+    return [get("scalar", 0.0) + em.e * em.A0,
+            *[a[i] + phi[i] * (p[i] + pbar[i]) - (phi[i] * em.e) * em.Avec[i] for i in range(3)],
+            *[b[i] + psi[i] * (x[i] - xbar[i]) for i in range(3)],
+            get("beta", 0.0) + _TABLE[kind].mu * get("m", 0.0)]
+
+
 def coefficients(
     kind: str,
     *,
@@ -322,9 +341,8 @@ def coefficients(
     if kind not in _TABLE:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     row = _TABLE[kind]
-    for name, value in zip(_FIELDS, (m, p, x, pbar, xbar, em, a, b, beta, scalar)):
-        if value is not None and name not in row.fields:
-            raise ValueError(f"field {name!r} is not valid for kind {kind}")
+    values = (m, p, x, pbar, xbar, em, a, b, beta, scalar)
+    _accepts(kind, [name for name, value in zip(_FIELDS, values) if value is not None])
     if rot is not None and kind == "Custom":
         raise ValueError("rotations do not apply to Custom coefficients")
     if rot is not None and np.shape(rot)[-2:] != (3, 3):

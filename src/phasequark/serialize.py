@@ -5,8 +5,9 @@ Conventions: complex numbers serialize as two-element [re, im] arrays;
 real matrices serialize as plain numbers (integers where the value is
 integral, so signed permutation and Clifford matrices stay readable);
 dump_json writes sorted keys, two-space indentation and a trailing newline
-in one recursive pass (an array converted once by NumPy, joined by rows),
-so identical inputs give byte-identical files, and never NaN or Infinity.
+in one recursive pass (exact built-in types first, by identity, then their
+subclasses and NumPy's; an array converted once by NumPy, joined by rows), so
+identical inputs give byte-identical files, and never NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -30,25 +31,36 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
 
 
 def _render(obj, indent: str) -> str:
-    # the most frequent types first; bool before int, which it subclasses
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if f.is_integer() and abs(f) < 2**53:  # a whole float prints as an int
-            return repr(int(f))
-        if not math.isfinite(f):
-            raise ValueError(f"Out of range float values are not JSON compliant: {f!r}")
-        return repr(f)
+    t = type(obj)
+    if t is float:
+        if obj.is_integer() and abs(obj) < 2**53:  # a whole float prints as an int
+            return repr(int(obj))
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return repr(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
+    if t is list or t is tuple:
         return _block("[]", [_render(v, indent + "  ") for v in obj], indent)
     if isinstance(obj, dict):
-        items = {str(k): v for k, v in obj.items()}
-        if len(items) < len(obj):
-            key = next(k for k in items if sum(str(o) == k for o in obj) > 1)
-            raise ValueError(f"two keys of one object render as the JSON key {key!r}")
-        return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(items[k], indent + '  ')}"
-                             for k in sorted(items)], indent)
+        if t is not dict or not all(type(k) is str for k in obj):  # else no key to re-key
+            items = {str(k): v for k, v in obj.items()}
+            if len(items) < len(obj):
+                key = next(k for k in items if sum(str(o) == k for o in obj) > 1)
+                raise ValueError(f"two keys of one object render as the JSON key {key!r}")
+            obj = items
+        return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(obj[k], indent + '  ')}"
+                             for k in sorted(obj)], indent)
+    if t is bool or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if t is int or isinstance(obj, (int, np.integer)):  # bool is caught above
+        return repr(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, (float, np.floating)):
+        return _render(float(obj), indent)
+    if isinstance(obj, (list, tuple)):
+        return _render(list(obj), indent)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "fc" or not obj.size:
             return _render(obj.tolist(), indent)
@@ -67,12 +79,6 @@ def _render(obj, indent: str) -> str:
             items = ["[\n  " + outer + sep.join(items[i * n:(i + 1) * n]) + "\n" + outer + "]"
                      for i in range(len(items) // n)]
         return items[0]
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return repr(int(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         return _render([obj.real, obj.imag], indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -230,6 +230,36 @@ def test_a_reused_parser_behaves_like_a_fresh_one(argvs):
     assert reused[-1][0] == 0
 
 
+@settings(max_examples=300)
+@example(argv=["spectrum", str(DATA / "color_r.json"), "extra"])
+@example(argv=["export", "A1", "--version"])
+@example(argv=["transform", "--", "--pairing", "R", "--input=1,2,3,4,5,6"])
+@given(argv=_ARGV.filter(lambda argv: not _verify_would_pass(argv)))
+def test_a_named_command_parses_as_the_full_parser_does(argv):
+    """main reads an argv that starts with a command's name with that command's
+    parser alone; it gives what the full parser gives, help and errors included."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a drawn "--out extra" writes here
+        try:
+            dispatched = _run_main(argv)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli.build_parser(), "commands", {})  # every argv takes the full parser
+                full = _run_main(argv)
+        finally:
+            os.chdir(cwd)
+    assert dispatched == full
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_help_after_a_command_is_the_full_parsers_help(monkeypatch, command, flag):
+    dispatched = _run_main([command, flag])
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert dispatched == _run_main([command, flag])
+    assert dispatched[0] == 0 and dispatched[1].startswith(f"usage: phasequark {command} ")
+
+
 def test_malformed_spec_file_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -232,6 +232,59 @@ def test_constructor_rejects_overflowing_coefficients():
         HamiltonianSpec(kind="Dirac", m=1e308, em=EMField(e=-1.0, A0=1e308))
 
 
+# numbers whose rows overflow, signed zeros and ordinary values
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 9e307, -9e307, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def kind_fields(draw, number=_EXTREME):
+    """A kind and some of its own fields, EM included, as HamiltonianSpec takes them."""
+    kind = draw(st.sampled_from(KINDS))
+    vec = st.tuples(number, number, number)
+    strategies = {"m": number.map(lambda v: v if v >= 0.0 else -v), "beta": number,
+                  "scalar": number, "em": st.builds(EMField, number, number, vec)}
+    names = draw(st.lists(st.sampled_from(hamiltonian._TABLE[kind].fields), unique=True))
+    return kind, {name: draw(strategies.get(name, vec)) for name in names}
+
+
+def _bits(c):
+    return np.asarray(c, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=500)
+@given(kind_fields())
+def test_plain_row_equals_coefficients_bit_for_bit(case):
+    kind, given = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(hamiltonian._row(kind, **given)) == _bits(coefficients(kind, **given))
+
+
+@settings(max_examples=500)
+@given(kind_fields())
+def test_spec_check_matches_the_batched_route(case):
+    """A spec keeps the row coefficients() gives, or names the fields whose own
+    part of it reaches a non-finite entry or diagonal s +- beta, as found there."""
+    kind, drawn = case
+    defaults = {f.name: f.default for f in dataclasses.fields(HamiltonianSpec)}
+    given = {n: drawn[n] for n in defaults if n in drawn and drawn[n] != defaults[n]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = coefficients(kind, **given)
+        bad = ~np.isfinite(c)
+        bad[[0, 7]] |= not np.isfinite(abs(c[0]) + abs(c[7]))
+        names = [n for n, v in given.items() if np.any(coefficients(kind, **{n: v})[bad] != 0)]
+    if not bad.any():
+        assert _bits(HamiltonianSpec(kind=kind, **drawn)._c) == _bits(c)
+        return
+    with pytest.raises(ValueError) as excinfo:
+        HamiltonianSpec(kind=kind, **drawn)
+    assert str(excinfo.value) == (f"coefficients of the {kind} spec overflow float64 in "
+                                  + ", ".join(map(repr, names)))
+
+
 def test_components_a_kind_does_not_use_never_overflow():
     # ColorB reads only p3 - e*A3v; p1 - e*A1v overflows, but no coefficient holds it
     spec = HamiltonianSpec.from_dict(

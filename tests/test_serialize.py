@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ def test_non_finite_arrays_are_rejected_by_both_routes(bad, shape):
 
 # -- whole payload trees: every type dump_json takes, at any depth --
 
+# subclasses of the built-in types, which dump_json renders as their base types
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
 # control characters, non-ASCII, astral, quotes and a lone surrogate
 _TEXT = st.one_of(st.text(), st.sampled_from(
     ["", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\U0001d11e", '"\\/', "\ud800"]))
@@ -108,8 +131,15 @@ _LEAVES = st.one_of(
     st.builds(complex, _FLOATS, _FLOATS),
     st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
     _arrays(),
+    _TEXT.map(_Str),
+    _TEXT.map(np.str_),
+    st.integers(-(2**70), 2**70).map(_Int),
+    _FLOATS.map(_Float),
 )
-_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.floats(), st.none())
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.floats(), st.none(),
+                  _TEXT.map(_Str), _TEXT.map(np.str_), st.integers().map(_Int),
+                  st.floats().map(_Float), _FLOATS.map(np.float64),
+                  st.integers(-(2**63), 2**63 - 1).map(np.int64))
 
 # Hypothesis renders a strategy's repr when a filter in it retries, such as the
 # unique keys of a dict, and a tree strategy holds every level below it.  The
@@ -129,10 +159,12 @@ def _dicts(children):
 
 @st.composite
 def _containers(draw, children):
-    """A list, a tuple or a dict of at most four children."""
-    shape = draw(st.sampled_from([list, tuple, dict]))
-    if shape is dict:
-        return draw(_dicts(children))
+    """A list, a tuple, a dict, a dict subclass or a NamedTuple of at most four children."""
+    shape = draw(st.sampled_from([list, tuple, dict, _Dict, _Pair]))
+    if shape is _Pair:
+        return _Pair(draw(children), draw(children))
+    if shape in (dict, _Dict):
+        return shape(draw(_dicts(children)))
     return shape(draw(st.lists(children, max_size=4)))
 
 
