@@ -62,13 +62,13 @@ is exact whatever the order of summation.  The two real terms meet only
 in the diagonal s +- beta, which a spec's check covers too, so no valid
 spec builds a non-finite matrix.
 
-coefficients() evaluates the table over a leading sample axis, optionally
-rotated, and matrices() turns its (N, 8) rows into the stack c @ BASIS;
-build_hamiltonian, rotate_hamiltonian and colored_sum are built on them.
-A spec's own row comes from _row instead: the unrotated operations of
+coefficients() evaluates the table over a leading sample axis, with one
+kind and EM field for all rows or one per row, optionally rotated, and
+matrices() turns its (N, 8) rows into the stack c @ BASIS in one real
+product; build_hamiltonian, rotate_hamiltonian and colored_sum are built on
+them.  A spec's own row comes from _row: the unrotated operations of
 coefficients() in the same order on plain floats, so the two agree bit for
-bit.  Validation checks it finite and keeps it read-only: unrotated builds,
-conjugation and distinctness reuse it.
+bit.  Validation checks it finite and keeps it read-only for reuse.
 
 Charge conjugation is the field flip e -> -e, and x -> -x for a kind
 whose row has x; on the free colored kinds it lands exactly on the Anti
@@ -143,17 +143,19 @@ _TABLE: dict[str, _Row] = {
 KINDS = tuple(_TABLE)
 
 _ZERO = np.zeros(3)
-_DIAGONALS = {kind: tuple(alpha + beta * np.eye(3)[row.axis] for alpha, beta in (row.phi, row.psi))
-              for kind, row in _TABLE.items()}  # the unrotated Phi and Psi
-_PLAIN_DIAGONALS = {kind: tuple(d.tolist() for d in masks) for kind, masks in _DIAGONALS.items()}
+# the table as arrays over k = _INDEX[kind]: masks (2, 2, k), diagonals (2, k, 3), mu, axis
+_INDEX = {kind: k for k, kind in enumerate(KINDS)}
+_MASKS = np.array([(row.phi, row.psi) for row in _TABLE.values()]).transpose(1, 2, 0)
+_MU, _AXIS = (np.array([getattr(row, name) for row in _TABLE.values()]) for name in ("mu", "axis"))
+_DIAGONALS = _MASKS[:, 0, :, None] + _MASKS[:, 1, :, None] * np.eye(3)[_AXIS]
+_PLAIN_DIAGONALS = dict(zip(KINDS, _DIAGONALS.transpose(1, 0, 2).tolist()))  # for _row
 _EM_KINDS = tuple(kind for kind, row in _TABLE.items() if "em" in row.fields)
 
 # rows: 1, then clifford.GENERATOR_NAMES (A1..A3, B1..B3, B), each a flattened 8x8 matrix
 BASIS = np.stack([np.eye(8, dtype=complex)] + [named_operator(n) for n in GENERATOR_NAMES])
 BASIS = BASIS.reshape(8, 64)
 BASIS.flags.writeable = False
-_A_REAL, _BK_REAL = BASIS[1:4].view(float), BASIS[4:7].view(float)  # (3, 128): re, im interleaved
-_BASIS_CONJ, _I8 = BASIS.conj(), np.eye(8)
+_REAL, _BASIS_CONJ, _I8 = BASIS.view(float), BASIS.conj(), np.eye(8)  # _REAL: re, im interleaved
 _PLAIN = (float, int, np.float64)  # number types that need no further check
 
 
@@ -229,17 +231,18 @@ class HamiltonianSpec:
     scalar: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        for name in ("m", "beta", "scalar"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+        _accepts(self.kind, ())
+        for name in ("m", "beta", "scalar"):  # a field still at its default object is valid
+            if (value := getattr(self, name)) is not _FIELDS[name]:
+                object.__setattr__(self, name, _real(value, name))
         if self.m < 0.0:
             raise ValueError(f"m must be finite and >= 0, got {self.m!r}")
         for name in ("p", "x", "pbar", "xbar", "a", "b"):
-            object.__setattr__(self, name, _vec3(getattr(self, name), name))
+            if (value := getattr(self, name)) is not _FIELDS[name]:
+                object.__setattr__(self, name, _vec3(value, name))
         if self.em is not None and not isinstance(self.em, EMField):
             raise ValueError(f"em must be an EMField, got {self.em!r}")
-        given = {f.name: v for f in fields(self)[1:] if (v := getattr(self, f.name)) != f.default}
+        given = {name: v for name, d in _FIELDS.items() if (v := getattr(self, name)) != d}
         row = _row(self.kind, **given)  # which rejects a field the kind lacks
         diagonal = math.isfinite(abs(row[0]) + abs(row[7]))  # the entries s +- beta of H
         if not (diagonal and all(map(math.isfinite, row))):  # name the fields behind it
@@ -297,11 +300,13 @@ class HamiltonianSpec:
         return out
 
 
-_FIELDS = tuple(f.name for f in fields(HamiltonianSpec))[1:]  # m, p, x, ..., scalar
+_FIELDS = {f.name: f.default for f in fields(HamiltonianSpec)[1:]}  # m, p, ..., scalar: defaults
 
 
 def _accepts(kind: str, names) -> None:
-    """Reject the first of names that the kind's table row lacks."""
+    """Reject an unknown kind, then the first of names that its table row lacks."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     for name in names:
         if name not in _TABLE[kind].fields:
             raise ValueError(f"field {name!r} is not valid for kind {kind}")
@@ -321,87 +326,98 @@ def _row(kind: str, **given) -> list[float]:
 
 
 def coefficients(
-    kind: str,
+    kind,
     *,
-    m=None, p=None, x=None, pbar=None, xbar=None, em: EMField | None = None,
+    m=None, p=None, x=None, pbar=None, xbar=None, em=None,
     a=None, b=None, beta=None, scalar=None, rot=None,
 ) -> np.ndarray:
-    """Coefficient rows c of one kind over a leading sample axis.
+    """Coefficient rows c over a leading sample axis, of one kind or one per row.
 
     Scalars m, beta, scalar as arrays of shape (N,) and vectors p, x, pbar,
     xbar, a, b of shape (N, 3) give c of shape (N, 8); numbers and
-    3-vectors give one row of shape (8,), and the two broadcast together.
-    Only the fields of the kind's table row may be given; the others are
-    zero.  em is one field shared by every row.  rot, of shape (N, 3, 3) or
-    (3, 3), gives the coefficients in the rotated frame, one row per
-    rotation: the masks become alpha + beta u u^T with u the color-axis row
-    of R (module docstring).  Inputs are not validated beyond that:
-    HamiltonianSpec is the checked entry point.
+    3-vectors give one row of shape (8,), and the two broadcast together,
+    as does kind: one name, or an array of names such as one per row.  em
+    is one EMField, or a sequence of one per row (None for no field).  Only
+    fields of every kind's table row may be given; the others are zero.
+    rot, of shape (N, 3, 3) or (3, 3), gives the coefficients in the rotated
+    frame, one row per rotation: the masks become alpha + beta u u^T with u
+    the color-axis row of R (module docstring).  Each row equals, bit for
+    bit, the call with its own kind and field.  Inputs are not validated
+    beyond that: HamiltonianSpec is the checked entry point.
     """
-    if kind not in _TABLE:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    row = _TABLE[kind]
-    values = (m, p, x, pbar, xbar, em, a, b, beta, scalar)
-    _accepts(kind, [name for name, value in zip(_FIELDS, values) if value is not None])
-    if rot is not None and kind == "Custom":
+    kinds = None if isinstance(kind, str) else np.asarray(kind)
+    names = [kind] if kinds is None else kinds.ravel().tolist()
+    given = [name for name, v in zip(_FIELDS, (m, p, x, pbar, xbar, em, a, b, beta, scalar))
+             if v is not None]
+    for name in dict.fromkeys(names):
+        _accepts(name, given)
+    k = _INDEX[kind] if kinds is None else np.array([_INDEX[n] for n in names],
+                                                    dtype=np.intp).reshape(kinds.shape)
+    if rot is not None and "Custom" in names:
         raise ValueError("rotations do not apply to Custom coefficients")
     if rot is not None and np.shape(rot)[-2:] != (3, 3):
         raise ValueError(f"rot must have shape (..., 3, 3), got {np.shape(rot)}")
-    em = em or _NO_FIELD
-    p, x, pbar, xbar, avec = [
-        _ZERO if v is None else np.asarray(v) for v in (p, x, pbar, xbar, em.Avec)
-    ]
-    a = 0.0 if a is None else np.asarray(a)
-    b = 0.0 if b is None else np.asarray(b)
-    s = (0.0 if scalar is None else scalar) + em.e * em.A0
-    mass = (0.0 if beta is None else beta) + row.mu * (0.0 if m is None else m)
+    if em is None or isinstance(em, EMField):  # one field for every row
+        em = em or _NO_FIELD
+        e, a0, avec, ev = em.e, em.A0, np.asarray(em.Avec), em.e
+    else:  # one field per row, and ev is e against the 3-vectors
+        em = [f or _NO_FIELD for f in em]
+        e, a0 = (np.array([getattr(f, n) for f in em]) for n in ("e", "A0"))
+        avec, ev = np.array([f.Avec for f in em]).reshape(-1, 3), e[:, None]
+    p, x, pbar, xbar = [_ZERO if v is None else np.asarray(v) for v in (p, x, pbar, xbar)]
+    a, b, m, beta, scalar = [0.0 if v is None else np.asarray(v) for v in (a, b, m, beta, scalar)]
+    s, mass = scalar + e * a0, beta + _MU[k] * m
     lead = ()
     if rot is None:
-        phi, psi = _DIAGONALS[kind]
+        phi, psi = _DIAGONALS[0, k], _DIAGONALS[1, k]
         # the mask scales each term, so a component the kind does not use stays 0
         # even where p - e*Avec would overflow there
-        av = a + phi * (p + pbar) - (phi * em.e) * avec
+        av = a + phi * (p + pbar) - (phi * ev) * avec
         bv = b + psi * (x - xbar)
     else:
-        u = np.asarray(rot)[..., row.axis, :]  # R^T e_c
-        av = a + _masked(row.phi, u, p + pbar) - _masked(row.phi, u, avec, em.e)
-        bv = b + _masked(row.psi, u, x - xbar)
+        rot = np.asarray(rot)  # u = R^T e_c, the color-axis row of each R
+        u = (rot[..., _AXIS[k], :] if kinds is None
+             else rot[(*np.indices(rot.shape[:-2], sparse=True), _AXIS[k])])
+        phi, psi = (mask[:, k] if kinds is None else mask[:, k, None] for mask in _MASKS)
+        av = a + _masked(phi, u, p + pbar) - _masked(phi, u, avec, ev)
+        bv = b + _masked(psi, u, x - xbar)
         lead = (u[..., 0],)  # one row per rotation, also where no mask moves
     c = np.empty(np.broadcast(s, mass, av[..., 0], bv[..., 0], *lead).shape + (8,))
     c[..., 0], c[..., 1:4], c[..., 4:7], c[..., 7] = s, av, bv, mass
     return c
 
 
-def _masked(mask: tuple[float, float], u: np.ndarray, v: np.ndarray, scale: float = 1.0):
-    """scale * (alpha + beta u u^T) v, the mask scaling each term first."""
+def _masked(mask: np.ndarray, u: np.ndarray, v: np.ndarray, scale=1.0):
+    """scale * (alpha + beta u u^T) v, the mask scaling each term first; none where beta = 0."""
     alpha, beta = mask
     out = (alpha * scale) * v
-    if beta:
-        out = out + ((beta * scale) * np.einsum("...i,...i->...", u, v))[..., None] * u
+    if nonzero := np.count_nonzero(beta):
+        turn = ((beta * scale) * np.einsum("...i,...i->...", u, v)[..., None]) * u
+        out = out + turn if nonzero == beta.size else np.where(beta != 0.0, out + turn, out)
     return out
 
 
 def matrices(c: np.ndarray) -> np.ndarray:
-    """c . BASIS: coefficient rows of shape (..., 8) to matrices (..., 8, 8)."""
-    c = np.asarray(c)
-    return (c @ BASIS).reshape(c.shape[:-1] + (8, 8))
+    """c . BASIS: real coefficient rows (..., 8) to matrices (..., 8, 8), as one real product."""
+    c = np.asarray(c, dtype=float)
+    return (c @ _REAL).view(complex).reshape(c.shape[:-1] + (8, 8))
 
 
 def colored_sum(kind: str, *, m, p, x, pbar=None, xbar=None) -> np.ndarray:
     """The literal colored sum of a composite, over a leading sample axis.
 
     Adds the matrices ColorR + ColorY + ColorB at (p, x, m) and, for QQbar,
-    after each color its Anti partner at (pbar, xbar, m), in that order.
-    Arguments broadcast as in coefficients.
+    after each color its Anti partner at (pbar, xbar, m), in that order;
+    the colors are one coefficients call and the Antis another.  Arguments
+    broadcast as in coefficients.
     """
     if kind not in ("QuarkSum", "QQbar"):
         raise ValueError(f"composite kind must be QuarkSum or QQbar, got {kind!r}")
-    total = 0.0
-    for color in "RYB":
-        total = total + matrices(coefficients(f"Color{color}", m=m, p=p, x=x))
-        if kind == "QQbar":
-            total = total + matrices(coefficients(f"Anti{color}", m=m, p=pbar, x=xbar))
-    return total
+    depth = max(np.ndim(m), *(np.ndim(v) - 1 for v in (p, x, pbar, xbar) if v is not None))
+    parts = [matrices(coefficients(np.reshape([prefix + c for c in "RYB"], (3,) + (1,) * depth),
+                                   m=m, p=u, x=v))
+             for prefix, u, v in (("Color", p, x), ("Anti", pbar, xbar))[:1 + (kind == "QQbar")]]
+    return sum((h for terms in zip(*parts) for h in terms), 0.0)  # R, AntiR, Y, AntiY, B, AntiB
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
@@ -440,8 +456,7 @@ def rotation_matrix(axis: int | Sequence[float], angle: float | np.ndarray) -> n
     if isinstance(axis, numbers.Integral):
         if axis not in (1, 2, 3):
             raise ValueError(f"axis index must be 1..3, got {axis}")
-        n = np.zeros(3)
-        n[axis - 1] = 1.0
+        n = np.eye(3)[axis - 1]
     else:
         n = np.asarray(axis, dtype=float)
         if n.shape[-1:] != (3,) or not np.all(np.isfinite(n)):
@@ -469,7 +484,7 @@ def rotated_operators(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rot.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {rot.shape}")
     rows, shape = np.moveaxis(rot, -2, 0), (3,) + rot.shape[:-2] + (8, 8)  # R_kl, k first
-    return tuple((rows @ ops).view(complex).reshape(shape) for ops in (_A_REAL, _BK_REAL))
+    return tuple((rows @ ops).view(complex).reshape(shape) for ops in (_REAL[1:4], _REAL[4:7]))
 
 
 def rotate_hamiltonian(spec: HamiltonianSpec, axis: int | Sequence[float],
@@ -579,8 +594,7 @@ def antiparticle_distinctness_check(
     d_min = math.sqrt(float(diff @ diff))
 
     xnorm = float(np.linalg.norm(anti.x))
-    target_b = target[4:7]
-    margin = 0.0 if xnorm == 0.0 else float(target_b @ target_b) / xnorm
+    margin = 0.0 if xnorm == 0.0 else float(target[4:7] @ target[4:7]) / xnorm
     return DistinctnessReport(color=color, p=anti.p, x=anti.x, m=anti.m, min_distance=d_min,
                               minimizer=tuple(float(v) for v in u), margin=margin,
                               degenerate=(margin == 0.0))
@@ -623,24 +637,32 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
     h = np.asarray(h, dtype=complex)
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {h.shape}")
-    herm = float(np.abs(h - h.conj().T).max())
-    c = (_BASIS_CONJ @ (h.ravel() / 8.0)).real  # divided first: no partial sum overflows
-    off = float(np.abs(h - matrices(c)).max())
-    if not off <= 1e-12 * max(1.0, float(np.abs(h).max())):  # NaN fails too
-        raise ValueError(f"matrix is not a Hermitian combination of 1, A1..A3, B1..B3, B "
-                         f"(residual {off:.3e})")
+    return _spectra(h[None])[0]
 
-    s, r = float(c[0]), math.hypot(*c[1:])
-    lo, hi = s - r, s + r
-    resid = 2.0 * abs(s) * float(np.abs(h - s * _I8).max())
-    lam = s * s + r * r
-    scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
-    return SpectrumReport(
-        eigenvalues=(lo,) * 4 + (hi,) * 4,
-        # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
-        degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
-        scalar_square=scalar,
-        scalar_residual=resid if math.isfinite(resid) else None,
-        hermiticity_residual=herm,
-        symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
-    )
+
+def _spectra(h: np.ndarray) -> list[SpectrumReport]:
+    """square_and_spectrum of each matrix of a stack (N, 8, 8), by the same operations."""
+    h = np.asarray(h, dtype=complex)
+    herm = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    c = (_BASIS_CONJ @ (h.reshape(-1, 64, 1) / 8.0))[..., 0].real  # no partial sum overflows
+    off = np.abs(h - matrices(c)).max(axis=(1, 2))
+    bad = ~(off <= 1e-12 * np.maximum(1.0, np.abs(h).max(axis=(1, 2))))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"matrix is not a Hermitian combination of 1, A1..A3, B1..B3, B "
+                         f"(residual {off[bad][0]:.3e})")
+    diagonal = np.abs(h - c[:, :1, None] * _I8).max(axis=(1, 2))
+    reports = []
+    for (s, *v), diag, hm in zip(c.tolist(), diagonal.tolist(), herm.tolist()):
+        r = math.hypot(*v)
+        lo, hi, resid, lam = s - r, s + r, 2.0 * abs(s) * diag, s * s + r * r
+        scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
+        reports.append(SpectrumReport(
+            eigenvalues=(lo,) * 4 + (hi,) * 4,
+            # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
+            degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
+            scalar_square=scalar,
+            scalar_residual=resid if math.isfinite(resid) else None,
+            hermiticity_residual=hm,
+            symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
+        ))
+    return reports

@@ -66,13 +66,7 @@ def _render(obj, indent: str) -> str:
             return _render(obj.tolist(), indent)
         if obj.dtype.kind == "c":
             obj = np.stack((obj.real, obj.imag), axis=-1) if np.any(obj.imag) else obj.real
-        a = np.asarray(obj, dtype=np.float64)
-        if not np.isfinite(a).all():  # the first non-finite number raises as a float
-            _render(float(a[~np.isfinite(a)][0]), indent)
-        out = a.astype(object)
-        whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the float branch's integer rule
-        out[whole] = a[whole].astype(np.int64)
-        items = list(map(repr, out.ravel().tolist()))
+        items = _numbers(a := np.asarray(obj, dtype=np.float64))
         for depth in range(a.ndim - 1, -1, -1):  # the innermost rows first, one join per row
             n, outer = a.shape[depth], indent + "  " * depth
             sep = ",\n  " + outer
@@ -82,6 +76,16 @@ def _render(obj, indent: str) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return _render([obj.real, obj.imag], indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _numbers(a: np.ndarray) -> list[str]:
+    """A float array's numbers in C order, printed as the float branch prints them."""
+    if not np.isfinite(a).all():  # the first non-finite number raises as a float
+        _render(float(a[~np.isfinite(a)][0]), "")
+    out = a.astype(object)
+    whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the float branch's integer rule
+    out[whole] = a[whole].astype(np.int64)
+    return list(map(repr, out.ravel().tolist()))
 
 
 def dump_json(obj) -> str:
@@ -100,13 +104,14 @@ def matrix_to_csv(m: np.ndarray) -> str:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"CSV export is for matrices, got ndim={m.ndim}")
-    complex_valued = m.dtype.kind == "c" and bool(np.any(m.imag))
-    def cell(c: complex) -> str:
-        text = _render(c.real, "")
-        if complex_valued:  # then the imaginary part, as +bi or -bi
-            text += ("+" if c.imag >= 0 else "-") + _render(abs(c.imag), "") + "i"
-        return text
-    return "".join(",".join(map(cell, row)) + "\n" for row in m.astype(complex).tolist())
+    if m.dtype.kind == "c" and np.any(m.imag):  # a+bi or a-bi, each part printed in cell order
+        parts = _numbers(np.stack((m.real, m.imag), axis=-1).astype(float))
+        cells = [re + (im if im[0] == "-" else "+" + im) + "i"
+                 for re, im in zip(parts[::2], parts[1::2])]
+    else:
+        cells = _numbers(np.asarray(m.real, dtype=float))
+    n = m.shape[1]
+    return "".join(",".join(cells[i * n:(i + 1) * n]) + "\n" for i in range(m.shape[0]))
 
 
 # ---------------------------------------------------------------------------

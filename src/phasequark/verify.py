@@ -17,13 +17,13 @@ the check is relative.  Loops only build stacks.  Residuals that the
 library reports (verify_su3_table, derive_pairing_from_*) stay the
 library's, and a structural test that fails forces a residual of 1.  The
 second route of rotation is the operator route: the table at rotated
-coordinates on the primed operators.  The conjugation checks build the
-field flip, the Anti closed form and the substitution chain from
-coefficients rows, one call per sample, and compare conjugate_hamiltonian
-with the flip once per check.  Every check draws each random quantity
-with one Generator call, as one block that the Generator fills row by
-row.  A VerificationReport is a NamedTuple of its checks.  CheckResult
-stays a frozen dataclass, whose equality ignores elapsed_ms.
+coordinates on the primed operators.  Each route is one library call
+over its samples, with a kind and an EM field per row where they differ
+(the conjugation checks: one per group of samples with the same fields),
+and the conjugation checks compare conjugate_hamiltonian with the flip once.  Every check
+draws each random quantity with one Generator call, as one block that
+the Generator fills row by row.  A VerificationReport is a NamedTuple of
+its checks, each a CheckResult: a frozen dataclass whose == ignores elapsed_ms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -43,6 +43,7 @@ from .hamiltonian import (
     BASIS,
     EMField,
     HamiltonianSpec,
+    _spectra,
     antiparticle_distinctness_check,
     build_hamiltonian,
     coefficients,
@@ -131,6 +132,8 @@ _GAMMA = BASIS.reshape(8, 8, 8)[1:]  # the rows of clifford.GENERATOR_NAMES
 _A8, _BK8, _B8 = _GAMMA[0:3], _GAMMA[3:6], _GAMMA[6]
 _I8 = np.eye(8)
 _C8 = clifford.build_C("s2")
+_I3 = np.eye(3)
+_COLORS, _ANTIS = (np.array([kind + c for c in "RYB"]) for kind in ("Color", "Anti"))
 
 
 def _random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
@@ -158,9 +161,7 @@ def _sq3(v: np.ndarray) -> np.ndarray:
 
 def _check_commutator_table():
     ok, max_residual, rows = phase_space.verify_su3_table()
-    nonzero = sum(
-        1 for row in rows if any(abs(c) > 1e-9 for c in row["coefficients"])
-    )
+    nonzero = sum(any(abs(c) > 1e-9 for c in row["coefficients"]) for row in rows)
     return max_residual, {"pairs": len(rows), "pairs_with_nonzero_bracket": nonzero,
                           "table_consistent": ok}
 
@@ -269,8 +270,7 @@ def _check_tau_uniqueness():
     expected = {"s0": [1, 3], "s1": [1, 2], "s2": [], "s3": [2, 3]}
     scan = clifford.charge_conjugation_tau_scan()
     failures = {tau: sorted(ks) for tau, ks in scan.items()}
-    residual = 0.0 if failures == expected else 1.0
-    return residual, {"failing_Bk_indices": failures}
+    return (0.0 if failures == expected else 1.0), {"failing_Bk_indices": failures}
 
 
 def _check_gamma5():
@@ -279,12 +279,10 @@ def _check_gamma5():
     products = -1j * np.stack([_A8[0] @ _A8[1] @ _A8[2], *(_A8[c] @ _BK8[u] @ _BK8[v])])
     table = np.stack([clifford.named_operator(f"gamma{n}5") for n in ("", "R", "Y", "B")])
     g5 = table[0]
-    worst = _worst(
-        _compare(products, table), _compare(table @ table, _I8),
-        _compare(clifford.anticommutator(table, _B8), 0.0),
-        _compare(clifford.anticommutator(g5, _BK8), 0.0),
-        _compare(g5 @ _A8 - _A8 @ g5, 0.0),
-    )
+    worst = _worst(_compare(products, table), _compare(table @ table, _I8),
+                   _compare(clifford.anticommutator(table, _B8), 0.0),
+                   _compare(clifford.anticommutator(g5, _BK8), 0.0),
+                   _compare(g5 @ _A8 - _A8 @ g5, 0.0))
     return worst, {"colored": ["R", "Y", "B"]}
 
 
@@ -302,13 +300,12 @@ def _check_random_basis_similarity(rng):
 
 
 def _check_mixing_law(rng):
-    p = rng.uniform(-2.0, 2.0, size=3)
-    x = rng.uniform(-2.0, 2.0, size=3)
+    p, x = rng.uniform(-2.0, 2.0, size=(2, 3))  # one block, filled row by row
     fields = {"m": float(rng.uniform(0.0, 2.0)), "p": p, "x": x}
     phis = rng.uniform(-3.1, 3.1, size=10).tolist()
     c, s = (np.array([f(phi) for phi in phis])[:, None, None] for f in (math.cos, math.sin))
     rots = rotation_matrix(3, phis)
-    h_r_p, h_y_p = (matrices(coefficients(k, rot=rots, **fields)) for k in ("ColorR", "ColorY"))
+    h_r_p, h_y_p = matrices(coefficients([["ColorR"], ["ColorY"]], rot=rots, **fields))
     a_p, b_p = rotated_operators(rots)  # the operator route
     pp, xp = ((rots @ v)[:, :, None, None] for v in (p, x))
     cross = b_p[1] * xp[:, 0] + b_p[0] * xp[:, 1] - a_p[1] * pp[:, 0] - a_p[0] * pp[:, 1]
@@ -316,8 +313,9 @@ def _check_mixing_law(rng):
     return _compare(c * c * h_r_p + s * s * h_y_p + s * c * cross, h_r), {"angles": 10}
 
 
-def _operator_route(kind: str, rots: np.ndarray, **fields) -> np.ndarray:
-    """Hamiltonians in the frames rots by the operator route (no EM field).
+def _operator_route(kind, rots: np.ndarray, **fields) -> np.ndarray:
+    """Hamiltonians in the frames rots (..., 3, 3) by the operator route (no EM
+    field); kinds and fields broadcast against the frames' leading axes.
 
     The table at R p, R x, R pbar, R xbar, read on the primed operators
     A'_k = R_kl A_l and B'_k = R_kl B_l of rotated_operators: the second
@@ -327,19 +325,15 @@ def _operator_route(kind: str, rots: np.ndarray, **fields) -> np.ndarray:
               for name, v in fields.items()}
     c = coefficients(kind, **turned)
     primed = np.concatenate(rotated_operators(rots))  # A'_1..A'_3, B'_1..B'_3
-    return (c[:, 0, None, None] * _I8 + np.einsum("nk,knij->nij", c[:, 1:7], primed)
-            + c[:, 7, None, None] * _B8)
+    return (c[..., 0, None, None] * _I8 + np.einsum("...k,k...ij->...ij", c[..., 1:7], primed)
+            + c[..., 7, None, None] * _B8)
 
 
 def _check_color_axis_invariance(rng):
     m, p, x, _, _ = _random_inputs(rng, 3)  # row i for color i
-    phis = rng.uniform(-3.1, 3.1, size=(3, 5))
-    plain, rotated = [], []  # one stack per color, each color its own kind
-    for i, color in enumerate("RYB"):
-        kind, fields = f"Color{color}", {"m": m[i], "p": p[i], "x": x[i]}
-        plain.append(matrices(coefficients(kind, **fields)))
-        rotated.append(_operator_route(kind, rotation_matrix(i + 1, phis[i]), **fields))
-    worst = _compare(np.stack(rotated), np.stack(plain)[:, None])
+    rots = rotation_matrix(_I3[:, None], rng.uniform(-3.1, 3.1, size=(3, 5)))  # own axis
+    rotated = _operator_route(_COLORS[:, None], rots, m=m[:, None], p=p[:, None], x=x[:, None])
+    worst = _compare(rotated, matrices(coefficients(_COLORS, m=m, p=p, x=x))[:, None])
     return worst, {"pairs": "ColorR/axis1, ColorY/axis2, ColorB/axis3"}
 
 
@@ -363,26 +357,29 @@ def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
 
 
 def _field_flip(fields: dict) -> dict:
-    """Conjugation's field flip, stated apart from the library: e -> -e, and
-    x -> -x where the fields give x (the colored kinds)."""
+    """Conjugation's field flip, stated apart from the library, on stacked fields
+    with an EM field (or None) per row: e -> -e, and x -> -x where the fields
+    give x (the colored kinds)."""
     flipped = dict(fields)
     if "x" in fields:
         flipped["x"] = -np.asarray(fields["x"])
-    em = fields.get("em")
-    if em is not None:
-        flipped["em"] = EMField(-em.e, em.A0, em.Avec)
+    if "em" in fields:
+        flipped["em"] = [em and EMField(-em.e, em.A0, em.Avec) for em in fields["em"]]
     return flipped
 
 
-def _stack(samples: list[tuple[str, dict]], route=lambda fields: fields) -> np.ndarray:
-    """Matrices of samples (kind, fields) at route(fields), one coefficients row each."""
-    return matrices(np.stack([coefficients(kind, **route(fields)) for kind, fields in samples]))
+def _stack(groups: list[tuple], route=lambda fields: fields) -> np.ndarray:
+    """Matrices of groups (kinds, fields) of samples at route(fields): one
+    coefficients call per group, on its kinds (one name, or one per row) and
+    stacked fields, with an EM field (or None) per row; the groups' rows in order."""
+    return matrices(np.concatenate([coefficients(kinds, **route(fields))
+                                    for kinds, fields in groups]))
 
 
-def _substitution(samples: list[tuple[str, dict]]) -> np.ndarray:
-    """The substitution chain over samples (kind, fields): the rows at p -> -p,
+def _substitution(groups: list[tuple]) -> np.ndarray:
+    """The substitution chain over groups as in _stack: the rows at p -> -p,
     then i -> -i, H -> -H and C H C^-1 = -C H C as one stacked product."""
-    h = _stack(samples, lambda fields: {**fields, "p": -np.asarray(fields["p"])})
+    h = _stack(groups, lambda fields: {**fields, "p": -np.asarray(fields["p"])})
     return _C8 @ -np.conj(h) @ -_C8
 
 
@@ -393,20 +390,22 @@ def substitution_conjugate(spec: HamiltonianSpec) -> np.ndarray:
     with C = build_C("s2").  Every step is a signed rearrangement of the
     same floats, so it equals conjugate_hamiltonian's field flip exactly.
     """
-    fields = {name: getattr(spec, name) for name in spec.to_dict() if name != "kind"}
+    fields = {name: [getattr(spec, name)] for name in spec.to_dict() if name != "kind"}
     return _substitution([(spec.kind, fields)])[0]
 
 
-def _library_flip(kind: str, fields: dict, flip: np.ndarray):
-    """conjugate_hamiltonian at one sample against flip, its field flip's matrix.
+def _library_flip(group: tuple, flip: np.ndarray):
+    """conjugate_hamiltonian at the first sample of a group against flip, its
+    field flip's matrix.
 
     Returns the largest difference (1 when the conjugated spec is not the
     flipped spec), the sample's spec and its conjugate.
     """
-    spec = HamiltonianSpec(kind, **fields)
+    kinds, fields = group
+    spec = HamiltonianSpec(str(np.ravel(kinds)[0]), **{name: v[0] for name, v in fields.items()})
     matrix, conj = conjugate_hamiltonian(spec)
     worst = _compare(matrix, flip)
-    flipped = {"em": None, **_field_flip(fields)}  # a free sample's conjugate has no em
+    flipped = {"em": None, **{name: v[0] for name, v in _field_flip(fields).items()}}
     if not all(np.array_equal(getattr(conj, name), v) for name, v in flipped.items()):
         worst = _worst(worst, 1.0)
     return worst, spec, conj
@@ -415,9 +414,8 @@ def _library_flip(kind: str, fields: dict, flip: np.ndarray):
 def _check_c_matrix():
     c = _C8
     worst = _worst(_compare(c @ c, -_I8), _compare(np.imag(c), 0.0))
-    signed_perm = np.all(np.sum(np.abs(c) > 0, axis=0) == 1) and np.all(
-        np.isin(np.real(c).reshape(-1), [0.0, 1.0, -1.0])
-    )
+    signed_perm = (np.all(np.sum(np.abs(c) > 0, axis=0) == 1)
+                   and np.all(np.isin(np.real(c).reshape(-1), [0.0, 1.0, -1.0])))
     if not signed_perm:
         worst = _worst(worst, 1.0)
     return worst, {"square": "-identity", "real_signed_permutation": bool(signed_perm)}
@@ -425,46 +423,41 @@ def _check_c_matrix():
 
 def _check_colored_closed_forms(rng):
     m, p, x, _, _ = _random_inputs(rng, 3)  # sample i for color i
-    colors = [(f"Color{c}", {"m": m[i], "p": p[i], "x": x[i]}) for i, c in enumerate("RYB")]
+    colors = [(_COLORS, {"m": m, "p": p, "x": x})]
     flip = _stack(colors, _field_flip)
-    anti = _stack([(f"Anti{c}", fields) for c, (_, fields) in zip("RYB", colors)])
+    anti = _stack([(_ANTIS, colors[0][1])])
     worst = _worst(_compare(flip, anti), _compare(flip, _substitution(colors)),
-                   _library_flip(*colors[0], flip[0])[0])
+                   _library_flip(colors[0], flip[0])[0])
     return worst, {"colors": ["R", "Y", "B"]}
 
 
 def _check_conjugation_involution(rng):
     m, p, x, _, _ = _random_inputs(rng, 4)  # ColorR, ColorY, ColorB, then Dirac
-    samples = [(f"Color{c}", {"m": m[i], "p": p[i], "x": x[i]}) for i, c in enumerate("RYB")]
-    samples += [
-        ("Dirac", {"m": m[3], "p": p[3]}),
-        ("Dirac", {"m": 1.0, "p": (0.5, -1.0, 2.0),
-                   "em": EMField(e=0.75, A0=-0.25, Avec=(0.5, 1.5, -0.5))}),
-    ]
+    samples = [(_COLORS, {"m": m[:3], "p": p[:3], "x": x[:3]}),
+               ("Dirac", {"m": [m[3], 1.0], "p": [p[3], (0.5, -1.0, 2.0)],
+                          "em": [None, EMField(e=0.75, A0=-0.25, Avec=(0.5, 1.5, -0.5))]})]
     h, once = _stack(samples), _stack(samples, _field_flip)
     twice = _stack(samples, lambda fields: _field_flip(_field_flip(fields)))
-    flip_residual, spec, conj = _library_flip(*samples[0], once[0])
+    flip_residual, spec, conj = _library_flip(samples[0], once[0])
     twice_matrix, twice_spec = conjugate_hamiltonian(conj)
     worst = _worst(flip_residual, _compare(twice, h), _compare(twice_matrix, h[0]),
                    _compare(once, _substitution(samples)))
     if twice_spec != spec:
         worst = _worst(worst, 1.0)
-    return worst, {"specs": len(samples)}
+    return worst, {"specs": len(h)}
 
 
 def _check_dirac_em(rng):
     u = rng.random((5, 9))  # columns e, A0, Avec, m, p: -2 + 4u, and 2u for m
-    samples = [("Dirac", {"m": m, "p": v[6:9], "em": EMField(v[0], v[1], v[2:5])})
-               for v, m in zip(-2.0 + 4.0 * u, 2.0 * u[:, 5])]
-    # the free Dirac, whose flip changes nothing: the chain must return it unchanged
-    samples.append(("Dirac", {"m": 1.5, "p": (1.0, -2.0, 0.5)}))
+    v = -2.0 + 4.0 * u
+    # then the free Dirac, whose flip changes nothing: the chain must return it unchanged
+    samples = [("Dirac", {"m": [*2.0 * u[:, 5], 1.5], "p": [*v[:, 6:9], (1.0, -2.0, 0.5)],
+                          "em": [*(EMField(r[0], r[1], r[2:5]) for r in v), None]})]
     flip = _stack(samples, _field_flip)
-    worst = _worst(_compare(flip, _substitution(samples)),
-                   _library_flip(*samples[0], flip[0])[0])
+    worst = _worst(_compare(flip, _substitution(samples)), _library_flip(samples[0], flip[0])[0])
     return worst, {"random_fields": 5, "free_dirac_self_conjugate": True}
 
 
-_I3 = np.eye(3)
 _PI, _PJ = [0, 0, 1], [1, 2, 2]  # the pairs (i, j) of the probe rows (e_i + e_j)/sqrt(2)
 _PROBES = np.concatenate([_I3, (_I3[_PI] + _I3[_PJ]) / math.sqrt(2.0)])
 
@@ -480,17 +473,15 @@ def _check_distinctness():
     its lowest eigenvalue; both residuals join the margin gap.
     """
     reports = [antiparticle_distinctness_check(color) for color in "RYB"]
-    anti, plain = [], []  # one stack per color, each color its own kind
-    for axis, (color, report) in enumerate(zip("RYB", reports)):
-        u = np.array(report.minimizer)
-        # minus the Householder reflection along e_axis + r is a rotation whose
-        # color-axis row is r, for a unit r with r[axis] >= 0 (d is even in u)
-        v = np.concatenate([[u if u[axis] >= 0.0 else -u], _PROBES]) + _I3[axis]
-        frames = 2.0 * v[:, :, None] * v[:, None, :] / (v * v).sum(axis=1)[:, None, None] - _I3
-        fields = {"m": report.m, "p": report.p, "x": report.x}
-        anti.append(_operator_route(f"Anti{color}", frames, **fields))
-        plain.append(matrices(coefficients(f"Color{color}", **fields)))
-    diff = np.stack(anti) - np.stack(plain)[:, None]  # (color, frame, 8, 8)
+    u = np.array([report.minimizer for report in reports])  # row i for color i
+    # minus the Householder reflection along e_axis + r is a rotation whose
+    # color-axis row is r, for a unit r with r[axis] >= 0 (d is even in u)
+    v = np.concatenate([np.where(np.diagonal(u)[:, None] >= 0.0, u, -u)[:, None],
+                        np.broadcast_to(_PROBES, (3, 6, 3))], axis=1) + _I3[:, None]
+    frames = 2.0 * v[..., :, None] * v[..., None, :] / (v * v).sum(axis=-1)[..., None, None] - _I3
+    fields = {name: np.array([getattr(report, name) for report in reports]) for name in "mpx"}
+    anti = _operator_route(_ANTIS[:, None], frames, **{n: f[:, None] for n, f in fields.items()})
+    diff = anti - matrices(coefficients(_COLORS, **fields))[:, None]  # (color, frame, 8, 8)
     d2 = (diff.real ** 2 + diff.imag ** 2).sum(axis=(2, 3)) / 8.0
     axes = d2[:, 1:4]
     form = axes[:, :, None] * _I3  # M_ii; the entries off the diagonal are set next
@@ -511,18 +502,16 @@ def _check_distinctness():
 # ---------------------------------------------------------------------------
 
 
-def _check_quark_sum_square(rng):
-    m, p, x, _, _ = _random_inputs(rng, 200)
-    h = matrices(coefficients("QuarkSum", m=m, p=p, x=x))
-    lam = _sq3(p) + 4.0 * _sq3(x) + 9.0 * m * m
-    worst = _compare(h @ h, lam[:, None, None] * _I8, scale=np.maximum(1.0, lam))
-    return worst, {"samples": 200}
-
-
-def _check_qqbar_mass_law(rng):
+def _mass_law(rng, kind: str) -> tuple[float, dict]:
+    """Largest |H^2 - lam*1| / max(1, lam) over 200 random specs, with lam =
+    p^2 + 4x^2 + 9m^2 for QuarkSum, (p + pbar)^2 + 4(x - xbar)^2 + 36m^2 for QQbar."""
     m, p, x, pbar, xbar = _random_inputs(rng, 200)
-    h = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
-    lam = _sq3(p + pbar) + 4.0 * _sq3(x - xbar) + 36.0 * m * m
+    fields = {"m": m, "p": p, "x": x}
+    if kind == "QQbar":
+        fields.update(pbar=pbar, xbar=xbar)
+        p, x = p + pbar, x - xbar
+    h = matrices(coefficients(kind, **fields))
+    lam = _sq3(p) + 4.0 * _sq3(x) + {"QuarkSum": 9.0, "QQbar": 36.0}[kind] * m * m
     worst = _compare(h @ h, lam[:, None, None] * _I8, scale=np.maximum(1.0, lam))
     return worst, {"samples": 200}
 
@@ -530,7 +519,7 @@ def _check_qqbar_mass_law(rng):
 def _check_spectrum_symmetry(rng):
     m, p, x, pbar, xbar = _random_inputs(rng, 25)
     stack = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
-    reports = [square_and_spectrum(h) for h in stack]
+    reports = _spectra(stack)
     kept = [i for i, report in enumerate(reports) if report.scalar_square is not None]
     roots = np.sqrt([max(reports[i].scalar_square, 0.0) for i in kept])
     # eigvalsh is the second route: it checks the closed form and the +-sqrt(lambda) law
@@ -566,9 +555,7 @@ def _check_translation_invariance(rng):
     worst = _compare(matrices(base), matrices(shifted))
     # witness of single-quark NON-invariance: the shift must move H_q
     q = HamiltonianSpec(kind="QuarkSum", m=1.0, p=(1.0, 2.0, 3.0), x=(0.5, -1.0, 2.0))
-    q_shift = HamiltonianSpec(kind="QuarkSum", m=1.0, p=(1.0, 2.0, 3.0),
-                              x=(1.5, -1.0, 2.0))
-    witness = _compare(build_hamiltonian(q), build_hamiltonian(q_shift))
+    witness = _compare(build_hamiltonian(q), build_hamiltonian(replace(q, x=(1.5, -1.0, 2.0))))
     if witness < 0.5:
         worst = _worst(worst, 1.0)
     return worst, {"samples": 30, "witness_shift": [1.0, 0.0, 0.0],
@@ -578,9 +565,8 @@ def _check_translation_invariance(rng):
 def _check_rest_frame():
     spec = HamiltonianSpec.from_dict({"kind": "QQbar", "P": [0, 0, 0], "dx": [0, 0, 0], "m": 1})
     report = square_and_spectrum(build_hamiltonian(spec))
-    target = np.array([-6.0] * 4 + [6.0] * 4)
     worst = _worst(_compare(report.scalar_square or 0.0, 36.0),
-                   _compare(report.eigenvalues, target))
+                   _compare(report.eigenvalues, np.repeat([-6.0, 6.0], 4)))
     return worst, {"scalar_square": report.scalar_square,
                    "degeneracies": [[v, n] for v, n in report.degeneracies]}
 
@@ -589,10 +575,8 @@ def _check_chirality_breaking(rng):
     g5 = clifford.named_operator("gamma5")
     x = rng.uniform(-2.0, 2.0, size=3)
     m = float(rng.uniform(0.5, 2.0))
-    mass_term = m * _B8
-    position_term = sum(_BK8[k] * x[k] for k in range(3))
-    kinetic = sum(_A8[k] * x[k] for k in range(3))
-    terms = np.stack([mass_term, position_term, kinetic])
+    # the mass term m B, the position term x.B_k and the kinetic term x.A_k
+    terms = np.stack([m * _B8, *(sum(ops[k] * x[k] for k in range(3)) for ops in (_BK8, _A8))])
     worst = _compare(g5 @ terms @ g5, np.array([-1.0, -1.0, 1.0])[:, None, None] * terms)
     return worst, {"note": "mass and position terms anticommute with gamma5; kinetic term commutes"}
 
@@ -640,8 +624,8 @@ _REGISTRY: dict[str, list[tuple[str, int | None, float, Callable]]] = {
         ("conjugation/antiparticle-distinctness", None, 1e-12, _check_distinctness),
     ],
     "composite": [
-        ("composite/quark-sum-square", 50, 1e-11, _check_quark_sum_square),
-        ("composite/qqbar-mass-law", 51, 1e-11, _check_qqbar_mass_law),
+        ("composite/quark-sum-square", 50, 1e-11, partial(_mass_law, kind="QuarkSum")),
+        ("composite/qqbar-mass-law", 51, 1e-11, partial(_mass_law, kind="QQbar")),
         ("composite/spectrum-symmetry", 52, 1e-10, _check_spectrum_symmetry),
         ("composite/sum-route-equality", 53, 1e-12, _check_sum_route_equality),
         ("composite/translation-invariance", 54, 0.0, _check_translation_invariance),

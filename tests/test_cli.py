@@ -72,7 +72,7 @@ def test_unreachable_tolerance_fails_with_exit_one():
 
 def test_a_nan_residual_fails_with_exit_one_and_reads_null(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_substitution",
-                        lambda samples: np.full((len(samples), 8, 8), np.nan))
+                        lambda samples: np.full((1, 8, 8), np.nan))
     code, out = run_in_process(capsys, "verify", "--suite", "conjugation")
     assert code == 1
     report = strict_json(out)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phasequark import clifford as cf, hamiltonian, phase_space as ps
 from phasequark.hamiltonian import (
@@ -283,6 +283,105 @@ def test_spec_check_matches_the_batched_route(case):
         HamiltonianSpec(kind=kind, **drawn)
     assert str(excinfo.value) == (f"coefficients of the {kind} spec overflow float64 in "
                                   + ", ".join(map(repr, names)))
+
+
+@st.composite
+def row_stacks(draw, number=_EXTREME):
+    """1-6 rows sharing one set of field names, each row its own kind among the kinds
+    that accept them all and, where em is a name, its own EM field or None; rot draws
+    one frame per row, for stacks without Custom."""
+    base = draw(st.sampled_from(KINDS))
+    names = draw(st.lists(st.sampled_from(hamiltonian._TABLE[base].fields), unique=True))
+    accepting = [k for k in KINDS if set(names) <= set(hamiltonian._TABLE[k].fields)]
+    n = draw(st.integers(min_value=1, max_value=6))
+    kinds = draw(st.lists(st.sampled_from(accepting), min_size=n, max_size=n))
+    vec = st.tuples(number, number, number)
+    value = {"m": number.map(abs), "beta": number, "scalar": number,
+             "em": st.none() | st.builds(EMField, number, number, vec)}
+    rows = [{name: draw(value.get(name, vec)) for name in names} for _ in kinds]
+    rot = None
+    if "Custom" not in kinds and draw(st.booleans()):
+        rot = [rotation_matrix(axis, phi) for axis, phi in draw(st.lists(
+            st.tuples(unit_axis, st.floats(-math.pi, math.pi)), min_size=n, max_size=n))]
+    return kinds, rows, rot
+
+
+_HUGE = (1.7976931348623157e308,) * 3  # u.p overflows where u has two large components
+
+
+@settings(max_examples=500)
+@given(row_stacks(), st.booleans())
+# a Dirac row beside a colored one: its beta of 0 must skip the u u^T term, which is nan here
+@example((["Dirac", "ColorR"], [{"p": _HUGE}, {"p": _HUGE}], [rotation_matrix(3, math.pi / 4)] * 2),
+         False)
+def test_stacked_coefficients_equal_single_rows_bit_for_bit(stack, as_array):
+    """A kind and an EM field per row, and a frame per row, give each row the bits of
+    the call with that row's own kind, fields and frame: the same elementwise IEEE
+    operations whatever the neighbouring rows are."""
+    kinds, rows, rot = stack
+    fields = {name: [row[name] for row in rows] for name in rows[0]}
+    extra = {} if rot is None else {"rot": np.array(rot)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = coefficients(np.array(kinds) if as_array else kinds, **fields, **extra)
+        singles = [coefficients(kind, **row, **({} if rot is None else {"rot": rot[i]}))
+                   for i, (kind, row) in enumerate(zip(kinds, rows))]
+    assert c.shape == (len(rows), 8)
+    assert c.view(np.int64).tolist() == np.array(singles).view(np.int64).tolist()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(KINDS), st.lists(st.one_of(st.none(), st.builds(
+    EMField, _EXTREME, _EXTREME, st.tuples(_EXTREME, _EXTREME, _EXTREME))), min_size=1, max_size=6))
+def test_one_kind_or_field_broadcasts_over_the_rows(kind, ems):
+    """One kind against an EM field per row, and one EM field against a kind per row."""
+    em_kinds = [k for k in KINDS if "em" in hamiltonian._TABLE[k].fields]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind in em_kinds:
+            stacked = coefficients(kind, m=1.5, em=ems)
+            single = [coefficients(kind, m=1.5, em=em) for em in ems]
+            assert stacked.view(np.int64).tolist() == np.array(single).view(np.int64).tolist()
+        kinds = [em_kinds[i % len(em_kinds)] for i in range(len(ems))]
+        stacked = coefficients(kinds, p=(1.0, -0.0, 1e308), em=ems[0])
+        single = [coefficients(k, p=(1.0, -0.0, 1e308), em=ems[0]) for k in kinds]
+    assert stacked.view(np.int64).tolist() == np.array(single).view(np.int64).tolist()
+
+
+def test_a_kind_stack_takes_only_fields_every_kind_accepts():
+    with pytest.raises(ValueError, match="field 'x' is not valid for kind Dirac"):
+        coefficients(["ColorR", "Dirac"], x=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="field 'em' is not valid for kind AntiR"):
+        coefficients(["ColorR", "AntiR"], em=[None, EMField(e=1.0)])
+    with pytest.raises(ValueError, match="unknown kind 'Gluon'"):
+        coefficients(["ColorR", "Gluon"], m=np.ones(2))
+    with pytest.raises(ValueError, match="Custom"):
+        coefficients(["QQbar", "Custom"], rot=np.eye(3))
+
+
+_COEFFICIENT = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e154, -1e154, 5e-324])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_COEFFICIENT, min_size=8, max_size=8), min_size=1, max_size=6))
+def test_stacked_spectra_equal_square_and_spectrum(rows):
+    """Each report of the stacked closed form, bit for bit (repr is exact for floats and
+    tells -0.0 from 0.0), equals square_and_spectrum on its own matrix; a square past
+    float64 is None in both."""
+    stack = matrices(np.array(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = hamiltonian._spectra(stack)
+        single = [square_and_spectrum(h) for h in stack]
+    assert list(map(repr, stacked)) == list(map(repr, single))
+
+
+def test_a_matrix_outside_the_span_in_a_stack_gives_its_own_error():
+    good = build_hamiltonian(HamiltonianSpec(kind="QQbar", m=1.0, p=(1.0, 2.0, 3.0)))
+    bad = [good + 1e-3 * np.triu(np.ones((8, 8))), good + 0.5 * np.eye(8)[::-1]]
+    with pytest.raises(ValueError) as first:
+        square_and_spectrum(bad[0])
+    with pytest.raises(ValueError) as stacked:
+        hamiltonian._spectra(np.stack([good, bad[0], good, bad[1]]))
+    assert str(stacked.value) == str(first.value)
+    assert str(first.value).startswith("matrix is not a Hermitian combination")
 
 
 def test_components_a_kind_does_not_use_never_overflow():

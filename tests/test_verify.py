@@ -169,20 +169,20 @@ def _conjugate_twice_drifts(monkeypatch):
 
 def _sample_not_kept(monkeypatch):
     # no square reads as scalar, so spectrum-symmetry keeps no sample
-    square_and_spectrum = verify.square_and_spectrum
-    monkeypatch.setattr(verify, "square_and_spectrum",
-                        lambda h: square_and_spectrum(h)._replace(scalar_square=None))
+    spectra = verify._spectra
+    monkeypatch.setattr(verify, "_spectra",
+                        lambda h: [report._replace(scalar_square=None) for report in spectra(h)])
 
 
 def _spectrum_not_split(monkeypatch):
     # the eigenvalues stay right; the degeneracies read one eightfold value
-    square_and_spectrum = verify.square_and_spectrum
+    spectra = verify._spectra
 
     def eightfold(h):
-        report = square_and_spectrum(h)
-        return report._replace(degeneracies=((report.eigenvalues[0], 8),))
+        return [report._replace(degeneracies=((report.eigenvalues[0], 8),))
+                for report in spectra(h)]
 
-    monkeypatch.setattr(verify, "square_and_spectrum", eightfold)
+    monkeypatch.setattr(verify, "_spectra", eightfold)
 
 
 def _witness_ignores_x(monkeypatch):
@@ -336,7 +336,7 @@ def test_a_nan_residual_fails_its_check_wherever_it_is_combined(monkeypatch):
     assert np.isnan(verify._worst(0.1, np.nan)) and np.isnan(verify._worst(np.nan, 0.1))
     assert verify._worst(0.1, 0.3, 0.2) == 0.3
     monkeypatch.setattr(verify, "_substitution",
-                        lambda samples: np.full((len(samples), 8, 8), np.nan))
+                        lambda samples: np.full((1, 8, 8), np.nan))
     report = run_suite("conjugation")
     assert _failing(report) == ["conjugation/colored-closed-forms", "conjugation/dirac-em",
                                 "conjugation/involution"]
