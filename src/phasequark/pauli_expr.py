@@ -15,12 +15,13 @@ symbol, built only by ``_monomial``.  A coefficient is one reduced triple
 of Python ints ``(a, b, d)``, meaning (a + b i) / d with d > 0 and
 gcd(a, b, d) = 1, so equal numbers have equal triples.  Multiplying two
 expressions costs one XOR, one lookup in ``clifford.PHASE`` (T_a T_b =
-i**PHASE[a][b] T_(a xor b)) and one coefficient product per pair of terms;
-the factor i^n is a swap and/or negation of (a, b).
-:meth:`PauliExpr.to_matrix` takes each coefficient as ``complex(a / d,
-b / d)`` (int true division is correctly rounded), sums each tensor's
-terms in canonical order and contracts the sums against
-``clifford.KRON3_STACK`` in one matmul.
+i**PHASE[a][b] T_(a xor b)) and one coefficient product per pair of terms,
+all written out in ``_mul_terms``' pair loop; the factor i^n is a swap
+and/or negation of (a, b).  :meth:`PauliExpr.to_matrix` takes each
+coefficient as ``complex(a / d, b / d)`` (int true division is correctly
+rounded), sums each tensor's terms in canonical order and contracts the
+sums against ``clifford.KRON3_STACK`` in one matmul.  An expression sorts
+its terms at most once, for whichever of str() and to_matrix comes first.
 
 Grammar (whitespace insensitive)::
 
@@ -28,16 +29,20 @@ Grammar (whitespace insensitive)::
     term    := factor ('*' factor)*
     factor  := TENSOR | NAME | NUMBER | IMAG | 'i' | '(' expr ')'
     TENSOR  := s[0-3]#s[0-3]#s[0-3]
-    NUMBER  := decimal literal, e.g. 2, 0.5, .25   (parsed exactly)
+    NUMBER  := ASCII decimal literal, e.g. 2, 0.5, .25   (parsed exactly)
     IMAG    := decimal literal directly suffixed with i, e.g. 0.5i
 
 NAME is either a named operator of clifford.OPERATORS (A1 A2 A3 B B1 B2
 B3 C gamma5 gammaR5 gammaY5 gammaB5) or a symbol (p1 p2 p3 x1 x2 x3 m e
 A0 A1v A2v A3v).  A bare Pauli factor such as ``s1`` is rejected with a
 hint to write the full tensor form, and parentheses nest at most
-``_MAX_DEPTH`` deep.  The parser multiplies the scalar, symbol and tensor
-factors of a term into one (coefficient, monomial, tensor) triple and
-builds a general product only at a parenthesised factor.
+``_MAX_DEPTH`` deep.  The tokenizer is one ``findall``, and each token's
+kind is read from its first character; a position is worked out only for
+an error.  The parser multiplies the scalar, symbol and tensor factors of
+a term into one (coefficient, monomial, tensor) triple and builds a
+general product only at a parenthesised factor; a Gaussian literal in
+the form str() prints, such as ``(-0.5+2i)``, is read straight into the
+coefficient.
 
 Scalars are the numbers the grammar writes: with no division and decimal
 literals, the Gaussian rationals whose denominators are 2^a 5^b, a set
@@ -59,6 +64,8 @@ import cmath
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from math import gcd
 from typing import Mapping
 
@@ -103,26 +110,20 @@ def _cadd(x: Coeff, y: Coeff) -> Coeff:
 def _cmul(x: Coeff, y: Coeff) -> Coeff:
     a1, b1, d1 = x
     a2, b2, d2 = y
-    if b1 or b2:
-        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-    else:
-        a, b = a1 * a2, 0
+    a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
     if d1 == 1 and d2 == 1:
         return (a, b, 1)
     return _reduced(a, b, d1 * d2)
 
 
 def _times_i_power(z: Coeff, n: int) -> Coeff:
-    """z * i**n for n mod 4, by a swap and/or negation of (a, b)."""
+    """z * i**n (n mod 4) as (-1)**(n >> 1) * i**(n & 1): a negation and/or a swap of (a, b)."""
     a, b, d = z
-    n &= 3
-    if n == 0:
-        return z
-    if n == 1:
-        return (-b, a, d)
-    if n == 2:
-        return (-a, -b, d)
-    return (b, -a, d)
+    if n & 2:
+        a, b = -a, -b
+    if n & 1:
+        a, b = -b, a
+    return (a, b, d)
 
 
 def _from_rational(value: int | Fraction) -> Coeff:
@@ -137,6 +138,18 @@ def _from_rational(value: int | Fraction) -> Coeff:
     return (value.numerator, 0, den)
 
 
+@lru_cache(maxsize=256)
+def _decimal_scale(den: int) -> tuple[int, int, int]:
+    """(k, 10**k // den, 10**k) for the fewest digits k that write 1/den, with den = 2^a 5^b."""
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    digits = max(twos, fives)
+    return digits, 10**digits // den, 10**digits
+
+
 def _decimal_str(num: int, den: int) -> str:
     """num/den, with den = 2^a 5^b, as an exact decimal.
 
@@ -145,13 +158,8 @@ def _decimal_str(num: int, den: int) -> str:
     """
     if den == 1:
         return _int_str(num)
-    twos = (den & -den).bit_length() - 1
-    rest, fives = den >> twos, 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    digits = max(twos, fives)
-    whole, frac = divmod(abs(num) * (10**digits // den), 10**digits)
+    digits, scale, unit = _decimal_scale(den)
+    whole, frac = divmod(abs(num) * scale, unit)
     return f"{'-' if num < 0 else ''}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
 
 
@@ -185,7 +193,6 @@ Basis = tuple[int, int, int]
 
 # Row n is KRON3_STACK[n] flattened, so a weighted sum of tensors is one matmul.
 _FLAT_STACK = KRON3_STACK.reshape(64, 64)
-_LABEL_INDEX = {label: n for n, label in enumerate(TENSOR_LABELS)}
 
 
 def _basis_index(basis: Basis) -> int:
@@ -213,12 +220,6 @@ def _monomial(pairs) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not (a and b):
-        return a or b
-    return _monomial((*a, *b))
-
-
 def _add_into(out: Terms, key: tuple[int, Monomial], coeff: Coeff) -> None:
     """out[key] += coeff, holding no key whose coefficient is zero."""
     cur = out.get(key)
@@ -236,13 +237,29 @@ def _add_terms(out: Terms, terms: Terms, negate: bool) -> None:
 
 
 def _mul_terms(left: Terms, right: Terms) -> Terms:
-    """The product of two tables: T_a T_b = i**PHASE[a][b] T_(a xor b) per term pair."""
+    """The product of two tables: T_a T_b = i**PHASE[a][b] T_(a xor b) per term pair,
+    with _cmul, _times_i_power and _add_into written out in the pair loop."""
     out: Terms = {}
-    for (a, mono_a), ca in left.items():
+    for (a, mono_a), (a1, b1, d1) in left.items():
         row = PHASE[a]
-        for (b, mono_b), cb in right.items():
-            _add_into(out, (a ^ b, _mono_mul(mono_a, mono_b)),
-                      _times_i_power(_cmul(ca, cb), row[b]))
+        for (b, mono_b), (a2, b2, d2) in right.items():
+            real, imag = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            n = row[b]
+            if n & 2:
+                real, imag = -real, -imag
+            if n & 1:
+                real, imag = -imag, real
+            d = d1 * d2
+            if d != 1 and (g := gcd(real, imag, d)) != 1:
+                real, imag, d = real // g, imag // g, d // g
+            key = (a ^ b, _monomial((*mono_a, *mono_b)) if mono_a and mono_b else mono_a or mono_b)
+            cur = out.get(key)
+            if cur is None:  # a product of nonzero coefficients is nonzero
+                out[key] = (real, imag, d)
+            elif (new := _cadd(cur, (real, imag, d)))[0] or new[1]:
+                out[key] = new
+            else:
+                del out[key]
     return out
 
 
@@ -271,7 +288,8 @@ class PauliExpr:
     ints i, j, k in 0..3 and a monomial's (symbol, power) pairs in any order.
     """
 
-    __slots__ = ("_terms",)
+    # _sorted caches sorted items for str() and to_matrix(); ==, hash, pickle and deepcopy skip it
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Mapping[Basis, Mapping[Monomial, int | Fraction]] | None = None):
         table: Terms = {}
@@ -344,6 +362,15 @@ class PauliExpr:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
+    def __getstate__(self):
+        return None, {"_terms": self._terms}
+
+    def _sorted_terms(self) -> list:
+        items = getattr(self, "_sorted", None)
+        if items is None:
+            self._sorted = items = sorted(self._terms.items())
+        return items
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -355,7 +382,7 @@ class PauliExpr:
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for (basis, mono), (a, b, d) in sorted(self._terms.items()):
+        for (basis, mono), (a, b, d) in self._sorted_terms():
             negative = (a < 0 and not b) or (not a and b < 0)
             if negative:
                 a, b = -a, -b
@@ -394,7 +421,7 @@ class PauliExpr:
         numbers = {}
         for name in free:
             value = values[name]
-            if isinstance(value, (str, bytes, bool, np.bool_)):
+            if type(value) is not float and isinstance(value, (str, bytes, bool, np.bool_)):
                 raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}")
             try:
                 numbers[name] = complex(value)
@@ -404,7 +431,7 @@ class PauliExpr:
                 raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}") from None
         totals: dict[int, complex] = {}
         try:
-            for (basis, mono), (a, b, d) in sorted(self._terms.items()):
+            for (basis, mono), (a, b, d) in self._sorted_terms():
                 val = complex(a / d, b / d)
                 for name, power in mono:
                     val *= numbers[name] ** power
@@ -426,10 +453,6 @@ class PauliExpr:
         return (weights @ _FLAT_STACK[index]).reshape(8, 8)
 
 
-# name -> (n, index): the operator is i**n times the tensor at index
-_OPERATOR_INDEX = {name: (n, _basis_index(ijk)) for name, (n, ijk) in OPERATORS.items()}
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -443,78 +466,86 @@ class ParseError(ValueError):
         self.position = position
 
 
-# An operator token's kind is its own character; BAD is any other character.
+# A token is a TENSOR, a NUMBER or IMAG, a name, or any other non-space
+# character; findall skips the whitespace between tokens.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<TENSOR>s[0-3]\#s[0-3]\#s[0-3])
-  | (?P<IMAG>(?:\d+\.\d*|\.\d+|\d+)i(?![A-Za-z0-9_]))
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
-  | (?P<OP>[+\-*()])
-  | (?P<BAD>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"s[0-3]#s[0-3]#s[0-3]"
+    r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:i(?![A-Za-z0-9_]))?"
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|\S"
 )
-
+# A token's kind by its first character: NAME (a TENSOR too), NUMBER (an IMAG
+# too) or an operator's own character; None is BAD, as is a lone '.'.
+_KINDS = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"),
+          **dict.fromkeys("0123456789.", "NUMBER"), **{c: c for c in "+-*()"}}
+# A tensor, operator or 'i' -> (n, index): that factor is i**n times the tensor at index.
+_FACTORS = {**{label: (0, n) for n, label in enumerate(TENSOR_LABELS)}, "i": (1, 0),
+            **{name: (n, _basis_index(ijk)) for name, (n, ijk) in OPERATORS.items()}}
 _BARE_PAULI = {"s0", "s1", "s2", "s3"}
 # Deepest parenthesis nesting parse accepts; each level costs three stack frames.
 _MAX_DEPTH = 200
 
-Token = tuple[str, str, int]  # kind, text, 1-based position
+
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The tokens of text and their kinds, each list ending with END, whose token is ''."""
+    tokens = _TOKEN_RE.findall(text)
+    kinds = [_KINDS.get(tok[0]) for tok in tokens]
+    if None in kinds or "." in tokens:
+        at = next(n for n, tok in enumerate(tokens) if kinds[n] is None or tok == ".")
+        raise ParseError(f"unexpected character {tokens[at]!r}", _position(text, at))
+    tokens.append("")
+    kinds.append("END")
+    return tokens, kinds
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "WS":
-            continue
-        tok = match.group()
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {tok!r}", match.start() + 1)
-        tokens.append((tok if kind == "OP" else kind, tok, match.start() + 1))
-    tokens.append(("END", "", len(text) + 1))
-    return tokens
+def _position(text: str, at: int) -> int:
+    """The 1-based position of token number at (len(text) + 1 for END), found again for an error."""
+    match = next(islice(_TOKEN_RE.finditer(text), at, None), None)
+    return len(text) + 1 if match is None else match.start() + 1
 
 
 def _literal(text: str) -> Coeff:
-    """The exact value of a NUMBER token: digits with at most one '.'."""
-    whole, _, frac = text.partition(".")
+    """The exact value of a NUMBER or IMAG token: digits with at most one '.', then maybe i."""
+    imag = text[-1] == "i"
+    digits = text[:-1] if imag else text
+    whole, _, frac = digits.partition(".")
     try:
         num, den = int(whole + frac), 10 ** len(frac)
     except ValueError:  # more digits than int() reads from a string
-        num, den = Decimal(text).as_integer_ratio()
-    return _reduced(num, 0, den)
+        num, den = Decimal(digits).as_integer_ratio()
+    return _reduced(0, num, den) if imag else _reduced(num, 0, den)
 
 
 class _Parser:
-    __slots__ = ("tokens", "index", "depth")
+    __slots__ = ("text", "tokens", "kinds", "index", "depth")
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens, self.kinds = _tokenize(text)
         self.index = 0
         self.depth = 0
 
+    def error(self, message: str, at: int) -> ParseError:
+        return ParseError(message, _position(self.text, at))
+
     def parse(self) -> Terms:
         terms = self.expr()
-        _, text, pos = tok = self.tokens[self.index]
-        if tok[0] != "END":
-            raise ParseError(f"unexpected {text!r}", pos)
+        if self.kinds[self.index] != "END":
+            raise self.error(f"unexpected {self.tokens[self.index]!r}", self.index)
         return terms
 
     def expr(self) -> Terms:
         tokens = self.tokens
-        negate = tokens[self.index][0] == "-"
+        negate = tokens[self.index] == "-"
         if negate:
             self.index += 1
         out: Terms = {}
         while True:
             _add_terms(out, self.term(), negate)
-            kind = tokens[self.index][0]
-            if kind != "+" and kind != "-":
+            tok = tokens[self.index]
+            if tok != "+" and tok != "-":
                 return out
-            negate = kind == "-"
+            negate = tok == "-"
             self.index += 1
 
     def term(self) -> Terms:
@@ -525,66 +556,72 @@ class _Parser:
         factor multiplies what came before it and its own value into
         ``result`` in order, since tensors do not commute.
         """
-        tokens = self.tokens
+        tokens, kinds = self.tokens, self.kinds
         coeff, phase, basis, names = _ONE, 0, 0, []
         result = None
         while True:
-            kind, text, pos = tokens[self.index]
-            self.index += 1
-            if kind == "TENSOR":
-                idx = _LABEL_INDEX[text]
-                phase += PHASE[basis][idx]
-                basis ^= idx
-            elif kind == "NUMBER":
-                coeff = _cmul(coeff, _literal(text))
-            elif kind == "IMAG":
-                coeff = _cmul(coeff, _literal(text[:-1]))
-                phase += 1
-            elif kind == "NAME":
-                if text == "i":
-                    phase += 1
-                elif text in _OPERATOR_INDEX:
-                    n, idx = _OPERATOR_INDEX[text]
+            at = self.index
+            kind, text = kinds[at], tokens[at]
+            self.index = at + 1
+            if kind == "NAME":
+                factor = _FACTORS.get(text)
+                if factor is not None:
+                    n, idx = factor
                     phase += n + PHASE[basis][idx]
                     basis ^= idx
                 elif text in SYMBOLS:
                     names.append((text, 1))
                 elif text in _BARE_PAULI:
-                    raise ParseError(
-                        f"bare Pauli factor {text!r}; write a full tensor such as "
-                        f"{text}#s0#s0",
-                        pos,
-                    )
+                    raise self.error(f"bare Pauli factor {text!r}; write a full tensor "
+                                     f"such as {text}#s0#s0", at)
                 else:
-                    raise ParseError(f"unknown name {text!r}", pos)
+                    raise self.error(f"unknown name {text!r}", at)
+            elif kind == "NUMBER":
+                coeff = _cmul(coeff, _literal(text))
             elif kind == "(":
-                inner = self.parenthesised(pos)
-                scalar = _scalar(inner)
+                if self.depth == _MAX_DEPTH:
+                    raise self.error(f"parentheses nested deeper than {_MAX_DEPTH}", at)
+                scalar = self.literal()
+                if scalar is None:
+                    inner = self.parenthesised()
+                    scalar = _scalar(inner)
                 if scalar is not None:
                     coeff = _cmul(coeff, scalar)
                 else:
                     result = _mul_terms(_fold(result, coeff, phase, basis, names), inner)
                     coeff, phase, basis, names = _ONE, 0, 0, []
             else:
-                raise ParseError(
-                    f"expected a factor, got {text!r}" if kind != "END" else "unexpected end of input",
-                    pos,
-                )
-            if tokens[self.index][0] != "*":
+                raise self.error(f"expected a factor, got {text!r}" if kind != "END"
+                                 else "unexpected end of input", at)
+            if tokens[self.index] != "*":
                 break
             self.index += 1
         return _fold(result, coeff, phase, basis, names)
 
-    def parenthesised(self, pos: int) -> Terms:
-        """The expression after a '(' at pos, and its ')'."""
-        if self.depth == _MAX_DEPTH:
-            raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+    def literal(self) -> Coeff | None:
+        """The value of ['-'] NUMBER ('+'|'-') (NUMBER | 'i') ')' after a '(', which is how
+        str() prints a Gaussian coefficient, read up to its ')'; None for other tokens."""
+        tokens, kinds, start = self.tokens, self.kinds, self.index
+        j = start + (tokens[start] == "-")
+        if not (kinds[j] == "NUMBER" and tokens[j + 1] in ("+", "-")
+                and (kinds[j + 2] == "NUMBER" or tokens[j + 2] == "i") and tokens[j + 3] == ")"):
+            return None
+        x = _literal(tokens[j])
+        y = (0, 1, 1) if tokens[j + 2] == "i" else _literal(tokens[j + 2])
+        if j > start:
+            x = (-x[0], -x[1], x[2])
+        if tokens[j + 1] == "-":
+            y = (-y[0], -y[1], y[2])
+        self.index = j + 4
+        return _cadd(x, y)
+
+    def parenthesised(self) -> Terms:
+        """The expression after a '(', and its ')'."""
         self.depth += 1
         inner = self.expr()
         self.depth -= 1
-        kind, _, closing = self.tokens[self.index]
-        if kind != ")":
-            raise ParseError("expected ')'", closing)
+        if self.tokens[self.index] != ")":
+            raise self.error("expected ')'", self.index)
         self.index += 1
         return inner
 

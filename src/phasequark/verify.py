@@ -655,6 +655,8 @@ def run_suite(
                             or not (math.isfinite(tol) and tol >= 0.0)):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     checks: list[CheckResult] = []
+    if timings:  # NumPy 2 loads numpy.random on first use: here, not in the first check's time
+        np.random.default_rng(0)
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:
             start = time.perf_counter()

@@ -274,7 +274,7 @@ def test_primary_10_symbolic_numeric_equivalence(capfd):
             for line in (DATA / "expr_corpus.txt").read_text().splitlines()
             if line.strip()
         ]
-        assert len(corpus) == 50
+        assert len(corpus) == 55
         for text in corpus:
             expr = parse(text)
             printed = str(expr)

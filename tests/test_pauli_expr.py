@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import warnings
 from dataclasses import dataclass
@@ -247,7 +249,7 @@ def test_to_matrix_matches_the_fraction_reference(expr, seed):
     assert np.array_equal(expr.to_matrix(values), _reference_to_matrix(expr, values))
 
 
-@given(st.from_regex(r"\A(?:\d{1,25}\.\d{0,25}|\.\d{1,25}|\d{1,25})\Z"))
+@given(st.from_regex(r"\A(?:[0-9]{1,25}\.[0-9]{0,25}|\.[0-9]{1,25}|[0-9]{1,25})\Z"))
 def test_parsed_literals_equal_their_decimal_value(text):
     assert parse(text) == PauliExpr.from_scalar(Fraction(Decimal(text)))
     assert parse(text + "i") == _gaussian(0, Fraction(Decimal(text)))
@@ -360,8 +362,177 @@ def test_deep_nesting_is_a_parse_error(levels):
     assert err.value.position == depth + 3
 
 
+# -- the finditer tokenizer, kept as the reference route ---------------------
+
+# One match per token with a named group per kind; \d is written [0-9], as the
+# grammar's NUMBER is an ASCII decimal literal.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<TENSOR>s[0-3]\#s[0-3]\#s[0-3])
+  | (?P<IMAG>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)i(?![A-Za-z0-9_]))
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<NUMBER>[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)
+  | (?P<OP>[+\-*()])
+  | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, token, 1-based position) per token, ending with END."""
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        kind, tok = match.lastgroup, match.group()
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {tok!r}", match.start() + 1)
+        if kind != "WS":
+            tokens.append((tok if kind == "OP" else kind, tok, match.start() + 1))
+    return tokens + [("END", "", len(text) + 1)]
+
+
+# the parser's kind of each reference kind: a TENSOR is read as a NAME, an IMAG as a NUMBER
+_PARSER_KIND = {"TENSOR": "NAME", "IMAG": "NUMBER"}
+
+
+class _ReferenceParser(pauli_expr._Parser):
+    """The general route: reference tokens and positions, and no literal fast path."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, text: str):
+        tokens = _reference_tokenize(text)
+        self.text, self.index, self.depth = text, 0, 0
+        self.kinds = [_PARSER_KIND.get(kind, kind) for kind, _, _ in tokens]
+        self.tokens = [tok for _, tok, _ in tokens]
+        self.positions = [pos for _, _, pos in tokens]
+
+    def error(self, message, at):
+        return ParseError(message, self.positions[at])
+
+    def literal(self):
+        return None
+
+
+def _outcome(route, text):
+    """route's terms for text, or its ParseError's message and position."""
+    try:
+        return route(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def _fast(text):
+    return parse(text)._terms
+
+
+def _general(text):
+    return _ReferenceParser(text).parse()
+
+
+_FACTORS_TEXT = ["A1", "B", "gamma5", "C", "s1#s2#s3", "s0#s0#s0", "i", "2i", "0.5i", ".25", "3", "2.",
+                 "0", "p1", "m", "e", "A1v", "(1+2i)", "(-0.5-i)", "(0+0i)", "(2.5-0.125i)", "(1-i)",
+                 "(3-1.5)"]
+_JUNK = ["(", ")", "*", "+", "s1", "s1#s2", "foo", "_x", "(1+)", ".", "#", "$", "\u0663", "\u00e9",
+         "\u00a0", "\t", "ii", "2in", "1.5.5"]
+_WELL_FORMED = st.recursive(
+    st.sampled_from(_FACTORS_TEXT),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " * ", " - "]), inner).map("".join),
+        inner.map(lambda text: f"({text})"), inner.map(lambda text: f"(-{text})")),
+    max_leaves=12)
+# well-formed expressions, the same with one junk fragment inserted, and any text
+_TEXTS = st.one_of(
+    _WELL_FORMED,
+    st.tuples(_WELL_FORMED, st.sampled_from(_JUNK), st.integers(0, 100))
+    .map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
+    st.text(alphabet="sAB0123.#i+-*() \tpmev\u0663$_", max_size=24),
+)
+
+
+@settings(max_examples=400)
+@given(_TEXTS)
+def test_tokens_and_positions_match_the_reference_tokenizer(text):
+    try:
+        reference = _reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            pauli_expr._tokenize(text)
+        assert (str(got.value), got.value.position) == (str(err), err.position)
+        return
+    tokens, kinds = pauli_expr._tokenize(text)
+    assert tokens == [tok for _, tok, _ in reference]
+    assert kinds == [_PARSER_KIND.get(kind, kind) for kind, _, _ in reference]
+    assert [pauli_expr._position(text, n) for n in range(len(tokens))] == [p for *_, p in reference]
+
+
+@settings(max_examples=400)
+@given(_TEXTS)
+def test_parse_matches_the_general_route_over_the_reference_tokens(text):
+    assert _outcome(_fast, text) == _outcome(_general, text)
+
+
+_LITERALS = ["(1.5+2i)*A1", "(1.5-2i)*A1", "(-3+0.125i)*p1*B2", "(-0.5-i)", "(2+i)*m", "(0+0i)*B1",
+             "(-0-0i)", "(2i+3)", "(1+2)", "(1-2)", "((1+2i))", "2*(0.25-0.75i)*(1+i)*s1#s2#s3", "(1 + 2i)",
+             "(1+2i)*(A1 + B)", "-(0.75-1.5i)*s3#s0#s2 + (0.25+i)*B", "(1+2i", "(1+2i)(", "(1+)"]
+
+
+@pytest.mark.parametrize("text", _LITERALS)
+def test_literal_fast_path_matches_the_general_route(text):
+    assert _outcome(_fast, text) == _outcome(_general, text)
+
+
+def test_malformed_literals_are_the_general_route_errors():
+    assert _outcome(_fast, "(1+2i") == ("parse error at position 6: expected ')'", 6)
+    assert _outcome(_fast, "(1+2i)(") == ("parse error at position 7: unexpected '('", 7)
+    assert _outcome(_fast, "(1+)") == ("parse error at position 4: expected a factor, got ')'", 4)
+
+
+def test_printed_literals_skip_the_sub_expression(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Gaussian literal was parsed as a sub-expression")
+
+    expected = _general("(-3+0.125i)*p1*B2 - (1.5-i)*A1 + (0+0i)*B1")
+    monkeypatch.setattr(pauli_expr._Parser, "parenthesised", refuse)
+    assert _fast("(-3+0.125i)*p1*B2 - (1.5-i)*A1 + (0+0i)*B1") == expected
+    assert parse("(0+0i)*B1").is_zero()
+
+
+def test_literal_nesting_limit():
+    depth = pauli_expr._MAX_DEPTH
+    deepest = "(" * (depth - 1) + "(1+2i)" + ")" * (depth - 1)
+    assert _outcome(_fast, deepest) == _outcome(_general, deepest) == parse("(1+2i)")._terms
+    too_deep = "(" * depth + "(1+2i)" + ")" * depth
+    message = f"parse error at position {depth + 1}: parentheses nested deeper than {depth}"
+    assert _outcome(_fast, too_deep) == _outcome(_general, too_deep) == (message, depth + 1)
+
+
+@pytest.mark.parametrize("text,position",
+                         [("\u0663*B1", 1), ("\u0663i", 1), ("2\u0663", 2), ("A1 + \u0663", 6)])
+def test_non_ascii_digits_are_unexpected_characters(text, position):
+    with pytest.raises(ParseError, match="unexpected character '\u0663'") as err:
+        parse(text)
+    assert err.value.position == position
+
+
+def test_unicode_whitespace_separates_tokens():
+    assert parse("\u00a0A1\u2003+\u3000B\n") == parse("A1 + B")
+
+
+def test_the_sort_cache_changes_no_copy_or_comparison():
+    e = parse("(1+i)*A1*p1 - 0.5*B + m*m*s3#s3#s3 + 2")
+    blank = pickle.dumps(e)
+    values = {"p1": 0.5, "m": -1.25}
+    text, matrix = str(e), e.to_matrix(values)
+    assert pickle.dumps(e) == blank
+    for twin in (copy.deepcopy(e), copy.copy(e), pickle.loads(blank)):
+        assert twin == e and hash(twin) == hash(e)
+        assert str(twin) == text and np.array_equal(twin.to_matrix(values), matrix)
+
+
 def test_corpus_round_trips():
-    assert len(CORPUS) == 50
+    assert len(CORPUS) == 55
     for text in CORPUS:
         expr = parse(text)
         printed = str(expr)

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -220,6 +222,27 @@ def test_check_results_compare_without_their_timings():
     assert all(c.elapsed_ms is None for c in plain.checks)
     assert [c.to_dict() for c in plain.checks] == [
         {k: v for k, v in c.to_dict().items() if k != "elapsed_ms"} for c in timed.checks]
+
+
+def test_timings_load_numpy_random_before_the_first_timed_check():
+    """NumPy 2 imports numpy.random on first use, ~15 ms that --timings once billed
+    to su3/group-membership.  A fresh process records, at each perf_counter call of
+    run_suite, whether numpy.random is loaded; with timings it always is."""
+    code = (
+        "import sys, time\n"
+        "from phasequark import verify\n"
+        "seen, clock = [], time.perf_counter\n"
+        "verify.time = type(sys)('time')\n"
+        "verify.time.perf_counter = lambda: seen.append('numpy.random' in sys.modules) or clock()\n"
+        "verify.run_suite('su3', timings=True)\n"
+        "print(seen)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    seen = ast.literal_eval(result.stdout)
+    assert len(seen) == 2 * len(verify._REGISTRY["su3"]) and all(seen)
 
 
 def test_only_the_checks_that_draw_get_a_generator(monkeypatch):
