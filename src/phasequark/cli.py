@@ -69,19 +69,20 @@ def _parse_vector6(text: str) -> list[float]:
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's dict; a key given twice is a KeyError, not last-wins."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise KeyError(key)
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # the key whose second occurrence comes first
+        seen: set = set()
+        raise KeyError(next(key for key, _ in pairs if key in seen or seen.add(key)))
     return out
 
 
 def _load_spec(path: str) -> HamiltonianSpec:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read spec file {path!r}: {exc}") from exc
+    if "\r" in raw:  # the universal newlines of a text-mode read
+        raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(raw, object_pairs_hook=_unique_keys)
     except KeyError as exc:

@@ -6,12 +6,14 @@ real matrices serialize as plain numbers (integers where the value is
 integral, so signed permutation and Clifford matrices stay readable);
 dump_json writes sorted keys, two-space indentation and a trailing newline
 in one recursive pass (exact built-in types first, by identity, then their
-subclasses and NumPy's; an array converted once by NumPy, joined by rows), so
-identical inputs give byte-identical files, and never NaN or Infinity.
+subclasses and NumPy's; an array converted once by NumPy and its numbers put
+into one layout text, cached per shape and indent), so identical inputs give
+byte-identical files, and never NaN or Infinity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -41,7 +43,8 @@ def _render(obj, indent: str) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if t is list or t is tuple:
-        return _block("[]", [_render(v, indent + "  ") for v in obj], indent)
+        inner = indent + "  "
+        return _block("[]", [_render(v, inner) for v in obj], indent)
     if isinstance(obj, dict):
         if t is not dict or not all(type(k) is str for k in obj):  # else no key to re-key
             items = {str(k): v for k, v in obj.items()}
@@ -49,8 +52,9 @@ def _render(obj, indent: str) -> str:
                 key = next(k for k in items if sum(str(o) == k for o in obj) > 1)
                 raise ValueError(f"two keys of one object render as the JSON key {key!r}")
             obj = items
-        return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(obj[k], indent + '  ')}"
-                             for k in sorted(obj)], indent)
+        inner = indent + "  "
+        return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(obj[k], inner)}" for k in sorted(obj)],
+                      indent)
     if t is bool or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if t is int or isinstance(obj, (int, np.integer)):  # bool is caught above
@@ -66,26 +70,34 @@ def _render(obj, indent: str) -> str:
             return _render(obj.tolist(), indent)
         if obj.dtype.kind == "c":
             obj = np.stack((obj.real, obj.imag), axis=-1) if np.any(obj.imag) else obj.real
-        items = _numbers(a := np.asarray(obj, dtype=np.float64))
-        for depth in range(a.ndim - 1, -1, -1):  # the innermost rows first, one join per row
-            n, outer = a.shape[depth], indent + "  " * depth
-            sep = ",\n  " + outer
-            items = ["[\n  " + outer + sep.join(items[i * n:(i + 1) * n]) + "\n" + outer + "]"
-                     for i in range(len(items) // n)]
-        return items[0]
+        a = np.asarray(obj, dtype=np.float64)
+        return _layout(a.shape, indent) % tuple(_numbers(a))
     if isinstance(obj, (complex, np.complexfloating)):
         return _render([obj.real, obj.imag], indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _numbers(a: np.ndarray) -> list[str]:
-    """A float array's numbers in C order, printed as the float branch prints them."""
+@functools.lru_cache(maxsize=128)
+def _layout(shape: tuple[int, ...], indent: str) -> str:
+    """The rendered text of an array of this shape at this indent, %s for each number."""
+    text = "%s"
+    for depth in range(len(shape) - 1, -1, -1):  # the innermost rows first
+        outer = indent + "  " * depth
+        text = "[\n  " + outer + (",\n  " + outer).join([text] * shape[depth]) + "\n" + outer + "]"
+    return text
+
+
+def _numbers(a: np.ndarray) -> list:
+    """A float array's numbers in C order, each whole one an int, so that str
+    prints each as the float branch prints it."""
+    whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the float branch's integer rule
+    if whole.all():  # all finite, such as a signed permutation: one conversion
+        return a.astype(np.int64).ravel().tolist()
     if not np.isfinite(a).all():  # the first non-finite number raises as a float
         _render(float(a[~np.isfinite(a)][0]), "")
     out = a.astype(object)
-    whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the float branch's integer rule
     out[whole] = a[whole].astype(np.int64)
-    return list(map(repr, out.ravel().tolist()))
+    return out.ravel().tolist()
 
 
 def dump_json(obj) -> str:
@@ -105,11 +117,11 @@ def matrix_to_csv(m: np.ndarray) -> str:
     if m.ndim != 2:
         raise ValueError(f"CSV export is for matrices, got ndim={m.ndim}")
     if m.dtype.kind == "c" and np.any(m.imag):  # a+bi or a-bi, each part printed in cell order
-        parts = _numbers(np.stack((m.real, m.imag), axis=-1).astype(float))
+        parts = list(map(repr, _numbers(np.stack((m.real, m.imag), axis=-1).astype(float))))
         cells = [re + (im if im[0] == "-" else "+" + im) + "i"
                  for re, im in zip(parts[::2], parts[1::2])]
     else:
-        cells = _numbers(np.asarray(m.real, dtype=float))
+        cells = list(map(repr, _numbers(np.asarray(m.real, dtype=float))))
     n = m.shape[1]
     return "".join(",".join(cells[i * n:(i + 1) * n]) + "\n" for i in range(m.shape[0]))
 

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from phasequark import cli, verify
 from phasequark.cli import main
-from phasequark.hamiltonian import KINDS, _TABLE
+from phasequark.hamiltonian import KINDS, _TABLE, HamiltonianSpec
 from phasequark.phase_space import pairing_tags
 from phasequark.verify import run_suite
 
@@ -342,8 +342,13 @@ def test_run_suite_reads_any_real_tol_as_a_float():
     [
         ('{"kind": "Dirac", "m": 1, "m": 2}', "m"),
         ('{"kind": "Dirac", "m": 1, "em": {"e": 1, "A0": 0.5, "e": 2}}', "e"),
+        ('{"kind": "Dirac", "m": 1, "m": 2, "m": 3}', "m"),
+        # the key whose second occurrence comes first
+        ('{"kind": "Dirac", "p": [1, 0, 0], "m": 1, "p": [0, 1, 0], "m": 2}', "p"),
+        # the em object is read, and checked, before the object that holds it
+        ('{"kind": "Dirac", "m": 1, "m": 2, "em": {"e": 1, "A0": 0.5, "e": 2}}', "e"),
     ],
-    ids=["top-level", "em"],
+    ids=["top-level", "em", "three-times", "two-keys-twice", "em-and-top-level"],
 )
 def test_duplicate_spec_keys_are_input_errors(capsys, tmp_path, text, key):
     spec = tmp_path / "dup.json"
@@ -352,6 +357,59 @@ def test_duplicate_spec_keys_are_input_errors(capsys, tmp_path, text, key):
         code, out = run_in_process(capsys, command, str(spec))
         assert code == 2
         assert strict_json(out)["error"] == f"duplicate key {key!r} in spec file"
+
+
+def _text_mode_load_spec(path):
+    """The text-mode route of reading a spec, kept as the reference for the bytes
+    read: Path.read_text, then a hook that checks each key against those before it."""
+    def unique_keys(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise KeyError(key)
+            out[key] = value
+        return out
+
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read spec file {path!r}: {exc}") from exc
+    try:
+        data = json.loads(raw, object_pairs_hook=unique_keys)
+    except KeyError as exc:
+        raise ValueError(f"duplicate key {exc.args[0]!r} in spec file") from None
+    except ValueError as exc:
+        raise ValueError(f"spec file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"spec file {path!r} is nested too deeply to parse") from None
+    return HamiltonianSpec.from_dict(data)
+
+
+_SPEC_LINES = [b"{", b'"kind": "Dirac",', b'"p": [1, -2, 0.5],', b'"m": 2,',
+               b'"em": {"e": 1.25, "A0": -0.5, "Avec": [0.75, -1, 0.25]}', b"}"]
+
+
+@pytest.mark.parametrize("content,code", [
+    (b"\r\n".join(_SPEC_LINES) + b"\r\n", 0),
+    (b"\r".join(_SPEC_LINES) + b"\r", 0),
+    (b"\r\r\n".join(_SPEC_LINES), 0),
+    (b"\n".join(_SPEC_LINES).replace(b'"Dirac"', b'"Dir\rac"'), 2),
+    (b"\r\n".join(_SPEC_LINES).replace(b'"Dirac"', b'"Dir\r\nac"'), 2),
+    (b"\r\n".join(_SPEC_LINES).replace(b'"m": 2,', b'"m": 2,,'), 2),
+    (b"\r\n".join(_SPEC_LINES[:-1]) + b" " * 9000 + b"\xff}", 2),
+    (b"\xef\xbb\xbf" + b"\n".join(_SPEC_LINES), 2),
+], ids=["crlf", "lone-cr", "cr-crlf", "cr-in-string", "crlf-in-string", "syntax-error-after-crlf",
+        "bad-utf8-past-8192", "bom"])
+def test_spec_newlines_and_encoding_read_as_in_text_mode(capsys, monkeypatch, tmp_path, content, code):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    for command in ("spectrum", "conjugate"):
+        got = run_in_process(capsys, command, str(spec))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_load_spec", _text_mode_load_spec)
+            want = run_in_process(capsys, command, str(spec))
+        assert got == want
+        assert got[0] == code
 
 
 def test_over_nested_spec_is_input_error(capsys, tmp_path):

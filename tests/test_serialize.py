@@ -72,10 +72,31 @@ def _arrays(draw):
     return draw(arrays(dtype, shape, elements=elements))
 
 
+def reference_matrix_to_csv(m) -> str:
+    """The CSV of a matrix, cell by cell: a+bi or a-bi when any imaginary part is nonzero."""
+    m = np.asarray(m)
+    parts = m.dtype.kind == "c" and np.any(m.imag)
+
+    def number(x):
+        return json.dumps(_reference_scalar(float(x)))
+
+    def cell(z):
+        if not parts:
+            return number(z.real)
+        im = number(z.imag)
+        return number(z.real) + ("" if im[0] == "-" else "+") + im + "i"
+
+    return "".join(",".join(cell(z) for z in row) + "\n" for row in m)
+
+
 @given(_arrays())
 def test_array_conversion_matches_the_per_element_route(a):
-    payload = {"array": a, "transposed": a.T, "scalar": a[(0,) * a.ndim] if a.size else None}
+    # one array at depth 1 and at depth 3: a layout cached without its indent fails here
+    payload = {"array": a, "transposed": a.T, "scalar": a[(0,) * a.ndim] if a.size else None,
+               "nested": [[a]]}
     assert dump_json(payload) == reference_dump_json(payload)
+    if a.ndim == 2:  # CSV after JSON of the same shape
+        assert matrix_to_csv(a) == reference_matrix_to_csv(a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan), complex(np.inf, 0)])
