@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +40,8 @@ __all__ = ["main", "build_parser"]
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out file {out!r}: {exc}") from exc
     else:
@@ -78,7 +78,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _load_spec(path: str) -> HamiltonianSpec:
     try:
-        raw = Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as f:
+            raw = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read spec file {path!r}: {exc}") from exc
     if "\r" in raw:  # the universal newlines of a text-mode read

@@ -46,10 +46,13 @@ coefficient.
 
 Scalars are the numbers the grammar writes: with no division and decimal
 literals, the Gaussian rationals whose denominators are 2^a 5^b, a set
-closed under + and *, so every coefficient prints as an exact decimal.
-Scalar ``*`` and the constructors take an int or such a Fraction and raise
-ValueError for any other (``Fraction(1, 3)``); a complex scalar is written
-in the DSL, as ``parse("0.5 - 2i")`` or ``e * parse("i")``.
+closed under + and *, so every coefficient prints as an exact decimal: a part
+num/d prints the digits of num 10^k / d, k = d.bit_length(), with the point k
+places from the right.  No int digit limit is assumed: an int past str()'s,
+whatever it is set to, prints by way of Decimal.  Scalar ``*`` and the
+constructors take an int or such a Fraction and raise ValueError for any
+other (``Fraction(1, 3)``); a complex scalar is written in the DSL, as
+``parse("0.5 - 2i")`` or ``e * parse("i")``.
 
 Canonical form: terms are sorted by tensor index triple, then by
 monomial; unit coefficients and the identity tensor ``s0#s0#s0`` are
@@ -64,7 +67,6 @@ import cmath
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd
 from typing import Mapping
@@ -100,20 +102,13 @@ def _reduced(a: int, b: int, d: int) -> Coeff:
 def _cadd(x: Coeff, y: Coeff) -> Coeff:
     a1, b1, d1 = x
     a2, b2, d2 = y
-    if d1 == d2:
-        if d1 == 1:
-            return (a1 + a2, b1 + b2, 1)
-        return _reduced(a1 + a2, b1 + b2, d1)
     return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def _cmul(x: Coeff, y: Coeff) -> Coeff:
     a1, b1, d1 = x
     a2, b2, d2 = y
-    a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-    if d1 == 1 and d2 == 1:
-        return (a, b, 1)
-    return _reduced(a, b, d1 * d2)
+    return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
 def _times_i_power(z: Coeff, n: int) -> Coeff:
@@ -138,51 +133,33 @@ def _from_rational(value: int | Fraction) -> Coeff:
     return (value.numerator, 0, den)
 
 
-@lru_cache(maxsize=256)
-def _decimal_scale(den: int) -> tuple[int, int, int]:
-    """(k, 10**k // den, 10**k) for the fewest digits k that write 1/den, with den = 2^a 5^b."""
-    twos = (den & -den).bit_length() - 1
-    rest, fives = den >> twos, 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    digits = max(twos, fives)
-    return digits, 10**digits // den, 10**digits
-
-
 def _decimal_str(num: int, den: int) -> str:
-    """num/den, with den = 2^a 5^b, as an exact decimal.
-
-    num/den must be reduced with den > 0; then the last decimal digit is
-    nonzero, so the digits need no trimming.
-    """
-    if den == 1:
-        return _int_str(num)
-    digits, scale, unit = _decimal_scale(den)
-    whole, frac = divmod(abs(num) * scale, unit)
-    return f"{'-' if num < 0 else ''}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
+    """num/den, with den = 2^a 5^b > 0 and no need to be reduced, as an exact decimal: the
+    digits of num * 10^k / den, which den divides for k = den.bit_length() (see
+    _from_rational), with the point k places from the right and trailing zeros stripped."""
+    k = den.bit_length()
+    digits = _int_str(abs(num) * (10**k // den)).zfill(k + 1)
+    frac = digits[-k:].rstrip("0")
+    text = digits[:-k] + "." + frac if frac else digits[:-k]
+    return "-" + text if num < 0 else text
 
 
 def _int_str(n: int) -> str:
-    """str(n), or past int's 4300-digit str() limit, by way of Decimal, which has none."""
-    return str(n) if n.bit_length() <= 14000 else str(Decimal(n))
-
-
-def _part_str(num: int, d: int) -> str:
-    g = gcd(num, d)
-    return _decimal_str(num // g, d // g)
+    """str(n), or past int's str() digit limit, whatever it is set to, by way of Decimal."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _coeff_str(z: Coeff) -> str:
     a, b, d = z
-    # with one part zero, gcd(a, b, d) = 1 makes the other part num/d reduced
     if not b:
         return _decimal_str(a, d)
-    im_part = "i" if abs(b) == d else _part_str(abs(b), d) + "i"
+    im_part = "i" if abs(b) == d else _decimal_str(abs(b), d) + "i"
     if not a:
         return im_part if b > 0 else "-" + im_part
-    op = "+" if b > 0 else "-"
-    return f"({_part_str(a, d)}{op}{im_part})"
+    return f"({_decimal_str(a, d)}{'+' if b > 0 else '-'}{im_part})"
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ def _layout(shape: tuple[int, ...], indent: str) -> str:
     """The rendered text of an array of this shape at this indent, %s for each number."""
     text = "%s"
     for depth in range(len(shape) - 1, -1, -1):  # the innermost rows first
-        outer = indent + "  " * depth
-        text = "[\n  " + outer + (",\n  " + outer).join([text] * shape[depth]) + "\n" + outer + "]"
+        text = _block("[]", [text] * shape[depth], indent + "  " * depth)
     return text
 
 

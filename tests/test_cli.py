@@ -446,6 +446,26 @@ def test_unwritable_out_path_is_json_input_error(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv,path", [
+    (["spectrum", "color_r.json/"], "color_r.json/"),
+    (["spectrum", ""], ""),
+    (["spectrum", "data//nope.json"], "data//nope.json"),
+    (["export", "A1", "--out", "x.json/"], "x.json/"),
+], ids=["spec-trailing-slash", "spec-empty", "spec-double-slash", "out-trailing-slash"])
+def test_paths_are_opened_as_given(capsys, monkeypatch, tmp_path, argv, path):
+    """A spec or --out path reaches the operating system as typed, so a trailing slash on
+    a file, an empty path or a doubled slash is refused or reported as it was given."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "color_r.json").write_bytes((DATA / "color_r.json").read_bytes())
+    (tmp_path / "data").mkdir()
+    code, out = run_in_process(capsys, *argv)
+    assert code == 2
+    error = strict_json(out)["error"]
+    assert f" file {path!r}: [Errno " in error and error.endswith(f": {path!r}"), error
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["color_r.json", "data"]
+    assert capsys.readouterr().err == ""
+
+
 def test_unknown_export_label_is_input_error():
     result = run_cli("export", "Q7")
     assert result.returncode == 2

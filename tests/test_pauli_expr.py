@@ -1,8 +1,13 @@
 import copy
+import hashlib
 import itertools
 import math
+import os
 import pickle
+import random
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
@@ -199,6 +204,10 @@ def _same(z, ref: FractionComplex) -> None:
 @example((Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(0)), 0)  # 2/2 reduces
 @example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)), 1)  # (1+i)(1-i)/4
 @example((Fraction(1, 10), Fraction(0)), (Fraction(-1, 10), Fraction(3, 8)), 3)  # 1/10 - 1/10
+@example((Fraction(1, 2), Fraction(1, 4)), (Fraction(1), Fraction(0)), 0)  # (2, 1, 4): 2/4 is not reduced
+@example((Fraction(3, 2**9 * 5**2), Fraction(-7, 2**9 * 5**2)), (Fraction(1, 2**9 * 5**2), Fraction(0)), 2)
+# whole part and fraction each under 4300 digits, num * 10^k / den over it
+@example((Fraction(10**4000 + 1, 2**2000), Fraction(0)), (Fraction(1, 2), Fraction(1)), 1)
 def test_coefficients_match_the_fraction_reference(x_parts, y_parts, n):
     cadd, cmul, times_i_power = pauli_expr._cadd, pauli_expr._cmul, pauli_expr._times_i_power
     (x, rx), (y, ry) = _both(x_parts), _both(y_parts)
@@ -263,6 +272,24 @@ def test_literal_longer_than_int_string_limit():
     fractional = parse("-" + "7" * 5000 + "." + "25" * 2500 + "*A1")
     assert str(fractional) == "-" + "7" * 5000 + "." + "25" * 2500 + "*s1#s1#s0"
     assert parse(str(fractional)) == fractional
+
+
+_LONG_LITERALS = ["1" * 1000, "0." + "5" * 900 + "*A1", "(1+2i)*" + "1" * 1000]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_printing_holds_under_a_low_int_digit_limit():
+    """A child interpreter with int's str() limit at its lowest, 640 digits, prints long
+    literals as this one does under its own limit."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from phasequark import parse; "
+         "print(sys.get_int_max_str_digits(), *map(parse, sys.argv[1:]), sep='\\n')", *_LONG_LITERALS],
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640",
+             "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(pauli_expr.__file__).parents[1]),
+                                                         os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0 and not child.stderr, child.stderr
+    assert child.stdout == "".join(f"{line}\n" for line in [640, *map(parse, _LONG_LITERALS)])
 
 
 # -- parsing and canonical printing ----------------------------------------
@@ -545,6 +572,71 @@ def test_corpus_canonical_forms_match_golden():
     """str(e) and str(e * e) of every corpus line, tab-separated, byte for byte."""
     got = "".join(f"{parse(text)}\t{parse(text) * parse(text)}\n" for text in CORPUS)
     assert got == (HERE / "golden" / "expr_corpus_canonical.txt").read_text()
+
+
+def _fingerprint_corpus(count: int = 2000) -> list[str]:
+    """count expressions of 1-16 terms: Gaussian decimal coefficients, tensors, named
+    operators and symbols (a repeated symbol is a power); every 50th holds a literal of
+    1000-5000 digits."""
+    rng = random.Random(1729)
+    names = ["A1", "A2", "A3", "B", "B1", "B2", "B3", "C", "gamma5", "gammaR5", "gammaY5", "gammaB5",
+             *(f"s{i}#s{j}#s{k}" for i, j, k in TRIPLES)]
+
+    def number(big: bool) -> str:
+        digits = "".join(rng.choices("0123456789", k=rng.randint(1000, 5000) if big else rng.randint(1, 4)))
+        point = rng.randint(0, len(digits))
+        return digits if point == len(digits) else f"{digits[:point]}.{digits[point:]}"
+
+    def coefficient(big: bool) -> str:
+        shape = rng.randrange(4)
+        if shape == 0:
+            return number(big)
+        if shape == 1:
+            return number(big) + "i"
+        return f"({'-' if rng.random() < 0.5 else ''}{number(big)}{rng.choice('+-')}{number(False)}i)"
+
+    def term(big: bool) -> str:
+        factors = [coefficient(big)] if big or rng.random() < 0.8 else []
+        factors += rng.choices(names, k=rng.randint(0, 2))
+        for name in rng.sample(SYMBOLS, rng.randint(0, 3)):
+            factors += [name] * rng.randint(1, 3)
+        rng.shuffle(factors)
+        return "*".join(factors) or "1"
+
+    corpus = []
+    for n in range(count):
+        size = rng.randint(1, 16)
+        big = rng.randrange(size) if n % 50 == 49 else -1  # the term with the long literal
+        terms = [term(k == big) for k in range(size)]
+        corpus.append("".join(f" {rng.choice('+-')} {t}" if k else t for k, t in enumerate(terms)))
+    return corpus
+
+
+def _fingerprints(corpus: list[str]) -> list[str]:
+    """The SHA-256 of str(e), str(e * e) and str(e + f), f the next expression, per block of 100."""
+    exprs = [parse(text) for text in corpus]
+    blocks = []
+    for start in range(0, len(exprs), 100):
+        digest = hashlib.sha256()
+        for n in range(start, min(start + 100, len(exprs))):
+            e, f = exprs[n], exprs[(n + 1) % len(exprs)]
+            digest.update(f"{e}\t{e * e}\t{e + f}\n".encode())
+        blocks.append(digest.hexdigest())
+    return blocks
+
+
+def test_printed_forms_match_the_fingerprint_golden():
+    """The printed forms of 2000 generated expressions, hashed per block of 100, equal
+    the golden written by this same code when it was added, so a printer or arithmetic
+    change that moves one byte fails here, naming the first block that moved."""
+    corpus = _fingerprint_corpus()
+    assert sum(len(text) > 1000 for text in corpus) == 40
+    golden = (HERE / "golden" / "expr_fingerprint.txt").read_text().split()
+    got = _fingerprints(corpus)
+    moved = [n for n, (a, b) in enumerate(zip(got, golden)) if a != b]
+    assert not moved and len(got) == len(golden), (
+        f"block {moved[0]} (expressions {100 * moved[0]}-{100 * moved[0] + 99}) prints differently"
+        if moved else f"{len(got)} blocks, golden has {len(golden)}")
 
 
 # -- the constructor --------------------------------------------------------
