@@ -76,6 +76,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_spec(path: str) -> HamiltonianSpec:
     try:
         with open(path, "rb") as f:
@@ -85,7 +88,9 @@ def _load_spec(path: str) -> HamiltonianSpec:
     if "\r" in raw:  # the universal newlines of a text-mode read
         raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        data = json.loads(raw, object_pairs_hook=_unique_keys)
+        if raw.startswith("\ufeff"):  # json.loads' own check, which decode does not make
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+        data = _DECODER.decode(raw)
     except KeyError as exc:
         raise ValueError(f"duplicate key {exc.args[0]!r} in spec file") from None
     except ValueError as exc:  # malformed, or an integer past int's 4300-digit limit

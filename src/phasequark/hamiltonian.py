@@ -176,7 +176,12 @@ def _real(value, name: str, index: int | None = None) -> float:
 
 def _vec3(value, name: str) -> tuple[float, float, float]:
     """value as three finite floats; it must be an ordered sequence, so text,
-    bytes, mappings and sets are errors, whatever their length."""
+    bytes, mappings and sets are errors, whatever their length.  An exact list or
+    tuple of three finite floats (JSON's, a checked spec's) is taken as it is."""
+    if type(value) in (list, tuple) and len(value) == 3:
+        x, y, z = value
+        if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):  # so none is inf or nan
+            return x, y, z
     try:
         if isinstance(value, (str, bytes, bytearray, Mapping, AbstractSet)):
             raise TypeError

@@ -11,13 +11,13 @@ Representation: an expression is one dict from (tensor index, monomial)
 to a nonzero coefficient.  The index of si#sj#sk is 16 i + 4 j + k, whose
 order is that of the (i, j, k) triples, and ``clifford.TENSOR_LABELS``
 holds its label; a monomial is a tuple of (symbol, power) pairs sorted by
-symbol, built only by ``_monomial``.  A coefficient is one reduced triple
-of Python ints ``(a, b, d)``, meaning (a + b i) / d with d > 0 and
-gcd(a, b, d) = 1, so equal numbers have equal triples.  Multiplying two
-expressions costs one XOR, one lookup in ``clifford.PHASE`` (T_a T_b =
-i**PHASE[a][b] T_(a xor b)) and one coefficient product per pair of terms,
-all written out in ``_mul_terms``' pair loop; the factor i^n is a swap
-and/or negation of (a, b).  :meth:`PauliExpr.to_matrix` takes each
+symbol, built by ``_monomial`` (of a product, ``_merged``).  A coefficient
+is one reduced triple of Python ints ``(a, b, d)``, meaning (a + b i) / d
+with d > 0 and gcd(a, b, d) = 1, so equal numbers have equal triples.
+Multiplying two expressions costs one XOR, one lookup in ``clifford.PHASE``
+(T_a T_b = i**PHASE[a][b] T_(a xor b)) and one coefficient product per pair
+of terms, all written out in ``_mul_terms``' pair loop; the factor i^n is a
+swap and/or negation of (a, b).  :meth:`PauliExpr.to_matrix` takes each
 coefficient as ``complex(a / d, b / d)`` (int true division is correctly
 rounded), sums each tensor's terms in canonical order and contracts the
 sums against ``clifford.KRON3_STACK`` in one matmul.  An expression sorts
@@ -47,9 +47,9 @@ coefficient.
 Scalars are the numbers the grammar writes: with no division and decimal
 literals, the Gaussian rationals whose denominators are 2^a 5^b, a set
 closed under + and *, so every coefficient prints as an exact decimal: a part
-num/d prints the digits of num 10^k / d, k = d.bit_length(), with the point k
-places from the right.  No int digit limit is assumed: an int past str()'s,
-whatever it is set to, prints by way of Decimal.  Scalar ``*`` and the
+num/d, d = 2^a 5^b, prints the digits of num 10^k / d, k = max(a, b, 1), with
+the point k places from the right.  No int digit limit is assumed: an int past
+str()'s, whatever it is set to, prints by way of Decimal.  Scalar ``*`` and the
 constructors take an int or such a Fraction and raise ValueError for any
 other (``Fraction(1, 3)``); a complex scalar is written in the DSL, as
 ``parse("0.5 - 2i")`` or ``e * parse("i")``.
@@ -68,7 +68,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, log
 from typing import Mapping
 
 import numpy as np
@@ -135,9 +135,11 @@ def _from_rational(value: int | Fraction) -> Coeff:
 
 def _decimal_str(num: int, den: int) -> str:
     """num/den, with den = 2^a 5^b > 0 and no need to be reduced, as an exact decimal: the
-    digits of num * 10^k / den, which den divides for k = den.bit_length() (see
-    _from_rational), with the point k places from the right and trailing zeros stripped."""
-    k = den.bit_length()
+    digits of num * 10^k / den for k = max(a, b, 1), the fewest (but one) that den divides,
+    with the point k places from the right and trailing zeros stripped."""
+    k = den.bit_length() - 1 or 1  # a for den = 2^a, but at least 1
+    if den & (den - 1):  # a factor 5: den >> a is 5^b, and its log is b to ~1e-12
+        k = max(twos := (den & -den).bit_length() - 1, round(log(den >> twos, 5)))
     digits = _int_str(abs(num) * (10**k // den)).zfill(k + 1)
     frac = digits[-k:].rstrip("0")
     text = digits[:-k] + "." + frac if frac else digits[:-k]
@@ -197,6 +199,16 @@ def _monomial(pairs) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
+def _merged(x: Monomial, y: Monomial) -> Monomial:
+    """The product of two canonical monomials, in one merge of the two sorted tuples."""
+    out, i, j = [], 0, 0
+    while i < len(x) and j < len(y):
+        (nx, kx), (ny, ky) = x[i], y[j]
+        out.append(x[i] if nx < ny else y[j] if ny < nx else (nx, kx + ky))
+        i, j = i + (nx <= ny), j + (ny <= nx)
+    return (*out, *x[i:], *y[j:])
+
+
 def _add_into(out: Terms, key: tuple[int, Monomial], coeff: Coeff) -> None:
     """out[key] += coeff, holding no key whose coefficient is zero."""
     cur = out.get(key)
@@ -229,7 +241,7 @@ def _mul_terms(left: Terms, right: Terms) -> Terms:
             d = d1 * d2
             if d != 1 and (g := gcd(real, imag, d)) != 1:
                 real, imag, d = real // g, imag // g, d // g
-            key = (a ^ b, _monomial((*mono_a, *mono_b)) if mono_a and mono_b else mono_a or mono_b)
+            key = (a ^ b, _merged(mono_a, mono_b) if mono_a and mono_b else mono_a or mono_b)
             cur = out.get(key)
             if cur is None:  # a product of nonzero coefficients is nonzero
                 out[key] = (real, imag, d)

@@ -6,9 +6,9 @@ real matrices serialize as plain numbers (integers where the value is
 integral, so signed permutation and Clifford matrices stay readable);
 dump_json writes sorted keys, two-space indentation and a trailing newline
 in one recursive pass (exact built-in types first, by identity, then their
-subclasses and NumPy's; an array converted once by NumPy and its numbers put
-into one layout text, cached per shape and indent), so identical inputs give
-byte-identical files, and never NaN or Infinity.
+subclasses and NumPy's; an array converted once by NumPy, each distinct number
+in it formatted once, into one layout text cached per shape and indent), so
+identical inputs give byte-identical files, and never NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ def _render(obj, indent: str) -> str:
         if obj.dtype.kind not in "fc" or not obj.size:
             return _render(obj.tolist(), indent)
         if obj.dtype.kind == "c":
-            obj = np.stack((obj.real, obj.imag), axis=-1) if np.any(obj.imag) else obj.real
-        a = np.asarray(obj, dtype=np.float64)
-        return _layout(a.shape, indent) % tuple(_numbers(a))
+            obj = _interleaved(obj) if np.any(obj.imag) else obj.real
+        return _layout(obj.shape, indent) % tuple(_texts(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         return _render([obj.real, obj.imag], indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -86,17 +85,17 @@ def _layout(shape: tuple[int, ...], indent: str) -> str:
     return text
 
 
-def _numbers(a: np.ndarray) -> list:
-    """A float array's numbers in C order, each whole one an int, so that str
-    prints each as the float branch prints it."""
-    whole = (a == np.trunc(a)) & (np.abs(a) < 2.0**53)  # the float branch's integer rule
-    if whole.all():  # all finite, such as a signed permutation: one conversion
-        return a.astype(np.int64).ravel().tolist()
-    if not np.isfinite(a).all():  # the first non-finite number raises as a float
-        _render(float(a[~np.isfinite(a)][0]), "")
-    out = a.astype(object)
-    out[whole] = a[whole].astype(np.int64)
-    return out.ravel().tolist()
+def _interleaved(m: np.ndarray) -> np.ndarray:
+    """A complex array as a real one with a last axis of 2: re, im."""
+    return np.ascontiguousarray(m).view(m.real.dtype).reshape(m.shape + (2,))
+
+
+def _texts(a: np.ndarray) -> list[str]:
+    """A real array's numbers in C order as _render prints floats, each distinct value formatted
+    once (equal floats have equal repr; 0.0, -0.0 print 0): a non-finite one raises at its first."""
+    values = np.asarray(a, dtype=np.float64).ravel().tolist()
+    text = {v: _render(v, "") for v in dict.fromkeys(values)}
+    return list(map(text.__getitem__, values))
 
 
 def dump_json(obj) -> str:
@@ -116,11 +115,10 @@ def matrix_to_csv(m: np.ndarray) -> str:
     if m.ndim != 2:
         raise ValueError(f"CSV export is for matrices, got ndim={m.ndim}")
     if m.dtype.kind == "c" and np.any(m.imag):  # a+bi or a-bi, each part printed in cell order
-        parts = list(map(repr, _numbers(np.stack((m.real, m.imag), axis=-1).astype(float))))
-        cells = [re + (im if im[0] == "-" else "+" + im) + "i"
-                 for re, im in zip(parts[::2], parts[1::2])]
+        parts = _texts(_interleaved(m))
+        cells = [re + (im if im[0] == "-" else "+" + im) + "i" for re, im in zip(parts[::2], parts[1::2])]
     else:
-        cells = list(map(repr, _numbers(np.asarray(m.real, dtype=float))))
+        cells = _texts(m.real)
     n = m.shape[1]
     return "".join(",".join(cells[i * n:(i + 1) * n]) + "\n" for i in range(m.shape[0]))
 

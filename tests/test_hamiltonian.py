@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phasequark import clifford as cf, hamiltonian, phase_space as ps
+from phasequark import cli, clifford as cf, hamiltonian, phase_space as ps
 from phasequark.hamiltonian import (
     BASIS,
     KINDS,
@@ -784,6 +785,60 @@ def test_rotate_rejects_overflowing_coefficients():
     # the Dirac masks do not move, so no intermediate R p overflows
     dirac = HamiltonianSpec(kind="Dirac", p=(1.5e308, 1.5e308, 0.0))
     assert np.array_equal(rotate_hamiltonian(dirac, 3, math.pi / 4), build_hamiltonian(dirac))
+
+
+# -- the float check of 3-vectors: exact floats, and every other input --------
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    [0.5, -1.25, 2.0], (0.5, -1.25, 2.0), [1e308, 1e308, -0.0], (-0.0, 0.0, 5e-324),
+    [np.float64(0.5), -1.25, 2.0], [1, 0, -3], (0.5, 1, 2.0), [_Float(0.5), 1.0, 2.0],
+], ids=["list", "tuple", "sum-overflows", "signed-zeros", "np-float64", "ints", "mixed", "subclass"])
+def test_a_3_vector_of_numbers_is_stored_as_three_floats(value):
+    want = tuple(float(v) for v in value)
+    spec = HamiltonianSpec(kind="ColorR", p=value, x=value)
+    assert repr(spec.p) == repr(spec.x) == repr(want)  # repr tells -0.0 from 0.0
+    assert all(type(v) is float for v in spec.p + spec.x)
+    assert HamiltonianSpec.from_dict({"kind": "ColorR", "p": value, "x": value}) == spec
+    assert repr(conjugate_hamiltonian(spec)[1].x) == repr(tuple(-v for v in want))
+
+
+@pytest.mark.parametrize("value,index", [
+    ([0.5, True, 2.0], 1), ((0.5, 2.0, False), 2), ([math.nan, 0.0, 0.0], 0),
+    ([0.0, math.inf, 0.0], 1), ((0.0, 0.0, -math.inf), 2), ([math.inf, -math.inf, 1.0], 0),
+    ([np.float64(np.nan), 0.0, 0.0], 0), (["1", 0.0, 0.0], 0), ([0.0, 0.5, "2"], 2),
+], ids=["bool", "bool-tuple", "nan", "inf", "minus-inf", "inf-minus-inf", "np-nan", "str", "str-last"])
+def test_a_3_vector_with_a_bad_entry_names_its_first_one(value, index):
+    message = f"p[{index}] must be a finite number, got {value[index]!r}"
+    for build in (lambda: HamiltonianSpec(kind="Dirac", p=value),
+                  lambda: HamiltonianSpec.from_dict({"kind": "Dirac", "p": value})):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [[0.5, 2.0], (0.5, 2.0, 1.0, 0.0), []])
+def test_an_exact_float_list_of_another_length_is_not_a_3_vector(value):
+    with pytest.raises(ValueError) as err:
+        HamiltonianSpec(kind="Dirac", p=value)
+    assert str(err.value) == f"p must be a 3-vector, got {value!r}"
+
+
+def test_a_conjugate_whose_flip_overflows_is_an_input_error(capsys, tmp_path):
+    # p - eA is 0, so the spec builds; its flip p + eA is 2e308
+    spec = HamiltonianSpec(kind="Dirac", p=(1e308, 0.0, 0.0), em=EMField(e=1.0, Avec=(1e308, 0.0, 0.0)))
+    message = "coefficients of the Dirac spec overflow float64 in 'p', 'em'"
+    with pytest.raises(ValueError) as err:
+        conjugate_hamiltonian(spec)
+    assert str(err.value) == message
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps({"kind": "Dirac", "p": [1e308, 0, 0], "em": {"e": 1, "Avec": [1e308, 0, 0]}}))
+    assert cli.main(["conjugate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message}
 
 
 # -- conjugation ----------------------------------------------------------

@@ -109,6 +109,43 @@ def test_non_finite_arrays_are_rejected_by_both_routes(bad, shape):
             dump(a)
 
 
+# -- arrays that repeat values: each distinct number is formatted once per array --
+
+
+@st.composite
+def _repeating_arrays(draw):
+    """Arrays whose values come from a pool of at most seven: 0.0 and -0.0, x and -x
+    for a whole and a non-whole x, and +-2**53, each array C-ordered or transposed."""
+    x, w = draw(_FLOATS.filter(lambda v: not v.is_integer())), float(draw(st.integers(-99, 99)))
+    pool = [0.0, -0.0, x, -x, w, -w, draw(st.sampled_from([2.0**53, -(2.0**53)]))]
+    dtype = draw(st.sampled_from(["float64", "complex128", "complex64"]))
+    values = st.sampled_from(pool)
+    elements = values if dtype == "float64" else st.builds(complex, values, values)
+    a = draw(arrays(dtype, array_shapes(min_dims=1, max_dims=3, max_side=5), elements=elements))
+    return a.T if draw(st.booleans()) else a
+
+
+@given(_repeating_arrays())
+def test_repeated_values_match_the_per_element_route(a):
+    assert dump_json({"array": a, "nested": [a]}) == reference_dump_json({"array": a, "nested": [a]})
+    if a.ndim == 2:
+        assert matrix_to_csv(a) == reference_matrix_to_csv(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", ["float64", "complex128", "complex64"])
+def test_a_non_finite_number_after_repeated_ones_raises_as_the_per_element_route(bad, dtype):
+    a = np.array([[0.5, -0.5, 0.5], [-0.5, bad, -np.inf]], dtype=dtype)
+    if dtype != "float64":
+        a = a + 0.25j  # every imaginary part nonzero, so each part is printed in cell order
+    errors = set()
+    for route in (dump_json, reference_dump_json, matrix_to_csv):  # the CSV reference prints NaN
+        with pytest.raises(ValueError) as excinfo:
+            route(a)
+        errors.add(str(excinfo.value))
+    assert errors == {f"Out of range float values are not JSON compliant: {float(bad)!r}"}
+
+
 # -- whole payload trees: every type dump_json takes, at any depth --
 
 # subclasses of the built-in types, which dump_json renders as their base types
