@@ -522,8 +522,6 @@ def test_reports_are_byte_identical_for_same_seed():
         ("verify_su3_default.json", ("verify", "--suite", "su3")),
         ("spectrum_qqbar_rest.json", ("spectrum", str(DATA / "qqbar_rest.json"))),
         ("conjugate_color_r.json", ("conjugate", str(DATA / "color_r.json"))),
-        # non-whole, repeated and sign-flipped numbers in one complex matrix
-        ("conjugate_color_y_em.json", ("conjugate", str(DATA / "color_y_em.json"))),
         (
             "transform_pairing_r.json",
             ("transform", "--pairing", "R", "--input", "1,2,3,4,5,6"),
@@ -533,6 +531,8 @@ def test_reports_are_byte_identical_for_same_seed():
         ("verify_conjugation_default.json", ("verify", "--suite", "conjugation")),
         ("verify_clifford_default.json", ("verify", "--suite", "clifford")),
         ("verify_rotation_default.json", ("verify", "--suite", "rotation")),
+        # non-whole, repeated and sign-flipped numbers in one complex matrix
+        ("conjugate_color_y_em.json", ("conjugate", str(DATA / "color_y_em.json"))),
     ],
 )
 def test_golden_outputs(golden, args):
