@@ -20,11 +20,6 @@ from .phase_space import (  # noqa: F401
     PhaseVector,
     Generator6,
     PairingScheme,
-    build_G,
-    build_F,
-    build_R,
-    build_H,
-    build_J,
     commutator6,
     structure_constants,
     verify_su3_table,

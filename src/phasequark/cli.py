@@ -263,7 +263,3 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ValueError as exc:
         return _emit_error(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

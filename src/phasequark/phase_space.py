@@ -7,15 +7,14 @@ brackets is U(3) = U(1) x SU(3); this module builds its generators, checks
 the structure constants, and exponentiates generators into group elements.
 Every named generator (F1..F8, R, R1..R3, H1..H3, J1..J3) is one row of
 plane-sum terms in a single label table, built once at import into shared
-Generator6 instances; resolve_generator6 reads a label, G(m,n) included,
-and the build_* functions are index checks on that table that return the
-shared instance.  Only G(m,n) is built per call.  The structure constants
-are one read-only (9, 9, 9) array, also built once.  The four printed
-pairings are one table of signed coordinate names, and each Even(tag) is
-its row under the slot map p_k -> x_k, x_k -> -p_k of exp(-pi/2 * R); all
-eight are built once at import.  The records (PhaseVector, PairingScheme,
-DerivedPairing) are NamedTuples; Generator6, which validates its matrix
-and holds it read-only, is a dataclass.
+Generator6 instances; resolve_generator6 reads every label, G(m,n) included,
+and returns the shared instance.  Only G(m,n) is built per call.  The
+structure constants are one read-only (9, 9, 9) array, also built once.
+The four printed pairings are one table of signed coordinate names, and
+each Even(tag) is its row under the slot map p_k -> x_k, x_k -> -p_k of
+exp(-pi/2 * R); all eight are built once at import.  The records
+(PhaseVector, PairingScheme, DerivedPairing) are NamedTuples; Generator6,
+which validates its matrix and holds it read-only, is a dataclass.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -66,11 +65,6 @@ __all__ = [
     "DerivedPairing",
     "LABEL_HELP",
     "resolve_generator6",
-    "build_G",
-    "build_F",
-    "build_R",
-    "build_H",
-    "build_J",
     "commutator6",
     "structure_constants",
     "verify_su3_table",
@@ -127,11 +121,10 @@ class Generator6:
         object.__setattr__(self, "matrix", m)
 
 
-def build_G(m: int, n: int) -> Generator6:
-    """Plane rotation generator with +1 at (m, n) and -1 at (n, m), 1-based."""
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= 6
-               for i in (m, n)):
-        raise ValueError(f"G indices must be in 1..6, got ({m!r}, {n!r})")
+def _plane(m: int, n: int) -> Generator6:
+    """Plane rotation generator G(m,n): +1 at (m, n) and -1 at (n, m), 1-based."""
+    if not (1 <= m <= 6 and 1 <= n <= 6):
+        raise ValueError(f"G indices must be in 1..6, got ({m}, {n})")
     if m == n:
         raise ValueError(f"G indices must differ, got ({m}, {n})")
     g = np.zeros((6, 6))
@@ -162,50 +155,23 @@ _LABEL_TERMS.update({
     for label, sign, i in (("H1", 1, 6), ("H2", -1, 4), ("H3", -1, 1),
                            ("J1", 1, 7), ("J2", 1, 5), ("J3", -1, 2))
 })
-_NAMED = {label: Generator6(label, sum(coeff * build_G(a, b).matrix for coeff, a, b in terms))
+_NAMED = {label: Generator6(label, sum(coeff * _plane(a, b).matrix for coeff, a, b in terms))
           for label, terms in _LABEL_TERMS.items()}
 _INDEX_RANGE = {"F": "in 1..8", "R": "1..3", "H": "1..3", "J": "1..3"}  # of each family's error
 LABEL_HELP = "F1..F8, R, R1..R3, H1..H3, J1..J3, or G(m,n)"
 _G_LABEL = re.compile(r"G\(([0-9]),([0-9])\)")
 
 
-def _indexed(family: str, i: int) -> Generator6:
-    label = f"{family}{i}"
-    if not isinstance(i, (int, np.integer)) or label not in _NAMED:  # a bool: FTrue is not a label
-        raise ValueError(f"{family} index must be {_INDEX_RANGE[family]}, got {i!r}")
-    return _NAMED[label]
-
-
 def resolve_generator6(label: str) -> Generator6:
     """Resolve a 6x6 generator label: F1..F8, R, R1..R3, H1..H3, J1..J3, G(m,n)."""
     match = _G_LABEL.fullmatch(label)
     if match:
-        return build_G(int(match.group(1)), int(match.group(2)))
+        return _plane(int(match.group(1)), int(match.group(2)))
     if label in _NAMED:
         return _NAMED[label]
     if len(label) == 2 and label[0] in _INDEX_RANGE and "0" <= label[1] <= "9":
-        return _indexed(label[0], int(label[1]))
+        raise ValueError(f"{label[0]} index must be {_INDEX_RANGE[label[0]]}, got {label[1]}")
     raise ValueError(f"unknown generator label {label!r}; expected {LABEL_HELP}")
-
-
-def build_F(i: int) -> Generator6:
-    """SU(3) generator F1..F8."""
-    return _indexed("F", i)
-
-
-def build_R(i: int | None = None) -> Generator6:
-    """U(1) generator R = R1 + R2 + R3, or a single Ri = G(i+3, i)."""
-    return _NAMED["R"] if i is None else _indexed("R", i)
-
-
-def build_H(i: int) -> Generator6:
-    """Momentum-position quarter-turn generator: H1 = F6, H2 = -F4, H3 = -F1."""
-    return _indexed("H", i)
-
-
-def build_J(i: int) -> Generator6:
-    """Ordinary space rotation about axis i, acting on p and x together."""
-    return _indexed("J", i)
 
 
 def commutator6(a: Generator6 | np.ndarray, b: Generator6 | np.ndarray) -> np.ndarray:
@@ -490,7 +456,7 @@ def derive_pairing_from_rotation(color: str) -> DerivedPairing:
     """
     if color not in _COLOR_AXIS:
         raise ValueError(f"color must be one of R, Y, B, got {color!r}")
-    h, j = build_H(_COLOR_AXIS[color]), build_J(_COLOR_AXIS[color])
+    h, j = _NAMED[f"H{_COLOR_AXIS[color]}"], _NAMED[f"J{_COLOR_AXIS[color]}"]
     m = exp_generator(j, _HALF_PI) @ exp_generator(h, _HALF_PI)
     residual = float(np.abs(m - pairing(color).matrix()).max())
     return DerivedPairing(color, h.label, _HALF_PI, j.label, _HALF_PI, m, residual)

@@ -122,8 +122,8 @@ def _worst(*residuals: float) -> float:
     return math.nan if any(r != r for r in residuals) else max(residuals)
 
 
-_F = np.stack([phase_space.build_F(i).matrix for i in range(1, 9)])
-_R6 = phase_space.build_R().matrix
+_F = np.stack([phase_space.resolve_generator6(f"F{i}").matrix for i in range(1, 9)])
+_R6 = phase_space.resolve_generator6("R").matrix
 _F9 = np.concatenate([_F, _R6[None]])  # F1..F8, then R
 _J6 = phase_space.symplectic_form()
 _I6 = np.eye(6)

@@ -69,13 +69,13 @@ def test_primary_01_su3_closure(capfd):
 def test_primary_02_group_membership(capfd):
     def run():
         rng = np.random.default_rng(2026)
-        generators = [ps.build_F(i) for i in range(1, 9)] + [ps.build_R()]
+        generators = [ps.resolve_generator6(f"F{i}") for i in range(1, 9)] + [ps.resolve_generator6("R")]
         for g in generators:
             for theta in rng.uniform(-3.1, 3.1, size=10):
                 m = ps.exp_generator(g, float(theta))
                 assert ps.is_orthogonal(m, tol=1e-12)
                 assert ps.is_symplectic(m, tol=1e-12)
-        recip = ps.exp_generator(ps.build_R(), math.pi / 2.0)
+        recip = ps.exp_generator(ps.resolve_generator6("R"), math.pi / 2.0)
         assert np.abs(recip @ recip + np.eye(6)).max() <= 1e-12
 
     _report(2, "u1su3-group-membership-and-reflection", run, capfd)

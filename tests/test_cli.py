@@ -727,6 +727,20 @@ def test_export_operator_matches_literal_matrix(capsys, literal_operators, label
     assert np.array_equal(matrix, literal_operators[label])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_export_generator_matches_literal_matrix(capsys, literal_generators6, fmt):
+    for label, expected in literal_generators6.items():
+        code, out = run_in_process(capsys, "export", label, "--format", fmt)
+        assert code == 0, label
+        if fmt == "json":
+            payload = strict_json(out)
+            assert (payload["kind"], payload["shape"]) == ("generator6", [6, 6]), label
+            matrix = np.array(payload["matrix"], dtype=float)
+        else:
+            matrix = np.array([row.split(",") for row in out.splitlines()], dtype=float)
+        assert np.array_equal(matrix, expected), label
+
+
 def test_export_pairing_matrix():
     result = run_cli("export", "pairing:R")
     payload = json.loads(result.stdout)

@@ -669,37 +669,28 @@ def test_rotation_matrix_rejects_bad_axes():
 
 
 _SPEC = HamiltonianSpec(kind="ColorR", m=1.0, p=(1.0, 2.0, 3.0), x=(0.0, 1.0, 0.0))
-_NOT_NUMBERS = [  # NumPy or a lookup would read each as a number: (call, its args, the name)
-    (ps.build_G, (True, 2), r"G indices must be in 1\.\.6, got \(True, 2\)"),
-    (ps.build_G, (1.0, 2), "G indices"),
-    (ps.build_F, ("1",), r"F index must be in 1\.\.8, got '1'"),
-    (ps.build_R, ("2",), "R index"),
-    (ps.build_H, ("3",), "H index"),
-    (ps.build_J, (True,), "J index"),
-    (ps.build_J, (2.0,), "J index"),
+_NOT_NUMBERS = [  # NumPy would read each as a number: (call, its args, the name)
     (rotation_matrix, (3, True), "angle"),
     (rotation_matrix, (3, "0.5"), "angle"),
     (rotation_matrix, (3, [np.True_, np.False_]), "angle"),
-    (ps.exp_generator, (ps.build_F(1), True), "angle"),
-    (ps.exp_generator, (ps.build_F(1), "0.5"), "angle"),
+    (ps.exp_generator, (ps.resolve_generator6("F1"), True), "angle"),
+    (ps.exp_generator, (ps.resolve_generator6("F1"), "0.5"), "angle"),
     (rotate_hamiltonian, (_SPEC, 3, True), "angle"),
 ]
 
 
 @pytest.mark.parametrize("fn,args,name", _NOT_NUMBERS,
-                         ids=[f"{fn.__name__}({', '.join(map(repr, args[-2 if fn is ps.build_G else -1:]))})"
-                              for fn, args, _ in _NOT_NUMBERS])
+                         ids=[f"{fn.__name__}({args[-1]!r})" for fn, args, _ in _NOT_NUMBERS])
 def test_an_index_or_angle_that_is_not_a_number_is_a_value_error(fn, args, name):
     with pytest.raises(ValueError, match=name):
         fn(*args)
 
 
 def test_ints_floats_and_numpy_numbers_stay_indices_and_angles():
-    assert ps.build_G(np.int32(1), 2).label == "G(1,2)"
     assert np.array_equal(rotation_matrix(3, 1), rotation_matrix(3, 1.0))
     assert np.array_equal(rotation_matrix(3, np.float32(0.5)), rotation_matrix(3, float(np.float32(0.5))))
     assert np.array_equal(rotation_matrix(3, np.arange(3)), rotation_matrix(3, [0.0, 1.0, 2.0]))
-    f1 = ps.build_F(1)
+    f1 = ps.resolve_generator6("F1")
     assert np.array_equal(ps.exp_generator(f1, np.int64(1)), ps.exp_generator(f1, 1.0))
     assert np.array_equal(rotate_hamiltonian(_SPEC, 3, 2), rotate_hamiltonian(_SPEC, 3, 2.0))
 

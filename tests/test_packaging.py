@@ -102,8 +102,8 @@ def test_records_are_named_tuples_in_their_field_order(name):
 TOP_LEVEL = {
     "DEFAULT_SEED", "EMField", "Generator6", "HamiltonianSpec", "PairingScheme", "ParseError",
     "PauliExpr", "PhaseVector", "SUITES", "SpectrumReport", "anticommutator",
-    "antiparticle_distinctness_check", "apply_pairing", "build_C", "build_F", "build_G", "build_H",
-    "build_J", "build_R", "build_composite", "build_hamiltonian", "charge_conjugation_tau_scan",
+    "antiparticle_distinctness_check", "apply_pairing", "build_C", "build_composite",
+    "build_hamiltonian", "charge_conjugation_tau_scan",
     "commutator6", "conjugate_hamiltonian", "derive_pairing_from_diagonal",
     "derive_pairing_from_rotation", "exp_generator", "is_orthogonal", "is_symplectic", "kron3",
     "named_operator", "pairing", "pairing_tags", "parse", "rotate_hamiltonian", "rotation_matrix",
@@ -111,11 +111,10 @@ TOP_LEVEL = {
 }
 MODULE_ALL = {
     "phase_space": ["COORD_NAMES", "PhaseVector", "Generator6", "PairingScheme", "DerivedPairing",
-                    "LABEL_HELP", "resolve_generator6", "build_G", "build_F", "build_R", "build_H",
-                    "build_J", "commutator6", "structure_constants", "verify_su3_table",
-                    "exp_generator", "is_orthogonal", "is_symplectic", "symplectic_form", "pairing",
-                    "pairing_tags", "apply_pairing", "derive_pairing_from_rotation",
-                    "derive_pairing_from_diagonal"],
+                    "LABEL_HELP", "resolve_generator6", "commutator6", "structure_constants",
+                    "verify_su3_table", "exp_generator", "is_orthogonal", "is_symplectic",
+                    "symplectic_form", "pairing", "pairing_tags", "apply_pairing",
+                    "derive_pairing_from_rotation", "derive_pairing_from_diagonal"],
     "clifford": ["PAULI", "KRON3_STACK", "TENSOR_LABELS", "PHASE", "OPERATORS", "GENERATOR_NAMES",
                  "kron3", "named_operator", "anticommutator", "build_C",
                  "charge_conjugation_tau_scan"],

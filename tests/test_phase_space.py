@@ -13,7 +13,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def test_build_G_places_signed_pair():
-    g = ps.build_G(1, 5)
+    g = resolve_generator6("G(1,5)")
     expected = np.zeros((6, 6))
     expected[0, 4] = 1.0
     expected[4, 0] = -1.0
@@ -24,11 +24,13 @@ def test_build_G_places_signed_pair():
 @pytest.mark.parametrize("bad", [(0, 1), (1, 7), (2, 2)])
 def test_build_G_rejects_bad_indices(bad):
     with pytest.raises(ValueError):
-        ps.build_G(*bad)
+        resolve_generator6("G({},{})".format(*bad))
 
 
 def test_F_definitions_match_G_sums():
-    G = ps.build_G
+    def G(m, n):
+        return resolve_generator6(f"G({m},{n})")
+
     expected = {
         1: G(1, 5).matrix + G(2, 4).matrix,
         2: G(1, 2).matrix + G(4, 5).matrix,
@@ -40,30 +42,31 @@ def test_F_definitions_match_G_sums():
         8: (G(4, 1).matrix + G(5, 2).matrix - 2.0 * G(6, 3).matrix) / SQRT3,
     }
     for i in range(1, 9):
-        assert np.array_equal(ps.build_F(i).matrix, expected[i]), f"F{i}"
+        assert np.array_equal(resolve_generator6(f"F{i}").matrix, expected[i]), f"F{i}"
 
 
 def test_R_is_sum_of_coordinate_blocks():
-    r = ps.build_R().matrix
-    total = sum(ps.build_G(i + 3, i).matrix for i in (1, 2, 3))
+    r = resolve_generator6("R").matrix
+    total = sum(resolve_generator6(f"G({i + 3},{i})").matrix for i in (1, 2, 3))
     assert np.array_equal(r, total)
     for i in (1, 2, 3):
-        assert np.array_equal(ps.build_R(i).matrix, ps.build_G(i + 3, i).matrix)
-    assert np.array_equal(r, sum(ps.build_R(i).matrix for i in (1, 2, 3)))
+        assert np.array_equal(resolve_generator6(f"R{i}").matrix,
+                              resolve_generator6(f"G({i + 3},{i})").matrix)
+    assert np.array_equal(r, sum(resolve_generator6(f"R{i}").matrix for i in (1, 2, 3)))
 
 
 def test_H_and_J_aliases():
-    assert np.array_equal(ps.build_H(1).matrix, ps.build_F(6).matrix)
-    assert np.array_equal(ps.build_H(2).matrix, -ps.build_F(4).matrix)
-    assert np.array_equal(ps.build_H(3).matrix, -ps.build_F(1).matrix)
-    assert np.array_equal(ps.build_J(1).matrix, ps.build_F(7).matrix)
-    assert np.array_equal(ps.build_J(2).matrix, ps.build_F(5).matrix)
-    assert np.array_equal(ps.build_J(3).matrix, -ps.build_F(2).matrix)
+    assert np.array_equal(resolve_generator6("H1").matrix, resolve_generator6("F6").matrix)
+    assert np.array_equal(resolve_generator6("H2").matrix, -resolve_generator6("F4").matrix)
+    assert np.array_equal(resolve_generator6("H3").matrix, -resolve_generator6("F1").matrix)
+    assert np.array_equal(resolve_generator6("J1").matrix, resolve_generator6("F7").matrix)
+    assert np.array_equal(resolve_generator6("J2").matrix, resolve_generator6("F5").matrix)
+    assert np.array_equal(resolve_generator6("J3").matrix, -resolve_generator6("F2").matrix)
 
 
 @given(st.integers(min_value=1, max_value=8))
 def test_generators_are_antisymmetric(i):
-    m = ps.build_F(i).matrix
+    m = resolve_generator6(f"F{i}").matrix
     assert np.array_equal(m, -m.T)
 
 
@@ -104,7 +107,7 @@ def test_su3_table_closes():
 
 def test_su3_table_rows_match_a_per_pair_reference():
     # reference: one pair at a time, each sum in the same order
-    F = [ps.build_F(i).matrix for i in range(1, 9)]
+    F = [resolve_generator6(f"F{i}").matrix for i in range(1, 9)]
     f = ps.structure_constants()
     reference = []
     for i in range(1, 9):
@@ -125,7 +128,7 @@ def test_su3_table_rows_match_a_per_pair_reference():
 def test_commutators_match_table_directly():
     # independent route: rebuild each bracket from the stored table and
     # compare matrices, rather than projecting onto the basis
-    F = [ps.build_F(i).matrix for i in range(1, 9)]
+    F = [resolve_generator6(f"F{i}").matrix for i in range(1, 9)]
     f = ps.structure_constants()
     for i in range(1, 9):
         for k in range(i + 1, 9):
@@ -139,7 +142,7 @@ def test_commutators_match_table_directly():
 @given(st.tuples(*[st.integers(min_value=1, max_value=8)] * 3))
 def test_jacobi_identity(triple):
     i, j, k = triple
-    a, b, c = (ps.build_F(n).matrix for n in (i, j, k))
+    a, b, c = (resolve_generator6(f"F{n}").matrix for n in (i, j, k))
     acc = (
         ps.commutator6(ps.commutator6(a, b), c)
         + ps.commutator6(ps.commutator6(b, c), a)
@@ -149,18 +152,18 @@ def test_jacobi_identity(triple):
 
 
 def test_R_is_central():
-    r = ps.build_R().matrix
+    r = resolve_generator6("R").matrix
     for i in range(1, 9):
-        assert np.abs(ps.commutator6(r, ps.build_F(i).matrix)).max() <= 1e-12
+        assert np.abs(ps.commutator6(r, resolve_generator6(f"F{i}").matrix)).max() <= 1e-12
 
 
 def test_exp_generator_at_zero_is_identity():
-    assert np.allclose(ps.exp_generator(ps.build_F(5), 0.0), np.eye(6), atol=1e-15)
+    assert np.allclose(ps.exp_generator(resolve_generator6("F5"), 0.0), np.eye(6), atol=1e-15)
 
 
 def test_exp_generator_rejects_non_finite_angle():
     with pytest.raises(ValueError):
-        ps.exp_generator(ps.build_F(1), float("nan"))
+        ps.exp_generator(resolve_generator6("F1"), float("nan"))
 
 
 # Every label resolve_generator6 accepts.
@@ -172,7 +175,6 @@ GENERATOR_LABELS = (
 # Sums of disjoint planes with unit weights: S = -g @ g is diagonal.
 PLANE_SUM_LABELS = [label for label in GENERATOR_LABELS if label != "F8"]
 NAMED_LABELS = [label for label in GENERATOR_LABELS if not label.startswith("G(")]
-BUILDERS = {"F": ps.build_F, "R": ps.build_R, "H": ps.build_H, "J": ps.build_J}
 
 
 def test_label_table_holds_the_eighteen_named_generators():
@@ -181,20 +183,18 @@ def test_label_table_holds_the_eighteen_named_generators():
 
 
 @pytest.mark.parametrize("label", NAMED_LABELS)
-def test_each_named_label_resolves_to_its_builder(label):
+def test_each_named_label_resolves_to_its_builder(literal_generators6, label):
     g = ps.resolve_generator6(label)
-    built = BUILDERS[label[0]](*(int(d) for d in label[1:]))
-    assert g.label == built.label == label
-    assert np.array_equal(g.matrix, built.matrix)
+    assert g.label == label
+    assert np.array_equal(g.matrix, literal_generators6[label])
 
 
 def test_shared_generators_and_structure_constants_are_read_only():
-    assert ps.build_F(3) is resolve_generator6("F3")
-    assert ps.build_R() is ps.build_R() is resolve_generator6("R")
-    for m in (ps.build_H(2).matrix, ps.build_G(1, 2).matrix):
+    assert resolve_generator6("F3") is resolve_generator6("F3")  # one shared instance per name
+    for m in (resolve_generator6("H2").matrix, resolve_generator6("G(1,2)").matrix):
         with pytest.raises(ValueError, match="read-only"):
             m[0, 1] = 5.0
-    assert np.array_equal(ps.build_H(2).matrix, -ps.build_F(4).matrix)
+    assert np.array_equal(resolve_generator6("H2").matrix, -resolve_generator6("F4").matrix)
     # a matrix given to Generator6 is copied, so the caller's array stays writable
     given = np.zeros((6, 6))
     ps.Generator6("zero", given)
@@ -210,18 +210,14 @@ def test_shared_generators_and_structure_constants_are_read_only():
 UNKNOWN = ("unknown generator label {!r}; expected F1..F8, R, R1..R3, H1..H3, J1..J3, "
            "or G(m,n)")
 LABEL_ERRORS = [
-    (ps.build_F, 0, "F index must be in 1..8, got 0"),
-    (ps.build_F, 9, "F index must be in 1..8, got 9"),
-    (ps.build_R, 0, "R index must be 1..3, got 0"),
-    (ps.build_R, 4, "R index must be 1..3, got 4"),
-    (ps.build_H, 0, "H index must be 1..3, got 0"),
-    (ps.build_H, 4, "H index must be 1..3, got 4"),
-    (ps.build_J, 0, "J index must be 1..3, got 0"),
-    (ps.build_J, 4, "J index must be 1..3, got 4"),
     (ps.resolve_generator6, "F9", "F index must be in 1..8, got 9"),
     (ps.resolve_generator6, "F0", "F index must be in 1..8, got 0"),
     (ps.resolve_generator6, "R0", "R index must be 1..3, got 0"),
+    (ps.resolve_generator6, "R4", "R index must be 1..3, got 4"),
+    (ps.resolve_generator6, "H0", "H index must be 1..3, got 0"),
     (ps.resolve_generator6, "H4", "H index must be 1..3, got 4"),
+    (ps.resolve_generator6, "J0", "J index must be 1..3, got 0"),
+    (ps.resolve_generator6, "J4", "J index must be 1..3, got 4"),
     (ps.resolve_generator6, "J9", "J index must be 1..3, got 9"),
     (ps.resolve_generator6, "G(7,1)", "G indices must be in 1..6, got (7, 1)"),
     (ps.resolve_generator6, "G(0,2)", "G indices must be in 1..6, got (0, 2)"),
@@ -247,9 +243,9 @@ def test_export_label_help_is_pinned():
 
 
 # the three diagonal generators of derive_pairing_from_diagonal, built as it builds them
-_F3, _F8 = ps.build_F(3).matrix, ps.build_F(8).matrix
+_F3, _F8 = resolve_generator6("F3").matrix, resolve_generator6("F8").matrix
 DIAGONAL_GENERATORS = {
-    "F3": ps.build_F(3),
+    "F3": resolve_generator6("F3"),
     "(F3+sqrt3*F8)/2": ps.Generator6("(F3+sqrt3*F8)/2", (_F3 + SQRT3 * _F8) / 2),
     "(F3-sqrt3*F8)/2": ps.Generator6("(F3-sqrt3*F8)/2", (_F3 - SQRT3 * _F8) / 2),
 }
@@ -273,7 +269,7 @@ def test_stacked_exponential_rows_equal_scalar_calls(generator):
 
 
 def test_stacked_exponential_edge_shapes_and_angles():
-    g = ps.build_F(4)
+    g = resolve_generator6("F4")
     assert ps.exp_generator(g, np.array([])).shape == (0, 6, 6)
     assert ps.exp_generator(g, [0.5]).shape == (1, 6, 6)
     for bad in ([0.1, float("nan")], [float("inf")], np.array([1.0, -np.inf, 2.0])):
@@ -362,7 +358,7 @@ def test_exponential_matches_expm_oracle():
 
 def test_F2_generates_simultaneous_axis3_rotation():
     theta = 0.7
-    m = ps.exp_generator(ps.build_F(2), theta)
+    m = ps.exp_generator(resolve_generator6("F2"), theta)
     c, s = math.cos(theta), math.sin(theta)
     block = np.array([[c, s], [-s, c]])
     assert np.allclose(m[np.ix_([0, 1], [0, 1])], block, atol=1e-13)
@@ -371,7 +367,7 @@ def test_F2_generates_simultaneous_axis3_rotation():
 
 
 def test_group_additivity():
-    g = ps.build_F(4)
+    g = resolve_generator6("F4")
     lhs = ps.exp_generator(g, 0.9) @ ps.exp_generator(g, -0.4)
     assert np.abs(lhs - ps.exp_generator(g, 0.5)).max() <= 1e-11
 
@@ -382,7 +378,7 @@ def test_is_orthogonal_rejects_scaling():
 
 
 def test_reciprocity_and_reflection():
-    r = ps.build_R()
+    r = resolve_generator6("R")
     recip = ps.exp_generator(r, math.pi / 2.0)
     # (p, x) -> (-x, p): documented sign convention
     expected = np.zeros((6, 6))
@@ -447,7 +443,7 @@ def test_all_pairings_are_symplectic_and_orthogonal():
 @pytest.mark.parametrize("tag", ["Standard", "R", "Y", "B"])
 def test_even_pairing_is_its_pairing_after_the_inverse_quarter_turn_of_R(tag):
     # the second route: exp(-pi/2 * R) as a closed-form exponential, not the slot map
-    turned = ps.pairing(tag).matrix() @ ps.exp_generator(ps.build_R(), -math.pi / 2)
+    turned = ps.pairing(tag).matrix() @ ps.exp_generator(resolve_generator6("R"), -math.pi / 2)
     assert np.array_equal(ps.pairing(f"Even({tag})").matrix(), turned)
 
 
