@@ -141,10 +141,9 @@ def resolve_export(label: str) -> tuple[str, np.ndarray]:
     """
     if label.startswith("pairing:"):
         return "pairing", phase_space.pairing(label[len("pairing:"):]).matrix()
+    if label in clifford.OPERATORS:  # no label is in both tables
+        return "operator8", clifford.named_operator(label)
     try:
         return "generator6", phase_space.resolve_generator6(label).matrix
     except ValueError:
-        pass
-    if label in clifford.OPERATORS:
-        return "operator8", clifford.named_operator(label)
-    raise ValueError(f"unknown export label {label!r}; known labels: {EXPORT_LABELS}")
+        raise ValueError(f"unknown export label {label!r}; known labels: {EXPORT_LABELS}") from None

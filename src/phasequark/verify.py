@@ -5,10 +5,10 @@ fixed list of checks.  A check reports its maximum residual and passes
 iff that residual is at or below its tolerance; a --tol override replaces
 every default tolerance, which is also how tolerance plumbing is tested
 (an unreachable tolerance such as 1e-30 must turn honest floating-point
-checks into failures).  All randomness is drawn from numpy Generators
-seeded with (seed, stable-check-id), so reports are byte-identical for a
-fixed seed.  Antiparticle distinctness draws nothing: it checks the exact
-minimum over O(3) against the distance form rebuilt from matrices.
+checks into failures).  All randomness is drawn from the package's own
+SplitMix64 stream keyed by (seed, stable-check-id), so a report is byte-identical
+for a fixed seed whatever the NumPy version.  Antiparticle distinctness draws
+nothing: it checks the exact minimum over O(3) against the distance form rebuilt from matrices.
 
 A check states each identity by two independent routes, one stack per
 route with the sample axis first, and _compare turns the two stacks into
@@ -21,8 +21,8 @@ coordinates on the primed operators.  Each route is one library call
 over its samples, with a kind and an EM field per row where they differ
 (the conjugation checks: one per group of samples with the same fields),
 and the conjugation checks compare conjugate_hamiltonian with the flip once.  Every check
-draws each random quantity with one Generator call, as one block that
-the Generator fills row by row.  A VerificationReport is a NamedTuple of
+draws each random quantity with one stream call, as one block that the
+stream fills row by row.  A VerificationReport is a NamedTuple of
 its checks, each a CheckResult: a frozen dataclass whose == ignores elapsed_ms.
 """
 
@@ -134,15 +134,60 @@ _I8 = np.eye(8)
 _C8 = clifford.build_C("s2")
 _I3 = np.eye(3)
 _COLORS, _ANTIS = (np.array([kind + c for c in "RYB"]) for kind in ("Color", "Anti"))
+_MASK64, _GOLDEN = (1 << 64) - 1, 0x9E3779B97F4A7C15  # SplitMix64's increment, gamma
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))  # its finalizer, then z ^ z >> 31
+_UMIX = tuple(tuple(map(np.uint64, step)) for step in _MIX)
+_UGOLDEN, _U31, _U11 = map(np.uint64, (_GOLDEN, 31, 11))
 
 
-def _random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer of a Python int below 2**64."""
+    for shift, mult in _MIX:
+        z = (z ^ z >> shift) * mult & _MASK64
+    return z ^ z >> 31
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) keyed by (seed, stream), counter-based:
+    word n = 1, 2, ... of all draws is mix64(state0 + n * gamma), one uint64 array per draw
+    (0-d for size=None); state0 chains mix64 in Python ints over the stream id, then each
+    64-bit limb of the seed from the low end.  Draws fill in C order by NumPy Generator's
+    formulas: (word >> 11) * 2**-53, low + (high - low) * random, low + word % (high - low)."""
+
+    def __init__(self, seed: int, stream: int):
+        key, seed = _mix64(stream + _GOLDEN & _MASK64), int(seed)
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _mix64((key ^ seed >> shift & _MASK64) + _GOLDEN & _MASK64)
+        self._state = key  # state0, then advanced by gamma per word drawn
+
+    def _words(self, size) -> np.ndarray:
+        shape = () if size is None else size
+        n = shape if isinstance(shape, int) else math.prod(shape)
+        z = (np.arange(1, n + 1, dtype=np.uint64) * _UGOLDEN + np.uint64(self._state)).reshape(shape)
+        self._state = self._state + n * _GOLDEN & _MASK64
+        for shift, mult in _UMIX:  # _mix64 in place: array products wrap with no warning
+            z ^= z >> shift
+            z *= mult
+        z ^= z >> _U31
+        return z
+
+    def random(self, size=None):
+        u = (self._words(size) >> _U11) * 2.0 ** -53
+        return float(u) if size is None else u
+
+    def uniform(self, low: float, high: float, size=None):
+        return low + (high - low) * self.random(size)
+
+    def integers(self, low: int, high: int, size=None):
+        return (self._words(size) % np.uint64(high - low)).astype(np.int64) + low
+
+
+def _random_inputs(rng: SplitMix64, n: int) -> tuple[np.ndarray, ...]:
     """(m, p, x, pbar, xbar) of n samples, stacked, from one block of uniforms.
 
-    Each sample takes 13 uniforms: -2 + 4u are the floats rng.uniform(-2, 2)
-    gives for p, x, pbar, xbar and 2u those of rng.uniform(0, 2) for m.  The
-    generator fills the block row by row, so one block of n draws the same
-    floats as n draws of one sample.
+    Each sample takes 13 uniforms u: -2 + 4u are the floats uniform(-2, 2) draws
+    for p, x, pbar, xbar and 2u those of uniform(0, 2) for m.  The stream fills
+    the block row by row, so one block of n draws the floats of n draws of one sample.
     """
     u = rng.random((n, 13))
     vals = -2.0 + 4.0 * u[:, :12]
@@ -287,7 +332,8 @@ def _check_gamma5():
 
 
 def _check_random_basis_similarity(rng):
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    # the Q of a random complex matrix, with the phases of R's diagonal, is a random unitary
+    z = rng.uniform(-1.0, 1.0, size=(8, 8)) + 1j * rng.uniform(-1.0, 1.0, size=(8, 8))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     worst = _anticommutation_residual(u @ _GAMMA @ u.conj().T)
@@ -340,7 +386,7 @@ def _check_color_axis_invariance(rng):
 def _rotation_invariance(rng, kind: str) -> tuple[float, dict]:
     """Largest |H - H rotated| over 20 random specs, each with a random rotation."""
     m, p, x, pbar, xbar = _random_inputs(rng, 20)
-    axes = rng.normal(size=(20, 3))
+    axes = rng.uniform(-1.0, 1.0, size=(20, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     angles = rng.uniform(-math.pi, math.pi, size=20)
     fields = {"m": m, "p": p, "x": x}
@@ -585,8 +631,8 @@ def _check_chirality_breaking(rng):
 # registry and runner
 # ---------------------------------------------------------------------------
 
-# (name, stable rng stream id, default tolerance, function); a check that draws
-# nothing has stream None and is called with no generator
+# (name, stable SplitMix64 stream id, default tolerance, function); a check that
+# draws nothing has stream None and is called with no stream
 _REGISTRY: dict[str, list[tuple[str, int | None, float, Callable]]] = {
     "su3": [
         ("su3/commutator-table", None, 1e-12, _check_commutator_table),
@@ -642,7 +688,7 @@ def run_suite(
     timings: bool = False,
 ) -> VerificationReport:
     """Run one named suite (or "all") and collect CheckResults; with timings,
-    each carries its wall time in ms (the rng set-up included)."""
+    each carries its wall time in ms (its stream's key derivation included)."""
     if suite == "all":
         names = SUITES
     elif suite in _REGISTRY:
@@ -655,15 +701,10 @@ def run_suite(
                             or not (math.isfinite(tol) and tol >= 0.0)):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     checks: list[CheckResult] = []
-    if timings:  # NumPy 2 loads numpy.random on first use: here, not in the first check's time
-        np.random.default_rng(0)
     for name in names:
         for check_name, stream, default_tol, fn in _REGISTRY[name]:
             start = time.perf_counter()
-            if stream is None:
-                residual, details = fn()
-            else:
-                residual, details = fn(np.random.default_rng([seed, stream]))
+            residual, details = fn() if stream is None else fn(SplitMix64(seed, stream))
             elapsed_ms = 1e3 * (time.perf_counter() - start) if timings else None
             tolerance = default_tol if tol is None else float(tol)
             checks.append(CheckResult(check_name, float(residual), tolerance, details, elapsed_ms))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from phasequark.serialize import dump_json, matrix_to_csv
+from phasequark import clifford, phase_space
+from phasequark.serialize import dump_json, matrix_to_csv, resolve_export
 
 
 # -- the per-element route, kept as the reference for the one-pass conversion --
@@ -284,3 +285,14 @@ def test_keys_that_render_alike_at_any_depth_are_rejected(tree):
 def test_csv_export_takes_only_matrices():
     with pytest.raises(ValueError, match="CSV export is for matrices, got ndim=1"):
         matrix_to_csv(np.zeros(3))
+
+
+def test_an_8x8_label_is_read_without_the_6x6_reader(monkeypatch):
+    def unreachable(label):
+        raise AssertionError(f"resolve_generator6({label!r}) was called")
+
+    monkeypatch.setattr(phase_space, "resolve_generator6", unreachable)
+    for label in ("A1", "gammaB5"):
+        kind, matrix = resolve_export(label)
+        assert kind == "operator8"
+        assert np.array_equal(matrix, clifford.named_operator(label))

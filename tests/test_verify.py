@@ -91,8 +91,8 @@ def _reference_dirac_em(rng):
 ], ids=["colored-closed-forms", "involution", "dirac-em"])
 def test_stacked_conjugation_checks_match_the_per_spec_route(check, reference, stream):
     for seed in range(50):
-        expected = reference(np.random.default_rng([seed, stream]))
-        assert check(np.random.default_rng([seed, stream])) == expected, seed
+        expected = reference(verify.SplitMix64(seed, stream))
+        assert check(verify.SplitMix64(seed, stream)) == expected, seed
 
 
 # -- a broken conjugation must fail verify --------------------------------------
@@ -224,39 +224,93 @@ def test_check_results_compare_without_their_timings():
         {k: v for k, v in c.to_dict().items() if k != "elapsed_ms"} for c in timed.checks]
 
 
-def test_timings_load_numpy_random_before_the_first_timed_check():
-    """NumPy 2 imports numpy.random on first use, ~15 ms that --timings once billed
-    to su3/group-membership.  A fresh process records, at each perf_counter call of
-    run_suite, whether numpy.random is loaded; with timings it always is."""
+def test_verify_runs_never_load_numpy_random():
+    """The checks draw from SplitMix64, so no verify run, timed or through the CLI,
+    imports numpy.random or, through it, secrets and hashlib."""
     code = (
-        "import sys, time\n"
-        "from phasequark import verify\n"
-        "seen, clock = [], time.perf_counter\n"
-        "verify.time = type(sys)('time')\n"
-        "verify.time.perf_counter = lambda: seen.append('numpy.random' in sys.modules) or clock()\n"
-        "verify.run_suite('su3', timings=True)\n"
-        "print(seen)\n"
+        "import contextlib, io, sys\n"
+        "from phasequark import cli, verify\n"
+        "verify.run_suite('all', timings=True)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify'])\n"
+        "print(code, [m for m in ('numpy.random', 'secrets') if m in sys.modules])\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    seen = ast.literal_eval(result.stdout)
-    assert len(seen) == 2 * len(verify._REGISTRY["su3"]) and all(seen)
+    assert result.stdout == "0 []\n"
 
 
 def test_only_the_checks_that_draw_get_a_generator(monkeypatch):
     streams = []
-    default_rng = np.random.default_rng
 
-    def counting(seed):
-        streams.append(seed[1])
-        return default_rng(seed)
+    class Counting(verify.SplitMix64):
+        def __init__(self, seed, stream):
+            streams.append(stream)
+            super().__init__(seed, stream)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(verify, "SplitMix64", Counting)
     report = run_suite("all")
     assert len(report.checks) == 32
     assert streams == [13, 14, 15, 25, 30, 31, 32, 33, 41, 42, 43, 50, 51, 52, 53, 54, 56]
+
+
+# -- the stream against a pure-Python SplitMix64 --------------------------------
+
+_M64, _GAMMA64 = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _python_mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def _python_words(seed, stream, n):
+    """Words 1..n of (seed, stream): the key chains mix64 over the stream id, then
+    over the seed's 64-bit limbs from the low end; word k is mix64(key + k gamma)."""
+    key = _python_mix64((stream + _GAMMA64) % 2**64)
+    limbs = [(seed >> (64 * i)) & _M64 for i in range(max(1, -(-seed.bit_length() // 64)))]
+    for limb in limbs:
+        key = _python_mix64(((key ^ limb) + _GAMMA64) % 2**64)
+    return [_python_mix64((key + k * _GAMMA64) % 2**64) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1729, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1, 2**100])
+@pytest.mark.parametrize("stream", [13, 56])
+def test_stream_words_match_a_pure_python_splitmix64(seed, stream):
+    rng = verify.SplitMix64(seed, stream)
+    words = [*rng._words(3).tolist(), *rng._words((2, 2)).ravel().tolist(), rng._words(None).item()]
+    assert words == _python_words(seed, stream, 8)
+
+
+def test_stream_keys_are_distinct_and_read_numpy_integers_as_ints():
+    first = {(seed, stream): verify.SplitMix64(seed, stream)._words(1)[0]
+             for seed in (0, 1, 2**64, 2**64 + 1, 2**100) for stream in (13, 14, 15, 25)}
+    assert len(set(first.values())) == len(first)  # 0 and 2**64 do not alias
+    assert verify.SplitMix64(np.int64(7), 13)._words(4).tolist() == _python_words(7, 13, 4)
+
+
+def test_stream_reproduces_the_published_splitmix64_vector():
+    rng = verify.SplitMix64(0, 0)
+    rng._state = 1234567  # the reference sequence starts from this state
+    assert rng._words(5).tolist() == [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                                      4593380528125082431, 16408922859458223821]
+
+
+def test_stream_draws_take_numpy_formulas_on_the_words():
+    words = np.array(_python_words(1729, 13, 4000), dtype=np.uint64)
+    u = (words >> 11) * 2.0**-53
+    rng = verify.SplitMix64(1729, 13)
+    assert np.array_equal(rng.random((2, 1000)), u[:2000].reshape(2, 1000))  # C order
+    assert np.array_equal(rng.uniform(-2.0, 2.0, size=1000), -2.0 + 4.0 * u[2000:3000])
+    ints = rng.integers(-32, 33, size=(998,))
+    assert ints.dtype == np.int64 and np.array_equal(ints, (words[3000:3998] % 65).astype(int) - 32)
+    x, k = rng.uniform(0.5, 2.0), rng.integers(0, 9)  # size=None: a float, and an int64 as NumPy's
+    assert (type(x), type(k)) == (float, np.int64) and x == 0.5 + 1.5 * u[3998] and k == words[3999] % 9
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert set(verify.SplitMix64(1, 54).integers(-32, 33, size=5000).tolist()) == set(range(-32, 33))
 
 
 def test_su3_checks_reach_every_generator(monkeypatch):
