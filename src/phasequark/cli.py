@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, build_hamiltonian, square_and_spectrum
+from .hamiltonian import HamiltonianSpec, conjugate_hamiltonian, spec_spectrum
 from .phase_space import (COORD_NAMES, LABEL_HELP, PhaseVector, apply_pairing, exp_generator, pairing,
                           pairing_tags, resolve_generator6)
 from .serialize import dump_json, matrix_to_csv, resolve_export
@@ -205,23 +205,12 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[str, int]:
     return dump_json(payload), 0
 
 
-def _finite(value) -> bool:
-    """True when every number in a report value (None, or nested lists) is finite."""
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return value is None or math.isfinite(value)
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
     spec = _load_spec(args.spec_file)
-    report = square_and_spectrum(build_hamiltonian(spec)).to_dict()
-    for field, value in report.items():
-        if not _finite(value):
-            raise ValueError(
-                f"spectrum of the {spec.kind} spec is not finite: "
-                f"{field!r} overflows float64"
-            )
-    return dump_json({"spec": spec.to_dict(), "spectrum": report}), 0
+    report = spec_spectrum(spec)  # a spec's row is finite, so only s -+ r can overflow
+    if not all(map(math.isfinite, report.eigenvalues)):
+        raise ValueError(f"spectrum of the {spec.kind} spec is not finite: 'eigenvalues' overflows float64")
+    return dump_json({"spec": spec.to_dict(), "spectrum": report.to_dict()}), 0
 
 
 def _cmd_conjugate(args: argparse.Namespace) -> tuple[str, int]:

@@ -81,9 +81,10 @@ and keeps those of 1 and B.
 Spectra are closed form: the generators anticommute and square to 1, so
 with s = c[0], r = |c[1:]| and lam = s^2 + r^2, H^2 = lam*1 + 2s(H - s*1)
 and the eigenvalues are s -+ r, fourfold each, for every kind;
-square_and_spectrum reports them, and no scalar_square or scalar_residual
-where that value overflows.  Antiparticle distinctness is exact too: its
-minimum over O(3) is the lowest eigenvalue of a 3x3 form read off the table.
+spec_spectrum reads them off a spec's own row, square_and_spectrum off a
+matrix's readback, and neither gives a scalar_square or scalar_residual
+that overflows.  Antiparticle distinctness is exact too: its minimum over
+O(3) is the lowest eigenvalue of a 3x3 form read off the table.
 
 SpectrumReport and DistinctnessReport are NamedTuples.  EMField and
 HamiltonianSpec are frozen dataclasses: a spec validates its fields, and
@@ -119,6 +120,7 @@ __all__ = [
     "conjugate_hamiltonian",
     "antiparticle_distinctness_check",
     "square_and_spectrum",
+    "spec_spectrum",
 ]
 
 
@@ -656,18 +658,29 @@ def _spectra(h: np.ndarray) -> list[SpectrumReport]:
         raise ValueError(f"matrix is not a Hermitian combination of 1, A1..A3, B1..B3, B "
                          f"(residual {off[bad][0]:.3e})")
     diagonal = np.abs(h - c[:, :1, None] * _I8).max(axis=(1, 2))
-    reports = []
-    for (s, *v), diag, hm in zip(c.tolist(), diagonal.tolist(), herm.tolist()):
-        r = math.hypot(*v)
-        lo, hi, resid, lam = s - r, s + r, 2.0 * abs(s) * diag, s * s + r * r
-        scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
-        reports.append(SpectrumReport(
-            eigenvalues=(lo,) * 4 + (hi,) * 4,
-            # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
-            degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
-            scalar_square=scalar,
-            scalar_residual=resid if math.isfinite(resid) else None,
-            hermiticity_residual=hm,
-            symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
-        ))
-    return reports
+    return [_report(s, v, diag, hm)
+            for (s, *v), diag, hm in zip(c.tolist(), diagonal.tolist(), herm.tolist())]
+
+
+def spec_spectrum(spec: HamiltonianSpec) -> SpectrumReport:
+    """square_and_spectrum(build_hamiltonian(spec)) from the spec's own row c, with no readback:
+    max|H - s*1| from H = c . BASIS as an exact fixed-order einsum, so no BLAS kernel moves it."""
+    s, *v = spec._c.tolist()
+    h = np.einsum("k,kij->ij", spec._c, BASIS.reshape(8, 8, 8))
+    return _report(s, v, float(np.abs(h - s * _I8).max()), 0.0)
+
+
+def _report(s: float, v: list[float], diag: float, herm: float) -> SpectrumReport:
+    """The report of c = (s, *v), given diag = max|H - s*1| and herm = max|H - H^+|."""
+    r = math.hypot(*v)
+    lo, hi, resid, lam = s - r, s + r, 2.0 * abs(s) * diag, s * s + r * r
+    scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
+    return SpectrumReport(
+        eigenvalues=(lo,) * 4 + (hi,) * 4,
+        # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
+        degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
+        scalar_square=scalar,
+        scalar_residual=resid if math.isfinite(resid) else None,
+        hermiticity_residual=herm,
+        symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
+    )

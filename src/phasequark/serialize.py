@@ -4,11 +4,11 @@ label is read from phase_space's label table, an 8x8 one from clifford.OPERATORS
 Conventions: complex numbers serialize as two-element [re, im] arrays;
 real matrices serialize as plain numbers (integers where the value is
 integral, so signed permutation and Clifford matrices stay readable);
-dump_json writes sorted keys, two-space indentation and a trailing newline
-in one recursive pass (exact built-in types first, by identity, then their
-subclasses and NumPy's; an array converted once by NumPy, each distinct number
-in it formatted once, into one layout text cached per shape and indent), so
-identical inputs give byte-identical files, and never NaN or Infinity.
+dump_json writes sorted keys, two-space indentation and a trailing newline:
+one walk gathers each value's text in render order (an array's distinct numbers
+formatted once) and the payload's shape key, and one % fills the layout text
+cached for that key, so identical inputs give byte-identical files, and never
+NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -24,65 +24,76 @@ from . import clifford, phase_space
 __all__ = ["dump_json", "matrix_to_csv", "resolve_export", "EXPORT_LABELS"]
 
 
-def _block(brackets: str, items: list[str], indent: str) -> str:
-    """Rendered items one per line, indented one level below indent."""
-    if not items:
-        return brackets
-    inner = indent + "  "
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
-
-
-def _render(obj, indent: str) -> str:
+def _walk(obj, texts: list):
+    """The shape key of obj: None for one value, the tuple of its items' keys for a list,
+    ("{", sorted keys, their values' keys) for a dict and ("#", *shape) for a float array.
+    The text of each value goes to texts, in render order."""
     t = type(obj)
     if t is float:
-        if obj.is_integer() and abs(obj) < 2**53:  # a whole float prints as an int
-            return repr(int(obj))
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return repr(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if t is list or t is tuple:
-        inner = indent + "  "
-        return _block("[]", [_render(v, inner) for v in obj], indent)
-    if isinstance(obj, dict):
-        if t is not dict or not all(type(k) is str for k in obj):  # else no key to re-key
+        texts.append(_number(obj))
+    elif isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))  # a vector of floats or of strings: no call per item
+        if {float} >= types or {str} == types:
+            texts += map(_number if float in types else encode_basestring_ascii, obj)
+            return (None,) * len(obj)
+        return tuple([_walk(v, texts) for v in obj])
+    elif isinstance(obj, dict):
+        if t is not dict or not {str} >= set(map(type, obj)):  # else no key to re-key
             items = {str(k): v for k, v in obj.items()}
             if len(items) < len(obj):
                 key = next(k for k in items if sum(str(o) == k for o in obj) > 1)
                 raise ValueError(f"two keys of one object render as the JSON key {key!r}")
             obj = items
-        inner = indent + "  "
-        return _block("{}", [f"{encode_basestring_ascii(k)}: {_render(obj[k], inner)}" for k in sorted(obj)],
-                      indent)
-    if t is bool or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if t is int or isinstance(obj, (int, np.integer)):  # bool is caught above
-        return repr(int(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, (float, np.floating)):
-        return _render(float(obj), indent)
-    if isinstance(obj, (list, tuple)):
-        return _render(list(obj), indent)
-    if isinstance(obj, np.ndarray):
+        keys = sorted(obj)
+        return "{", tuple(keys), tuple([_walk(obj[k], texts) for k in keys])
+    elif isinstance(obj, str):
+        texts.append(encode_basestring_ascii(obj))
+    elif t is bool or isinstance(obj, np.bool_):
+        texts.append("true" if obj else "false")
+    elif t is int or isinstance(obj, (int, np.integer)):  # bool is caught above
+        texts.append(repr(int(obj)))
+    elif obj is None:
+        texts.append("null")
+    elif isinstance(obj, (float, np.floating)):
+        texts.append(_number(float(obj)))
+    elif isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "fc" or not obj.size:
-            return _render(obj.tolist(), indent)
+            return _walk(obj.tolist(), texts)
         if obj.dtype.kind == "c":
             obj = _interleaved(obj) if np.any(obj.imag) else obj.real
-        return _layout(obj.shape, indent) % tuple(_texts(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _render([obj.real, obj.imag], indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        texts += _texts(obj)
+        return ("#", *obj.shape)
+    elif isinstance(obj, (complex, np.complexfloating)):
+        return _walk([obj.real, obj.imag], texts)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return None
 
 
-@functools.lru_cache(maxsize=128)
-def _layout(shape: tuple[int, ...], indent: str) -> str:
-    """The rendered text of an array of this shape at this indent, %s for each number."""
-    text = "%s"
-    for depth in range(len(shape) - 1, -1, -1):  # the innermost rows first
-        text = _block("[]", [text] * shape[depth], indent + "  " * depth)
-    return text
+@functools.lru_cache(maxsize=256)
+def _layout(key, indent: str) -> str:
+    """The rendered text of a payload of this shape key at this indent, %s for each value."""
+    if key is None or key == ("#",):
+        return "%s"
+    inner = indent + "  "
+    if key[:1] == ("{",):  # a % in a key is escaped, as the layout is a % format
+        brackets, items = "{}", [encode_basestring_ascii(k).replace("%", "%%") + ": " + _layout(v, inner)
+                                 for k, v in zip(key[1], key[2])]
+    elif key[:1] == ("#",):  # an array, by its shape: each row at the next indent
+        brackets, items = "[]", [_layout(("#", *key[2:]), inner)] * key[1]
+    else:
+        brackets, items = "[]", [_layout(v, inner) for v in key]
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _number(v: float) -> str:
+    if v.is_integer() and abs(v) < 2**53:  # a whole float prints as an int
+        return repr(int(v))
+    if not math.isfinite(v):
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    return repr(v)
 
 
 def _interleaved(m: np.ndarray) -> np.ndarray:
@@ -91,10 +102,10 @@ def _interleaved(m: np.ndarray) -> np.ndarray:
 
 
 def _texts(a: np.ndarray) -> list[str]:
-    """A real array's numbers in C order as _render prints floats, each distinct value formatted
+    """A real array's numbers in C order as _number prints them, each distinct value formatted
     once (equal floats have equal repr; 0.0, -0.0 print 0): a non-finite one raises at its first."""
     values = np.asarray(a, dtype=np.float64).ravel().tolist()
-    text = {v: _render(v, "") for v in dict.fromkeys(values)}
+    text = {v: _number(v) for v in dict.fromkeys(values)}
     return list(map(text.__getitem__, values))
 
 
@@ -105,7 +116,9 @@ def dump_json(obj) -> str:
     A NaN or infinite number raises ValueError: JSON has no such values, and
     so do two keys of one dict that render as one string, such as 1 and "1".
     A type but JSON's, tuple, complex, ndarray and NumPy scalars raises TypeError."""
-    return _render(obj, "") + "\n"
+    texts: list[str] = []
+    key = _walk(obj, texts)
+    return _layout(key, "") % tuple(texts) + "\n"
 
 
 def matrix_to_csv(m: np.ndarray) -> str:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -695,6 +696,63 @@ def test_spectrum_rest_frame_values():
     payload = json.loads(result.stdout)
     assert payload["spectrum"]["scalar_square"] == 36
     assert payload["spectrum"]["eigenvalues"] == [-6, -6, -6, -6, 6, 6, 6, 6]
+
+
+def _dynamic_openblas() -> bool:
+    """True when NumPy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a NumPy whose show_config takes no mode
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+def _spec_corpus(seed: int, per_kind: int) -> list[dict]:
+    """Specs of every kind, every field drawn over six decades, EM on every other one that takes it."""
+    rng = random.Random(seed)
+
+    def number():
+        return rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-3, 3)
+
+    corpus = []
+    for kind in KINDS:
+        for n in range(per_kind):
+            spec = {"kind": kind}
+            for name in _TABLE[kind].fields:
+                if name in ("m", "beta", "scalar"):
+                    spec[name] = abs(number()) if name == "m" else number()
+                elif name == "em":
+                    if n % 2:
+                        spec["em"] = {"e": number(), "A0": number(), "Avec": [number() for _ in range(3)]}
+                else:
+                    spec[name] = [number() for _ in range(3)]
+            corpus.append(spec)
+    return corpus
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="NumPy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_spectrum_is_byte_identical_under_every_blas_kernel(tmp_path):
+    # spectrum reads s and r off the spec's own row and sums H in a fixed order, with no
+    # BLAS product, so no OpenBLAS kernel moves a byte of it; a readback of c from the
+    # matrix rounds per kernel (2e200 or 1.9999999999999996e200 for the 1e200 Dirac spec).
+    # The kernel is fixed when a process loads OpenBLAS, so each kernel gets one child
+    # that runs the CLI's main on every file, as `python -m phasequark spectrum FILE` does.
+    specs = [{"kind": "Dirac", "p": [1e200, 0, 0], "em": {"e": 1, "A0": 1e200}}, *_spec_corpus(36, 4)]
+    paths = [str(p) for p in sorted(DATA.glob("*.json"))]
+    for i, spec in enumerate(specs):
+        paths.append(str(tmp_path / f"spec{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(spec))
+    script = "import sys; from phasequark.cli import main; [main(['spectrum', p]) for p in sys.argv[1:]]"
+    outputs = {}
+    for kernel in (None, "Haswell", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        outputs[kernel] = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                                         capture_output=True, text=True, check=True).stdout
+    assert outputs[None].count('\n  "spectrum": {') == len(paths)  # every file printed a report
+    for kernel, out in outputs.items():
+        assert out == outputs[None], kernel
 
 
 def test_conjugate_dirac_em_flips_charge():

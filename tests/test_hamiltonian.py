@@ -23,6 +23,7 @@ from phasequark.hamiltonian import (
     rotate_hamiltonian,
     rotated_operators,
     rotation_matrix,
+    spec_spectrum,
     square_and_spectrum,
 )
 from phasequark.pauli_expr import SYMBOLS, parse
@@ -1044,6 +1045,22 @@ def test_closed_form_spectrum_matches_eigvalsh(spec):
     lam = float(eig @ eig) / 8.0
     assert abs(report.scalar_residual - np.abs(h @ h - lam * np.eye(8)).max()) <= 1e-12 * scale**2
     assert report.hermiticity_residual == 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_spec_spectrum_is_the_matrix_route_read_off_the_row(kind, data):
+    """At dyadic inputs the matrix route's readback is exact, so the row route equals it bit
+    for bit (repr tells -0.0 from 0.0); elsewhere their eigenvalues agree within 4 ulp of
+    |s| + r.  The row route's H = c . BASIS is Hermitian by construction: its residual is 0."""
+    spec = data.draw(specs(kinds=(kind,)))
+    assert repr(spec_spectrum(spec)) == repr(square_and_spectrum(build_hamiltonian(spec)))
+    spec = data.draw(specs(kinds=(kind,), number=finite))
+    row, matrix = spec_spectrum(spec), square_and_spectrum(build_hamiltonian(spec))
+    ulp = math.ulp(abs(spec._c[0]) + math.hypot(*spec._c[1:]))
+    assert all(abs(a - b) <= 4 * ulp for a, b in zip(row.eigenvalues, matrix.eigenvalues))
+    assert repr(row.hermiticity_residual) == "0.0"
 
 
 def test_em_breaks_spectral_symmetry_but_not_hermiticity():

@@ -122,7 +122,7 @@ MODULE_ALL = {
                     "coefficients", "matrices", "colored_sum", "build_hamiltonian",
                     "build_composite", "rotation_matrix", "rotated_operators",
                     "rotate_hamiltonian", "conjugate_hamiltonian",
-                    "antiparticle_distinctness_check", "square_and_spectrum"],
+                    "antiparticle_distinctness_check", "square_and_spectrum", "spec_spectrum"],
     "pauli_expr": ["PauliExpr", "ParseError", "parse", "SYMBOLS"],
     "serialize": ["dump_json", "matrix_to_csv", "resolve_export", "EXPORT_LABELS"],
     "verify": ["CheckResult", "VerificationReport", "run_suite", "substitution_conjugate",
