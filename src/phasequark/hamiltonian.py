@@ -80,11 +80,12 @@ and keeps those of 1 and B.
 
 Spectra are closed form: the generators anticommute and square to 1, so
 with s = c[0], r = |c[1:]| and lam = s^2 + r^2, H^2 = lam*1 + 2s(H - s*1)
-and the eigenvalues are s -+ r, fourfold each, for every kind;
-spec_spectrum reads them off a spec's own row, square_and_spectrum off a
-matrix's readback, and neither gives a scalar_square or scalar_residual
-that overflows.  Antiparticle distinctness is exact too: its minimum over
-O(3) is the lowest eigenvalue of a 3x3 form read off the table.
+and the eigenvalues are s -+ r, fourfold each, for every kind.  Every
+SpectrumReport is read off a coefficient row by one routine: spec_spectrum
+gives it a spec's own row, square_and_spectrum the row read back from a
+matrix, and no scalar_square or scalar_residual that overflows is given.
+Antiparticle distinctness is exact too: its minimum over O(3) is the
+lowest eigenvalue of a 3x3 form read off the table.
 
 SpectrumReport and DistinctnessReport are NamedTuples.  EMField and
 HamiltonianSpec are frozen dataclasses: a spec validates its fields, and
@@ -633,9 +634,10 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
 
     c = Re(conj(BASIS) h)/8, and an h that c . BASIS does not rebuild within
     1e-12 max(1, max|h|), non-Hermitian or outside the span, is a ValueError.
-    With s = c[0] and r = |c[1:]| the eigenvalues are s - r, then s + r,
-    fourfold each (one eightfold s when 2r <= 1e-9 max(1, |s + r|)), and
-    scalar_residual = 2|s| max|H - s*1| is max|H^2 - lam*1| exactly.
+    Like every report, it is read off a row: with s = c[0] and r = |c[1:]| the
+    eigenvalues are s - r, then s + r, fourfold each (one eightfold s when
+    2r <= 1e-9 max(1, |s + r|)), and scalar_residual = 2|s| max|H - s*1|, off
+    h itself, is max|H^2 - lam*1| exactly.
     scalar_square is lam = s^2 + r^2 when that residual is within
     _SCALAR_TOL max(1, lam).  Each is None when it overflows float64, though
     the eigenvalues s -+ r are still given.  A numerical diagonalization,
@@ -644,43 +646,39 @@ def square_and_spectrum(h: np.ndarray) -> SpectrumReport:
     h = np.asarray(h, dtype=complex)
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {h.shape}")
-    return _spectra(h[None])[0]
-
-
-def _spectra(h: np.ndarray) -> list[SpectrumReport]:
-    """square_and_spectrum of each matrix of a stack (N, 8, 8), by the same operations."""
-    h = np.asarray(h, dtype=complex)
-    herm = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
     c = (_BASIS_CONJ @ (h.reshape(-1, 64, 1) / 8.0))[..., 0].real  # no partial sum overflows
-    off = np.abs(h - matrices(c)).max(axis=(1, 2))
-    bad = ~(off <= 1e-12 * np.maximum(1.0, np.abs(h).max(axis=(1, 2))))  # NaN fails too
-    if bad.any():
+    off = np.abs(h - matrices(c)[0]).max()
+    if not off <= 1e-12 * np.maximum(1.0, np.abs(h).max()):  # NaN fails too
         raise ValueError(f"matrix is not a Hermitian combination of 1, A1..A3, B1..B3, B "
-                         f"(residual {off[bad][0]:.3e})")
-    diagonal = np.abs(h - c[:, :1, None] * _I8).max(axis=(1, 2))
-    return [_report(s, v, diag, hm)
-            for (s, *v), diag, hm in zip(c.tolist(), diagonal.tolist(), herm.tolist())]
+                         f"(residual {off:.3e})")
+    return _reports(c, h[None])[0]
 
 
 def spec_spectrum(spec: HamiltonianSpec) -> SpectrumReport:
-    """square_and_spectrum(build_hamiltonian(spec)) from the spec's own row c, with no readback:
-    max|H - s*1| from H = c . BASIS as an exact fixed-order einsum, so no BLAS kernel moves it."""
-    s, *v = spec._c.tolist()
-    h = np.einsum("k,kij->ij", spec._c, BASIS.reshape(8, 8, 8))
-    return _report(s, v, float(np.abs(h - s * _I8).max()), 0.0)
+    """square_and_spectrum(build_hamiltonian(spec)) read off the spec's own row c, with no
+    readback: max|H - s*1| off matrices(c), which no BLAS kernel moves (module docstring)."""
+    return _reports(spec._c[None])[0]
 
 
-def _report(s: float, v: list[float], diag: float, herm: float) -> SpectrumReport:
-    """The report of c = (s, *v), given diag = max|H - s*1| and herm = max|H - H^+|."""
-    r = math.hypot(*v)
-    lo, hi, resid, lam = s - r, s + r, 2.0 * abs(s) * diag, s * s + r * r
-    scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
-    return SpectrumReport(
-        eigenvalues=(lo,) * 4 + (hi,) * 4,
-        # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
-        degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
-        scalar_square=scalar,
-        scalar_residual=resid if math.isfinite(resid) else None,
-        hermiticity_residual=herm,
-        symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
-    )
+def _reports(c: np.ndarray, h: np.ndarray | None = None) -> list[SpectrumReport]:
+    """The report of each coefficient row (s, *v) of c (N, 8), with max|H - s*1| and
+    max|H - H^+| read off h (N, 8, 8), the rows' matrices where the caller holds them,
+    or else off matrices(c), exact under every BLAS kernel (module docstring)."""
+    h = matrices(c) if h is None else h
+    herm = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    diagonal = np.abs(h - c[:, :1, None] * _I8).max(axis=(1, 2))
+    reports = []
+    for (s, *v), diag, hm in zip(c.tolist(), diagonal.tolist(), herm.tolist()):
+        r = math.hypot(*v)
+        lo, hi, resid, lam = s - r, s + r, 2.0 * abs(s) * diag, s * s + r * r
+        scalar = lam if math.isfinite(lam) and resid <= _SCALAR_TOL * max(1.0, lam) else None
+        reports.append(SpectrumReport(
+            eigenvalues=(lo,) * 4 + (hi,) * 4,
+            # ratios, not products, so that an overflowed s + r (inf/inf = nan) reads False
+            degeneracies=((s, 8),) if 2.0 * r / max(1.0, abs(hi)) <= 1e-9 else ((lo, 4), (hi, 4)),
+            scalar_square=scalar,
+            scalar_residual=resid if math.isfinite(resid) else None,
+            hermiticity_residual=hm,
+            symmetric_about_zero=abs(2.0 * s) / max(1.0, abs(s) + r) <= 1e-10,
+        ))
+    return reports

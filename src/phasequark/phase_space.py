@@ -226,18 +226,16 @@ def verify_su3_table(tol: float = 1e-12) -> tuple[bool, float, list[dict]]:
     norm 4) and compared against 2 f_ikj from the stored table.  Returns
     (all_ok, max_residual, rows); the residual of a pair combines the
     coefficient mismatch and the norm of any component outside the span.
-    All 28 pairs are one stack, with the per-pair order of every sum kept.
+    All 28 pairs are one stack; one einsum projects each commutator onto
+    the basis and one re-expands it, each summing in a fixed order.
     """
     pairs = np.array(list(itertools.combinations(range(1, 9), 2)))
     F = _F_STACK
     fi, fk = F[pairs[:, 0] - 1], F[pairs[:, 1] - 1]
     c = fi @ fk - fk @ fi
-    coeffs = np.trace(c.swapaxes(1, 2)[:, None] @ F, axis1=2, axis2=3) / 4.0
+    coeffs = np.einsum("pij,kij->pk", c, F) / 4.0
     expected = 2.0 * _F_TABLE[pairs[:, 0], pairs[:, 1], 1:]
-    span = 0.0
-    for j in range(8):
-        span = span + coeffs[:, j, None, None] * F[j]
-    off_span = np.abs(c - span).max(axis=(1, 2))
+    off_span = np.abs(c - np.einsum("pk,kij->pij", coeffs, F)).max(axis=(1, 2))
     resid = np.maximum(np.abs(coeffs - expected).max(axis=1), off_span)
     rows = [
         {"pair": tuple(pair), "coefficients": co, "expected": ex, "residual": r}

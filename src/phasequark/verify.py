@@ -43,7 +43,7 @@ from .hamiltonian import (
     BASIS,
     EMField,
     HamiltonianSpec,
-    _spectra,
+    _reports,
     antiparticle_distinctness_check,
     build_hamiltonian,
     coefficients,
@@ -150,9 +150,9 @@ def _mix64(z: int) -> int:
 class SplitMix64:
     """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) keyed by (seed, stream), counter-based:
     word n = 1, 2, ... of all draws is mix64(state0 + n * gamma), one uint64 array per draw
-    (0-d for size=None); state0 chains mix64 in Python ints over the stream id, then each
-    64-bit limb of the seed from the low end.  Draws fill in C order by NumPy Generator's
-    formulas: (word >> 11) * 2**-53, low + (high - low) * random, low + word % (high - low)."""
+    of a given size; state0 chains mix64 in Python ints over the stream id, then each 64-bit
+    limb of the seed from the low end.  Draws fill in C order by NumPy Generator's formulas:
+    (word >> 11) * 2**-53, low + (high - low) * random, low + word % (high - low)."""
 
     def __init__(self, seed: int, stream: int):
         key, seed = _mix64(stream + _GOLDEN & _MASK64), int(seed)
@@ -161,9 +161,8 @@ class SplitMix64:
         self._state = key  # state0, then advanced by gamma per word drawn
 
     def _words(self, size) -> np.ndarray:
-        shape = () if size is None else size
-        n = shape if isinstance(shape, int) else math.prod(shape)
-        z = (np.arange(1, n + 1, dtype=np.uint64) * _UGOLDEN + np.uint64(self._state)).reshape(shape)
+        n = size if isinstance(size, int) else math.prod(size)
+        z = (np.arange(1, n + 1, dtype=np.uint64) * _UGOLDEN + np.uint64(self._state)).reshape(size)
         self._state = self._state + n * _GOLDEN & _MASK64
         for shift, mult in _UMIX:  # _mix64 in place: array products wrap with no warning
             z ^= z >> shift
@@ -171,14 +170,13 @@ class SplitMix64:
         z ^= z >> _U31
         return z
 
-    def random(self, size=None):
-        u = (self._words(size) >> _U11) * 2.0 ** -53
-        return float(u) if size is None else u
+    def random(self, size) -> np.ndarray:
+        return (self._words(size) >> _U11) * 2.0 ** -53
 
-    def uniform(self, low: float, high: float, size=None):
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
         return low + (high - low) * self.random(size)
 
-    def integers(self, low: int, high: int, size=None):
+    def integers(self, low: int, high: int, size) -> np.ndarray:
         return (self._words(size) % np.uint64(high - low)).astype(np.int64) + low
 
 
@@ -333,8 +331,8 @@ def _check_gamma5():
 
 def _check_random_basis_similarity(rng):
     # the Q of a random complex matrix, with the phases of R's diagonal, is a random unitary
-    z = rng.uniform(-1.0, 1.0, size=(8, 8)) + 1j * rng.uniform(-1.0, 1.0, size=(8, 8))
-    q, r = np.linalg.qr(z)
+    re, im = rng.uniform(-1.0, 1.0, size=(2, 8, 8))
+    q, r = np.linalg.qr(re + 1j * im)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     worst = _anticommutation_residual(u @ _GAMMA @ u.conj().T)
     return worst, {"note": "anticommutation table under a random unitary change of basis"}
@@ -347,7 +345,7 @@ def _check_random_basis_similarity(rng):
 
 def _check_mixing_law(rng):
     p, x = rng.uniform(-2.0, 2.0, size=(2, 3))  # one block, filled row by row
-    fields = {"m": float(rng.uniform(0.0, 2.0)), "p": p, "x": x}
+    fields = {"m": rng.uniform(0.0, 2.0, size=1)[0], "p": p, "x": x}
     phis = rng.uniform(-3.1, 3.1, size=10).tolist()
     c, s = (np.array([f(phi) for phi in phis])[:, None, None] for f in (math.cos, math.sin))
     rots = rotation_matrix(3, phis)
@@ -564,8 +562,9 @@ def _mass_law(rng, kind: str) -> tuple[float, dict]:
 
 def _check_spectrum_symmetry(rng):
     m, p, x, pbar, xbar = _random_inputs(rng, 25)
-    stack = matrices(coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar))
-    reports = _spectra(stack)
+    c = coefficients("QQbar", m=m, p=p, x=x, pbar=pbar, xbar=xbar)
+    stack = matrices(c)
+    reports = _reports(c, stack)  # the closed form, read off the rows drawn
     kept = [i for i, report in enumerate(reports) if report.scalar_square is not None]
     roots = np.sqrt([max(reports[i].scalar_square, 0.0) for i in kept])
     # eigvalsh is the second route: it checks the closed form and the +-sqrt(lambda) law
@@ -620,7 +619,7 @@ def _check_rest_frame():
 def _check_chirality_breaking(rng):
     g5 = clifford.named_operator("gamma5")
     x = rng.uniform(-2.0, 2.0, size=3)
-    m = float(rng.uniform(0.5, 2.0))
+    m = rng.uniform(0.5, 2.0, size=1)[0]
     # the mass term m B, the position term x.B_k and the kinetic term x.A_k
     terms = np.stack([m * _B8, *(sum(ops[k] * x[k] for k in range(3)) for ops in (_BK8, _A8))])
     worst = _compare(g5 @ terms @ g5, np.array([-1.0, -1.0, 1.0])[:, None, None] * terms)

@@ -534,6 +534,9 @@ def test_reports_are_byte_identical_for_same_seed():
         ("verify_rotation_default.json", ("verify", "--suite", "rotation")),
         # non-whole, repeated and sign-flipped numbers in one complex matrix
         ("conjugate_color_y_em.json", ("conjugate", str(DATA / "color_y_em.json"))),
+        # a nonzero scalar_residual with no scalar square, and irrational eigenvalues
+        ("spectrum_color_y_em.json", ("spectrum", str(DATA / "color_y_em.json"))),
+        ("spectrum_dirac_em.json", ("spectrum", str(DATA / "dirac_em.json"))),
     ],
 )
 def test_golden_outputs(golden, args):
@@ -732,8 +735,8 @@ def _spec_corpus(seed: int, per_kind: int) -> list[dict]:
 
 @pytest.mark.skipif(not _dynamic_openblas(), reason="NumPy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
 def test_spectrum_is_byte_identical_under_every_blas_kernel(tmp_path):
-    # spectrum reads s and r off the spec's own row and sums H in a fixed order, with no
-    # BLAS product, so no OpenBLAS kernel moves a byte of it; a readback of c from the
+    # spectrum reads s and r off the spec's own row and builds H with at most two real
+    # terms per entry, exact, so no OpenBLAS kernel moves a byte of it; a readback of c from the
     # matrix rounds per kernel (2e200 or 1.9999999999999996e200 for the 1e200 Dirac spec).
     # The kernel is fixed when a process loads OpenBLAS, so each kernel gets one child
     # that runs the CLI's main on every file, as `python -m phasequark spectrum FILE` does.
