@@ -17,11 +17,11 @@ with d > 0 and gcd(a, b, d) = 1, so equal numbers have equal triples.
 Multiplying two expressions costs one XOR, one lookup in ``clifford.PHASE``
 (T_a T_b = i**PHASE[a][b] T_(a xor b)) and one coefficient product per pair
 of terms, all written out in ``_mul_terms``' pair loop; the factor i^n is a
-swap and/or negation of (a, b).  :meth:`PauliExpr.to_matrix` takes each
-coefficient as ``complex(a / d, b / d)`` (int true division is correctly
-rounded), sums each tensor's terms in canonical order and contracts the
-sums against ``clifford.KRON3_STACK`` in one matmul.  An expression sorts
-its terms at most once, for whichever of str() and to_matrix comes first.
+swap and/or negation of (a, b).  :meth:`PauliExpr.to_matrix` converts a
+symbol's value where a term first reads it and a coefficient as ``complex(a
+/ d, b / d)`` (correctly rounded), sums each tensor's terms in canonical
+order and contracts the sums against ``clifford.KRON3_STACK`` in one
+matmul.  An expression sorts its terms once, for str() or to_matrix.
 
 Grammar (whitespace insensitive)::
 
@@ -38,11 +38,11 @@ A0 A1v A2v A3v).  A bare Pauli factor such as ``s1`` is rejected with a
 hint to write the full tensor form, and parentheses nest at most
 ``_MAX_DEPTH`` deep.  The tokenizer is one ``findall``, and each token's
 kind is read from its first character; a position is worked out only for
-an error.  The parser multiplies the scalar, symbol and tensor factors of
-a term into one (coefficient, monomial, tensor) triple and builds a
-general product only at a parenthesised factor; a Gaussian literal in
-the form str() prints, such as ``(-0.5+2i)``, is read straight into the
-coefficient.
+an error.  The parser folds the scalar, symbol and tensor factors of a
+plain term into one (coefficient, monomial, tensor) entry of the table it
+builds, and makes a general product only at a parenthesised factor; a
+Gaussian literal in the form str() prints, such as ``(-0.5+2i)``, is read
+straight into the coefficient.
 
 Scalars are the numbers the grammar writes: with no division and decimal
 literals, the Gaussian rationals whose denominators are 2^a 5^b, a set
@@ -137,6 +137,8 @@ def _decimal_str(num: int, den: int) -> str:
     """num/den, with den = 2^a 5^b > 0 and no need to be reduced, as an exact decimal: the
     digits of num * 10^k / den for k = max(a, b, 1), the fewest (but one) that den divides,
     with the point k places from the right and trailing zeros stripped."""
+    if den == 1:
+        return _int_str(num)
     k = den.bit_length() - 1 or 1  # a for den = 2^a, but at least 1
     if den & (den - 1):  # a factor 5: den >> a is 5^b, and its log is b to ~1e-12
         k = max(twos := (den & -den).bit_length() - 1, round(log(den >> twos, 5)))
@@ -268,6 +270,18 @@ def _checked_monomial(mono: Monomial) -> Monomial:
     return _monomial(mono)
 
 
+def _number(name: str, value) -> complex:
+    """A symbol's value as a complex: TypeError for text, a bool or a non-number, ValueError past float64."""
+    if type(value) is not float and isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}") from None
+    try:
+        return complex(value)
+    except OverflowError:  # an int or a Fraction past float64
+        raise ValueError(f"symbol {name} needs a number within float64's range") from None
+    except TypeError:  # None, a list, any object that complex() cannot read
+        raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}") from None
+
+
 class PauliExpr:
     """Immutable linear combination of tensor basis elements.
 
@@ -394,39 +408,37 @@ class PauliExpr:
     def to_matrix(self, values: Mapping[str, complex] | None = None) -> np.ndarray:
         """Evaluate to an 8x8 complex matrix.
 
-        values supplies a number for every free symbol; a missing symbol
-        raises ValueError, and text, a bool (which complex() would read) or
-        any other non-number TypeError, each naming the symbol.  A tensor
-        sum that is not finite, or finite sums that overflow one matrix
-        entry together, raise ValueError naming the tensors.  Terms are
-        summed in canonical order, so equal expressions give bit-identical
-        matrices.
+        values supplies a number for every free symbol: missing symbols raise
+        ValueError naming them all, else the first symbol in canonical term
+        order (as str() prints) whose value is text, a bool (which complex()
+        would read) or any other non-number raises TypeError, or ValueError
+        past float64.  A tensor sum that is not finite, or finite sums that
+        overflow one matrix entry together, raise ValueError naming the
+        tensors.  Terms are summed in canonical order, so equal expressions
+        give bit-identical matrices.
         """
         values = dict(values or {})
-        free = self.free_symbols
-        missing = sorted(free - values.keys())
-        if missing:
-            raise ValueError(f"no value given for symbol(s): {', '.join(missing)}")
-        numbers = {}
-        for name in free:
-            value = values[name]
-            if type(value) is not float and isinstance(value, (str, bytes, bool, np.bool_)):
-                raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}")
-            try:
-                numbers[name] = complex(value)
-            except OverflowError:  # an int or a Fraction past float64
-                raise ValueError(f"symbol {name} needs a number within float64's range") from None
-            except TypeError:  # None, a list, any object that complex() cannot read
-                raise TypeError(f"symbol {name} needs a number, got {type(value).__name__}") from None
+        numbers: dict[str, complex] = {}
         totals: dict[int, complex] = {}
         try:
             for (basis, mono), (a, b, d) in self._sorted_terms():
                 val = complex(a / d, b / d)
                 for name, power in mono:
-                    val *= numbers[name] ** power
+                    number = numbers.get(name)
+                    if number is None:  # the first term that reads name converts its value
+                        number = numbers[name] = _number(name, values[name])
+                    val *= number ** power
                 totals[basis] = totals.get(basis, 0j) + val
-        except OverflowError:  # a coefficient or a power past float64: an infinite sum
-            totals[basis] = cmath.inf
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            # a value missing or not a number, in any term, comes before an overflow
+            names = dict.fromkeys(name for (_, mono), _ in self._sorted_terms() for name, _ in mono)
+            if missing := sorted(names.keys() - values.keys()):
+                raise ValueError(f"no value given for symbol(s): {', '.join(missing)}") from None
+            for name in names:
+                _number(name, values[name])
+            if not isinstance(error, OverflowError):
+                raise
+            totals[basis] = cmath.inf  # a coefficient or a power past float64: an infinite sum
         large = [b for b, t in totals.items() if not (abs(t.real) <= 2e307 and abs(t.imag) <= 2e307)]
         bad = [TENSOR_LABELS[basis] for basis in large if not cmath.isfinite(totals[basis])]
         if bad:  # from a NaN or infinite value, or an overflow
@@ -530,23 +542,23 @@ class _Parser:
             self.index += 1
         out: Terms = {}
         while True:
-            _add_terms(out, self.term(), negate)
+            self.term(out, negate)
             tok = tokens[self.index]
             if tok != "+" and tok != "-":
                 return out
             negate = tok == "-"
             self.index += 1
 
-    def term(self) -> Terms:
-        """One product of factors.
+    def term(self, out: Terms, negate: bool) -> None:
+        """Add one product of factors, negated if negate (a phase of 2), into out.
 
         Scalars, symbols and tensors fold into coeff * i**phase * names *
-        T_basis, and so does a parenthesised scalar; any other parenthesised
-        factor multiplies what came before it and its own value into
-        ``result`` in order, since tensors do not commute.
+        T_basis, one entry of out, and so does a parenthesised scalar; any
+        other parenthesised factor multiplies what came before it and its
+        own value into ``result`` in order, since tensors do not commute.
         """
         tokens, kinds = self.tokens, self.kinds
-        coeff, phase, basis, names = _ONE, 0, 0, []
+        coeff, phase, basis, names = _ONE, 2 if negate else 0, 0, []
         result = None
         while True:
             at = self.index
@@ -566,7 +578,7 @@ class _Parser:
                 else:
                     raise self.error(f"unknown name {text!r}", at)
             elif kind == "NUMBER":
-                coeff = _cmul(coeff, _literal(text))
+                coeff = _literal(text) if coeff is _ONE else _cmul(coeff, _literal(text))
             elif kind == "(":
                 if self.depth == _MAX_DEPTH:
                     raise self.error(f"parentheses nested deeper than {_MAX_DEPTH}", at)
@@ -575,7 +587,7 @@ class _Parser:
                     inner = self.parenthesised()
                     scalar = _scalar(inner)
                 if scalar is not None:
-                    coeff = _cmul(coeff, scalar)
+                    coeff = scalar if coeff is _ONE else _cmul(coeff, scalar)
                 else:
                     result = _mul_terms(_fold(result, coeff, phase, basis, names), inner)
                     coeff, phase, basis, names = _ONE, 0, 0, []
@@ -585,7 +597,10 @@ class _Parser:
             if tokens[self.index] != "*":
                 break
             self.index += 1
-        return _fold(result, coeff, phase, basis, names)
+        if result is None:
+            _add_into(out, (basis, _monomial(names)), _times_i_power(coeff, phase))
+        else:
+            _add_terms(out, _fold(result, coeff, phase, basis, names), False)
 
     def literal(self) -> Coeff | None:
         """The value of ['-'] NUMBER ('+'|'-') (NUMBER | 'i') ')' after a '(', which is how
@@ -616,7 +631,7 @@ class _Parser:
 
 
 def _fold(result, coeff: Coeff, phase: int, basis: int, names: list[tuple[str, int]]) -> Terms:
-    """result (None for 1) times coeff * i**phase * names * T_basis."""
+    """result (None for 1) times coeff * i**phase * names * T_basis, in a non-plain term."""
     if not (coeff[0] or coeff[1]):
         return {}
     if result is not None and coeff == _ONE and not (phase & 3 or basis or names):

@@ -274,6 +274,13 @@ def test_literal_longer_than_int_string_limit():
     assert parse(str(fractional)) == fractional
 
 
+def _child_env(**extra: str) -> dict:
+    """os.environ with extra, and this package's directory first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(Path(pauli_expr.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 _LONG_LITERALS = ["1" * 1000, "0." + "5" * 900 + "*A1", "(1+2i)*" + "1" * 1000]
 
 
@@ -284,10 +291,7 @@ def test_printing_holds_under_a_low_int_digit_limit():
     child = subprocess.run(
         [sys.executable, "-c", "import sys; from phasequark import parse; "
          "print(sys.get_int_max_str_digits(), *map(parse, sys.argv[1:]), sep='\\n')", *_LONG_LITERALS],
-        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640",
-             "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(pauli_expr.__file__).parents[1]),
-                                                         os.environ.get("PYTHONPATH")]))},
-        capture_output=True, text=True, timeout=60)
+        env=_child_env(PYTHONINTMAXSTRDIGITS="640"), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0 and not child.stderr, child.stderr
     assert child.stdout == "".join(f"{line}\n" for line in [640, *map(parse, _LONG_LITERALS)])
 
@@ -773,9 +777,21 @@ def test_equal_expressions_give_bit_identical_matrices():
     assert a.to_matrix(values).tobytes() == b.to_matrix(values).tobytes()
 
 
+_OVERFLOWING = "1" + "0" * 400  # a coefficient past float64
+
+
 def test_to_matrix_requires_bindings():
-    with pytest.raises(ValueError, match="m, p1"):
-        parse("A1*p1 + B*m").to_matrix({})
+    """Every missing symbol is named, sorted, before any value that is not a number and any
+    overflowing coefficient, whichever term reads it."""
+    for text, values, named in [
+        ("A1*p1 + B*m", {}, "m, p1"),
+        ("A1*p1 + B*m + x2*B2", {"x2": "a"}, "m, p1"),  # x2's term is read first
+        (_OVERFLOWING + "*A1 + B*m", {}, "m"),
+        (_OVERFLOWING + "*B + A1*m", {}, "m"),  # m is read only by a term after the overflow
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse(text).to_matrix(values)
+        assert str(err.value) == f"no value given for symbol(s): {named}", text[-20:]
 
 
 @pytest.mark.parametrize("value", ["2", b"2", True, False, np.bool_(True), None, [1], object()],
@@ -792,8 +808,39 @@ def test_to_matrix_takes_any_number(value):
     assert np.array_equal(parse("A1*p1").to_matrix({"p1": value}), 2 * cf.named_operator("A1"))
 
 
+@pytest.mark.parametrize("text,values,error", [
+    # the first symbol in canonical term order (x2*s0#s2#s2 + m*s0#s3#s0 + p1*s1#s1#s0)
+    ("A1*p1 + B*m + x2*B2", {"p1": "a", "m": None, "x2": True}, TypeError("symbol x2 needs a number, got bool")),
+    ("A1*p1 + B*m + x2*B2", {"p1": "a", "m": None, "x2": 1}, TypeError("symbol m needs a number, got NoneType")),
+    # a value that is not a number comes before an overflowing coefficient in an earlier term
+    (_OVERFLOWING + "*A1 + B*m", {"m": "x"}, TypeError("symbol m needs a number, got str")),
+    (_OVERFLOWING + "*B + A1*m", {"m": "x"}, TypeError("symbol m needs a number, got str")),
+], ids=["first-of-three", "first-of-two", "beside-an-overflow", "after-an-overflow"])
+def test_to_matrix_names_the_first_value_that_is_not_a_number(text, values, error):
+    with pytest.raises(type(error)) as err:
+        parse(text).to_matrix(values)
+    assert str(err.value) == str(error)
+
+
+def test_to_matrix_names_the_same_symbol_under_every_hash_seed():
+    """Which bad symbol the error names follows the terms' order, not a set's, so two
+    interpreters with different string hashes give one message."""
+    code = ("from phasequark import parse\n"
+            "try:\n"
+            "    parse('A1*p1 + B*m + x2*B2').to_matrix({'p1': 'a', 'm': None, 'x2': True})\n"
+            "except TypeError as err:\n"
+            "    print(err)\n")
+    outputs = []
+    for seed in ("0", "1"):
+        child = subprocess.run([sys.executable, "-c", code], env=_child_env(PYTHONHASHSEED=seed),
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0 and not child.stderr, child.stderr
+        outputs.append(child.stdout)
+    assert outputs == ["symbol x2 needs a number, got bool\n"] * 2
+
+
 @pytest.mark.parametrize("text,values,named", [
-    ("A1*p1", {"p1": 10**400}, "symbol p1"),  # complex() overflows
+    ("A1*p1", {"p1": 10**400}, "symbol p1 needs a number within float64's range"),  # complex() overflows
     ("A1*p1*p1", {"p1": 1e200}, "s1#s1#s0"),  # the power overflows
     ("A1*p1", {"p1": math.inf}, "s1#s1#s0"),
     ("A1*p1*x1", {"p1": 1e200, "x1": 1e200}, "s1#s1#s0"),  # the product overflows
@@ -849,38 +896,69 @@ def expressions(draw):
     return parse(text)
 
 
-_FACTOR_ATOMS = ["A1", "A2", "B1", "C", "gamma5", "s1#s2#s3", "s3#s0#s1", "p1", "x2", "m",
-                 "2", "0.5", "1.5i", "i", "(1-0.25i)"]
+# Each atom's value built by PauliExpr's constructors and operators, never by parse, so that
+# both of parse's routes, a plain term added straight into its table and a term with a
+# parenthesised factor, are checked against the operators; i is s1*s2*s3 in the first slot.
+_I = PauliExpr.from_basis(1, 0, 0) * PauliExpr.from_basis(2, 0, 0) * PauliExpr.from_basis(3, 0, 0)
+
+
+def _built_scalar(real, imag=0) -> PauliExpr:
+    return PauliExpr.from_scalar(Fraction(real)) + PauliExpr.from_scalar(Fraction(imag)) * _I
+
+
+_FACTOR_ATOMS = {
+    "0": _built_scalar(0), "2": _built_scalar(2), "0.5": _built_scalar("0.5"), "i": _I,
+    "1.5i": _built_scalar(0, "1.5"), "(1-0.25i)": _built_scalar(1, "-0.25"),
+    "(-0.5+2i)": _built_scalar("-0.5", 2), "p1": PauliExpr.from_symbol("p1"),
+    "x2": PauliExpr.from_symbol("x2"), "m": PauliExpr.from_symbol("m"),
+    **{label: PauliExpr.from_basis(*ijk) for label, ijk in
+       [("s1#s2#s3", (1, 2, 3)), ("s3#s0#s1", (3, 0, 1)), ("s0#s0#s0", (0, 0, 0))]},
+    **{name: math.prod([_I] * n, start=PauliExpr.from_basis(*ijk))
+       for name, (n, ijk) in cf.OPERATORS.items() if name in ("A1", "A2", "B", "B1", "C", "gamma5")},
+}
 
 
 @st.composite
 def mixed_sums(draw, depth=2):
-    """(text, left-to-right value) of a sum of products whose factors are
-    atoms or parenthesised sums, the value built with PauliExpr's operators."""
-    text, value = "", None
-    for position in range(draw(st.integers(1, 3))):
+    """(text, left-to-right value) of a sum of products whose factors are atoms or
+    parenthesised sums, the value built with PauliExpr's operators; a term may be
+    written again with the other sign, so that the two cancel."""
+    text, value = "", PauliExpr()
+    for _ in range(draw(st.integers(1, 3))):
         factors = []
         for _ in range(draw(st.integers(1, 4))):
             if depth and draw(st.booleans()):
                 inner_text, inner = draw(mixed_sums(depth - 1))
                 factors.append(("(" + inner_text + ")", inner))
             else:
-                atom = draw(st.sampled_from(_FACTOR_ATOMS))
-                factors.append((atom, parse(atom)))
+                atom = draw(st.sampled_from(sorted(_FACTOR_ATOMS)))
+                factors.append((atom, _FACTOR_ATOMS[atom]))
         product = factors[0][1]
         for _, factor in factors[1:]:
             product = product * factor
         minus = draw(st.booleans())
-        op = ("-" if minus else "") if position == 0 else (" - " if minus else " + ")
-        text += op + "*".join(t for t, _ in factors)
-        if value is None:
-            value = -product if minus else product
-        else:
+        for minus in [minus, not minus] if draw(st.booleans()) else [minus]:
+            text += ("-" if minus else "") if not text else (" - " if minus else " + ")
+            text += "*".join(t for t, _ in factors)
             value = value - product if minus else value + product
     return text, value
 
 
+_A = _FACTOR_ATOMS
+
+
 @given(mixed_sums(), st.integers(0, 2**31 - 1))
+@example(("0*A1", PauliExpr()), 0)
+@example(("2*0.5*A1", _A["A1"]), 0)
+@example(("i*i*A1", -_A["A1"]), 0)
+@example(("-A1*p1", -(_A["A1"] * _A["p1"])), 0)
+@example(("A1 - A1", PauliExpr()), 0)
+@example(("-2*m*B + 2*m*B", PauliExpr()), 0)
+@example(("x2*A1*m*p1*m", math.prod([_A["A1"], _A["m"], _A["p1"], _A["m"]], start=_A["x2"])), 0)
+@example(("(1-0.25i)*A1 - (-0.5+2i)*gamma5*m",
+          _A["(1-0.25i)"] * _A["A1"] - _A["(-0.5+2i)"] * _A["gamma5"] * _A["m"]), 0)
+@example(("-(A1 + p1*B)*C - i*(2 - 0.5)",
+          -((_A["A1"] + _A["p1"] * _A["B"]) * _A["C"]) - _I * _built_scalar("1.5")), 0)
 def test_parse_multiplies_factors_left_to_right(case, seed):
     text, want = case
     got = parse(text)
